@@ -39,7 +39,7 @@ from .functionals import (
     theta_shape,
 )
 from .quadrature import QuadratureConfig
-from .rsk import Word, rsk_shape, sample_plancherel, sample_schur_weyl
+from .rsk import sample_plancherel, sample_schur_weyl
 from .shape import omega, omega_c, omega_c_prime
 
 __version__ = "0.1.0"

@@ -34,7 +34,6 @@ __all__ = [
     "neg_log_measure_scaled",
     "enumerate_diagrams",
     "partition_count",
-    "enumeration_csv",
 ]
 
 
@@ -241,15 +240,3 @@ def _partition_table(n: int) -> list[int]:
             k += 1
         p.append(total)
     return p
-
-
-def enumeration_csv(n: int, N: int) -> str:
-    """CSV of all diagrams in Y_N^n with dimensions and Schur-Weyl measure."""
-    lines = ["partition,dim_sym,dim_gl,dim_iso,measure_num,measure_den"]
-    for lam in enumerate_diagrams(n, N):
-        d = exact_dims(lam, N)
-        m = schur_weyl_measure(lam, N).value
-        lines.append(
-            f'"{lam}",{d.dim_sym},{d.dim_gl},{d.dim_iso},{m.numerator},{m.denominator}'
-        )
-    return "\n".join(lines) + "\n"

@@ -16,6 +16,12 @@ mechanism behind positivity and the unique minimizer Omega_c.  The lemma_*
 functions check the closed forms of the auxiliary integrals (A, I_c, the
 phi_2 moment of Omega_c'' and the I-against-Omega' integral) by independent
 quadrature.
+
+For a lattice profile the Sobolev norm of L - Omega_c is evaluated from those
+closed forms: exact phi_2 corner sums, the antiderivative of lemma I at the
+profile corners and lemma intIOmega's reduction of the shape self-energy.
+The nested-quadrature routes (difference quotient, generic log kernel and
+the lemmas' quadrature sides) are kept as independent oracles for the tests.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ from .shape import (
     omega_c,
     omega_c_prime,
     phi,
-    phi2,
     phi2_arr,
     shape_breakpoints,
     shape_support,
@@ -455,33 +460,23 @@ def _segments_on_window(prof: Profile, a: float, b: float):
     return e1, e2, sg
 
 
-@lru_cache(maxsize=32)
-def _shape_self_energy(c: float, a: float, b: float) -> float:
-    """iint_{[a,b]^2} ln|2(s-t)| Omega_c'(s) Omega_c'(t) ds dt (cached per window)."""
-    kinks = tuple(shape_breakpoints(c))
-    cfg = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-10)
+def _lemma_I_antiderivative(c: float, e: float, a: float, b: float) -> float:
+    """An antiderivative in e of the closed form of I_c(e) (lemma I).
 
-    def W(s: float) -> float:
-        ops = omega_c_prime(c, s)
-
-        def g(t: float) -> float:
-            if abs(t - s) < 1e-15:
-                return 0.0
-            return math.log(abs(2.0 * (s - t))) * (omega_c_prime(c, t) - ops)
-
-        reg = quad_breakpoints(g, a, b, kinks + (s,), cfg)
-        return reg - (phi(1, s - a) + phi(1, b - s)) * ops
-
-    outer_cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9)
-    return quad_breakpoints(lambda s: omega_c_prime(c, s) * W(s), a, b, kinks, outer_cfg)
+    int_a^b phi_1(e - t) Omega_c'(t) dt equals this up to a constant in e.
+    """
+    return (-phi(2, a - e) - phi(2, b - e) + phi(2, 0.5 + c * e) / (c * c)
+            - (1.0 - c * c) * e / (2.0 * c) - J_tilde(c, e - 0.5 * c))
 
 
 def _sobolev_profile_shape(f: _ProfileMinusShape, cfg: QuadratureConfig) -> float:
-    """Fast log-kernel evaluation for f = L - Omega_c.
+    """Closed-form log-kernel evaluation for f = L - Omega_c.
 
-    Expands f'f' into L'L' (exact four-corner phi_2 sums over segment pairs),
-    the cross term (the s-integral done in closed form via phi_1, the t-integral
-    by quadrature) and the shape self-energy (cached nested quadrature).
+    Expands f'f' into three terms, none by nested quadrature:
+    L'L' is an exact four-corner phi_2 sum over segment pairs; the cross term
+    sums, over segments of L, the antiderivative of lemma I's closed form at
+    both segment ends (the constant of integration cancels); and the shape
+    self-energy is -int I_c Omega_c', lemma intIOmega's closed reduction.
     """
     a, b = f.support
     c = f.c
@@ -492,39 +487,29 @@ def _sobolev_profile_shape(f: _ProfileMinusShape, cfg: QuadratureConfig) -> floa
         - phi2_arr(e2[:, None] - e1[None, :]) - phi2_arr(e1[:, None] - e2[None, :])
     s_ll = float(sg @ d_pp @ sg)
 
-    # Cross term: int Omega'(t) * [int ln|2(s-t)| L'(s) ds] dt.
-    def lp_log_moment(t: float) -> float:
-        return float(np.sum(sg * (phi1_arr(e1 - t) - phi1_arr(e2 - t))))
+    # Cross term: int Omega'(t) * [int ln|2(s-t)| L'(s) ds] dt
+    #   = sum_k sg_k int (phi_1(e1_k - t) - phi_1(e2_k - t)) Omega'(t) dt.
+    s_lo = sum(g * (_lemma_I_antiderivative(c, x, a, b) - _lemma_I_antiderivative(c, y, a, b))
+               for g, x, y in zip(sg.tolist(), e1.tolist(), e2.tolist()))
 
-    pts = tuple(sorted(set(e1.tolist()) | set(e2.tolist()) | set(shape_breakpoints(c))))
-    s_lo = quad_breakpoints(lambda t: omega_c_prime(c, t) * lp_log_moment(t),
-                            a, b, pts, cfg)
-
-    s_oo = _shape_self_energy(c, round(a, 12), round(b, 12))
+    s_oo = -_int_I_omega_closed(c, a, b, cfg)
     return -s_ll + 2.0 * s_lo - s_oo
 
 
-def phi1_arr(x: np.ndarray) -> np.ndarray:
-    """Vectorized phi(1, .); zero at the origin."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    nz = x != 0.0
-    out[nz] = x[nz] - x[nz] * np.log(np.abs(2.0 * x[nz]))
-    return out
-
-
 def sobolev_half_sq(f: Curve, c: float, quad: QuadratureConfig = DEFAULT_QUAD,
-                    route: str = "auto") -> float:
+                    route: str = "log-kernel") -> float:
     """(1/2) ||f||^2_{1/2} for a compactly supported piecewise-smooth f.
 
-    Routes: "difference-quotient" integrates ((f(s)-f(t))/(s-t))^2 over the
-    plane; "log-kernel" integrates -ln|2(s-t)| f'(s) f'(t).  The two agree (the
-    Fourier symbols coincide since int f' = 0).  "auto" picks the semi-analytic
-    log-kernel expansion when f is a profile-minus-shape difference.
+    Routes: "log-kernel" integrates -ln|2(s-t)| f'(s) f'(t); when f is a
+    profile-minus-shape difference this is evaluated in closed form from
+    lemmas I and intIOmega, otherwise by nested quadrature.
+    "difference-quotient" integrates ((f(s)-f(t))/(s-t))^2 over the plane by
+    nested quadrature.  The two agree (the Fourier symbols coincide since
+    int f' = 0); the nested routes serve as test oracles.
     """
     if route == "difference-quotient":
         return _sobolev_quotient(f, quad)
-    if route == "log-kernel" or route == "auto":
+    if route == "log-kernel":
         if isinstance(f, _ProfileMinusShape) and f.prof is not None:
             return _sobolev_profile_shape(f, quad)
         return _sobolev_logkernel_generic(f, quad)
@@ -648,15 +633,13 @@ def _lemma_I_closed(c: float, s: float, a: float, b: float) -> float:
     return phi(1, a - s) + phi(1, b - s) + G(c, s) - H_tilde(c, s - 0.5 * c)
 
 
-def lemma_I(c: float, s: float, a: float, b: float,
-            quad: QuadratureConfig = DEFAULT_QUAD) -> tuple[float, float]:
-    """I_c(s) = int_a^b phi_0(s-t) Omega_c'(t) dt, quadrature vs closed form.
+def _I_quad(c: float, s: float, a: float, b: float, pts: tuple[float, ...],
+            cfg: QuadratureConfig) -> float:
+    """I_c(s) by quadrature, the log singularity at t = s removed.
 
-    The log singularity at t = s is removed by subtracting Omega_c'(s); the
-    subtracted part has the exact value (phi_1(s-a) + phi_1(b-s)) Omega_c'(s).
+    Subtracting Omega_c'(s) regularizes the integrand; the subtracted part has
+    the exact value (phi_1(s-a) + phi_1(b-s)) Omega_c'(s).
     """
-    if not a < s < b:
-        raise ValueError("s must lie in (a, b)")
     ops = omega_c_prime(c, s)
 
     def g(t: float) -> float:
@@ -664,8 +647,15 @@ def lemma_I(c: float, s: float, a: float, b: float,
             return 0.0
         return phi(0, s - t) * (omega_c_prime(c, t) - ops)
 
-    pts = tuple(shape_breakpoints(c)) + (0.0, s)
-    val = quad_breakpoints(g, a, b, pts, quad) + ops * (phi(1, s - a) + phi(1, b - s))
+    return quad_breakpoints(g, a, b, pts + (s,), cfg) + ops * (phi(1, s - a) + phi(1, b - s))
+
+
+def lemma_I(c: float, s: float, a: float, b: float,
+            quad: QuadratureConfig = DEFAULT_QUAD) -> tuple[float, float]:
+    """I_c(s) = int_a^b phi_0(s-t) Omega_c'(t) dt, quadrature vs closed form."""
+    if not a < s < b:
+        raise ValueError("s must lie in (a, b)")
+    val = _I_quad(c, s, a, b, tuple(shape_breakpoints(c)) + (0.0,), quad)
     return val, _lemma_I_closed(c, s, a, b)
 
 
@@ -673,7 +663,7 @@ def _lemma_F3_closed(c: float, x: float) -> float:
     a_c = (1.0 + c * c) / (2.0 * c)
     sgn = float(np.sign(1.0 - c))
     val = (
-        sgn * phi2(0.5 * (1.0 + c * c + 2.0 * c * x)) / (c * c)
+        sgn * phi(2, 0.5 * (1.0 + c * c + 2.0 * c * x)) / (c * c)
         - (1.0 - c * c) / (2.0 * c) * x
         - J_tilde(c, x)
         + (-3.0 + 4.0 * c * c + 3.0 * c ** 4) / (16.0 * c * c)
@@ -696,47 +686,45 @@ def lemma_F3(c: float, x: float, quad: QuadratureConfig = DEFAULT_QUAD) -> tuple
     def g(psi: float) -> float:
         z = math.sin(psi)
         w = 2.0 * (1.0 + c * z) / (math.pi * (1.0 + c * c + 2.0 * c * z))
-        return phi2(x - z) * w
+        return phi(2, x - z) * w
 
     pts = (math.asin(x),) if -1.0 < x < 1.0 else ()
     val = quad_breakpoints(g, -0.5 * math.pi, 0.5 * math.pi, pts, quad)
     return val, _lemma_F3_closed(c, x)
 
 
-def lemma_intIOmega(c: float, a: float, b: float,
-                    quad: QuadratureConfig = DEFAULT_QUAD) -> tuple[float, float]:
-    """int_a^b I_c(s) Omega_c'(s) ds by nested quadrature vs its closed reduction.
+def _int_I_omega_closed(c: float, a: float, b: float, quad: QuadratureConfig) -> float:
+    """Closed reduction of int_a^b I_c(s) Omega_c'(s) ds (lemma intIOmega).
 
-    The right side is 1 - c^2/4 - 2 phi_2(b-a) + 2 int G_c Omega_c'
-    - 2 int H_c Omega_c' (+ an extra constant for c > 1); its two remaining
-    integrals are one-dimensional and nonsingular.  The value is independent
-    of the window (a, b) as long as it strictly contains the shape support.
+    1 - c^2/4 - 2 phi_2(b-a) + 2 int G_c Omega_c' - 2 int H_c Omega_c'
+    (+ an extra constant for c > 1); the two remaining integrals are
+    one-dimensional and nonsingular.
     """
     lo_s, hi_s = shape_support(c)
     if not (a < lo_s and b > hi_s):
         raise ValueError("window must strictly contain the shape support")
     pts = tuple(shape_breakpoints(c)) + (0.0, -0.5 / c)
-    inner_cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=quad.max_subdivisions)
-
-    def I_quad(s: float) -> float:
-        ops = omega_c_prime(c, s)
-
-        def g(t: float) -> float:
-            if abs(t - s) < 1e-15:
-                return 0.0
-            return phi(0, s - t) * (omega_c_prime(c, t) - ops)
-
-        return quad_breakpoints(g, a, b, pts + (s,), inner_cfg) \
-            + ops * (phi(1, s - a) + phi(1, b - s))
-
-    lhs = quad_breakpoints(lambda s: I_quad(s) * omega_c_prime(c, s), a, b, pts, quad)
-
     int_G = quad_breakpoints(lambda s: G(c, s) * omega_c_prime(c, s), a, b, pts, quad)
     int_H = quad_breakpoints(lambda s: H_tilde(c, s - 0.5 * c) * omega_c_prime(c, s),
                              a, b, pts + (0.5 * c - 1.0, 0.5 * c + 1.0), quad)
-    rhs = 1.0 - c * c / 4.0 - 2.0 * phi2(b - a) + 2.0 * int_G - 2.0 * int_H
+    val = 1.0 - c * c / 4.0 - 2.0 * phi(2, b - a) + 2.0 * int_G - 2.0 * int_H
     if c > 1.0:
-        rhs += 1.0 - 5.0 / (4.0 * c * c) + c * c / 4.0 - (2.0 + 1.0 / (c * c)) * math.log(c)
+        val += 1.0 - 5.0 / (4.0 * c * c) + c * c / 4.0 - (2.0 + 1.0 / (c * c)) * math.log(c)
+    return val
+
+
+def lemma_intIOmega(c: float, a: float, b: float,
+                    quad: QuadratureConfig = DEFAULT_QUAD) -> tuple[float, float]:
+    """int_a^b I_c(s) Omega_c'(s) ds by nested quadrature vs its closed reduction.
+
+    The value is independent of the window (a, b) as long as it strictly
+    contains the shape support.
+    """
+    rhs = _int_I_omega_closed(c, a, b, quad)
+    pts = tuple(shape_breakpoints(c)) + (0.0, -0.5 / c)
+    inner_cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=quad.max_subdivisions)
+    lhs = quad_breakpoints(lambda s: _I_quad(c, s, a, b, pts, inner_cfg) * omega_c_prime(c, s),
+                           a, b, pts, quad)
     return lhs, rhs
 
 

@@ -60,7 +60,6 @@ class ExperimentConfig:
     c: float | None = None
     samples: int = 1
     seed: int = 0
-    tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if (self.N is None) == (self.c is None):
@@ -251,6 +250,8 @@ def cmd_constants(c_grid: list[float], fmt: str = "csv") -> str:
 def cmd_emit_shape(c: float, lo: float | None = None, hi: float | None = None,
                    step: float = 0.01) -> str:
     """CSV of Omega_c and its derivative on a uniform grid."""
+    if not step > 0.0:
+        raise ValueError("step must be positive")
     s_lo, s_hi = shape.shape_support(c)
     lo = s_lo - 0.5 if lo is None else lo
     hi = s_hi + 0.5 if hi is None else hi
@@ -443,7 +444,7 @@ def _read_config(path: str) -> dict:
 
 
 _CONFIG_TYPES = {"n": int, "N": int, "c": float, "samples": int, "seed": int,
-                 "tol": float, "out": str, "format": str}
+                 "out": str, "format": str}
 
 
 def _apply_config(args: argparse.Namespace, path: str | None) -> None:
@@ -485,7 +486,6 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--samples", type=int, default=None)
         if seed:
             sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--tol", type=float, default=None)
 
     sp = sub.add_parser("dims", help="exact dimensions of one diagram")
     sp.add_argument("--lam", required=True, help='partition, e.g. "4,2,1"')
@@ -540,6 +540,15 @@ def _result_text(res: ExperimentResult, fmt: str | None) -> str:
     return res.to_json() + "\n"
 
 
+def _experiment_config(parser: argparse.ArgumentParser,
+                       args: argparse.Namespace) -> ExperimentConfig:
+    if args.n is None:
+        parser.error(f"{args.command} requires --n")
+    return ExperimentConfig(n=args.n, N=args.N, c=args.c,
+                            samples=1 if args.samples is None else args.samples,
+                            seed=0 if args.seed is None else args.seed)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -557,27 +566,16 @@ def main(argv: list[str] | None = None) -> int:
             _emit(text, args.out)
             return 0 if passed else 1
         if args.command == "sample":
-            if args.measure == "plancherel":
-                samples = rsk.sample_plancherel(args.n, args.seed or 0,
-                                                args.samples or 1)
-                _emit(rsk.sample_dump(samples, args.n, None, args.seed or 0),
-                      args.out)
-                return 0
-            cfg = ExperimentConfig(n=args.n, N=args.N, c=args.c,
-                                   samples=args.samples or 1, seed=args.seed or 0)
-            _emit(cmd_sample(cfg, args.measure), args.out)
+            if args.measure == "plancherel" and args.N is None and args.c is None:
+                args.N = 1  # the Plancherel sampler has no alphabet; N goes unused
+            _emit(cmd_sample(_experiment_config(parser, args), args.measure), args.out)
             return 0
         if args.command == "bounds":
-            cfg = ExperimentConfig(n=args.n, N=args.N, c=args.c,
-                                   samples=args.samples or 1, seed=args.seed or 0,
-                                   tol=args.tol or 1e-6)
-            res = cmd_bounds(cfg, slack=args.slack)
+            res = cmd_bounds(_experiment_config(parser, args), slack=args.slack)
             _emit(_result_text(res, args.fmt), args.out)
             return 0 if res.passed else 1
         if args.command == "biane":
-            cfg = ExperimentConfig(n=args.n, N=args.N, c=args.c,
-                                   samples=args.samples or 1, seed=args.seed or 0)
-            res = cmd_biane(cfg)
+            res = cmd_biane(_experiment_config(parser, args))
             _emit(_result_text(res, args.fmt), args.out)
             return 0
         if args.command == "constants":
@@ -588,7 +586,7 @@ def main(argv: list[str] | None = None) -> int:
             _emit(cmd_emit_shape(args.c, step=args.step), args.out)
             return 0
         if args.command == "verify-all":
-            report = cmd_verify_all(seed=args.seed or 0)
+            report = cmd_verify_all(seed=0 if args.seed is None else args.seed)
             _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
             return 0 if report["passed"] else 1
         parser.error(f"unknown command {args.command}")

@@ -13,34 +13,19 @@ trial k is reproducible regardless of how trials are scheduled across workers.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .diagrams import Partition
 
 __all__ = [
-    "Word",
     "trial_rng",
-    "rsk_shape",
     "rsk_shape_from_letters",
     "sample_schur_weyl",
     "sample_plancherel",
     "sample_dump",
 ]
-
-
-@dataclass(frozen=True)
-class Word:
-    """A word over the alphabet 1..N."""
-
-    letters: tuple[int, ...]
-    N: int
-
-    def __post_init__(self) -> None:
-        if any(not 1 <= x <= self.N for x in self.letters):
-            raise ValueError("letters must lie in [1, N]")
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -63,11 +48,6 @@ def rsk_shape_from_letters(letters: Iterable[int]) -> Partition:
         if x is not None:
             rows.append([x])
     return Partition(tuple(len(r) for r in rows))
-
-
-def rsk_shape(word: Word) -> Partition:
-    """Shape of the insertion tableau; has at most max-letter (hence N) rows."""
-    return rsk_shape_from_letters(word.letters)
 
 
 def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:

@@ -133,13 +133,6 @@ def phi(k: int, x: float) -> float:
     raise ValueError(f"phi is only defined for k in 0..2, got {k}")
 
 
-def phi2(x: float) -> float:
-    """phi(2, x), inlined for the hot path of the hook-integral corner formula."""
-    if x == 0.0:
-        return 0.0
-    return 0.75 * x * x - 0.5 * x * x * math.log(abs(2.0 * x))
-
-
 def phi2_arr(x: np.ndarray) -> np.ndarray:
     """Vectorized phi(2, .); zero at the origin."""
     x = np.asarray(x, dtype=float)

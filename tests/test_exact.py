@@ -93,12 +93,6 @@ class TestEnumeration:
         out = list(exact.enumerate_diagrams(100, 2))
         assert len(out) == 51  # (100-k, k) for k = 0..50
 
-    def test_enumeration_csv_shape(self):
-        text = exact.enumeration_csv(3, 2)
-        lines = text.strip().split("\n")
-        assert lines[0] == "partition,dim_sym,dim_gl,dim_iso,measure_num,measure_den"
-        assert len(lines) == 3
-
 
 class TestPartitionCount:
     def test_known_values(self):

@@ -230,7 +230,8 @@ class TestDecomposition:
 
 class TestVariationalIdentity:
     def test_small_diagrams(self):
-        for rows, N in [((1,), 2), ((3, 1), 4), ((4, 2, 1), 5)]:
+        # the last two have c = 1.5 and 4/3, on the c > 1 branch of Omega_c
+        for rows, N in [((1,), 2), ((3, 1), 4), ((4, 2, 1), 5), ((9,), 2), ((12, 4), 3)]:
             lhs, rhs = F.prop41_identity(Partition(rows), N)
             assert lhs == pytest.approx(rhs, abs=1e-7)
             assert lhs >= 0.0

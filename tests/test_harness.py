@@ -44,6 +44,9 @@ class TestSubcommands:
     def test_enumerate_sum_rule(self):
         text, passed = harness.cmd_enumerate(3, 2)
         assert passed and "sum dim_iso = 8" in text
+        lines = text.strip().split("\n")
+        assert lines[0] == "partition,dim_sym,dim_gl,dim_iso,measure_num,measure_den"
+        assert len(lines) == 4  # header, (3) and (2,1), sum-rule line
         text, passed = harness.cmd_enumerate(5, 5)
         assert passed and "N^n = 3125" in text
         text, passed = harness.cmd_enumerate(1, 1)
@@ -105,6 +108,26 @@ class TestSubcommands:
         out = tmp_path / "dims.txt"
         assert main(["dims", "--lam", "2,1", "--N", "2", "--out", str(out)]) == 0
         assert "dim_iso: 4" in out.read_text()
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--measure", "plancherel"],
+        ["bounds", "--c", "1.0"],
+        ["emit-shape", "--c", "1.0", "--step", "0"],
+        ["emit-shape", "--c", "1.0", "--step", "-0.1"],
+        ["sample", "--n", "10", "--N", "2", "--samples", "0"],
+        ["sample", "--measure", "plancherel", "--n", "10", "--samples", "0"],
+        ["bounds", "--n", "100", "--c", "1.0", "--tol", "1e-6"],
+    ])
+    def test_usage_errors_exit_2(self, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+
+    def test_sample_plancherel(self, capsys):
+        assert main(["sample", "--measure", "plancherel", "--n", "10", "--samples", "2"]) == 0
+        assert capsys.readouterr().out.startswith("# n=10 N=- seed=0 count=2")
 
     def test_json_format(self, capsys):
         assert main(["enumerate", "--n", "3", "--N", "2", "--format", "json"]) == 0

@@ -33,10 +33,6 @@ class TestInsertion:
         assert rsk.rsk_shape_from_letters([2, 1]) == Partition((1, 1))
         assert rsk.rsk_shape_from_letters([1, 2, 1]) == Partition((2, 1))
 
-    def test_word_validation(self):
-        with pytest.raises(ValueError):
-            rsk.Word((1, 3), N=2)
-
     def test_row_count_bounded_by_alphabet(self):
         rng = rsk.trial_rng(0, 0)
         for _ in range(20):
