@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ytensor.diagrams import Partition
-from ytensor import exact
+from ytensor import exact, harness
 
 
 class TestDims:
@@ -92,6 +92,12 @@ class TestEnumeration:
     def test_large_n_small_N_is_cheap(self):
         out = list(exact.enumerate_diagrams(100, 2))
         assert len(out) == 51  # (100-k, k) for k = 0..50
+
+    def test_enumeration_csv_shape(self):
+        text, _ = harness.cmd_enumerate(3, 2)
+        lines = text.strip().split("\n")
+        assert lines[0] == "partition,dim_sym,dim_gl,dim_iso,measure_num,measure_den"
+        assert len(lines) == 4  # header, (3) and (2,1), sum-rule line
 
 
 class TestPartitionCount:
