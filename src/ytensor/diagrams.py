@@ -10,6 +10,7 @@ rational arithmetic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -44,11 +45,11 @@ class Partition:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(int(r) for r in self.rows)
+        rows = tuple(map(int, self.rows))
         object.__setattr__(self, "rows", rows)
-        if any(r <= 0 for r in rows):
+        if rows and min(rows) <= 0:
             raise ValueError(f"row lengths must be positive: {rows}")
-        if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
+        if any(map(operator.lt, rows, rows[1:])):
             raise ValueError(f"row lengths must be nonincreasing: {rows}")
 
     @property

@@ -16,12 +16,17 @@ def partitions_strategy(max_rows=8, max_part=12):
 
 class TestPartition:
     def test_rejects_increasing_rows(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonincreasing"):
             Partition((1, 2))
+        with pytest.raises(ValueError, match="nonincreasing"):
+            Partition((3, 1, 2))
 
     def test_rejects_nonpositive_rows(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="positive"):
             Partition((3, 0))
+        # Positivity is checked before order.
+        with pytest.raises(ValueError, match="positive"):
+            Partition((-1, 2))
 
     def test_basic_attributes(self):
         lam = Partition((4, 2, 1))

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from bisect import bisect_left
 
@@ -53,6 +55,38 @@ class TestSamplers:
         b = rsk.sample_schur_weyl(50, 5, seed=123, count=4)
         assert a == b
         assert rsk.sample_schur_weyl(50, 5, seed=124, count=4) != a
+
+    @pytest.mark.parametrize("seed", [0, 1, -1, 2**64 - 1])
+    @pytest.mark.parametrize("n, N", [(4, 2), (5, 3), (50, 5)])
+    def test_schur_weyl_draws_stream_k_of_trial_rng(self, seed, n, N):
+        # An odd n leaves a buffered half of a 64-bit draw behind; the next
+        # trial must not see it.
+        count = 40
+        reference = [rsk.rsk_shape_from_letters(
+            rsk.trial_rng(seed, k).integers(1, N + 1, size=n).tolist()) for k in range(count)]
+        assert rsk.sample_schur_weyl(n, N, seed, count) == reference
+
+    @pytest.mark.parametrize("seed", [0, 1, -1, 2**64 - 1])
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_plancherel_draws_stream_k_of_trial_rng(self, seed, n):
+        count = 40
+        reference = [rsk.rsk_shape_from_letters(rsk.trial_rng(seed, k).permutation(n).tolist())
+                     for k in range(count)]
+        assert rsk.sample_plancherel(n, seed, count) == reference
+
+    @pytest.mark.parametrize("samples, digest", [
+        (lambda: rsk.sample_schur_weyl(6, 3, 0, 2000),
+         "4d9abd62cfffe01a3d048abff817358f3c339a05d50c5b8e98421299893063c4"),
+        (lambda: rsk.sample_schur_weyl(2000, 45, 1, 3),
+         "8319e4d3838aecbbe463483d1efe3fde73548228d3e755360657e445c616e2b9"),
+        (lambda: rsk.sample_plancherel(8, 0, 500),
+         "6618b1c02107ad2bc164573aadde21511ab3f399f4bec39ec24b3e3b77e28209"),
+    ], ids=["schur-weyl-6-3", "schur-weyl-2000-45", "plancherel-8"])
+    def test_golden_streams(self, samples, digest):
+        # Digests of the shapes the samplers produced when they still built
+        # one Generator per trial; any change to a (seed, trial) stream shows.
+        rows = json.dumps([lam.rows for lam in samples()])
+        assert hashlib.sha256(rows.encode()).hexdigest() == digest
 
     def test_trial_streams_are_prefix_stable(self):
         # trial k does not depend on how many samples were requested.
