@@ -38,7 +38,6 @@ from .functionals import (
     theta_profile,
     theta_shape,
 )
-from .quadrature import QuadratureConfig
 from .rsk import sample_plancherel, sample_schur_weyl
 from .shape import omega, omega_c, omega_c_prime
 

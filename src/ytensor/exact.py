@@ -17,7 +17,7 @@ from typing import Iterator
 
 import mpmath
 
-from .diagrams import Cell, Partition, cells, hook_length
+from .diagrams import Partition
 
 __all__ = [
     "MeasureKind",
@@ -163,15 +163,15 @@ def schur_weyl_via_contents(lam: Partition, N: int) -> Fraction:
     return plancherel(lam).value * prod
 
 
-def neg_log_measure_scaled(lam: Partition, N: int, precision: int = 50) -> mpmath.mpf:
+def neg_log_measure_scaled(lam: Partition, N: int) -> mpmath.mpf:
     """-ln(P(lam)) / sqrt(n) for the Schur-Weyl measure, from exact integers.
 
-    ``precision`` is the number of significant decimal digits carried.
+    The logarithms are taken at 50 significant decimal digits.
     """
     p = schur_weyl_measure(lam, N).value
     if p == 0:
         raise ZeroDivisionError(f"measure of {lam} is zero for N={N}")
-    with mpmath.workdps(precision):
+    with mpmath.workdps(50):
         val = -(mpmath.log(p.numerator) - mpmath.log(p.denominator)) / mpmath.sqrt(lam.n)
         return +val
 

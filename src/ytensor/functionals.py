@@ -35,7 +35,7 @@ import numpy as np
 
 from .diagrams import Partition, Profile, profile
 from .exact import hook_lengths, neg_log_measure_scaled, shifted_contents
-from .quadrature import DEFAULT_QUAD, QuadratureConfig, quad_breakpoints, tanh_sinh
+from .quadrature import ABS_TOL, INNER_ABS_TOL, quad_breakpoints, tanh_sinh
 from .shape import (
     G,
     H_tilde,
@@ -50,7 +50,6 @@ from .shape import (
 )
 
 __all__ = [
-    "QuadratureConfig",
     "FunctionalReport",
     "Curve",
     "shape_curve",
@@ -79,17 +78,14 @@ __all__ = [
 class FunctionalReport:
     """All pieces of the log-probability decomposition for one diagram.
 
-    sobolev_sq stores the full squared half-Sobolev norm (not halved); lhs is
-    -ln P / sqrt(n); residual = sqrt(n)(theta - rho) + theta_hat - rho_hat - lhs,
-    which estimates the diagram-independent constant eps_n.
+    lhs is -ln P / sqrt(n); residual = sqrt(n)(theta - rho) + theta_hat -
+    rho_hat - lhs, which estimates the diagram-independent constant eps_n.
     """
 
     theta: float
     rho: float
     theta_hat: float
     rho_hat: float
-    sobolev_sq: float
-    h_term: float
     lhs: float
     residual: float
 
@@ -167,7 +163,7 @@ def theta_profile(prof: Profile) -> float:
     return 1.0 + 8.0 * float(np.sum(block, where=mask))
 
 
-def _theta_curve(L: Curve, cfg: QuadratureConfig) -> float:
+def _theta_curve(L: Curve) -> float:
     """Hook integral of a smooth curve by nested adaptive quadrature.
 
     The logarithmic diagonal is removed by integrating the inner variable by
@@ -175,8 +171,6 @@ def _theta_curve(L: Curve, cfg: QuadratureConfig) -> float:
     boundary term at the left support edge.
     """
     lo, hi = L.support
-    inner_cfg = QuadratureConfig(abs_tol=min(cfg.abs_tol, 1e-10), rel_tol=cfg.rel_tol,
-                                 max_subdivisions=cfg.max_subdivisions)
     kinks = L.kinks
 
     def inner(s: float) -> float:
@@ -188,7 +182,7 @@ def _theta_curve(L: Curve, cfg: QuadratureConfig) -> float:
         def g(t: float) -> float:
             return 1.0 + (Ls - L.fn(t)) / (s - t) if t != s else 1.0 + L.prime(s)
 
-        return boundary - quad_breakpoints(g, lo, s, kinks, inner_cfg)
+        return boundary - quad_breakpoints(g, lo, s, kinks, abs_tol=INNER_ABS_TOL)
 
     def outer(s: float) -> float:
         w = 1.0 - L.prime(s)
@@ -196,14 +190,14 @@ def _theta_curve(L: Curve, cfg: QuadratureConfig) -> float:
             return 0.0
         return w * inner(s)
 
-    return 1.0 + 2.0 * quad_breakpoints(outer, lo, hi, kinks, cfg)
+    return 1.0 + 2.0 * quad_breakpoints(outer, lo, hi, kinks)
 
 
-def theta_shape(c: float, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
+def theta_shape(c: float) -> float:
     """Hook integral of the limit shape Omega_c."""
     if c < 0.0:
         raise ValueError("c must be nonnegative")
-    return _theta_curve(shape_curve(c), quad)
+    return _theta_curve(shape_curve(c))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +241,7 @@ def _rho_profile(prof: Profile, c: float) -> float:
     return 2.0 * total
 
 
-def _rho_curve(L: Curve, c: float, cfg: QuadratureConfig) -> float:
+def _rho_curve(L: Curve, c: float) -> float:
     """rho by tanh-sinh quadrature (log singularity possible at the left edge)."""
     lo, hi = L.support
     edge = -0.5 / c
@@ -266,10 +260,10 @@ def _rho_curve(L: Curve, c: float, cfg: QuadratureConfig) -> float:
         out[nz] = 2.0 * np.log1p(np.maximum(2.0 * c * s[nz], -1.0 + 1e-300)) * g[nz]
         return out
 
-    return tanh_sinh(integrand, lo, hi, L.kinks + (0.0,), cfg)
+    return tanh_sinh(integrand, lo, hi, L.kinks + (0.0,))
 
 
-def rho(L: Profile | Curve, c_n: float, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
+def rho(L: Profile | Curve, c_n: float) -> float:
     """Content integral rho(L) = 2 int ln(1 + 2 c_n s) (L(s) - |s|) ds.
 
     Requires L(s) = |s| for s <= -1/(2 c_n) so the log argument stays positive
@@ -282,7 +276,7 @@ def rho(L: Profile | Curve, c_n: float, quad: QuadratureConfig = DEFAULT_QUAD) -
         return 0.0
     if isinstance(L, Profile):
         return _rho_profile(L, c_n)
-    return _rho_curve(L, c_n, quad)
+    return _rho_curve(L, c_n)
 
 
 # ---------------------------------------------------------------------------
@@ -356,25 +350,23 @@ def rho_hat(lam: Partition, N: int) -> float:
 class _ProfileMinusShape(Curve):
     """L_lambda - Omega_c with the pieces kept for the semi-analytic route."""
 
-    prof: Profile = None
-    c: float = 0.0
+    prof: Profile
+    c: float
 
 
-def profile_minus_shape(prof: Profile, c: float, a: float | None = None,
-                        b: float | None = None) -> _ProfileMinusShape:
+def profile_minus_shape(prof: Profile, c: float) -> _ProfileMinusShape:
     """The difference f = L - Omega_c as a Curve over a window [a, b].
 
-    The window defaults to default_window(c) widened so that f vanishes
+    The window is default_window(c) widened on the right so that f vanishes
     outside it (required by both Sobolev routes and the penalty term).
     """
     if c <= 0.0:
         raise ValueError("c must be positive")
     cx, _ = prof.corners
-    a0, b0 = default_window(c)
-    a = a0 if a is None else float(a)
-    b = max(b0, float(cx[-1]) + 0.5) if b is None else float(b)
-    if a > float(cx[0]) - 1e-12 or b < float(cx[-1]) + 1e-12:
-        raise ValueError("window [a, b] must strictly contain the profile support")
+    a, b0 = default_window(c)
+    b = max(b0, float(cx[-1]) + 0.5)
+    if a > float(cx[0]) - 1e-12:
+        raise ValueError("profile support reaches the left end of the default window")
 
     def fn(s: float) -> float:
         return prof.evaluate(s) - omega_c(c, s)
@@ -396,14 +388,13 @@ def profile_minus_shape(prof: Profile, c: float, a: float | None = None,
                               prof=prof, c=c)
 
 
-def _sobolev_quotient(f: Curve, cfg: QuadratureConfig) -> float:
+def _sobolev_quotient(f: Curve) -> float:
     """Difference-quotient route: (1/2) iint ((f(s)-f(t))/(s-t))^2 ds dt over R^2.
 
     The plane splits into the window square plus two tail strips where one
     argument is outside [a, b] and f vanishes there.
     """
     a, b = f.support
-    inner_cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=cfg.max_subdivisions)
 
     def q2_row(s: float) -> float:
         fs = f.fn(s)
@@ -415,25 +406,24 @@ def _sobolev_quotient(f: Curve, cfg: QuadratureConfig) -> float:
                 d = (fs - f.fn(t)) / (s - t)
             return d * d
 
-        return quad_breakpoints(g, a, b, f.kinks + (s,), inner_cfg)
+        return quad_breakpoints(g, a, b, f.kinks + (s,), abs_tol=INNER_ABS_TOL)
 
-    square = quad_breakpoints(q2_row, a, b, f.kinks, cfg)
+    square = quad_breakpoints(q2_row, a, b, f.kinks)
 
     def tails(s: float) -> float:
         fs = f.fn(s)
         return fs * fs * (1.0 / (s - a) + 1.0 / (b - s))
 
-    return 0.5 * (square + 2.0 * quad_breakpoints(tails, a, b, f.kinks, cfg))
+    return 0.5 * (square + 2.0 * quad_breakpoints(tails, a, b, f.kinks))
 
 
-def _sobolev_logkernel_generic(f: Curve, cfg: QuadratureConfig) -> float:
+def _sobolev_logkernel_generic(f: Curve) -> float:
     """Log-kernel route: - iint ln|2(s-t)| f'(s) f'(t) ds dt, nested quadrature.
 
     The inner singularity is regularized by subtracting f'(s); the subtracted
     piece integrates to -(phi_1(s-a) + phi_1(b-s)) f'(s) in closed form.
     """
     a, b = f.support
-    inner_cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=cfg.max_subdivisions)
 
     def V(s: float) -> float:
         fps = f.prime(s)
@@ -443,10 +433,10 @@ def _sobolev_logkernel_generic(f: Curve, cfg: QuadratureConfig) -> float:
                 return 0.0
             return math.log(abs(2.0 * (s - t))) * (f.prime(t) - fps)
 
-        reg = quad_breakpoints(g, a, b, f.kinks + (s,), inner_cfg)
+        reg = quad_breakpoints(g, a, b, f.kinks + (s,), abs_tol=INNER_ABS_TOL)
         return reg - (phi(1, s - a) + phi(1, b - s)) * fps
 
-    return -quad_breakpoints(lambda s: f.prime(s) * V(s), a, b, f.kinks, cfg)
+    return -quad_breakpoints(lambda s: f.prime(s) * V(s), a, b, f.kinks)
 
 
 def _segments_on_window(prof: Profile, a: float, b: float):
@@ -469,7 +459,7 @@ def _lemma_I_antiderivative(c: float, e: float, a: float, b: float) -> float:
             - (1.0 - c * c) * e / (2.0 * c) - J_tilde(c, e - 0.5 * c))
 
 
-def _sobolev_profile_shape(f: _ProfileMinusShape, cfg: QuadratureConfig) -> float:
+def _sobolev_profile_shape(f: _ProfileMinusShape) -> float:
     """Closed-form log-kernel evaluation for f = L - Omega_c.
 
     Expands f'f' into three terms, none by nested quadrature:
@@ -492,12 +482,11 @@ def _sobolev_profile_shape(f: _ProfileMinusShape, cfg: QuadratureConfig) -> floa
     s_lo = sum(g * (_lemma_I_antiderivative(c, x, a, b) - _lemma_I_antiderivative(c, y, a, b))
                for g, x, y in zip(sg.tolist(), e1.tolist(), e2.tolist()))
 
-    s_oo = -_int_I_omega_closed(c, a, b, cfg)
+    s_oo = -_int_I_omega_closed(c, a, b)
     return -s_ll + 2.0 * s_lo - s_oo
 
 
-def sobolev_half_sq(f: Curve, c: float, quad: QuadratureConfig = DEFAULT_QUAD,
-                    route: str = "log-kernel") -> float:
+def sobolev_half_sq(f: Curve, route: str = "log-kernel") -> float:
     """(1/2) ||f||^2_{1/2} for a compactly supported piecewise-smooth f.
 
     Routes: "log-kernel" integrates -ln|2(s-t)| f'(s) f'(t); when f is a
@@ -508,15 +497,15 @@ def sobolev_half_sq(f: Curve, c: float, quad: QuadratureConfig = DEFAULT_QUAD,
     int f' = 0); the nested routes serve as test oracles.
     """
     if route == "difference-quotient":
-        return _sobolev_quotient(f, quad)
+        return _sobolev_quotient(f)
     if route == "log-kernel":
-        if isinstance(f, _ProfileMinusShape) and f.prof is not None:
-            return _sobolev_profile_shape(f, quad)
-        return _sobolev_logkernel_generic(f, quad)
+        if isinstance(f, _ProfileMinusShape):
+            return _sobolev_profile_shape(f)
+        return _sobolev_logkernel_generic(f)
     raise ValueError(f"unknown route {route!r}")
 
 
-def h_term(f: Curve, c: float, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
+def h_term(f: Curve, c: float) -> float:
     """Boundary penalty 2 int_{|s - c/2| > 1} H'_c(s - c/2) f(s) ds."""
     if c <= 0.0:
         raise ValueError("c must be positive")
@@ -532,10 +521,10 @@ def h_term(f: Curve, c: float, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
     total = 0.0
     left_hi = min(0.5 * c - 1.0, b)
     if a < left_hi:
-        total += quad_breakpoints(g, a, left_hi, pts, quad)
+        total += quad_breakpoints(g, a, left_hi, pts)
     right_lo = max(0.5 * c + 1.0, a)
     if right_lo < b:
-        total += quad_breakpoints(g, right_lo, b, pts, quad)
+        total += quad_breakpoints(g, right_lo, b, pts)
     return 2.0 * total
 
 
@@ -544,13 +533,10 @@ def h_term(f: Curve, c: float, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
 # ---------------------------------------------------------------------------
 
 
-def prop31_decompose(lam: Partition, N: int, quad: QuadratureConfig = DEFAULT_QUAD,
-                     with_variational: bool = False) -> FunctionalReport:
+def prop31_decompose(lam: Partition, N: int) -> FunctionalReport:
     """Decompose -ln P(lam)/sqrt(n) into functional and correction parts.
 
-    The residual estimates the diagram-independent constant eps_n.  The
-    Sobolev and penalty fields are filled only when with_variational is set
-    (they require the window machinery and are not needed for the residual).
+    The residual estimates the diagram-independent constant eps_n.
     """
     prof = profile(lam)
     n = lam.n
@@ -561,13 +547,8 @@ def prop31_decompose(lam: Partition, N: int, quad: QuadratureConfig = DEFAULT_QU
     rh_hat = rho_hat(lam, N)
     lhs = float(neg_log_measure_scaled(lam, N))
     residual = math.sqrt(n) * (th - rh) + th_hat - rh_hat - lhs
-    sob = hterm = float("nan")
-    if with_variational:
-        f = profile_minus_shape(prof, c_n)
-        sob = 2.0 * sobolev_half_sq(f, c_n, quad)
-        hterm = h_term(f, c_n, quad)
     return FunctionalReport(theta=th, rho=rh, theta_hat=th_hat, rho_hat=rh_hat,
-                            sobolev_sq=sob, h_term=hterm, lhs=lhs, residual=residual)
+                            lhs=lhs, residual=residual)
 
 
 def _check_admissible(prof: Profile, c: float) -> None:
@@ -580,8 +561,7 @@ def _check_admissible(prof: Profile, c: float) -> None:
                          "the identity requires strictly fewer rows")
 
 
-def prop41_identity(lam: Partition | Profile, N: int,
-                    quad: QuadratureConfig = DEFAULT_QUAD) -> tuple[float, float]:
+def prop41_identity(lam: Partition | Profile, N: int) -> tuple[float, float]:
     """Both sides of theta - rho = (1/2)||f||^2 + penalty, with c = sqrt(n)/N.
 
     Returns (lhs, rhs).  The left side uses the exact profile formulas; the
@@ -593,7 +573,7 @@ def prop41_identity(lam: Partition | Profile, N: int,
     _check_admissible(prof, c)
     lhs = theta_profile(prof) - rho(prof, c)
     f = profile_minus_shape(prof, c)
-    rhs = sobolev_half_sq(f, c, quad) + h_term(f, c, quad)
+    rhs = sobolev_half_sq(f) + h_term(f, c)
     return lhs, rhs
 
 
@@ -609,7 +589,7 @@ def _lemma_A_closed(c: float) -> float:
     return val
 
 
-def lemma_A(c: float, quad: QuadratureConfig = DEFAULT_QUAD) -> tuple[float, float]:
+def lemma_A(c: float) -> tuple[float, float]:
     """A(c) = int ln(1 + 2cs) (|s| - Omega_c(s)) ds, quadrature vs closed form.
 
     The integrand vanishes outside the shape support; for c >= 1 the left
@@ -625,7 +605,7 @@ def lemma_A(c: float, quad: QuadratureConfig = DEFAULT_QUAD) -> tuple[float, flo
         return np.log1p(2.0 * c * s) * g
 
     pts = tuple(shape_breakpoints(c)) + (0.0,)
-    val = tanh_sinh(integrand, lo, hi, pts, quad)
+    val = tanh_sinh(integrand, lo, hi, pts)
     return val, _lemma_A_closed(c)
 
 
@@ -634,11 +614,12 @@ def _lemma_I_closed(c: float, s: float, a: float, b: float) -> float:
 
 
 def _I_quad(c: float, s: float, a: float, b: float, pts: tuple[float, ...],
-            cfg: QuadratureConfig) -> float:
+            abs_tol: float = ABS_TOL) -> float:
     """I_c(s) by quadrature, the log singularity at t = s removed.
 
     Subtracting Omega_c'(s) regularizes the integrand; the subtracted part has
-    the exact value (phi_1(s-a) + phi_1(b-s)) Omega_c'(s).
+    the exact value (phi_1(s-a) + phi_1(b-s)) Omega_c'(s).  abs_tol is passed
+    on to quad_breakpoints (lemma_intIOmega nests this inside a quadrature).
     """
     ops = omega_c_prime(c, s)
 
@@ -647,15 +628,15 @@ def _I_quad(c: float, s: float, a: float, b: float, pts: tuple[float, ...],
             return 0.0
         return phi(0, s - t) * (omega_c_prime(c, t) - ops)
 
-    return quad_breakpoints(g, a, b, pts + (s,), cfg) + ops * (phi(1, s - a) + phi(1, b - s))
+    return (quad_breakpoints(g, a, b, pts + (s,), abs_tol=abs_tol)
+            + ops * (phi(1, s - a) + phi(1, b - s)))
 
 
-def lemma_I(c: float, s: float, a: float, b: float,
-            quad: QuadratureConfig = DEFAULT_QUAD) -> tuple[float, float]:
+def lemma_I(c: float, s: float, a: float, b: float) -> tuple[float, float]:
     """I_c(s) = int_a^b phi_0(s-t) Omega_c'(t) dt, quadrature vs closed form."""
     if not a < s < b:
         raise ValueError("s must lie in (a, b)")
-    val = _I_quad(c, s, a, b, tuple(shape_breakpoints(c)) + (0.0,), quad)
+    val = _I_quad(c, s, a, b, tuple(shape_breakpoints(c)) + (0.0,))
     return val, _lemma_I_closed(c, s, a, b)
 
 
@@ -673,7 +654,7 @@ def _lemma_F3_closed(c: float, x: float) -> float:
     return val
 
 
-def lemma_F3(c: float, x: float, quad: QuadratureConfig = DEFAULT_QUAD) -> tuple[float, float]:
+def lemma_F3(c: float, x: float) -> tuple[float, float]:
     """int_{-1}^{1} phi_2(x - z) Omega_c''(z + c/2 shift) dz vs its closed form.
 
     The substitution z = sin(psi) absorbs the inverse-square-root endpoint
@@ -689,11 +670,11 @@ def lemma_F3(c: float, x: float, quad: QuadratureConfig = DEFAULT_QUAD) -> tuple
         return phi(2, x - z) * w
 
     pts = (math.asin(x),) if -1.0 < x < 1.0 else ()
-    val = quad_breakpoints(g, -0.5 * math.pi, 0.5 * math.pi, pts, quad)
+    val = quad_breakpoints(g, -0.5 * math.pi, 0.5 * math.pi, pts)
     return val, _lemma_F3_closed(c, x)
 
 
-def _int_I_omega_closed(c: float, a: float, b: float, quad: QuadratureConfig) -> float:
+def _int_I_omega_closed(c: float, a: float, b: float) -> float:
     """Closed reduction of int_a^b I_c(s) Omega_c'(s) ds (lemma intIOmega).
 
     1 - c^2/4 - 2 phi_2(b-a) + 2 int G_c Omega_c' - 2 int H_c Omega_c'
@@ -704,27 +685,26 @@ def _int_I_omega_closed(c: float, a: float, b: float, quad: QuadratureConfig) ->
     if not (a < lo_s and b > hi_s):
         raise ValueError("window must strictly contain the shape support")
     pts = tuple(shape_breakpoints(c)) + (0.0, -0.5 / c)
-    int_G = quad_breakpoints(lambda s: G(c, s) * omega_c_prime(c, s), a, b, pts, quad)
+    int_G = quad_breakpoints(lambda s: G(c, s) * omega_c_prime(c, s), a, b, pts)
     int_H = quad_breakpoints(lambda s: H_tilde(c, s - 0.5 * c) * omega_c_prime(c, s),
-                             a, b, pts + (0.5 * c - 1.0, 0.5 * c + 1.0), quad)
+                             a, b, pts + (0.5 * c - 1.0, 0.5 * c + 1.0))
     val = 1.0 - c * c / 4.0 - 2.0 * phi(2, b - a) + 2.0 * int_G - 2.0 * int_H
     if c > 1.0:
         val += 1.0 - 5.0 / (4.0 * c * c) + c * c / 4.0 - (2.0 + 1.0 / (c * c)) * math.log(c)
     return val
 
 
-def lemma_intIOmega(c: float, a: float, b: float,
-                    quad: QuadratureConfig = DEFAULT_QUAD) -> tuple[float, float]:
+def lemma_intIOmega(c: float, a: float, b: float) -> tuple[float, float]:
     """int_a^b I_c(s) Omega_c'(s) ds by nested quadrature vs its closed reduction.
 
     The value is independent of the window (a, b) as long as it strictly
     contains the shape support.
     """
-    rhs = _int_I_omega_closed(c, a, b, quad)
+    rhs = _int_I_omega_closed(c, a, b)
     pts = tuple(shape_breakpoints(c)) + (0.0, -0.5 / c)
-    inner_cfg = QuadratureConfig(abs_tol=1e-10, rel_tol=1e-9, max_subdivisions=quad.max_subdivisions)
-    lhs = quad_breakpoints(lambda s: _I_quad(c, s, a, b, pts, inner_cfg) * omega_c_prime(c, s),
-                           a, b, pts, quad)
+    lhs = quad_breakpoints(
+        lambda s: _I_quad(c, s, a, b, pts, abs_tol=INNER_ABS_TOL) * omega_c_prime(c, s),
+        a, b, pts)
     return lhs, rhs
 
 
@@ -733,7 +713,7 @@ def lemma_intIOmega(c: float, a: float, b: float,
 # ---------------------------------------------------------------------------
 
 
-def alpha_constant(c: float, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
+def alpha_constant(c: float) -> float:
     """alpha_c = (1/4) int_{-1}^{1} (sign(z) - Omega_c'(z + c/2))^2 dz.
 
     At c = 0 this reduces to 2/pi - 4/pi^2.
@@ -745,7 +725,7 @@ def alpha_constant(c: float, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
         d = (1.0 if z > 0.0 else -1.0 if z < 0.0 else 0.0) - omega_c_prime(c, z + 0.5 * c)
         return d * d
 
-    return 0.25 * quad_breakpoints(g, -1.0, 1.0, (0.0,), quad)
+    return 0.25 * quad_breakpoints(g, -1.0, 1.0, (0.0,))
 
 
 def beta_constant() -> float:

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import exact, functionals, rsk, shape
 from .diagrams import Partition, profile
-from .quadrature import QuadratureConfig
 
 __all__ = [
     "ExperimentConfig",
@@ -45,6 +44,7 @@ __all__ = [
 
 ENUMERATION_CAP = 40
 SAMPLING_CAP = 10 ** 6
+BIANE_GRID_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,10 @@ class ExperimentConfig:
             raise ValueError("exactly one of N or c must be given")
         if self.n < 1 or self.samples < 1:
             raise ValueError("n and samples must be positive")
+        if self.N is not None and self.N < 1:
+            raise ValueError("N must be positive")
+        if self.c is not None and not (math.isfinite(self.c) and self.c > 0.0):
+            raise ValueError("c must be finite and positive")
         if self.n > SAMPLING_CAP:
             raise ValueError(f"n exceeds the sampling cap {SAMPLING_CAP}")
 
@@ -213,7 +217,7 @@ def _sup_distance(prof, c: float, grid: np.ndarray, omega_grid: np.ndarray) -> f
     return sup
 
 
-def cmd_biane(cfg: ExperimentConfig, grid_step: float = 1e-3) -> ExperimentResult:
+def cmd_biane(cfg: ExperimentConfig) -> ExperimentResult:
     """Sup-distance of sampled (rescaled) profiles to the limit shape Omega_c."""
     N = cfg.resolved_N
     c_n = cfg.c_n
@@ -221,7 +225,7 @@ def cmd_biane(cfg: ExperimentConfig, grid_step: float = 1e-3) -> ExperimentResul
     # The grid must cover both supports; profiles of n cells stay within
     # |X| <= max(n/(2 sqrt n), N/(2 sqrt n)) but practically near the shape.
     span = max(hi, 1.0) + 1.0
-    grid = np.arange(min(lo, -span), span, grid_step)
+    grid = np.arange(min(lo, -span), span, BIANE_GRID_STEP)
     omega_grid = np.array([shape.omega_c(c_n, float(x)) for x in grid])
     samples = rsk.sample_schur_weyl(cfg.n, N, cfg.seed, cfg.samples)
     res = ExperimentResult()
@@ -231,7 +235,7 @@ def cmd_biane(cfg: ExperimentConfig, grid_step: float = 1e-3) -> ExperimentResul
         values.append(d)
         res.records.append({"trial": trial, "sup_distance": d})
     res.summary = summarize(values)
-    res.summary.update({"c_n": c_n, "N": N, "n": cfg.n, "grid_step": grid_step})
+    res.summary.update({"c_n": c_n, "N": N, "n": cfg.n, "grid_step": BIANE_GRID_STEP})
     return res
 
 
@@ -247,15 +251,12 @@ def cmd_constants(c_grid: list[float], fmt: str = "csv") -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_emit_shape(c: float, lo: float | None = None, hi: float | None = None,
-                   step: float = 0.01) -> str:
-    """CSV of Omega_c and its derivative on a uniform grid."""
+def cmd_emit_shape(c: float, step: float = 0.01) -> str:
+    """CSV of Omega_c and its derivative on a uniform grid over the support +- 0.5."""
     if not step > 0.0:
         raise ValueError("step must be positive")
-    s_lo, s_hi = shape.shape_support(c)
-    lo = s_lo - 0.5 if lo is None else lo
-    hi = s_hi + 0.5 if hi is None else hi
-    return shape.emit_shape_csv(c, np.arange(lo, hi + step / 2, step))
+    lo, hi = shape.shape_support(c)
+    return shape.emit_shape_csv(c, np.arange(lo - 0.5, hi + 0.5 + step / 2, step))
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +272,13 @@ def _check(report: list, test: str, params: dict, lhs: float, rhs: float,
     coverage.update(tags)
 
 
-def cmd_verify_all(quad: QuadratureConfig | None = None,
-                   c_grid: tuple[float, ...] = (0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0),
+def cmd_verify_all(c_grid: tuple[float, ...] = (0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0),
                    seed: int = 0) -> dict:
     """Run every identity suite once and return the JSON-ready report.
 
     The coverage manifest lists which identities were exercised; tests assert
     it is complete.  Deterministic: fixed seed, fixed evaluation order.
     """
-    quad = quad or QuadratureConfig()
     checks: list[dict] = []
     cov: set[str] = set()
 
@@ -335,13 +334,13 @@ def cmd_verify_all(quad: QuadratureConfig | None = None,
     for lam in rsk.sample_schur_weyl(n, N, seed + 2, 6):
         if lam.height >= N or done >= 2:
             continue
-        lhs, rhs = functionals.prop41_identity(lam, N, quad)
+        lhs, rhs = functionals.prop41_identity(lam, N)
         _check(checks, "variational_identity", {"n": n, "N": N, "lam": str(lam)},
                lhs, rhs, 1e-6, cov, ("variational-identity",))
         done += 1
     for c in (0.5, 2.0):
-        th = functionals.theta_shape(c, quad)
-        rh = functionals.rho(functionals.shape_curve(c), c, quad)
+        th = functionals.theta_shape(c)
+        rh = functionals.rho(functionals.shape_curve(c), c)
         _check(checks, "minimizer_gap", {"c": c}, th, rh, 1e-6, cov,
                ("minimizer", "hook-integral-quadrature"))
 
@@ -357,20 +356,20 @@ def cmd_verify_all(quad: QuadratureConfig | None = None,
     # Closed-form lemmas over the c grid.
     for c in c_grid:
         a, b = functionals.default_window(c)
-        q, cl = functionals.lemma_A(c, quad)
+        q, cl = functionals.lemma_A(c)
         _check(checks, "lemma_A", {"c": c}, q, cl, 1e-7, cov, ("lemma-A",))
-        q, cl = functionals.lemma_I(c, 0.5 * c + 1.2, a, b, quad)
+        q, cl = functionals.lemma_I(c, 0.5 * c + 1.2, a, b)
         _check(checks, "lemma_I", {"c": c}, q, cl, 1e-7, cov, ("lemma-I",))
-        q, cl = functionals.lemma_F3(c, 0.3, quad)
+        q, cl = functionals.lemma_F3(c, 0.3)
         _check(checks, "lemma_F3", {"c": c}, q, cl, 1e-7, cov, ("lemma-F3",))
-        q, cl = functionals.lemma_intIOmega(c, a, b, quad)
+        q, cl = functionals.lemma_intIOmega(c, a, b)
         _check(checks, "lemma_intIOmega", {"c": c}, q, cl, 1e-6, cov,
                ("lemma-intIOmega",))
 
     # Sobolev route agreement.
     f = functionals.profile_minus_shape(profile(lam1), 1.0)
-    k1 = functionals.sobolev_half_sq(f, 1.0, quad, route="difference-quotient")
-    k2 = functionals.sobolev_half_sq(f, 1.0, quad, route="log-kernel")
+    k1 = functionals.sobolev_half_sq(f, route="difference-quotient")
+    k2 = functionals.sobolev_half_sq(f, route="log-kernel")
     _check(checks, "sobolev_routes", {"lam": "1", "c": 1.0}, k1, k2, 1e-6, cov,
            ("sobolev-half-norm",))
 
@@ -396,7 +395,7 @@ def cmd_verify_all(quad: QuadratureConfig | None = None,
                -math.log(abs(1 + 2 * c * s)), fd, 1e-6, cov, ("G-function",))
 
     # Constants and series.
-    _check(checks, "alpha_0_closed", {}, functionals.alpha_constant(0.0, quad),
+    _check(checks, "alpha_0_closed", {}, functionals.alpha_constant(0.0),
            2 / math.pi - 4 / math.pi ** 2, 1e-10, cov, ("alpha-constant",))
     _check(checks, "beta_value", {}, functionals.beta_constant(),
            2 * math.pi / math.sqrt(6), 1e-14, cov, ("beta-constant",))
@@ -443,21 +442,14 @@ def _read_config(path: str) -> dict:
     return out
 
 
-_CONFIG_TYPES = {"n": int, "N": int, "c": float, "samples": int, "seed": int,
-                 "out": str, "format": str}
+def _with_config(argv: list[str], path: str) -> list[str]:
+    """argv with the config file's keys spliced in as --key=value flags.
 
-
-def _apply_config(args: argparse.Namespace, path: str | None) -> None:
-    if not path:
-        return
-    cfg = _read_config(path)
-    for key, raw in cfg.items():
-        attr = "fmt" if key == "format" else key
-        if not hasattr(args, attr):
-            continue
-        if getattr(args, attr) is None:
-            caster = _CONFIG_TYPES.get(key, str)
-            setattr(args, attr, caster(raw))
+    They go right after the subcommand, so argparse types and checks them like
+    any flag, rejects unknown keys, and a flag given on the command line wins.
+    """
+    flags = [f"--{key}={val}" for key, val in _read_config(path).items()]
+    return argv[:1] + flags + argv[1:]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -552,8 +544,10 @@ def _experiment_config(parser: argparse.ArgumentParser,
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
+        argv = sys.argv[1:] if argv is None else list(argv)
         args = parser.parse_args(argv)
-        _apply_config(args, args.config)
+        if args.config:
+            args = parser.parse_args(_with_config(argv, args.config))
         if args.command == "dims":
             if args.N is None:
                 parser.error("dims requires --N")

@@ -6,7 +6,6 @@ from scipy import integrate
 
 from ytensor.diagrams import Partition, profile, profile_from_slopes
 from ytensor import exact, functionals as F, rsk
-from ytensor.quadrature import QuadratureConfig
 
 
 def profile_as_curve(prof):
@@ -54,7 +53,7 @@ class TestThetaProfile:
 
     def test_quadrature_route_agrees(self):
         prof = profile(Partition((3, 1)))
-        got = F._theta_curve(profile_as_curve(prof), QuadratureConfig())
+        got = F._theta_curve(profile_as_curve(prof))
         assert got == pytest.approx(F.theta_profile(prof), abs=1e-7)
 
     def test_plancherel_trend(self):
@@ -163,24 +162,29 @@ class TestSobolev:
     def test_zero_function(self):
         f = F.Curve(fn=lambda s: 0.0, prime=lambda s: 0.0,
                     support=(-1.0, 1.0), kinks=())
-        assert F.sobolev_half_sq(f, 1.0, route="difference-quotient") == pytest.approx(0.0, abs=1e-12)
-        assert F.sobolev_half_sq(f, 1.0, route="log-kernel") == pytest.approx(0.0, abs=1e-12)
+        assert F.sobolev_half_sq(f, route="difference-quotient") == pytest.approx(0.0, abs=1e-12)
+        assert F.sobolev_half_sq(f, route="log-kernel") == pytest.approx(0.0, abs=1e-12)
 
     def test_routes_agree_on_profile_difference(self):
         f = F.profile_minus_shape(profile(Partition((1,))), 1.0)
-        k_fast = F.sobolev_half_sq(f, 1.0)
-        k_quot = F.sobolev_half_sq(f, 1.0, route="difference-quotient")
-        k_log = F._sobolev_logkernel_generic(f, QuadratureConfig())
+        k_fast = F.sobolev_half_sq(f)
+        k_quot = F.sobolev_half_sq(f, route="difference-quotient")
+        k_log = F._sobolev_logkernel_generic(f)
         assert k_quot == pytest.approx(k_fast, abs=1e-6)
         assert k_log == pytest.approx(k_fast, abs=1e-8)
+
+    def test_profile_below_default_window_rejected(self):
+        # a column of 4 cells at c = 4 reaches X = -2, left of the window's -0.625.
+        with pytest.raises(ValueError):
+            F.profile_minus_shape(profile(Partition((1, 1, 1, 1))), 4.0)
 
     def test_quadratic_scaling(self):
         def hat(a):
             return F.Curve(fn=lambda s: a * max(0.0, 1.0 - abs(s)),
                            prime=lambda s: a * (-math.copysign(1.0, s)) if abs(s) < 1 else 0.0,
                            support=(-1.5, 1.5), kinks=(-1.0, 0.0, 1.0))
-        base = F.sobolev_half_sq(hat(1.0), 1.0, route="difference-quotient")
-        scaled = F.sobolev_half_sq(hat(2.0), 1.0, route="difference-quotient")
+        base = F.sobolev_half_sq(hat(1.0), route="difference-quotient")
+        scaled = F.sobolev_half_sq(hat(2.0), route="difference-quotient")
         assert scaled == pytest.approx(4.0 * base, abs=1e-8)
 
 
@@ -221,11 +225,13 @@ class TestDecomposition:
         assert max(res) - min(res) < 1e-12
 
     def test_report_invariants(self):
+        c = math.sqrt(64) / 8
         for lam in rsk.sample_schur_weyl(64, 8, seed=2, count=3):
-            rep = F.prop31_decompose(lam, 8, with_variational=True)
+            rep = F.prop31_decompose(lam, 8)
             assert rep.theta_hat >= rep.rho_hat
-            assert rep.sobolev_sq >= 0.0
-            assert rep.h_term >= -1e-9
+            f = F.profile_minus_shape(profile(lam), c)
+            assert F.sobolev_half_sq(f) >= 0.0
+            assert F.h_term(f, c) >= -1e-9
 
 
 class TestVariationalIdentity:

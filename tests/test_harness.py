@@ -24,6 +24,12 @@ class TestConfig:
         assert cfg.resolved_N == 22
         assert cfg.c_n == pytest.approx(math.sqrt(500) / 22)
 
+    def test_rejects_nonpositive_N_and_bad_c(self):
+        for kwargs in ({"N": 0}, {"N": -3}, {"c": 0.0}, {"c": -1.0},
+                       {"c": math.inf}, {"c": math.nan}):
+            with pytest.raises(ValueError):
+                ExperimentConfig(n=100, **kwargs)
+
     def test_sampling_cap(self):
         with pytest.raises(ValueError):
             ExperimentConfig(n=10 ** 6 + 1, N=5)
@@ -72,6 +78,19 @@ class TestSubcommands:
         main(["sample", "--config", str(cfg), "--seed", "12"])
         assert capsys.readouterr().out != from_config
 
+    def test_config_sets_flags_with_defaults(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=100\nc=1.0\nslack=5.0\nformat=json\n")
+        main(["bounds", "--config", str(cfg)])
+        assert json.loads(capsys.readouterr().out)["summary"]["slack"] == 5.0
+
+    def test_config_unknown_key_exits_2(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=30\nN=3\nbogus=1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--config", str(cfg)])
+        assert exc.value.code == 2
+
     def test_bounds_window_and_summary(self):
         res = harness.cmd_bounds(ExperimentConfig(n=100, c=1.0, samples=20, seed=5))
         assert res.passed
@@ -114,6 +133,11 @@ class TestSubcommands:
         ["sample", "--n", "10", "--N", "2", "--samples", "0"],
         ["sample", "--measure", "plancherel", "--n", "10", "--samples", "0"],
         ["bounds", "--n", "100", "--c", "1.0", "--tol", "1e-6"],
+        ["bounds", "--n", "100", "--c", "0"],
+        ["biane", "--n", "100", "--c", "0"],
+        ["sample", "--n", "100", "--c", "0"],
+        ["bounds", "--n", "100", "--N", "0"],
+        ["biane", "--n", "100", "--N", "0"],
     ])
     def test_usage_errors_exit_2(self, argv):
         try:
@@ -144,8 +168,8 @@ EXPECTED_COVERAGE = {
 
 
 class TestVerifyAll:
-    def test_full_report(self):
-        report = harness.cmd_verify_all(seed=0)
+    def test_full_report(self, verify_all_report):
+        report = verify_all_report
         failing = [c for c in report["checks"] if not c["pass"]]
         assert report["passed"], failing
         # coverage manifest is complete
@@ -154,7 +178,5 @@ class TestVerifyAll:
         for ch in report["checks"]:
             assert {"test", "params", "lhs", "rhs", "abs_err", "tol", "pass"} <= set(ch)
 
-    def test_deterministic(self):
-        a = harness.cmd_verify_all(seed=0)
-        b = harness.cmd_verify_all(seed=0)
-        assert a == b
+    def test_deterministic(self, verify_all_report):
+        assert harness.cmd_verify_all(seed=0) == verify_all_report
