@@ -6,7 +6,6 @@ from .diagrams import Cell, Partition, Profile, profile, profile_from_slopes
 from .exact import (
     ExactDims,
     ExactMeasure,
-    MeasureKind,
     dim_gl,
     dim_iso,
     dim_sym,

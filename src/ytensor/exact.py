@@ -10,8 +10,8 @@ pentagonal-number recurrence for the partition function p(n).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from typing import Iterator
 
@@ -20,7 +20,6 @@ import mpmath
 from .diagrams import Partition
 
 __all__ = [
-    "MeasureKind",
     "ExactDims",
     "ExactMeasure",
     "hook_lengths",
@@ -37,11 +36,6 @@ __all__ = [
 ]
 
 
-class MeasureKind(Enum):
-    PLANCHEREL = "plancherel"
-    SCHUR_WEYL = "schur-weyl"
-
-
 @dataclass(frozen=True)
 class ExactDims:
     """Exact dimensions dim V, dim W and dim E = dim V * dim W."""
@@ -56,12 +50,9 @@ class ExactDims:
 
 @dataclass(frozen=True)
 class ExactMeasure:
-    """An exact rational probability with its defining context."""
+    """An exact rational probability."""
 
     value: Fraction
-    kind: MeasureKind
-    n: int
-    N: int | None = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.value <= 1:
@@ -83,38 +74,22 @@ def shifted_contents(lam: Partition, N: int) -> list[int]:
     return [N + j - i for i, r in enumerate(lam.rows, start=1) for j in range(1, r + 1)]
 
 
-def _exact_ratio(numer_factors: list[int], denom_factors: list[int]) -> int:
-    """Product of numerator factors divided by denominator factors.
+def _power_product(values: list[int]) -> int:
+    """Product of values, taken as one power per distinct value."""
+    return math.prod(k ** m for k, m in Counter(values).items())
 
-    Accumulates both sides with incremental gcd reduction so intermediate
-    integers stay near the size of the final quotient.
-    """
-    num = 1
-    den = 1
-    for a, b in zip(numer_factors, denom_factors):
-        num *= a
-        den *= b
-        if den.bit_length() > 256:
-            g = math.gcd(num, den)
-            num //= g
-            den //= g
-    for a in numer_factors[len(denom_factors):]:
-        num *= a
-    for b in denom_factors[len(numer_factors):]:
-        den *= b
-    g = math.gcd(num, den)
-    num //= g
-    den //= g
-    if den != 1:
+
+def _over_hooks(numer: int, lam: Partition) -> int:
+    """numer divided exactly by the product of lam's hook lengths."""
+    q, r = divmod(numer, _power_product(hook_lengths(lam)))
+    if r:
         raise ArithmeticError("quotient is not integral")
-    return num
+    return q
 
 
 def dim_sym(lam: Partition) -> int:
     """Dimension of the irreducible S_n representation: n! over the hook product."""
-    if lam.n == 0:
-        return 1
-    return _exact_ratio(list(range(1, lam.n + 1)), hook_lengths(lam))
+    return _over_hooks(math.factorial(lam.n), lam)
 
 
 def dim_gl(lam: Partition, N: int) -> int:
@@ -126,9 +101,7 @@ def dim_gl(lam: Partition, N: int) -> int:
         raise ValueError("N must be positive")
     if lam.height > N:
         return 0
-    if lam.n == 0:
-        return 1
-    return _exact_ratio(shifted_contents(lam, N), hook_lengths(lam))
+    return _over_hooks(_power_product(shifted_contents(lam, N)), lam)
 
 
 def dim_iso(lam: Partition, N: int) -> int:
@@ -144,13 +117,13 @@ def plancherel(lam: Partition) -> ExactMeasure:
     """Plancherel probability (dim V)^2 / n! as an exact rational."""
     d = dim_sym(lam)
     value = Fraction(d * d, math.factorial(lam.n))
-    return ExactMeasure(value=value, kind=MeasureKind.PLANCHEREL, n=lam.n)
+    return ExactMeasure(value)
 
 
 def schur_weyl_measure(lam: Partition, N: int) -> ExactMeasure:
     """Schur-Weyl probability dim E / N^n as an exact rational."""
     value = Fraction(dim_iso(lam, N), N ** lam.n)
-    return ExactMeasure(value=value, kind=MeasureKind.SCHUR_WEYL, n=lam.n, N=N)
+    return ExactMeasure(value)
 
 
 def schur_weyl_via_contents(lam: Partition, N: int) -> Fraction:

@@ -27,8 +27,8 @@ the lemmas' quadrature sides) are kept as independent oracles for the tests.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -287,11 +287,11 @@ _M_LIMIT_AT_1 = 3.0 - 4.0 * math.log(2.0)
 _M_CLOSED_CUTOFF = 8.0
 
 
-def m_series(x: float, tol: float = 1e-14) -> float:
+def m_series(x: float) -> float:
     """m(x) = sum_{k>=1} 1 / (k (k+1) (2k+1) x^{2k}), for |x| >= 1.
 
     For large |x| the series is summed directly, truncating when the next term
-    drops below tol times the partial sum.  Near |x| = 1 the series converges
+    drops below 1e-16 times the partial sum.  Near |x| = 1 the series converges
     too slowly (terms are of order 1/(2k^3)), so the closed form
 
         m(x) = 3 - (x+1)^2 ln(1 + 1/x) - (x-1)^2 ln(1 - 1/x)
@@ -320,25 +320,25 @@ def m_series(x: float, tol: float = 1e-14) -> float:
         power *= inv2
         k += 1
         nxt = power / (k * (k + 1) * (2 * k + 1))
-        if nxt < tol * total:
+        if nxt < 1e-16 * total:
             return total + nxt
 
 
-@lru_cache(maxsize=None)
-def _m_int(k: int) -> float:
-    return m_series(float(k), tol=1e-16)
+def _m_sum(values: list[int]) -> float:
+    """Sum of m over values, one evaluation per distinct value."""
+    return sum(mult * m_series(k) for k, mult in Counter(values).items())
 
 
 def theta_hat(lam: Partition) -> float:
     """Discrete hook correction: (1/sqrt(n)) sum of m over all hook lengths."""
-    return sum(_m_int(h) for h in hook_lengths(lam)) / math.sqrt(lam.n)
+    return _m_sum(hook_lengths(lam)) / math.sqrt(lam.n)
 
 
 def rho_hat(lam: Partition, N: int) -> float:
     """Discrete content correction: (1/(2 sqrt(n))) sum of m over shifted contents."""
     if lam.height > N:
         raise ValueError("diagram has more than N rows")
-    return sum(_m_int(x) for x in shifted_contents(lam, N)) / (2.0 * math.sqrt(lam.n))
+    return _m_sum(shifted_contents(lam, N)) / (2.0 * math.sqrt(lam.n))
 
 
 # ---------------------------------------------------------------------------

@@ -442,6 +442,19 @@ def _read_config(path: str) -> dict:
     return out
 
 
+def _config_path(argv: list[str]) -> str | None:
+    """The --config value in argv, read before the full parse.
+
+    The file must be spliced in before argparse checks the subcommand's
+    required flags, so that it can supply them.  Abbreviations are off:
+    ``--c`` is a flag of its own, not short for ``--config``.  A missing
+    value reads as None here and is reported by the full parse.
+    """
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config", nargs="?")
+    return pre.parse_known_args(argv)[0].config
+
+
 def _with_config(argv: list[str], path: str) -> list[str]:
     """argv with the config file's keys spliced in as --key=value flags.
 
@@ -469,22 +482,24 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", default=None, help="key=value config file")
         sp.add_argument("--out", default=None)
         if n:
-            sp.add_argument("--n", type=int, default=None)
+            sp.add_argument("--n", type=int, required=True)
         if N:
             sp.add_argument("--N", type=int, default=None)
         if c:
             sp.add_argument("--c", type=float, default=None)
         if samples:
-            sp.add_argument("--samples", type=int, default=None)
+            sp.add_argument("--samples", type=int, default=1)
         if seed:
-            sp.add_argument("--seed", type=int, default=None)
+            sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("dims", help="exact dimensions of one diagram")
     sp.add_argument("--lam", required=True, help='partition, e.g. "4,2,1"')
-    common(sp, N=True)
+    sp.add_argument("--N", type=int, required=True)
+    common(sp)
 
     sp = sub.add_parser("enumerate", help="all diagrams of Y_N^n with measures")
-    common(sp, n=True, N=True)
+    sp.add_argument("--N", type=int, required=True)
+    common(sp, n=True)
     sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None)
 
     sp = sub.add_parser("sample", help="dump random diagrams")
@@ -532,44 +547,37 @@ def _result_text(res: ExperimentResult, fmt: str | None) -> str:
     return res.to_json() + "\n"
 
 
-def _experiment_config(parser: argparse.ArgumentParser,
-                       args: argparse.Namespace) -> ExperimentConfig:
-    if args.n is None:
-        parser.error(f"{args.command} requires --n")
-    return ExperimentConfig(n=args.n, N=args.N, c=args.c,
-                            samples=1 if args.samples is None else args.samples,
-                            seed=0 if args.seed is None else args.seed)
+def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
+    return ExperimentConfig(n=args.n, N=args.N, c=args.c, samples=args.samples,
+                            seed=args.seed)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
-        args = parser.parse_args(argv)
-        if args.config:
-            args = parser.parse_args(_with_config(argv, args.config))
+        config = _config_path(argv)
+        args = parser.parse_args(_with_config(argv, config) if config else argv)
+        if args.config != config:
+            parser.error("--config must be spelled out in full")
         if args.command == "dims":
-            if args.N is None:
-                parser.error("dims requires --N")
             _emit(cmd_dims(Partition.parse(args.lam), args.N), args.out)
             return 0
         if args.command == "enumerate":
-            if args.n is None or args.N is None:
-                parser.error("enumerate requires --n and --N")
             text, passed = cmd_enumerate(args.n, args.N, args.fmt or "csv")
             _emit(text, args.out)
             return 0 if passed else 1
         if args.command == "sample":
             if args.measure == "plancherel" and args.N is None and args.c is None:
                 args.N = 1  # the Plancherel sampler has no alphabet; N goes unused
-            _emit(cmd_sample(_experiment_config(parser, args), args.measure), args.out)
+            _emit(cmd_sample(_experiment_config(args), args.measure), args.out)
             return 0
         if args.command == "bounds":
-            res = cmd_bounds(_experiment_config(parser, args), slack=args.slack)
+            res = cmd_bounds(_experiment_config(args), slack=args.slack)
             _emit(_result_text(res, args.fmt), args.out)
             return 0 if res.passed else 1
         if args.command == "biane":
-            res = cmd_biane(_experiment_config(parser, args))
+            res = cmd_biane(_experiment_config(args))
             _emit(_result_text(res, args.fmt), args.out)
             return 0
         if args.command == "constants":
@@ -580,7 +588,7 @@ def main(argv: list[str] | None = None) -> int:
             _emit(cmd_emit_shape(args.c, step=args.step), args.out)
             return 0
         if args.command == "verify-all":
-            report = cmd_verify_all(seed=0 if args.seed is None else args.seed)
+            report = cmd_verify_all(seed=args.seed)
             _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
             return 0 if report["passed"] else 1
         parser.error(f"unknown command {args.command}")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ytensor.diagrams import Partition
-from ytensor import exact, harness
+from ytensor import exact, harness, rsk
 
 
 class TestDims:
@@ -40,6 +40,15 @@ class TestDims:
             total = sum(exact.dim_sym(lam) ** 2 for lam in exact.enumerate_diagrams(n, n))
             assert total == math.factorial(n)
 
+    def test_dims_times_hook_product_at_n_2000(self):
+        # Per-cell products, no histogram: dim V * prod h = n!, dim W * prod h = prod (N + c).
+        n = 2000
+        for N in (10, 45, 200):
+            for lam in rsk.sample_schur_weyl(n, N, 0, 2):
+                hooks = math.prod(exact.hook_lengths(lam))
+                assert exact.dim_sym(lam) * hooks == math.factorial(n)
+                assert exact.dim_gl(lam, N) * hooks == math.prod(exact.shifted_contents(lam, N))
+
 
 class TestMeasures:
     def test_plancherel_normalizes(self):
@@ -59,7 +68,7 @@ class TestMeasures:
 
     def test_measure_range_enforced(self):
         with pytest.raises(ValueError):
-            exact.ExactMeasure(Fraction(3, 2), exact.MeasureKind.PLANCHEREL, 1)
+            exact.ExactMeasure(Fraction(3, 2))
 
     def test_neg_log_measure_trivial(self):
         # single diagram carries full mass when N = 1.

@@ -129,7 +129,7 @@ class TestMSeries:
                 if p == 0.0:
                     break
                 total += p / (k * (k + 1) * (2 * k + 1))
-            assert F.m_series(x, tol=1e-14) == pytest.approx(total, abs=1e-14)
+            assert F.m_series(x) == pytest.approx(total, abs=1e-14)
 
     def test_decreasing_in_x(self):
         vals = [F.m_series(x) for x in [1.0, 1.5, 2.0, 4.0, 8.0, 16.0]]
@@ -157,6 +157,16 @@ class TestHats:
                 for lam in exact.enumerate_diagrams(n, N):
                     assert F.theta_hat(lam) >= F.rho_hat(lam, N) - 1e-12
 
+    def test_hats_match_per_cell_sums(self):
+        for n in (64, 400, 1600):
+            N = math.isqrt(n)
+            for lam in rsk.sample_schur_weyl(n, N, 0, 2):
+                theta = sum(F.m_series(h) for h in exact.hook_lengths(lam)) / math.sqrt(n)
+                rho = sum(F.m_series(x) for x in exact.shifted_contents(lam, N))
+                rho /= 2 * math.sqrt(n)
+                assert F.theta_hat(lam) == pytest.approx(theta, abs=1e-12)
+                assert F.rho_hat(lam, N) == pytest.approx(rho, abs=1e-12)
+
 
 class TestSobolev:
     def test_zero_function(self):
@@ -165,10 +175,14 @@ class TestSobolev:
         assert F.sobolev_half_sq(f, route="difference-quotient") == pytest.approx(0.0, abs=1e-12)
         assert F.sobolev_half_sq(f, route="log-kernel") == pytest.approx(0.0, abs=1e-12)
 
-    def test_routes_agree_on_profile_difference(self):
+    def test_routes_agree_on_profile_difference(self, verify_all_report):
+        # verify-all's sobolev_routes check holds the nested difference quotient
+        # of this f as its lhs, so the test reads it instead of recomputing it.
+        (rec,) = [ch for ch in verify_all_report["checks"] if ch["test"] == "sobolev_routes"]
+        assert rec["params"] == {"lam": "1", "c": 1.0}
         f = F.profile_minus_shape(profile(Partition((1,))), 1.0)
         k_fast = F.sobolev_half_sq(f)
-        k_quot = F.sobolev_half_sq(f, route="difference-quotient")
+        k_quot = rec["lhs"]
         k_log = F._sobolev_logkernel_generic(f)
         assert k_quot == pytest.approx(k_fast, abs=1e-6)
         assert k_log == pytest.approx(k_fast, abs=1e-8)

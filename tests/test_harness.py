@@ -84,6 +84,16 @@ class TestSubcommands:
         main(["bounds", "--config", str(cfg)])
         assert json.loads(capsys.readouterr().out)["summary"]["slack"] == 5.0
 
+    def test_config_supplies_required_flags(self, tmp_path, capsys):
+        dims_cfg = tmp_path / "dims.cfg"
+        dims_cfg.write_text("lam=3,1\n")
+        assert main(["dims", "--config", str(dims_cfg), "--N", "2"]) == 0
+        assert "dim_iso: 9" in capsys.readouterr().out
+        shape_cfg = tmp_path / "shape.cfg"
+        shape_cfg.write_text("c=1.0\n")
+        assert main(["emit-shape", "--config", str(shape_cfg), "--step", "0.5"]) == 0
+        assert capsys.readouterr().out.startswith("s,omega_c,omega_c_prime")
+
     def test_config_unknown_key_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n=30\nN=3\nbogus=1\n")
@@ -138,6 +148,7 @@ class TestSubcommands:
         ["sample", "--n", "100", "--c", "0"],
         ["bounds", "--n", "100", "--N", "0"],
         ["biane", "--n", "100", "--N", "0"],
+        ["dims", "--lam", "2,1", "--N", "2", "--conf", "missing.cfg"],
     ])
     def test_usage_errors_exit_2(self, argv):
         try:
