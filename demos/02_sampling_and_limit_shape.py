@@ -18,7 +18,7 @@ def sup_distance(lam, c):
     prof = profile(lam)
     lo, hi = prof.support
     grid = np.arange(lo, hi, 1e-3)
-    omega = np.array([shape.omega_c(c, float(s)) for s in grid])
+    omega = shape.omega_c(c, grid)
     return float(np.max(np.abs(prof.evaluate(grid) - omega)))
 
 

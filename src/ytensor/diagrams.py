@@ -24,7 +24,6 @@ __all__ = [
     "Profile",
     "cells",
     "hook_length",
-    "shifted_content",
     "profile",
     "profile_from_slopes",
 ]
@@ -103,13 +102,6 @@ def hook_length(lam: Partition, cell: Cell) -> int:
     arm = lam.rows[cell.i - 1] - cell.j
     leg = lam.conjugate_rows[cell.j - 1] - cell.i
     return arm + leg + 1
-
-
-def shifted_content(lam: Partition, N: int, cell: Cell) -> int:
-    """Shifted content N + j - i of a cell."""
-    if not lam.contains(cell):
-        raise ValueError(f"cell {cell} not in partition {lam}")
-    return N + cell.j - cell.i
 
 
 @dataclass(frozen=True)

@@ -79,17 +79,26 @@ def _power_product(values: list[int]) -> int:
     return math.prod(k ** m for k, m in Counter(values).items())
 
 
-def _over_hooks(numer: int, lam: Partition) -> int:
-    """numer divided exactly by the product of lam's hook lengths."""
-    q, r = divmod(numer, _power_product(hook_lengths(lam)))
+def _exact_quotient(numer: int, hooks: int) -> int:
+    """numer divided exactly by a hook product."""
+    q, r = divmod(numer, hooks)
     if r:
         raise ArithmeticError("quotient is not integral")
     return q
 
 
+def _dim_gl(lam: Partition, N: int, hooks: int) -> int:
+    """dim_gl given the hook product of lam."""
+    if N < 1:
+        raise ValueError("N must be positive")
+    if lam.height > N:
+        return 0
+    return _exact_quotient(_power_product(shifted_contents(lam, N)), hooks)
+
+
 def dim_sym(lam: Partition) -> int:
     """Dimension of the irreducible S_n representation: n! over the hook product."""
-    return _over_hooks(math.factorial(lam.n), lam)
+    return _exact_quotient(math.factorial(lam.n), _power_product(hook_lengths(lam)))
 
 
 def dim_gl(lam: Partition, N: int) -> int:
@@ -97,20 +106,19 @@ def dim_gl(lam: Partition, N: int) -> int:
 
     Zero when the diagram has more than N rows (the factor N + c vanishes).
     """
-    if N < 1:
-        raise ValueError("N must be positive")
-    if lam.height > N:
-        return 0
-    return _over_hooks(_power_product(shifted_contents(lam, N)), lam)
+    return _dim_gl(lam, N, _power_product(hook_lengths(lam)))
 
 
 def dim_iso(lam: Partition, N: int) -> int:
     """Dimension of the isotypic component of the n-fold tensor power of C^N."""
-    return dim_sym(lam) * dim_gl(lam, N)
+    return exact_dims(lam, N).dim_iso
 
 
 def exact_dims(lam: Partition, N: int) -> ExactDims:
-    return ExactDims(dim_sym=dim_sym(lam), dim_gl=dim_gl(lam, N))
+    """dim_sym and dim_gl, sharing one hook product."""
+    hooks = _power_product(hook_lengths(lam))
+    return ExactDims(dim_sym=_exact_quotient(math.factorial(lam.n), hooks),
+                     dim_gl=_dim_gl(lam, N, hooks))
 
 
 def plancherel(lam: Partition) -> ExactMeasure:
@@ -122,7 +130,7 @@ def plancherel(lam: Partition) -> ExactMeasure:
 
 def schur_weyl_measure(lam: Partition, N: int) -> ExactMeasure:
     """Schur-Weyl probability dim E / N^n as an exact rational."""
-    value = Fraction(dim_iso(lam, N), N ** lam.n)
+    value = Fraction(exact_dims(lam, N).dim_iso, N ** lam.n)
     return ExactMeasure(value)
 
 

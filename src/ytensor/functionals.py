@@ -20,22 +20,25 @@ quadrature.
 For a lattice profile the Sobolev norm of L - Omega_c is evaluated from those
 closed forms: exact phi_2 corner sums, the antiderivative of lemma I at the
 profile corners and lemma intIOmega's reduction of the shape self-energy.
-The nested-quadrature routes (difference quotient, generic log kernel and
-the lemmas' quadrature sides) are kept as independent oracles for the tests.
+The nested-quadrature routes (difference quotient, generic log kernel, the
+hook integral of a Curve and lemma intIOmega's left side) are kept as
+independent oracles for the tests; each gives quadrature.nested_tanh_sinh
+only its regularized kernel and outer weight.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .diagrams import Partition, Profile, profile
 from .exact import hook_lengths, neg_log_measure_scaled, shifted_contents
-from .quadrature import ABS_TOL, INNER_ABS_TOL, quad_breakpoints, tanh_sinh
+from .quadrature import nested_tanh_sinh, quad_breakpoints, tanh_sinh
 from .shape import (
     G,
     H_tilde,
@@ -44,7 +47,6 @@ from .shape import (
     omega_c,
     omega_c_prime,
     phi,
-    phi2_arr,
     shape_breakpoints,
     shape_support,
 )
@@ -92,14 +94,15 @@ class FunctionalReport:
 
 @dataclass(frozen=True)
 class Curve:
-    """A piecewise-smooth function bundle for the quadrature-based routes."""
+    """A piecewise-smooth function bundle for the quadrature routes; fn and
+    prime act elementwise on numpy arrays."""
 
-    fn: Callable[[float], float]
-    prime: Callable[[float], float]
+    fn: Callable[[np.ndarray], np.ndarray]
+    prime: Callable[[np.ndarray], np.ndarray]
     support: tuple[float, float]
     kinks: tuple[float, ...]
 
-    def __call__(self, s: float) -> float:
+    def __call__(self, s):
         return self.fn(s)
 
 
@@ -108,8 +111,8 @@ def shape_curve(c: float) -> Curve:
     lo, hi = shape_support(c)
     kinks = tuple(shape_breakpoints(c)) + ((0.0,) if lo < 0.0 < hi else ())
     return Curve(
-        fn=lambda s: omega_c(c, s),
-        prime=lambda s: omega_c_prime(c, s),
+        fn=partial(omega_c, c),
+        prime=partial(omega_c_prime, c),
         support=(lo, hi),
         kinks=tuple(sorted(set(kinks))),
     )
@@ -136,6 +139,16 @@ def _signed_segments(prof: Profile) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return x1, x2, sgn
 
 
+def _corner_sums(t1, t2, s1, s2) -> np.ndarray:
+    """phi_2(s2-t2) + phi_2(s1-t1) - phi_2(s2-t1) - phi_2(s1-t2) for each segment
+    pair ([t1, t2] by rows, [s1, s2] by columns): the rectangle integral of
+    phi_0(s - t)."""
+    def p2(s, t):
+        return phi(2, s[None, :] - t[:, None])
+
+    return p2(s2, t2) + p2(s1, t1) - p2(s2, t1) - p2(s1, t2)
+
+
 def theta_profile(prof: Profile) -> float:
     """Hook integral of a lattice profile, exactly.
 
@@ -154,43 +167,32 @@ def theta_profile(prof: Profile) -> float:
         return 1.0
     # Pair mask: ascending segment strictly to the left of the descending one.
     mask = t2[:, None] <= s1[None, :] + 1e-12
-    block = (
-        phi2_arr(s2[None, :] - t2[:, None])
-        + phi2_arr(s1[None, :] - t1[:, None])
-        - phi2_arr(s2[None, :] - t1[:, None])
-        - phi2_arr(s1[None, :] - t2[:, None])
-    )
-    return 1.0 + 8.0 * float(np.sum(block, where=mask))
+    return 1.0 + 8.0 * float(np.sum(_corner_sums(t1, t2, s1, s2), where=mask))
 
 
 def _theta_curve(L: Curve) -> float:
-    """Hook integral of a smooth curve by nested adaptive quadrature.
+    """Hook integral of a smooth curve by nested tanh-sinh quadrature.
 
     The logarithmic diagonal is removed by integrating the inner variable by
-    parts, which leaves a bounded difference-quotient integrand plus a
-    boundary term at the left support edge.
+    parts, which leaves a bounded difference-quotient kernel on t < s plus a
+    boundary term at the left support edge.  Both are weighted by 1 - L'(s).
     """
     lo, hi = L.support
-    kinks = L.kinks
 
-    def inner(s: float) -> float:
-        if s <= lo:
-            return 0.0
-        boundary = -math.log(2.0 * (s - lo)) * (lo + L.fn(lo) - s - L.fn(s))
-        Ls = L.fn(s)
+    def weight(s):
+        return 1.0 - L.prime(s)
 
-        def g(t: float) -> float:
-            return 1.0 + (Ls - L.fn(t)) / (s - t) if t != s else 1.0 + L.prime(s)
+    def kernel(s, t):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = 1.0 + np.where(t == s, L.prime(s), (L.fn(s) - L.fn(t)) / (s - t))
+        return np.where(t <= s, -g, 0.0)
 
-        return boundary - quad_breakpoints(g, lo, s, kinks, abs_tol=INNER_ABS_TOL)
+    def boundary(s):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return -weight(s) * np.log(2.0 * (s - lo)) * (lo + L.fn(lo) - s - L.fn(s))
 
-    def outer(s: float) -> float:
-        w = 1.0 - L.prime(s)
-        if w == 0.0:
-            return 0.0
-        return w * inner(s)
-
-    return 1.0 + 2.0 * quad_breakpoints(outer, lo, hi, kinks)
+    return 1.0 + 2.0 * (tanh_sinh(boundary, lo, hi, L.kinks)
+                        + nested_tanh_sinh(kernel, weight, lo, hi, L.kinks))
 
 
 def theta_shape(c: float) -> float:
@@ -248,17 +250,14 @@ def _rho_curve(L: Curve, c: float) -> float:
     if lo < edge - 1e-9:
         # only allowed when L coincides with |s| below the singular edge
         probes = np.linspace(lo, edge, 7)
-        if any(abs(L.fn(float(v)) - abs(v)) > 1e-12 for v in probes):
+        if np.any(np.abs(L.fn(probes) - np.abs(probes)) > 1e-12):
             raise ValueError("L differs from |s| below -1/(2c); rho is undefined")
         lo = edge
 
     def integrand(s):
-        s = np.asarray(s, dtype=float)
-        g = np.array([L.fn(v) - abs(v) for v in s.ravel()]).reshape(s.shape)
-        out = np.zeros_like(g)
-        nz = g != 0.0
-        out[nz] = 2.0 * np.log1p(np.maximum(2.0 * c * s[nz], -1.0 + 1e-300)) * g[nz]
-        return out
+        g = L.fn(s) - np.abs(s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(g != 0.0, 2.0 * np.log1p(2.0 * c * s) * g, 0.0)
 
     return tanh_sinh(integrand, lo, hi, L.kinks + (0.0,))
 
@@ -368,18 +367,16 @@ def profile_minus_shape(prof: Profile, c: float) -> _ProfileMinusShape:
     if a > float(cx[0]) - 1e-12:
         raise ValueError("profile support reaches the left end of the default window")
 
-    def fn(s: float) -> float:
+    slopes = np.asarray(prof.slopes, dtype=float)
+
+    def fn(s):
         return prof.evaluate(s) - omega_c(c, s)
 
-    def prime(s: float) -> float:
-        xs = float(cx[0])
-        if s < xs:
-            lp = -1.0
-        elif s > float(cx[-1]):
-            lp = 1.0
-        else:
-            k = min(int((s / prof.scale - prof.x0)), len(prof.slopes) - 1)
-            lp = float(prof.slopes[max(k, 0)])
+    def prime(s):
+        s = np.asarray(s, dtype=float)
+        with np.errstate(invalid="ignore"):
+            k = np.clip((s / prof.scale - prof.x0).astype(int), 0, len(slopes) - 1)
+        lp = np.where(s < cx[0], -1.0, np.where(s > cx[-1], 1.0, slopes[k]))
         return lp - omega_c_prime(c, s)
 
     kinks = sorted(set(cx.tolist()) | set(shape_breakpoints(c)) | {0.0})
@@ -396,47 +393,45 @@ def _sobolev_quotient(f: Curve) -> float:
     """
     a, b = f.support
 
-    def q2_row(s: float) -> float:
+    def kernel(s, t):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.where(np.abs(t - s) < 1e-13, f.prime(s), (f.fn(s) - f.fn(t)) / (s - t))
+        return d * d
+
+    def tails(s):
         fs = f.fn(s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return fs * fs * (1.0 / (s - a) + 1.0 / (b - s))
 
-        def g(t: float) -> float:
-            if abs(t - s) < 1e-13:
-                d = f.prime(s)
-            else:
-                d = (fs - f.fn(t)) / (s - t)
-            return d * d
+    square = nested_tanh_sinh(kernel, np.ones_like, a, b, f.kinks)
+    return 0.5 * (square + 2.0 * tanh_sinh(tails, a, b, f.kinks))
 
-        return quad_breakpoints(g, a, b, f.kinks + (s,), abs_tol=INNER_ABS_TOL)
 
-    square = quad_breakpoints(q2_row, a, b, f.kinks)
+def _log_kernel(prime, a: float, b: float):
+    """Split int_a^b phi_0(s - t) prime(t) dt into int_a^b k(s, t) dt + e(s).
 
-    def tails(s: float) -> float:
-        fs = f.fn(s)
-        return fs * fs * (1.0 / (s - a) + 1.0 / (b - s))
+    k(s, t) = phi_0(s - t) (prime(t) - prime(s)) is bounded at t = s, and the
+    subtracted piece has the closed form e(s) = (phi_1(s-a) + phi_1(b-s)) prime(s).
+    Returns (k, e).
+    """
+    def kernel(s, t):
+        d = s - t
+        near = np.abs(d) < 1e-15
+        return np.where(near, 0.0, phi(0, np.where(near, 0.5, d)) * (prime(t) - prime(s)))
 
-    return 0.5 * (square + 2.0 * quad_breakpoints(tails, a, b, f.kinks))
+    def edge(s):
+        return (phi(1, s - a) + phi(1, b - s)) * prime(s)
+
+    return kernel, edge
 
 
 def _sobolev_logkernel_generic(f: Curve) -> float:
-    """Log-kernel route: - iint ln|2(s-t)| f'(s) f'(t) ds dt, nested quadrature.
-
-    The inner singularity is regularized by subtracting f'(s); the subtracted
-    piece integrates to -(phi_1(s-a) + phi_1(b-s)) f'(s) in closed form.
-    """
+    """Log-kernel route: - iint ln|2(s-t)| f'(s) f'(t) ds dt over f's support,
+    by nested tanh-sinh quadrature."""
     a, b = f.support
-
-    def V(s: float) -> float:
-        fps = f.prime(s)
-
-        def g(t: float) -> float:
-            if abs(t - s) < 1e-15:
-                return 0.0
-            return math.log(abs(2.0 * (s - t))) * (f.prime(t) - fps)
-
-        reg = quad_breakpoints(g, a, b, f.kinks + (s,), abs_tol=INNER_ABS_TOL)
-        return reg - (phi(1, s - a) + phi(1, b - s)) * fps
-
-    return -quad_breakpoints(lambda s: f.prime(s) * V(s), a, b, f.kinks)
+    kernel, edge = _log_kernel(f.prime, a, b)
+    return (nested_tanh_sinh(kernel, f.prime, a, b, f.kinks)
+            + tanh_sinh(lambda s: f.prime(s) * edge(s), a, b, f.kinks))
 
 
 def _segments_on_window(prof: Profile, a: float, b: float):
@@ -473,9 +468,7 @@ def _sobolev_profile_shape(f: _ProfileMinusShape) -> float:
     e1, e2, sg = _segments_on_window(f.prof, a, b)
 
     # L'L' term: four-corner phi_2 over all segment pairs.
-    d_pp = phi2_arr(e2[:, None] - e2[None, :]) + phi2_arr(e1[:, None] - e1[None, :]) \
-        - phi2_arr(e2[:, None] - e1[None, :]) - phi2_arr(e1[:, None] - e2[None, :])
-    s_ll = float(sg @ d_pp @ sg)
+    s_ll = float(sg @ _corner_sums(e1, e2, e1, e2) @ sg)
 
     # Cross term: int Omega'(t) * [int ln|2(s-t)| L'(s) ds] dt
     #   = sum_k sg_k int (phi_1(e1_k - t) - phi_1(e2_k - t)) Omega'(t) dt.
@@ -600,9 +593,8 @@ def lemma_A(c: float) -> tuple[float, float]:
     lo, hi = shape_support(c)
 
     def integrand(s):
-        s = np.asarray(s, dtype=float)
-        g = np.array([abs(v) - omega_c(c, v) for v in s.ravel()]).reshape(s.shape)
-        return np.log1p(2.0 * c * s) * g
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log1p(2.0 * c * s) * (np.abs(s) - omega_c(c, s))
 
     pts = tuple(shape_breakpoints(c)) + (0.0,)
     val = tanh_sinh(integrand, lo, hi, pts)
@@ -613,30 +605,13 @@ def _lemma_I_closed(c: float, s: float, a: float, b: float) -> float:
     return phi(1, a - s) + phi(1, b - s) + G(c, s) - H_tilde(c, s - 0.5 * c)
 
 
-def _I_quad(c: float, s: float, a: float, b: float, pts: tuple[float, ...],
-            abs_tol: float = ABS_TOL) -> float:
-    """I_c(s) by quadrature, the log singularity at t = s removed.
-
-    Subtracting Omega_c'(s) regularizes the integrand; the subtracted part has
-    the exact value (phi_1(s-a) + phi_1(b-s)) Omega_c'(s).  abs_tol is passed
-    on to quad_breakpoints (lemma_intIOmega nests this inside a quadrature).
-    """
-    ops = omega_c_prime(c, s)
-
-    def g(t: float) -> float:
-        if abs(t - s) < 1e-15:
-            return 0.0
-        return phi(0, s - t) * (omega_c_prime(c, t) - ops)
-
-    return (quad_breakpoints(g, a, b, pts + (s,), abs_tol=abs_tol)
-            + ops * (phi(1, s - a) + phi(1, b - s)))
-
-
 def lemma_I(c: float, s: float, a: float, b: float) -> tuple[float, float]:
     """I_c(s) = int_a^b phi_0(s-t) Omega_c'(t) dt, quadrature vs closed form."""
     if not a < s < b:
         raise ValueError("s must lie in (a, b)")
-    val = _I_quad(c, s, a, b, tuple(shape_breakpoints(c)) + (0.0,))
+    kernel, edge = _log_kernel(partial(omega_c_prime, c), a, b)
+    pts = tuple(shape_breakpoints(c)) + (0.0, s)
+    val = tanh_sinh(partial(kernel, s), a, b, pts) + edge(s)
     return val, _lemma_I_closed(c, s, a, b)
 
 
@@ -700,12 +675,11 @@ def lemma_intIOmega(c: float, a: float, b: float) -> tuple[float, float]:
     The value is independent of the window (a, b) as long as it strictly
     contains the shape support.
     """
-    rhs = _int_I_omega_closed(c, a, b)
-    pts = tuple(shape_breakpoints(c)) + (0.0, -0.5 / c)
-    lhs = quad_breakpoints(
-        lambda s: _I_quad(c, s, a, b, pts, abs_tol=INNER_ABS_TOL) * omega_c_prime(c, s),
-        a, b, pts)
-    return lhs, rhs
+    rhs = _int_I_omega_closed(c, a, b)  # first: it checks the window
+    # int I_c Omega_c' is the log-kernel energy of Omega_c' on the window.
+    window = replace(shape_curve(c), support=(a, b),
+                     kinks=tuple(shape_breakpoints(c)) + (0.0, -0.5 / c))
+    return _sobolev_logkernel_generic(window), rhs
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ Subcommands:
     emit-shape  CSV table of Omega_c and its derivative on a grid
     verify-all  run every identity check and emit a JSON report
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  All randomized
+Exit codes: 0 success, 1 verification failure (including an ArithmeticError
+such as an unconverged quadrature), 2 usage error.  All randomized
 commands are bit-reproducible for a fixed seed regardless of scheduling.
 """
 
@@ -210,11 +211,9 @@ def cmd_bounds(cfg: ExperimentConfig, slack: float = 0.05) -> ExperimentResult:
 
 def _sup_distance(prof, c: float, grid: np.ndarray, omega_grid: np.ndarray) -> float:
     """sup |L - Omega_c| over a fixed grid plus the profile's own corners."""
-    sup = float(np.max(np.abs(prof.evaluate(grid) - omega_grid)))
     cx, cy = prof.corners
-    for x, y in zip(cx.tolist(), cy.tolist()):
-        sup = max(sup, abs(y - shape.omega_c(c, x)))
-    return sup
+    return max(float(np.max(np.abs(prof.evaluate(grid) - omega_grid))),
+               float(np.max(np.abs(cy - shape.omega_c(c, cx)))))
 
 
 def cmd_biane(cfg: ExperimentConfig) -> ExperimentResult:
@@ -226,7 +225,7 @@ def cmd_biane(cfg: ExperimentConfig) -> ExperimentResult:
     # |X| <= max(n/(2 sqrt n), N/(2 sqrt n)) but practically near the shape.
     span = max(hi, 1.0) + 1.0
     grid = np.arange(min(lo, -span), span, BIANE_GRID_STEP)
-    omega_grid = np.array([shape.omega_c(c_n, float(x)) for x in grid])
+    omega_grid = shape.omega_c(c_n, grid)
     samples = rsk.sample_schur_weyl(cfg.n, N, cfg.seed, cfg.samples)
     res = ExperimentResult()
     values = []
@@ -595,6 +594,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # a non-integral exact quotient, an unconverged quadrature
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 2
 
 

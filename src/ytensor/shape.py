@@ -4,7 +4,9 @@ The deformed limit shape Omega_c (with Omega_0 the Vershik-Kerov-Logan-Shepp
 curve), its first two derivatives, the iterated log antiderivatives phi_k, and
 the closed-form functions H, G, J that appear in the variational identity.
 Shifted arguments are written z = s - c/2 throughout; functions named
-``*_tilde`` take the shifted coordinate.
+``*_tilde`` take the shifted coordinate.  omega, omega_c, omega_c_prime and
+phi take floats or numpy arrays through one numpy body: a float in gives a
+float out, an array in gives an array out.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ __all__ = [
 ]
 
 
-def _clip1(x: float) -> float:
-    """Clamp to [-1, 1]; guards arcsin/arccos against rounding overshoot."""
-    return min(1.0, max(-1.0, x))
+def _result(out: np.ndarray):
+    """A 0-d result as a float, any other result as the array itself."""
+    return float(out) if out.ndim == 0 else out
 
 
 def _acosh_abs(x: float) -> float:
@@ -45,55 +47,50 @@ def _acosh_abs(x: float) -> float:
     return math.acosh(a)
 
 
-def omega(X: float) -> float:
+def omega(X):
     """The undeformed limit shape: (2/pi)(sqrt(1-X^2) + X arcsin X) on [-1, 1]."""
-    if abs(X) >= 1.0:
-        return abs(X)
-    return (2.0 / math.pi) * (math.sqrt(1.0 - X * X) + X * math.asin(X))
+    return omega_c(0.0, X)
 
 
-def _h_bulk(c: float, s: float) -> float:
-    """The curved branch of Omega_c, valid for 2s in [c-2, c+2]."""
-    if c == 0.0:
-        return (2.0 / math.pi) * (s * math.asin(_clip1(s)) + math.sqrt(max(0.0, 1.0 - s * s)))
-    root = math.sqrt(max(0.0, 1.0 + 2.0 * s * c))
-    if root == 0.0:
-        return abs(s)  # only at c = 1, s = -1/2, where the branch meets |s|
-    t1 = s * math.asin(_clip1((2.0 * s + c) / (2.0 * root)))
-    t2 = (0.5 / c) * math.acos(_clip1((2.0 + 2.0 * s * c - c * c) / (2.0 * root)))
-    t3 = 0.25 * math.sqrt(max(0.0, 4.0 - (2.0 * s - c) ** 2))
-    return (2.0 / math.pi) * (t1 + t2 + t3)
+def omega_c(c: float, s):
+    """The deformed limit shape Omega_c(s); Omega_0 equals omega.
 
-
-def omega_c(c: float, s: float) -> float:
-    """The deformed limit shape Omega_c(s); Omega_0 equals omega."""
+    The curved branch is (2/pi)(s atan2(2s + c, w) + w/4 + atan2(cw, 2 - c^2 + 2cs)/(2c)),
+    the arcsin/arccos form written through w = sqrt(4 - (2s - c)^2), taken as
+    the product of the two factors that vanish at the support ends.  There an
+    error in w has no first-order effect on the sum, while an arccos of an
+    argument near 1 loses ~1e-9.  At c = 0 the last term is its limit w/4.
+    The left end of the branch goes to the neighbouring branch, which has the
+    same value there and no 0/0 at c = 1, s = -1/2.
+    """
     if c < 0.0:
         raise ValueError("c must be nonnegative")
+    s = np.asarray(s, dtype=float)
     two_s = 2.0 * s
-    if c <= 1.0:
-        if c - 2.0 <= two_s <= c + 2.0:
-            return _h_bulk(c, s)
-        return abs(s)
-    if -1.0 / c <= two_s < c - 2.0:
-        return s + 1.0 / c
-    if c - 2.0 <= two_s <= c + 2.0:
-        return _h_bulk(c, s)
-    return abs(s)
+    with np.errstate(invalid="ignore"):
+        w = np.sqrt((2.0 + c - two_s) * (2.0 - c + two_s))  # nan off the curved branch
+        arc = 0.25 * w if c == 0.0 else np.arctan2(c * w, 2.0 - c * c + c * two_s) / (2.0 * c)
+        curved = (2.0 / math.pi) * (s * np.arctan2(two_s + c, w) + 0.25 * w + arc)
+    out = np.where((c - 2.0 < two_s) & (two_s <= c + 2.0), curved, np.abs(s))
+    if c > 1.0:
+        out = np.where((-1.0 / c <= two_s) & (two_s <= c - 2.0), s + 1.0 / c, out)
+    return _result(out)
 
 
-def omega_c_prime(c: float, s: float) -> float:
-    """Derivative of Omega_c: (2/pi) arcsin((c+2s)/(2 sqrt(1+2cs))) on the bulk."""
+def omega_c_prime(c: float, s):
+    """Derivative of Omega_c: (2/pi) arcsin((c+2s)/(2 sqrt(1+2cs))) on the bulk,
+    evaluated as (2/pi) atan2(2s + c, w) with w as in omega_c (0 at c = 1, s = -1/2)."""
     if c < 0.0:
         raise ValueError("c must be nonnegative")
+    s = np.asarray(s, dtype=float)
     two_s = 2.0 * s
-    if c - 2.0 <= two_s <= c + 2.0:
-        root = math.sqrt(max(0.0, 1.0 + 2.0 * c * s))
-        if root == 0.0:
-            return 0.0  # only reachable at c = 1, s = -1/2, where the slope is 0
-        return (2.0 / math.pi) * math.asin(_clip1((c + two_s) / (2.0 * root)))
-    if c > 1.0 and -1.0 / c <= two_s < c - 2.0:
-        return 1.0
-    return math.copysign(1.0, s) if s != 0.0 else 0.0
+    with np.errstate(invalid="ignore"):
+        w = np.sqrt((2.0 + c - two_s) * (2.0 - c + two_s))
+        curved = (2.0 / math.pi) * np.arctan2(two_s + c, w)
+    out = np.where((c - 2.0 <= two_s) & (two_s <= c + 2.0), curved, np.sign(s))
+    if c > 1.0:
+        out = np.where((-1.0 / c <= two_s) & (two_s < c - 2.0), 1.0, out)
+    return _result(out)
 
 
 def omega_c_second(c: float, z: float) -> float:
@@ -112,35 +109,25 @@ def omega_c_second(c: float, z: float) -> float:
     return 2.0 * (1.0 + c * z) / (math.pi * (1.0 + c * c + 2.0 * c * z) * math.sqrt(1.0 - z * z))
 
 
-def phi(k: int, x: float) -> float:
+def phi(k: int, x):
     """Iterated antiderivatives of -ln|2x|:
 
     phi_0(x) = -ln|2x|, phi_1(x) = x - x ln|2x|,
     phi_2(x) = (3/4) x^2 - (1/2) x^2 ln(2|x|);
-    phi_1 and phi_2 are extended by 0 at x = 0.
+    phi_1 and phi_2 are extended by 0 at x = 0.  Accepts arrays; phi_0
+    rejects any zero.
     """
-    if k == 0:
-        if x == 0.0:
-            raise ValueError("phi_0 is singular at x = 0")
-        return -math.log(abs(2.0 * x))
-    if x == 0.0:
-        return 0.0
-    lg = math.log(abs(2.0 * x))
-    if k == 1:
-        return x - x * lg
-    if k == 2:
-        return 0.75 * x * x - 0.5 * x * x * lg
-    raise ValueError(f"phi is only defined for k in 0..2, got {k}")
-
-
-def phi2_arr(x: np.ndarray) -> np.ndarray:
-    """Vectorized phi(2, .); zero at the origin."""
+    if k not in (0, 1, 2):
+        raise ValueError(f"phi is only defined for k in 0..2, got {k}")
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    nz = x != 0.0
-    xv = x[nz]
-    out[nz] = 0.75 * xv * xv - 0.5 * xv * xv * np.log(np.abs(2.0 * xv))
-    return out
+    if k == 0 and np.any(x == 0.0):
+        raise ValueError("phi_0 is singular at x = 0")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lg = np.log(np.abs(2.0 * x))
+        if k == 0:
+            return _result(-lg)
+        out = x - x * lg if k == 1 else 0.75 * x * x - 0.5 * x * x * lg
+    return _result(np.where(x == 0.0, 0.0, out))
 
 
 def _require_positive_c(c: float) -> None:
@@ -231,7 +218,6 @@ def shape_breakpoints(c: float) -> list[float]:
 
 def emit_shape_csv(c: float, s_values) -> str:
     """CSV table with columns s, omega_c, omega_c_prime on the given grid."""
-    lines = ["s,omega_c,omega_c_prime"]
-    for s in s_values:
-        lines.append(f"{float(s)!r},{omega_c(c, float(s))!r},{omega_c_prime(c, float(s))!r}")
-    return "\n".join(lines) + "\n"
+    s = np.asarray(s_values, dtype=float)
+    rows = zip(s.tolist(), omega_c(c, s).tolist(), omega_c_prime(c, s).tolist())
+    return "\n".join(["s,omega_c,omega_c_prime"] + [f"{x!r},{y!r},{d!r}" for x, y, d in rows]) + "\n"

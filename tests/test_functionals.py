@@ -11,14 +11,12 @@ from ytensor import exact, functionals as F, rsk
 def profile_as_curve(prof):
     """Wrap a lattice profile as a generic Curve (for quadrature cross-checks)."""
     cx, _ = prof.corners
+    slopes = np.asarray(prof.slopes, dtype=float)
 
     def prime(s):
-        if s < cx[0]:
-            return -1.0
-        if s > cx[-1]:
-            return 1.0
-        k = min(int(s / prof.scale - prof.x0), len(prof.slopes) - 1)
-        return float(prof.slopes[max(k, 0)])
+        s = np.asarray(s, dtype=float)
+        k = np.clip((s / prof.scale - prof.x0).astype(int), 0, len(slopes) - 1)
+        return np.where(s < cx[0], -1.0, np.where(s > cx[-1], 1.0, slopes[k]))
 
     return F.Curve(fn=lambda s: prof.evaluate(s), prime=prime,
                    support=(float(cx[0]), float(cx[-1])),
@@ -194,8 +192,8 @@ class TestSobolev:
 
     def test_quadratic_scaling(self):
         def hat(a):
-            return F.Curve(fn=lambda s: a * max(0.0, 1.0 - abs(s)),
-                           prime=lambda s: a * (-math.copysign(1.0, s)) if abs(s) < 1 else 0.0,
+            return F.Curve(fn=lambda s: a * np.maximum(0.0, 1.0 - np.abs(s)),
+                           prime=lambda s: np.where(np.abs(s) < 1, -a * np.copysign(1.0, s), 0.0),
                            support=(-1.5, 1.5), kinks=(-1.0, 0.0, 1.0))
         base = F.sobolev_half_sq(hat(1.0), route="difference-quotient")
         scaled = F.sobolev_half_sq(hat(2.0), route="difference-quotient")

@@ -157,6 +157,20 @@ class TestSubcommands:
             code = exc.code
         assert code == 2
 
+    @pytest.mark.parametrize("argv, target, message", [
+        (["verify-all"], "cmd_verify_all",
+         "tanh-sinh did not converge on [-1.0, -0.5] (status -2)"),
+        (["dims", "--lam", "2,1", "--N", "2"], "cmd_dims", "quotient is not integral"),
+    ])
+    def test_arithmetic_error_exits_1(self, monkeypatch, capsys, argv, target, message):
+        def fail(*args, **kwargs):
+            raise ArithmeticError(message)
+
+        monkeypatch.setattr(harness, target, fail)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
     def test_sample_plancherel(self, capsys):
         assert main(["sample", "--measure", "plancherel", "--n", "10", "--samples", "2"]) == 0
         assert capsys.readouterr().out.startswith("# n=10 N=- seed=0 count=2")

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -89,7 +90,62 @@ class TestPhi:
 
     def test_vectorized_matches_scalar(self):
         xs = np.array([-1.0, 0.0, 0.25, 2.0])
-        np.testing.assert_allclose(shape.phi2_arr(xs), [shape.phi(2, float(x)) for x in xs])
+        np.testing.assert_allclose(shape.phi(2, xs), [shape.phi(2, float(x)) for x in xs])
+
+
+def _crossing_grid(c):
+    """Points on every branch of Omega_c: outside, the support edges, the bulk
+    and, for c > 1, the affine piece; s = -1/2 is the c = 1 meeting point."""
+    lo, hi = shape.shape_support(c)
+    pts = [lo - 0.3, lo, hi, hi + 0.3, 0.5 * c - 1.0, 0.5 * c + 1.0, -0.5, -0.2, 0.0, 0.3]
+    return np.array(pts + list(np.linspace(lo, hi, 11)))
+
+
+class TestArrayKernels:
+    CS = [0.0, 0.5, 1.0, 2.0]
+
+    @pytest.mark.parametrize("kernel", [shape.omega_c, shape.omega_c_prime])
+    def test_array_equals_elementwise_float(self, kernel):
+        for c in self.CS:
+            s = _crossing_grid(c)
+            got = kernel(c, s)
+            assert isinstance(got, np.ndarray) and got.shape == s.shape
+            want = [kernel(c, float(x)) for x in s]
+            assert all(type(v) is float for v in want)
+            np.testing.assert_array_equal(got, want)
+
+    def test_affine_branch_and_meeting_point_on_grid(self):
+        s = np.array([-0.25, -0.2, 0.0])  # c = 2: the affine piece [-1/4, 0]
+        np.testing.assert_allclose(shape.omega_c(2.0, s), s + 0.5, atol=1e-15)
+        assert shape.omega_c(1.0, -0.5) == 0.5
+        assert shape.omega_c_prime(1.0, -0.5) == 0.0
+
+    def test_phi_array_equals_elementwise_float(self):
+        xs = np.array([-1.7, -0.5, -1e-12, 0.0, 1e-12, 0.25, 0.5, 2.0])
+        for k in (1, 2):
+            got = shape.phi(k, xs)
+            np.testing.assert_array_equal(got, [shape.phi(k, float(x)) for x in xs])
+        nz = xs[xs != 0.0]
+        np.testing.assert_array_equal(shape.phi(0, nz), [shape.phi(0, float(x)) for x in nz])
+        with pytest.raises(ValueError):
+            shape.phi(0, xs)
+
+    def test_curved_branch_accurate_near_support_ends(self):
+        # the plain arcsin/arccos form lost ~1e-9 this close to the ends.
+        def reference(c, s):
+            with mpmath.workdps(40):
+                c, s = mpmath.mpf(c), mpmath.mpf(s)
+                r = mpmath.sqrt(1 + 2 * c * s)
+                t1 = s * mpmath.asin((2 * s + c) / (2 * r))
+                t2 = mpmath.acos((2 + 2 * s * c - c * c) / (2 * r)) / (2 * c)
+                t3 = mpmath.sqrt(4 - (2 * s - c) ** 2) / 4
+                return float(2 / mpmath.pi * (t1 + t2 + t3))
+
+        for c in [0.5, 0.9, 1.0, 1.1, 2.0, 4.0]:
+            for d in [1e-14, 1e-12, 1e-10, 1e-6]:
+                for s in [0.5 * c - 1.0 + d, 0.5 * c + 1.0 - d]:
+                    if c > 1.0 or s > 0.5 * c - 1.0:
+                        assert shape.omega_c(c, s) == pytest.approx(reference(c, s), abs=2e-15)
 
 
 class TestHGJ:
