@@ -22,7 +22,6 @@ __all__ = [
     "Partition",
     "Cell",
     "Profile",
-    "cells",
     "hook_length",
     "profile",
     "profile_from_slopes",
@@ -88,11 +87,6 @@ class Partition:
 
     def __str__(self) -> str:
         return ",".join(str(r) for r in self.rows)
-
-
-def cells(lam: Partition) -> list[Cell]:
-    """All cells of the diagram in row-major order."""
-    return [Cell(i + 1, j + 1) for i, r in enumerate(lam.rows) for j in range(r)]
 
 
 def hook_length(lam: Partition, cell: Cell) -> int:

@@ -1,10 +1,12 @@
-"""Exact dimensions, exact rational measures and partition counting.
+"""Exact dimensions, exact rational measures, log-measures and partition counting.
 
-Everything here is integer or rational arithmetic: dimensions of the
-symmetric-group representation V, the GL(N) highest-weight representation W
-and the isotypic component E = V (x) W, the Plancherel and Schur-Weyl
-probabilities, iterative enumeration of diagrams with bounded height, and the
-pentagonal-number recurrence for the partition function p(n).
+Dimensions of the symmetric-group representation V, the GL(N) highest-weight
+representation W and the isotypic component E = V (x) W, and the Plancherel
+and Schur-Weyl probabilities, are exact integers and rationals.  The scaled
+log-measure -ln P / sqrt(n) is summed in the log domain over the hook and
+shifted-content histograms, and p(n) comes from the Hardy-Ramanujan-Rademacher
+series rounded to the nearest integer; neither builds an n!-sized integer.
+Diagrams with bounded height are enumerated iteratively.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from fractions import Fraction
 from typing import Iterator
 
 import mpmath
+import numpy as np
 
 from .diagrams import Partition
 
@@ -145,16 +148,26 @@ def schur_weyl_via_contents(lam: Partition, N: int) -> Fraction:
 
 
 def neg_log_measure_scaled(lam: Partition, N: int) -> mpmath.mpf:
-    """-ln(P(lam)) / sqrt(n) for the Schur-Weyl measure, from exact integers.
+    """-ln(P(lam)) / sqrt(n) for the Schur-Weyl measure, in the log domain.
 
-    The logarithms are taken at 50 significant decimal digits.
+    -ln P = n ln N - ln n! + sum_k (2 m_h(k) - m_x(k)) ln k, where m_h and m_x
+    count the hook lengths and shifted contents equal to k.  n! is folded into
+    the same histogram up to its largest key, so equal factors cancel before
+    any logarithm is taken (P = 1 gives exactly 0), and the rest of ln n! is a
+    difference of log-gammas.  The logarithms are taken at 50 significant
+    decimal digits.
     """
-    p = schur_weyl_measure(lam, N).value
-    if p == 0:
+    if lam.height > N:
         raise ZeroDivisionError(f"measure of {lam} is zero for N={N}")
+    n = lam.n
+    weight = Counter({h: 2 * m for h, m in Counter(hook_lengths(lam)).items()})
+    weight.subtract(shifted_contents(lam, N))
+    top = min(n, max(weight, default=0))
+    weight.subtract(range(1, top + 1))
     with mpmath.workdps(50):
-        val = -(mpmath.log(p.numerator) - mpmath.log(p.denominator)) / mpmath.sqrt(lam.n)
-        return +val
+        val = (n * mpmath.log(N) - (mpmath.loggamma(n + 1) - mpmath.loggamma(top + 1))
+               + mpmath.fsum(w * mpmath.log(k) for k, w in weight.items() if w))
+        return val / mpmath.sqrt(n)
 
 
 def enumerate_diagrams(n: int, N: int) -> Iterator[Partition]:
@@ -193,31 +206,66 @@ def enumerate_diagrams(n: int, N: int) -> Iterator[Partition]:
         cur = nxt
 
 
+# Rademacher terms with mu_k below this are summed in floats.  Each is at
+# most 2k e^mu_k before the factor C / (2 sqrt(6) pi lam^2), so their float
+# rounding (~1e-15 relative) stays far below the 1/2 that rounding to p(n)
+# allows: 1e-15 C sum 2k e^mu_k / (2 sqrt(6) pi lam^2) peaks at 2.4e-5
+# (n = 136) and stays bounded in n.  tests/test_exact.py checks every
+# n <= 10^4 against the recurrence.
+_FLOAT_MU = 30.0
+
+
+def _rademacher_terms(n: int) -> int:
+    """Fewest terms that put Lehmer's bound on the series remainder below 1/4 (n >= 2)."""
+    x = math.pi * math.sqrt(2 * n / 3)
+    k = math.ceil(x / 700)  # keeps sinh(x / k) finite
+    while (44 * math.pi ** 2 / (225 * math.sqrt(3)) / math.sqrt(k)
+           + math.pi * math.sqrt(2) / 75 * math.sqrt(k / (n - 1)) * math.sinh(x / k)) >= 0.25:
+        k += 1
+    return k
+
+
 def partition_count(n: int) -> int:
-    """p(n), the number of partitions of n, via the pentagonal-number recurrence."""
+    """p(n), the number of partitions of n, by the Hardy-Ramanujan-Rademacher series.
+
+    With lam = sqrt(n - 1/24), C = pi sqrt(2/3) and mu_k = C lam / k,
+    p(n) = C / (2 sqrt(6) pi lam^2) sum_k S_k (cosh mu_k - sinh mu_k / mu_k),
+    where Selberg's S_k = sum (-1)^l cos(pi (6l + 1) / (6k)) runs over the
+    0 <= l < 2k with (3l^2 + l)/2 = -n mod k (so A_k(n) = sqrt(k/3) S_k).
+    Terms with mu_k < _FLOAT_MU are summed in floats.  Each other term is
+    taken in mpmath at the digits of e^mu_k plus a margin; the first carries
+    the digit count of p(n).  The sum is rounded to the nearest integer.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _partition_table(n)[n]
-
-
-_P_CACHE: list[int] = [1]
-
-
-def _partition_table(n: int) -> list[int]:
-    p = _P_CACHE
-    while len(p) <= n:
-        m = len(p)
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            if g1 > m:
-                break
-            sign = 1 if k % 2 else -1
-            total += sign * p[m - g1]
-            g2 = k * (3 * k + 1) // 2
-            if g2 <= m:
-                total += sign * p[m - g2]
-            k += 1
-        p.append(total)
-    return p
+    if n < 2:
+        return 1
+    terms = _rademacher_terms(n)
+    k = np.arange(1, terms + 1)
+    l = np.arange(2 * terms)
+    hit = (l < 2 * k[:, None]) & (((3 * l * l + l) // 2 + n) % k[:, None] == 0)
+    mu = math.pi * math.sqrt(2 / 3) * math.sqrt(n - 1 / 24) / k
+    head = int(np.count_nonzero(mu >= _FLOAT_MU))
+    rows, cols = np.nonzero(hit[head:])
+    s = np.bincount(rows, (-1.0) ** cols * np.cos(np.pi * (6 * cols + 1) / (6 * k[head:][rows])),
+                    minlength=terms - head)
+    mu_f = mu[head:]
+    tail = float(np.sum(s * (np.cosh(mu_f) - np.sinh(mu_f) / mu_f)))
+    margin = 15
+    with mpmath.workdps(int(mu[0] / math.log(10)) + margin):
+        lam = mpmath.sqrt(mpmath.mpf(24 * n - 1) / 24)
+        C = mpmath.pi * mpmath.sqrt(mpmath.mpf(2) / 3)
+        C_lam = C * lam
+        total = mpmath.mpf(tail)
+        for j in range(1, head + 1):
+            ls = np.flatnonzero(hit[j - 1]).tolist()
+            if not ls:
+                continue
+            with mpmath.workdps(int(mu[j - 1] / math.log(10)) + margin):
+                s_j = sum((-1) ** i * mpmath.cospi(mpmath.mpf(6 * i + 1) / (6 * j)) for i in ls)
+                mu_j = C_lam / j
+                e = mpmath.exp(mu_j)
+                inv = 1 / e
+                term = s_j * ((e + inv) - (e - inv) / mu_j) / 2
+            total += term
+        return int(mpmath.nint(C * total / (2 * mpmath.sqrt(6) * mpmath.pi * lam ** 2)))

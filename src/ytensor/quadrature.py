@@ -51,7 +51,12 @@ def tanh_sinh(f, a: float, b: float, points=()) -> float:
     """Tanh-sinh quadrature of an array integrand f, one panel per breakpoint gap.
 
     Nodes that round onto a panel end get weight zero, so f may return a
-    non-finite value there.
+    non-finite value there.  An inverse-square-root singularity at a panel end
+    away from 0 is under-resolved while the status still reads converged:
+    nodes next to the end round onto it and lose their distance to it, so
+    int_0^1 |x - 0.3|^(-1/2) split at 0.3 is off by 2.2e-8 against a 1e-9
+    target.  Substitute such a singularity away first, as lemma_F3 does with
+    z = sin(psi).
     """
     if a == b:
         return 0.0

@@ -1,5 +1,6 @@
 """End-to-end acceptance checks; each test prints one PASS/FAIL line."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -143,8 +144,14 @@ def test_acceptance_09_derivative_and_series_checks():
     report(9, "finite-difference pairs, power-series identity, m(1) = 3 - 4 ln 2", ok)
 
 
+# SHA-256 of the decimal digits of p(10^5), from the pentagonal-number recurrence.
+P_1E5_SHA256 = "4a292da494a2b32e3d5cf970dff0657f23d7e67d8530675af2a906c7f778ce67"
+
+
 def test_acceptance_10_partition_asymptotics():
     ok = exact.partition_count(100) == 190569292
+    digits = str(exact.partition_count(10 ** 5)).encode()
+    ok = ok and hashlib.sha256(digits).hexdigest() == P_1E5_SHA256
     beta = F.beta_constant()
     vals = []
     for n in [10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5]:
@@ -152,4 +159,4 @@ def test_acceptance_10_partition_asymptotics():
     ok = ok and all(a < b < beta for a, b in zip(vals, vals[1:]))
     gaps = [beta - v for v in vals]
     ok = ok and all(a > b for a, b in zip(gaps, gaps[1:]))
-    report(10, "p(100) exact; ln p(n)/sqrt(n) increases toward 2 pi / sqrt(6)", ok)
+    report(10, "p(100) and p(10^5) exact; ln p(n)/sqrt(n) increases toward 2 pi / sqrt(6)", ok)

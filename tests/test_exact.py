@@ -1,11 +1,34 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ytensor.diagrams import Partition
 from ytensor import exact, harness, rsk
+
+
+def _neg_log_oracle(lam, N):
+    """-ln P / sqrt(n) from the exact rational Schur-Weyl measure, at 50 digits."""
+    p = exact.schur_weyl_measure(lam, N).value
+    with mpmath.workdps(50):
+        return -(mpmath.log(p.numerator) - mpmath.log(p.denominator)) / mpmath.sqrt(lam.n)
+
+
+def _pentagonal_table(n):
+    """p(0), ..., p(n) by Euler's pentagonal-number recurrence."""
+    p = [1]
+    for m in range(1, n + 1):
+        total, k = 0, 1
+        while (g1 := k * (3 * k - 1) // 2) <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * p[m - g1]
+            if (g2 := k * (3 * k + 1) // 2) <= m:
+                total += sign * p[m - g2]
+            k += 1
+        p.append(total)
+    return p
 
 
 class TestDims:
@@ -80,6 +103,23 @@ class TestMeasures:
         want = -math.log(p.numerator / p.denominator) / math.sqrt(5)
         assert float(exact.neg_log_measure_scaled(lam, 3)) == pytest.approx(want, rel=1e-12)
 
+    def test_neg_log_measure_matches_exact_rationals(self):
+        for n in range(1, 13):
+            for N in range(1, 7):
+                for lam in exact.enumerate_diagrams(n, N):
+                    got = exact.neg_log_measure_scaled(lam, N)
+                    assert isinstance(got, mpmath.mpf)
+                    assert abs(got - _neg_log_oracle(lam, N)) < mpmath.mpf("1e-30")
+
+    def test_neg_log_measure_matches_exact_rationals_sampled(self):
+        for lam in rsk.sample_schur_weyl(400, 20, 3, 4):
+            assert abs(exact.neg_log_measure_scaled(lam, 20)
+                       - _neg_log_oracle(lam, 20)) < mpmath.mpf("1e-30")
+
+    def test_neg_log_measure_float_at_n_30000(self):
+        (lam,) = rsk.sample_schur_weyl(30000, 173, 0, 1)
+        assert float(exact.neg_log_measure_scaled(lam, 173)) == float(_neg_log_oracle(lam, 173))
+
     def test_zero_measure_rejected(self):
         with pytest.raises(ZeroDivisionError):
             exact.neg_log_measure_scaled(Partition((1, 1, 1)), 2)
@@ -118,6 +158,10 @@ class TestPartitionCount:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             exact.partition_count(-1)
+
+    def test_matches_recurrence_up_to_10_4(self):
+        table = _pentagonal_table(10 ** 4)
+        assert [exact.partition_count(n) for n in range(len(table))] == table
 
     @given(st.integers(1, 40))
     @settings(max_examples=15, deadline=None)
