@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Iterator
 
 import mpmath
-import numpy as np
 
 from .diagrams import Partition
 
@@ -157,11 +156,13 @@ def neg_log_measure_scaled(lam: Partition, N: int) -> mpmath.mpf:
     difference of log-gammas.  The logarithms are taken at 50 significant
     decimal digits.
     """
+    if N < 1:
+        raise ValueError("N must be positive")
     if lam.height > N:
         raise ZeroDivisionError(f"measure of {lam} is zero for N={N}")
     n = lam.n
     weight = Counter({h: 2 * m for h, m in Counter(hook_lengths(lam)).items()})
-    weight.subtract(shifted_contents(lam, N))
+    weight.subtract(Counter(shifted_contents(lam, N)))
     top = min(n, max(weight, default=0))
     weight.subtract(range(1, top + 1))
     with mpmath.workdps(50):
@@ -206,15 +207,6 @@ def enumerate_diagrams(n: int, N: int) -> Iterator[Partition]:
         cur = nxt
 
 
-# Rademacher terms with mu_k below this are summed in floats.  Each is at
-# most 2k e^mu_k before the factor C / (2 sqrt(6) pi lam^2), so their float
-# rounding (~1e-15 relative) stays far below the 1/2 that rounding to p(n)
-# allows: 1e-15 C sum 2k e^mu_k / (2 sqrt(6) pi lam^2) peaks at 2.4e-5
-# (n = 136) and stays bounded in n.  tests/test_exact.py checks every
-# n <= 10^4 against the recurrence.
-_FLOAT_MU = 30.0
-
-
 def _rademacher_terms(n: int) -> int:
     """Fewest terms that put Lehmer's bound on the series remainder below 1/4 (n >= 2)."""
     x = math.pi * math.sqrt(2 * n / 3)
@@ -232,40 +224,23 @@ def partition_count(n: int) -> int:
     p(n) = C / (2 sqrt(6) pi lam^2) sum_k S_k (cosh mu_k - sinh mu_k / mu_k),
     where Selberg's S_k = sum (-1)^l cos(pi (6l + 1) / (6k)) runs over the
     0 <= l < 2k with (3l^2 + l)/2 = -n mod k (so A_k(n) = sqrt(k/3) S_k).
-    Terms with mu_k < _FLOAT_MU are summed in floats.  Each other term is
-    taken in mpmath at the digits of e^mu_k plus a margin; the first carries
-    the digit count of p(n).  The sum is rounded to the nearest integer.
+    The sum is taken at the digit count of e^mu_1 > p(n) plus a margin and
+    rounded to the nearest integer.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n < 2:
         return 1
     terms = _rademacher_terms(n)
-    k = np.arange(1, terms + 1)
-    l = np.arange(2 * terms)
-    hit = (l < 2 * k[:, None]) & (((3 * l * l + l) // 2 + n) % k[:, None] == 0)
-    mu = math.pi * math.sqrt(2 / 3) * math.sqrt(n - 1 / 24) / k
-    head = int(np.count_nonzero(mu >= _FLOAT_MU))
-    rows, cols = np.nonzero(hit[head:])
-    s = np.bincount(rows, (-1.0) ** cols * np.cos(np.pi * (6 * cols + 1) / (6 * k[head:][rows])),
-                    minlength=terms - head)
-    mu_f = mu[head:]
-    tail = float(np.sum(s * (np.cosh(mu_f) - np.sinh(mu_f) / mu_f)))
-    margin = 15
-    with mpmath.workdps(int(mu[0] / math.log(10)) + margin):
+    digits = int(math.pi * math.sqrt(2 / 3) * math.sqrt(n) / math.log(10)) + 15
+    with mpmath.workdps(digits):
         lam = mpmath.sqrt(mpmath.mpf(24 * n - 1) / 24)
         C = mpmath.pi * mpmath.sqrt(mpmath.mpf(2) / 3)
-        C_lam = C * lam
-        total = mpmath.mpf(tail)
-        for j in range(1, head + 1):
-            ls = np.flatnonzero(hit[j - 1]).tolist()
-            if not ls:
-                continue
-            with mpmath.workdps(int(mu[j - 1] / math.log(10)) + margin):
-                s_j = sum((-1) ** i * mpmath.cospi(mpmath.mpf(6 * i + 1) / (6 * j)) for i in ls)
-                mu_j = C_lam / j
-                e = mpmath.exp(mu_j)
-                inv = 1 / e
-                term = s_j * ((e + inv) - (e - inv) / mu_j) / 2
-            total += term
+        total = mpmath.mpf(0)
+        for k in range(1, terms + 1):
+            s_k = sum((-1) ** l * mpmath.cospi(mpmath.mpf(6 * l + 1) / (6 * k))
+                      for l in range(2 * k) if ((3 * l * l + l) // 2 + n) % k == 0)
+            if s_k:
+                mu = C * lam / k
+                total += s_k * (mpmath.cosh(mu) - mpmath.sinh(mu) / mu)
         return int(mpmath.nint(C * total / (2 * mpmath.sqrt(6) * mpmath.pi * lam ** 2)))

@@ -124,6 +124,11 @@ class TestMeasures:
         with pytest.raises(ZeroDivisionError):
             exact.neg_log_measure_scaled(Partition((1, 1, 1)), 2)
 
+    def test_nonpositive_N_rejected(self):
+        for lam in (Partition((2, 1)), Partition(())):
+            with pytest.raises(ValueError):
+                exact.neg_log_measure_scaled(lam, 0)
+
 
 class TestEnumeration:
     def test_counts_match_partition_function(self):
