@@ -131,13 +131,11 @@ class Profile:
         xs = [self.x0]
         ys = [abs(self.x0)]
         y = abs(self.x0)
-        prev = 0
         for k, s in enumerate(self.slopes):
             y += s
             if k + 1 == len(self.slopes) or self.slopes[k + 1] != s:
                 xs.append(self.x0 + k + 1)
                 ys.append(y)
-            prev = s
         return np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
 
     @cached_property
@@ -174,13 +172,8 @@ class Profile:
         y = abs(self.x0)
         for s in self.slopes:
             ym = Fraction(2 * y + s, 2)  # midpoint height of L
-            # midpoint of |X| over [x, x+1]
-            if x >= 0:
-                am = Fraction(2 * x + 1, 2)
-            elif x + 1 <= 0:
-                am = -Fraction(2 * x + 1, 2)
-            else:  # interval [-? .. ?] never happens: grid steps are unit
-                am = Fraction(1, 2)
+            # midpoint of |X| over [x, x+1], which never straddles 0 (x is an integer)
+            am = abs(Fraction(2 * x + 1, 2))
             total += ym - am
             y += s
             x += 1

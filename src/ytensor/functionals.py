@@ -20,6 +20,8 @@ quadrature.
 For a lattice profile the Sobolev norm of L - Omega_c is evaluated from those
 closed forms: exact phi_2 corner sums, the antiderivative of lemma I at the
 profile corners and lemma intIOmega's reduction of the shape self-energy.
+That reduction and the boundary penalty are each one tanh-sinh call over the
+array-valued G, H and H'; QUADPACK integrates only alpha_c and lemma_F3.
 The nested-quadrature routes (difference quotient, generic log kernel, the
 hook integral of a Curve and lemma intIOmega's left side) are kept as
 independent oracles for the tests; each gives quadrature.nested_tanh_sinh
@@ -503,22 +505,16 @@ def h_term(f: Curve, c: float) -> float:
     if c <= 0.0:
         raise ValueError("c must be positive")
     a, b = f.support
-    pts = f.kinks + (-0.5 / c,)
+    bulk = (0.5 * c - 1.0, 0.5 * c + 1.0)
+    if bulk[0] <= a and b <= bulk[1]:
+        return 0.0  # f lives inside the bulk |s - c/2| <= 1, where H' is 0
 
-    def g(s: float) -> float:
+    def integrand(s):
         z = s - 0.5 * c
-        if abs(z) <= 1.0:
-            return 0.0  # H' extends continuously by 0 at |z| = 1
-        return H_tilde_prime(c, z) * f.fn(s)
+        out = np.abs(z) > 1.0  # H' extends continuously by 0 to |z| <= 1
+        return np.where(out, H_tilde_prime(c, np.where(out, z, 2.0)) * f.fn(s), 0.0)
 
-    total = 0.0
-    left_hi = min(0.5 * c - 1.0, b)
-    if a < left_hi:
-        total += quad_breakpoints(g, a, left_hi, pts)
-    right_lo = max(0.5 * c + 1.0, a)
-    if right_lo < b:
-        total += quad_breakpoints(g, right_lo, b, pts)
-    return 2.0 * total
+    return 2.0 * tanh_sinh(integrand, a, b, f.kinks + bulk + (-0.5 / c,))
 
 
 # ---------------------------------------------------------------------------
@@ -652,18 +648,17 @@ def lemma_F3(c: float, x: float) -> tuple[float, float]:
 def _int_I_omega_closed(c: float, a: float, b: float) -> float:
     """Closed reduction of int_a^b I_c(s) Omega_c'(s) ds (lemma intIOmega).
 
-    1 - c^2/4 - 2 phi_2(b-a) + 2 int G_c Omega_c' - 2 int H_c Omega_c'
-    (+ an extra constant for c > 1); the two remaining integrals are
+    1 - c^2/4 - 2 phi_2(b-a) + 2 int (G_c - H_c) Omega_c'
+    (+ an extra constant for c > 1); the remaining integral is
     one-dimensional and nonsingular.
     """
     lo_s, hi_s = shape_support(c)
     if not (a < lo_s and b > hi_s):
         raise ValueError("window must strictly contain the shape support")
     pts = tuple(shape_breakpoints(c)) + (0.0, -0.5 / c)
-    int_G = quad_breakpoints(lambda s: G(c, s) * omega_c_prime(c, s), a, b, pts)
-    int_H = quad_breakpoints(lambda s: H_tilde(c, s - 0.5 * c) * omega_c_prime(c, s),
-                             a, b, pts + (0.5 * c - 1.0, 0.5 * c + 1.0))
-    val = 1.0 - c * c / 4.0 - 2.0 * phi(2, b - a) + 2.0 * int_G - 2.0 * int_H
+    int_GH = tanh_sinh(lambda s: (G(c, s) - H_tilde(c, s - 0.5 * c)) * omega_c_prime(c, s),
+                       a, b, pts)
+    val = 1.0 - c * c / 4.0 - 2.0 * phi(2, b - a) + 2.0 * int_GH
     if c > 1.0:
         val += 1.0 - 5.0 / (4.0 * c * c) + c * c / 4.0 - (2.0 + 1.0 / (c * c)) * math.log(c)
     return val
@@ -690,7 +685,9 @@ def lemma_intIOmega(c: float, a: float, b: float) -> tuple[float, float]:
 def alpha_constant(c: float) -> float:
     """alpha_c = (1/4) int_{-1}^{1} (sign(z) - Omega_c'(z + c/2))^2 dz.
 
-    At c = 0 this reduces to 2/pi - 4/pi^2.
+    At c = 0 this reduces to 2/pi - 4/pi^2.  Near c = 1, Omega_c' turns within
+    ~(1 - c)^2 of z = -1; there tanh-sinh was off by up to 2.7e-9 while
+    reporting convergence, QUADPACK by at most 4.5e-14.
     """
     if c < 0.0:
         raise ValueError("c must be nonnegative")

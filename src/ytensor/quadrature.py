@@ -1,12 +1,15 @@
 """Thin quadrature helpers shared by the variational layer, taking breakpoint
-lists: QUADPACK for scalar integrands (quad_breakpoints), tanh-sinh for array
-integrands with integrable endpoint singularities (tanh_sinh), and two-level
-tanh-sinh for double integrals with a singular diagonal (nested_tanh_sinh).
+lists: tanh-sinh for array integrands with integrable endpoint singularities
+(tanh_sinh), two-level tanh-sinh for double integrals with a singular diagonal
+(nested_tanh_sinh), and QUADPACK (quad_breakpoints) for the scalar integrands
+of alpha_constant and lemma_F3.
 
 The policy is fixed: absolute and relative tolerance 1e-9, at most 400
 QUADPACK subdivisions, and INNER_ABS_TOL = 1e-10 for the inner integrals of
 nested_tanh_sinh, so that their error stays below what the outer integral
-resolves.  A tanh-sinh panel that does not converge raises ArithmeticError.
+resolves.  An unconverged tanh-sinh panel or QUADPACK call raises
+ArithmeticError.  Breakpoints a few ulps apart are merged: scipy's tanhsinh
+returns NaN on a one-ulp panel.
 """
 
 from __future__ import annotations
@@ -23,9 +26,19 @@ MAX_SUBDIVISIONS = 400
 NESTED_BLOCK = 64  # outer nodes per inner tanh-sinh call; bounds its memory
 
 
+def _thin(lo, hi):
+    """Whether [lo, hi] is at most a few ulps wide (elementwise)."""
+    return hi - lo <= 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+
+
 def _edges(a: float, b: float, points) -> np.ndarray:
-    """a, the breakpoints strictly inside (a, b) in order, and b."""
-    return np.array([a] + sorted({float(p) for p in points if a < p < b}) + [b])
+    """a, the breakpoints strictly inside (a, b) in order, and b, leaving out
+    each breakpoint a few ulps from the edge before it or from b."""
+    edges = [a]
+    for p in sorted({float(p) for p in points if a < p < b}):
+        if not (_thin(edges[-1], p) or _thin(p, b)):
+            edges.append(p)
+    return np.array(edges + [b])
 
 
 def _converged(res, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -38,12 +51,16 @@ def _converged(res, lo: np.ndarray, hi: np.ndarray) -> None:
 
 
 def quad_breakpoints(f, a: float, b: float, points=()) -> float:
-    """Adaptive quadrature of a scalar f over [a, b], splitting at breakpoints."""
+    """Adaptive quadrature of a scalar f over [a, b], splitting at breakpoints;
+    raises ArithmeticError naming [a, b] when QUADPACK reports a problem."""
     if a == b:
         return 0.0
     pts = _edges(a, b, points)[1:-1].tolist()
-    val, _ = integrate.quad(f, a, b, points=pts or None, epsabs=ABS_TOL, epsrel=REL_TOL,
-                            limit=max(MAX_SUBDIVISIONS, 10 * (len(pts) + 1)))
+    val, _, _, *problem = integrate.quad(f, a, b, points=pts or None, epsabs=ABS_TOL,
+                                         epsrel=REL_TOL, limit=MAX_SUBDIVISIONS, full_output=1)
+    if problem:
+        raise ArithmeticError(f"QUADPACK did not converge on [{a!r}, {b!r}]: "
+                              f"{problem[0].splitlines()[0]}")
     return val
 
 
@@ -71,7 +88,8 @@ def nested_tanh_sinh(kernel, weight, a: float, b: float, points=()) -> float:
 
     kernel(s, t) and weight(s) take broadcastable arrays; the kernel may have
     an integrable singularity at t = s.  One tanh-sinh call takes the inner
-    integrals of NESTED_BLOCK outer nodes s, each panel split at s clipped into it.
+    integrals of NESTED_BLOCK outer nodes s, each panel split at s clipped into
+    it, unless s lies within a few ulps of the panel's ends.
     """
     edges = _edges(a, b, points)
     lo, hi = edges[:-1], edges[1:]
@@ -82,6 +100,7 @@ def nested_tanh_sinh(kernel, weight, a: float, b: float, points=()) -> float:
         for start in range(0, len(flat), NESTED_BLOCK):
             s_blk = flat[start:start + NESTED_BLOCK]
             cut = np.clip(s_blk, lo, hi)
+            cut = np.where(_thin(lo, cut), lo, np.where(_thin(cut, hi), hi, cut))
             p_lo = np.concatenate([np.broadcast_to(lo, cut.shape), cut], axis=1)
             p_hi = np.concatenate([cut, np.broadcast_to(hi, cut.shape)], axis=1)
             res = integrate.tanhsinh(lambda t, s_: kernel(s_, t), p_lo, p_hi, args=(s_blk,),

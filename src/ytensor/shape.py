@@ -6,7 +6,9 @@ the closed-form functions H, G, J that appear in the variational identity.
 Shifted arguments are written z = s - c/2 throughout; functions named
 ``*_tilde`` take the shifted coordinate.  omega, omega_c, omega_c_prime and
 phi take floats or numpy arrays through one numpy body: a float in gives a
-float out, an array in gives an array out.
+float out, an array in gives an array out.  So do G and, through one shared
+body masked for |z| <= 1 and the pole of the inner arccosh, H_tilde,
+H_tilde_prime and J_tilde; H_tilde_second and omega_c_second take floats only.
 """
 
 from __future__ import annotations
@@ -35,16 +37,6 @@ __all__ = [
 def _result(out: np.ndarray):
     """A 0-d result as a float, any other result as the array itself."""
     return float(out) if out.ndim == 0 else out
-
-
-def _acosh_abs(x: float) -> float:
-    """arccosh(|x|), treating |x| slightly below 1 as exactly 1."""
-    a = abs(x)
-    if a < 1.0:
-        if a > 1.0 - 1e-12:
-            return 0.0
-        raise ValueError(f"arccosh argument {x} inside (-1, 1)")
-    return math.acosh(a)
 
 
 def omega(X):
@@ -135,39 +127,41 @@ def _require_positive_c(c: float) -> None:
         raise ValueError("defined only for c > 0")
 
 
-def _inner_acosh_arg(c: float, z: float) -> float:
-    """|(1 + a z) / (z + a)| with a = (1+c^2)/(2c); the recurring arccosh argument."""
+def _off_bulk(c: float, z, k: int):
+    """The shared body of H_tilde, H_tilde_prime and J_tilde.
+
+    Returns the mask |z| > 1; zo, which is z where the mask holds and 2
+    elsewhere, so that every piece is finite and callers mask results back;
+    arccosh|zo|; sign(zo) sqrt(zo^2 - 1); and sgn(1 - c) (zo + a)^k
+    arccosh|(1 + a zo)/(zo + a)| with a = (1+c^2)/(2c).  At the pole zo = -a
+    the last one takes its limit: 0 for k > 0, infinite for k = 0.  An
+    arccosh argument rounded below 1 counts as 1.
+    """
+    _require_positive_c(c)
+    z = np.asarray(z, dtype=float)
+    out = np.abs(z) > 1.0
+    zo = np.where(out, z, 2.0)
     a = (1.0 + c * c) / (2.0 * c)
-    denom = z + a
-    if denom == 0.0:
-        raise ZeroDivisionError("arccosh argument pole at z = -(1+c^2)/(2c)")
-    return abs((1.0 + a * z) / denom)
+    d = zo + a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = np.power(d, k) * np.arccosh(np.maximum(np.abs((1.0 + a * zo) / d), 1.0))
+    inner = np.sign(1.0 - c) * np.where(d == 0.0, 0.0 if k else np.inf, inner)
+    root = np.copysign(np.sqrt(zo * zo - 1.0), zo)
+    return out, zo, np.arccosh(np.abs(zo)), root, inner
 
 
-def H_tilde(c: float, z: float) -> float:
+def H_tilde(c: float, z):
     """The boundary-penalty function H in shifted coordinates; zero on |z| <= 1."""
-    _require_positive_c(c)
-    if abs(z) <= 1.0:
-        return 0.0
-    a = (1.0 + c * c) / (2.0 * c)
-    sgn_1c = float(np.sign(1.0 - c))
-    t1 = (z - (1.0 - c * c) / (2.0 * c)) * _acosh_abs(z)
-    t3 = math.copysign(math.sqrt(z * z - 1.0), z)
-    if z + a == 0.0:
-        # (z + a) * arccosh -> 0 as z approaches the pole of the inner argument
-        t2 = 0.0
-    else:
-        t2 = sgn_1c * (z + a) * _acosh_abs(_inner_acosh_arg(c, z))
-    return t1 + t2 - t3
+    out, z, acz, root, inner = _off_bulk(c, z, 1)
+    return _result(np.where(out, (z - (1.0 - c * c) / (2.0 * c)) * acz + inner - root, 0.0))
 
 
-def H_tilde_prime(c: float, z: float) -> float:
-    """Derivative of H_tilde for |z| > 1."""
-    _require_positive_c(c)
-    if abs(z) <= 1.0:
+def H_tilde_prime(c: float, z):
+    """Derivative of H_tilde; every |z| must exceed 1."""
+    out, _, acz, _, inner = _off_bulk(c, z, 0)
+    if not np.all(out):
         raise ValueError("H_tilde_prime is defined for |z| > 1")
-    sgn_1c = float(np.sign(1.0 - c))
-    return _acosh_abs(z) + sgn_1c * _acosh_abs(_inner_acosh_arg(c, z))
+    return _result(acz + inner)
 
 
 def H_tilde_second(c: float, z: float) -> float:
@@ -179,26 +173,19 @@ def H_tilde_second(c: float, z: float) -> float:
     return math.copysign(1.0, z) * (z + 1.0 / c) / ((a + z) * math.sqrt(z * z - 1.0))
 
 
-def G(c: float, s: float) -> float:
+def G(c: float, s):
     """G_c(s) = (1/c) phi_1((1+2cs)/2) - (1-c^2)/(2c); G' = -ln|1+2cs|."""
     _require_positive_c(c)
     return phi(1, 0.5 * (1.0 + 2.0 * c * s)) / c - (1.0 - c * c) / (2.0 * c)
 
 
-def J_tilde(c: float, z: float) -> float:
+def J_tilde(c: float, z):
     """Antiderivative of H_tilde: zero on |z| <= 1, closed form outside."""
-    _require_positive_c(c)
-    if abs(z) <= 1.0:
-        return 0.0
-    a = (1.0 + c * c) / (2.0 * c)
-    sgn_1c = float(np.sign(1.0 - c))
-    t1 = 0.5 * (1.0 - 0.5 / (c * c) + (z + (c * c - 1.0) / (2.0 * c)) ** 2) * _acosh_abs(z)
-    t2 = math.copysign(1.0, z) * (1.0 - c * c - 3.0 * c * z) / (4.0 * c) * math.sqrt(z * z - 1.0)
-    if abs(z + a) < 1e-14:
-        t3 = 0.0  # quadratic prefactor kills the log divergence at the pole
-    else:
-        t3 = sgn_1c * 0.5 * (z + a) ** 2 * _acosh_abs(_inner_acosh_arg(c, z))
-    return t1 + t2 + t3
+    out, z, acz, root, inner = _off_bulk(c, z, 2)
+    shift = z + (c * c - 1.0) / (2.0 * c)
+    t1 = 0.5 * (1.0 - 0.5 / (c * c) + shift * shift) * acz
+    t2 = (1.0 - c * c - 3.0 * c * z) / (4.0 * c) * root
+    return _result(np.where(out, t1 + t2 + 0.5 * inner, 0.0))
 
 
 def shape_support(c: float) -> tuple[float, float]:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -185,6 +186,17 @@ class TestSobolev:
         assert k_quot == pytest.approx(k_fast, abs=1e-6)
         assert k_log == pytest.approx(k_fast, abs=1e-8)
 
+    def test_nested_routes_with_breakpoints_an_ulp_apart(self):
+        # a sample_schur_weyl(400, 25, 44, 20) draw: its profile has a corner at
+        # 1.4000000000000001, one ulp from the shape's kink c/2 + 1 = 1.4
+        lam = Partition((56, 41, 39, 34, 29, 26, 24, 21, 19, 17, 15, 13, 13, 10, 10, 10, 8,
+                         5, 4, 3, 2, 1))
+        f = F.profile_minus_shape(profile(lam), 0.8)
+        assert {1.4, 1.4000000000000001} <= set(f.kinks)
+        k_fast = F.sobolev_half_sq(f)
+        assert F.sobolev_half_sq(f, route="difference-quotient") == pytest.approx(k_fast, abs=1e-6)
+        assert F._sobolev_logkernel_generic(f) == pytest.approx(k_fast, abs=1e-6)
+
     def test_profile_below_default_window_rejected(self):
         # a column of 4 cells at c = 4 reaches X = -2, left of the window's -0.625.
         with pytest.raises(ValueError):
@@ -318,6 +330,21 @@ class TestConstants:
         for c in [0.1, 0.5, 1.0, 2.0, 5.0]:
             a = F.alpha_constant(c)
             assert 0.0 < a < beta
+
+    @pytest.mark.parametrize("c", [0.5, 0.99, math.sqrt(30000) / 173, 1.01, 2.0])
+    def test_alpha_matches_mpmath_reference(self, c):
+        # On |z| <= 1, s = z + c/2 lies in the bulk, where Omega_c'(s) is
+        # (2/pi) arcsin((z + c)/sqrt(1 + c^2 + 2cz)); near c = 1 it turns
+        # from -sign(1 - c) to about 0 within ~(1 - c)^2 of z = -1.
+        with mpmath.workdps(30):
+            cc = mpmath.mpf(c)
+
+            def g(z):
+                arc = mpmath.asin((z + cc) / mpmath.sqrt(1 + cc * cc + 2 * cc * z))
+                return (mpmath.sign(z) - 2 / mpmath.pi * arc) ** 2
+
+            ref = mpmath.quad(g, sorted({-1, -1 + (1 - cc) ** 2, 0, 1})) / 4
+        assert F.alpha_constant(c) == pytest.approx(float(ref), abs=1e-12)
 
     def test_beta(self):
         assert F.beta_constant() ** 2 == pytest.approx(4 * math.pi ** 2 / 6, abs=1e-12)

@@ -130,6 +130,24 @@ class TestArrayKernels:
         with pytest.raises(ValueError):
             shape.phi(0, xs)
 
+    @pytest.mark.parametrize("kernel", [shape.H_tilde, shape.H_tilde_prime, shape.G, shape.J_tilde])
+    def test_H_G_J_array_equals_elementwise_float(self, kernel):
+        for c in [0.5, 1.0, 2.0]:
+            pole = -(1.0 + c * c) / (2.0 * c)  # the inner arccosh's pole; -1 at c = 1
+            z = np.concatenate([np.linspace(-3.0, 3.0, 25), [-1.0, 1.0, -1.0 - 1e-12, 1.0 + 1e-12],
+                                pole + np.array([-1e-9, 0.0, 1e-9])])
+            if kernel is shape.H_tilde_prime:
+                z = z[np.abs(z) > 1.0]
+            got = kernel(c, z)
+            assert isinstance(got, np.ndarray) and got.shape == z.shape
+            want = [kernel(c, float(x)) for x in z]
+            assert all(type(v) is float for v in want)
+            np.testing.assert_array_equal(got, want)
+
+    def test_H_prime_rejects_any_bulk_point(self):
+        with pytest.raises(ValueError):
+            shape.H_tilde_prime(2.0, np.array([-1.5, 1.0, 1.5]))
+
     def test_curved_branch_accurate_near_support_ends(self):
         # the plain arcsin/arccos form lost ~1e-9 this close to the ends.
         def reference(c, s):
