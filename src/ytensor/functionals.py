@@ -506,8 +506,6 @@ def h_term(f: Curve, c: float) -> float:
         raise ValueError("c must be positive")
     a, b = f.support
     bulk = (0.5 * c - 1.0, 0.5 * c + 1.0)
-    if bulk[0] <= a and b <= bulk[1]:
-        return 0.0  # f lives inside the bulk |s - c/2| <= 1, where H' is 0
 
     def integrand(s):
         z = s - 0.5 * c

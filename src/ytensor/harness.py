@@ -594,7 +594,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:  # a non-integral exact quotient, an unconverged quadrature
+    except ArithmeticError as exc:  # a non-integral quotient, unconverged quadrature, RSK breach
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 2

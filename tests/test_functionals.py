@@ -221,7 +221,7 @@ class TestHTerm:
     def test_bulk_supported_f_gives_zero(self):
         # anything supported inside |s - c/2| <= 1 never meets the integrand.
         c = 1.0
-        f = F.Curve(fn=lambda s: max(0.0, 0.2 - abs(s - 0.5)),
+        f = F.Curve(fn=lambda s: np.maximum(0.0, 0.2 - np.abs(s - 0.5)),
                     prime=lambda s: 0.0, support=(0.3, 0.7), kinks=())
         assert F.h_term(f, c) == 0.0
 

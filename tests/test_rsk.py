@@ -1,10 +1,12 @@
 import hashlib
+import itertools
 import json
 import math
 from bisect import bisect_left
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from ytensor.diagrams import Partition
@@ -47,6 +49,47 @@ class TestInsertion:
             letters = rng.integers(1, 6, size=18).tolist()
             lam = rsk.rsk_shape_from_letters(letters)
             assert lam.rows[0] == longest_increasing_run(letters)
+
+
+def bisect_shapes(words):
+    return [rsk.rsk_shape_from_letters(w) for w in np.asarray(words).tolist()]
+
+
+class TestWordKernel:
+    # rsk_shapes_from_words against the per-letter bisect loop.
+
+    @pytest.mark.parametrize("n, N", [(n, N) for n in range(1, 8) for N in (1, 2, 3)]
+                             + [(n, N) for n in range(1, 6) for N in (4, 5)])
+    def test_every_word(self, n, N):
+        words = np.array(list(itertools.product(range(1, N + 1), repeat=n)))
+        assert rsk.rsk_shapes_from_words(words) == bisect_shapes(words)
+
+    @pytest.mark.parametrize("n, N", [(1, 1), (9, 1), (1, 6), (4, 9), (12, 40), (6, 6), (25, 25)],
+                             ids=["n=N=1", "N=1", "n=1", "N>n", "N>>n", "N=n", "N=n=25"])
+    def test_edge_cases(self, n, N):
+        words = np.random.default_rng(n * 100 + N).integers(1, N + 1, size=(50, n))
+        assert rsk.rsk_shapes_from_words(words) == bisect_shapes(words)
+
+    def test_random_words(self):
+        words = np.random.default_rng(7).integers(1, 46, size=(4, 2000))
+        assert rsk.rsk_shapes_from_words(words) == bisect_shapes(words)
+
+    def test_one_long_word(self):
+        word = np.random.default_rng(8).integers(1, 174, size=(1, 30_000))
+        assert rsk.rsk_shapes_from_words(word) == bisect_shapes(word)
+
+    @given(st.integers(1, 10).flatmap(lambda N: st.lists(
+        st.lists(st.integers(1, N), min_size=1, max_size=40), min_size=1, max_size=4)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_bisect_loop(self, words):
+        n = min(map(len, words))
+        words = np.array([w[:n] for w in words])
+        assert rsk.rsk_shapes_from_words(words) == bisect_shapes(words)
+
+    def test_chunked_calls_match_one_call(self, monkeypatch):
+        one_call = rsk.sample_schur_weyl(30, 4, seed=3, count=25)
+        monkeypatch.setattr(rsk, "_KERNEL_LETTERS", 70)  # two words per call
+        assert rsk.sample_schur_weyl(30, 4, seed=3, count=25) == one_call
 
 
 class TestSamplers:
