@@ -43,7 +43,7 @@ class Partition:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(map(int, self.rows))
+        rows = tuple(map(operator.index, self.rows))
         object.__setattr__(self, "rows", rows)
         if rows and min(rows) <= 0:
             raise ValueError(f"row lengths must be positive: {rows}")

@@ -481,23 +481,17 @@ def _sobolev_profile_shape(f: _ProfileMinusShape) -> float:
     return -s_ll + 2.0 * s_lo - s_oo
 
 
-def sobolev_half_sq(f: Curve, route: str = "log-kernel") -> float:
-    """(1/2) ||f||^2_{1/2} for a compactly supported piecewise-smooth f.
+def sobolev_half_sq(f: Curve) -> float:
+    """(1/2) ||f||^2_{1/2} for a profile-minus-shape difference f = L - Omega_c.
 
-    Routes: "log-kernel" integrates -ln|2(s-t)| f'(s) f'(t); when f is a
-    profile-minus-shape difference this is evaluated in closed form from
-    lemmas I and intIOmega, otherwise by nested quadrature.
-    "difference-quotient" integrates ((f(s)-f(t))/(s-t))^2 over the plane by
-    nested quadrature.  The two agree (the Fourier symbols coincide since
-    int f' = 0); the nested routes serve as test oracles.
+    The log-kernel form -iint ln|2(s-t)| f'(s) f'(t) is evaluated in closed form
+    from lemmas I and intIOmega.  The nested oracles _sobolev_quotient (the
+    difference quotient over the plane) and _sobolev_logkernel_generic take any
+    Curve; the Fourier symbols coincide since int f' = 0.
     """
-    if route == "difference-quotient":
-        return _sobolev_quotient(f)
-    if route == "log-kernel":
-        if isinstance(f, _ProfileMinusShape):
-            return _sobolev_profile_shape(f)
-        return _sobolev_logkernel_generic(f)
-    raise ValueError(f"unknown route {route!r}")
+    if not isinstance(f, _ProfileMinusShape):
+        raise TypeError("sobolev_half_sq takes a profile_minus_shape difference")
+    return _sobolev_profile_shape(f)
 
 
 def h_term(f: Curve, c: float) -> float:
@@ -687,8 +681,8 @@ def alpha_constant(c: float) -> float:
     ~(1 - c)^2 of z = -1; there tanh-sinh was off by up to 2.7e-9 while
     reporting convergence, QUADPACK by at most 4.5e-14.
     """
-    if c < 0.0:
-        raise ValueError("c must be nonnegative")
+    if not (math.isfinite(c) and c >= 0.0):
+        raise ValueError("c must be finite and nonnegative")
 
     def g(z: float) -> float:
         d = (1.0 if z > 0.0 else -1.0 if z < 0.0 else 0.0) - omega_c_prime(c, z + 0.5 * c)

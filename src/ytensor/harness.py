@@ -13,6 +13,12 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure (including an ArithmeticError
 such as an unconverged quadrature), 2 usage error.  All randomized
 commands are bit-reproducible for a fixed seed regardless of scheduling.
+
+verify-all chains the identity families sum_rules, measure_routes,
+chi_square, decomposition, variational_identity (with minimizer_gap),
+gap_positivity, lemmas, sobolev_routes, derivatives, constants_and_series
+and hat_inequality, plus p(100).  Each family takes its sizes and seed as
+parameters; the acceptance tests run the same families at larger sizes.
 """
 
 from __future__ import annotations
@@ -21,7 +27,9 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -44,6 +52,7 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 40
+SHAPE_GRID_CAP = 10 ** 6
 SAMPLING_CAP = 10 ** 6
 BIANE_GRID_STEP = 1e-3
 
@@ -255,6 +264,9 @@ def cmd_emit_shape(c: float, step: float = 0.01) -> str:
     if not step > 0.0:
         raise ValueError("step must be positive")
     lo, hi = shape.shape_support(c)
+    points = (hi - lo + 1.0) / step
+    if not points <= SHAPE_GRID_CAP:  # also rejects a NaN count
+        raise ValueError(f"the grid exceeds the shape grid cap {SHAPE_GRID_CAP} points")
     return shape.emit_shape_csv(c, np.arange(lo - 0.5, hi + 0.5 + step / 2, step))
 
 
@@ -263,159 +275,172 @@ def cmd_emit_shape(c: float, step: float = 0.01) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _check(report: list, test: str, params: dict, lhs: float, rhs: float,
-           tol: float, coverage: set, tags: tuple[str, ...]) -> None:
-    err = abs(lhs - rhs)
-    report.append({"test": test, "params": params, "lhs": lhs, "rhs": rhs,
-                   "abs_err": err, "tol": tol, "pass": bool(err <= tol)})
-    coverage.update(tags)
+def run_checks(checks) -> tuple[list[dict], set[str]]:
+    """The report records and coverage tags of (test, params, lhs, rhs, tol, tags) tuples."""
+    records: list[dict] = []
+    cov: set[str] = set()
+    for test, params, lhs, rhs, tol, tags in checks:
+        err = abs(lhs - rhs)
+        records.append({"test": test, "params": params, "lhs": lhs, "rhs": rhs,
+                        "abs_err": err, "tol": tol, "pass": bool(err <= tol)})
+        cov.update(tags)
+    return records, cov
+
+
+# Identity families: each yields one (test, params, lhs, rhs, tol, tags) tuple per
+# check.  The defaults are verify-all's sizes; the acceptance tests pass larger ones.
+
+
+def sum_rules(tensor=((3, 2), (5, 3), (6, 4)), plancherel=(4, 8)):
+    """sum dim_iso = N^n over Y_N^n and sum dim_sym^2 = n!."""
+    for n, N in tensor:
+        total = sum(exact.dim_iso(lam, N) for lam in exact.enumerate_diagrams(n, N))
+        yield ("sum_dim_iso", {"n": n, "N": N}, float(total), float(N ** n), 0.0,
+               ("sum-rule-tensor",))
+    for n in plancherel:
+        total = sum(exact.dim_sym(lam) ** 2 for lam in exact.enumerate_diagrams(n, n))
+        yield ("sum_dim_sym_sq", {"n": n}, float(total), float(math.factorial(n)), 0.0,
+               ("sum-rule-plancherel",))
+
+
+def measure_routes(sizes=((5, 3), (6, 2))):
+    """The Schur-Weyl measure by hooks and by the content product, as rationals."""
+    for n, N in sizes:
+        for lam in exact.enumerate_diagrams(n, N):
+            yield ("measure_two_routes", {"lam": str(lam), "N": N},
+                   float(exact.schur_weyl_measure(lam, N).value),
+                   float(exact.schur_weyl_via_contents(lam, N)), 0.0,
+                   ("measure-content-product",))
+
+
+def chi_square(sizes=((4, 2),), count=20000, seed=0):
+    """Chi-square fit of count RSK samples per (n, N); passes when p > 1e-3."""
+    from scipy import stats
+    for n, N in sizes:
+        observed = Counter(rsk.sample_schur_weyl(n, N, seed, count))
+        chisq = 0.0
+        dof = -1
+        for lam in exact.enumerate_diagrams(n, N):
+            e = float(exact.schur_weyl_measure(lam, N).value) * count
+            chisq += (observed[lam] - e) ** 2 / e
+            dof += 1
+        pval = float(stats.chi2.sf(chisq, dof))
+        yield ("sampler_chi_square", {"n": n, "N": N, "count": count, "chisq": chisq,
+                                      "dof": dof},
+               pval, pval if pval > 1e-3 else -1.0, 0.0, ("rsk-sampler",))
+
+
+def decomposition(n=64, N=8, count=5, seed=1):
+    """eps_1 = 1, and the residual eps_n is the same on count sampled diagrams."""
+    yield ("eps_1", {}, functionals.prop31_decompose(Partition((1,)), 1).residual, 1.0,
+           1e-12, ("decomposition",))
+    res = [functionals.prop31_decompose(lam, N).residual
+           for lam in rsk.sample_schur_weyl(n, N, seed, count)]
+    yield ("residual_lambda_independent", {"n": n, "N": N}, max(res), min(res), 1e-9,
+           ("decomposition", "eps-independence"))
+
+
+def minimizer_gap(cs=(0.5, 2.0)):
+    """theta - rho vanishes at Omega_c."""
+    for c in cs:
+        yield ("minimizer_gap", {"c": c}, functionals.theta_shape(c),
+               functionals.rho(functionals.shape_curve(c), c), 1e-6,
+               ("minimizer", "hook-integral-quadrature"))
+
+
+def variational_identity(n=100, N=12, count=6, keep=2, seed=2, cs=(0.5, 2.0)):
+    """The variational identity on the first keep of count samples with fewer than
+    N rows, then the minimizer gap at each c in cs."""
+    kept = [lam for lam in rsk.sample_schur_weyl(n, N, seed, count) if lam.height < N]
+    for lam in kept[:keep]:
+        lhs, rhs = functionals.prop41_identity(lam, N)
+        yield ("variational_identity", {"n": n, "N": N, "lam": str(lam)}, lhs, rhs, 1e-6,
+               ("variational-identity",))
+    yield from minimizer_gap(cs)
+
+
+def gap_positivity(n=100, N=10, count=10, seed=3):
+    """theta - rho >= -1e-9 on count sampled profiles."""
+    c_n = math.sqrt(n) / N
+    profs = [profile(lam) for lam in rsk.sample_schur_weyl(n, N, seed, count)]
+    worst = min(functionals.theta_profile(p) - functionals.rho(p, c_n) for p in profs)
+    yield "gap_nonnegative", {"n": n, "N": N}, min(worst, 0.0), 0.0, 1e-9, ("gap-positivity",)
+
+
+def lemmas(c_grid):
+    """Lemmas A, I, F3 and intIOmega: quadrature against closed form at each c."""
+    for c in c_grid:
+        a, b = functionals.default_window(c)
+        yield "lemma_A", {"c": c}, *functionals.lemma_A(c), 1e-7, ("lemma-A",)
+        yield ("lemma_I", {"c": c}, *functionals.lemma_I(c, 0.5 * c + 1.2, a, b), 1e-7,
+               ("lemma-I",))
+        yield "lemma_F3", {"c": c}, *functionals.lemma_F3(c, 0.3), 1e-7, ("lemma-F3",)
+        yield ("lemma_intIOmega", {"c": c}, *functionals.lemma_intIOmega(c, a, b), 1e-6,
+               ("lemma-intIOmega",))
+
+
+def sobolev_routes():
+    """The nested difference quotient against the closed-form Sobolev norm of L - Omega_1."""
+    f = functionals.profile_minus_shape(profile(Partition((1,))), 1.0)
+    yield ("sobolev_routes", {"lam": "1", "c": 1.0}, functionals._sobolev_quotient(f),
+           functionals.sobolev_half_sq(f), 1e-6, ("sobolev-half-norm",))
+
+
+def derivatives(cs=(0.5, 2.0), zs=(1.7,), ss=(0.3,), h=1e-6):
+    """H', H'', J' = H at each z and Omega', G' at each s against central differences."""
+    def fd(fn, c, x):
+        return (fn(c, x + h) - fn(c, x - h)) / (2 * h)
+
+    for c in cs:
+        for z in zs:
+            yield ("H_prime_fd", {"c": c, "z": z}, shape.H_tilde_prime(c, z),
+                   fd(shape.H_tilde, c, z), 1e-6, ("H-function",))
+            yield ("H_second_fd", {"c": c, "z": z}, shape.H_tilde_second(c, z),
+                   fd(shape.H_tilde_prime, c, z), 1e-5, ("H-function",))
+            yield ("J_prime_is_H", {"c": c, "z": z}, fd(shape.J_tilde, c, z),
+                   shape.H_tilde(c, z), 1e-6, ("J-function",))
+        for s in ss:
+            yield ("omega_prime_fd", {"c": c, "s": s}, shape.omega_c_prime(c, s),
+                   fd(shape.omega_c, c, s), 1e-6, ("limit-shape",))
+            yield ("G_prime_fd", {"c": c, "s": s}, -math.log(abs(1 + 2 * c * s)),
+                   fd(shape.G, c, s), 1e-6, ("G-function",))
+
+
+def constants_and_series(zs=(0.3,)):
+    """alpha_0, beta and m(1) in closed form, and the power-series identity at each z."""
+    yield ("alpha_0_closed", {}, functionals.alpha_constant(0.0),
+           2 / math.pi - 4 / math.pi ** 2, 1e-10, ("alpha-constant",))
+    yield ("beta_value", {}, functionals.beta_constant(), 2 * math.pi / math.sqrt(6),
+           1e-14, ("beta-constant",))
+    yield ("m_at_1", {}, functionals.m_series(1.0), 3 - 4 * math.log(2), 1e-12,
+           ("m-series",))
+    for z in zs:
+        lhs = -3 + (1 + 1 / z) ** 2 * math.log(1 + z) + (1 / z - 1) ** 2 * math.log(1 - z)
+        rhs = -sum(z ** (2 * k) / (k * (k + 1) * (2 * k + 1)) for k in range(1, 100))
+        yield "power_series_identity", {"z": z}, lhs, rhs, 1e-10, ("power-series-identity",)
+
+
+def hat_inequality(n=8, N=4):
+    """theta_hat >= rho_hat on every diagram of Y_N^n."""
+    bad = sum(1 for lam in exact.enumerate_diagrams(n, N)
+              if functionals.theta_hat(lam) < functionals.rho_hat(lam, N) - 1e-12)
+    yield "hat_inequality", {"n": n, "N": N}, float(bad), 0.0, 0.0, ("hat-inequality",)
 
 
 def cmd_verify_all(c_grid: tuple[float, ...] = (0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0),
                    seed: int = 0) -> dict:
-    """Run every identity suite once and return the JSON-ready report.
+    """Run every identity family once and return the JSON-ready report.
 
     The coverage manifest lists which identities were exercised; tests assert
     it is complete.  Deterministic: fixed seed, fixed evaluation order.
     """
-    checks: list[dict] = []
-    cov: set[str] = set()
-
-    # Exact sum rules.
-    for n, N in [(3, 2), (5, 3), (6, 4)]:
-        total = sum(exact.dim_iso(lam, N) for lam in exact.enumerate_diagrams(n, N))
-        _check(checks, "sum_dim_iso", {"n": n, "N": N}, float(total), float(N ** n),
-               0.0, cov, ("sum-rule-tensor",))
-    for n in [4, 8]:
-        total = sum(exact.dim_sym(lam) ** 2 for lam in exact.enumerate_diagrams(n, n))
-        _check(checks, "sum_dim_sym_sq", {"n": n}, float(total),
-               float(math.factorial(n)), 0.0, cov, ("sum-rule-plancherel",))
-
-    # Measure consistency: two routes to the same rational.
-    for n, N in [(5, 3), (6, 2)]:
-        for lam in exact.enumerate_diagrams(n, N):
-            a = exact.schur_weyl_measure(lam, N).value
-            b = exact.schur_weyl_via_contents(lam, N)
-            _check(checks, "measure_two_routes", {"lam": str(lam), "N": N},
-                   float(a), float(b), 0.0, cov, ("measure-content-product",))
-
-    # Sampler goodness of fit (chi-square upper tail via the gamma function).
-    from scipy import stats
-    n, N, count = 4, 2, 20000
-    observed: dict[str, int] = {}
-    for lam in rsk.sample_schur_weyl(n, N, seed, count):
-        observed[str(lam)] = observed.get(str(lam), 0) + 1
-    chisq = 0.0
-    dof = -1
-    for lam in exact.enumerate_diagrams(n, N):
-        e = float(exact.schur_weyl_measure(lam, N).value) * count
-        o = observed.get(str(lam), 0)
-        chisq += (o - e) ** 2 / e
-        dof += 1
-    pval = float(stats.chi2.sf(chisq, dof))
-    _check(checks, "sampler_chi_square", {"n": n, "N": N, "count": count,
-                                          "chisq": chisq, "dof": dof},
-           pval, pval if pval > 1e-3 else -1.0, 0.0, cov, ("rsk-sampler",))
-
-    # Decomposition: residual independent of the diagram (and eps_1 = 1).
-    lam1 = Partition((1,))
-    _check(checks, "eps_1", {}, functionals.prop31_decompose(lam1, 1).residual,
-           1.0, 1e-12, cov, ("decomposition",))
-    n, N = 64, 8
-    res = [functionals.prop31_decompose(lam, N).residual
-           for lam in rsk.sample_schur_weyl(n, N, seed + 1, 5)]
-    _check(checks, "residual_lambda_independent", {"n": n, "N": N},
-           max(res), min(res), 1e-9, cov, ("decomposition", "eps-independence"))
-
-    # Variational identity on sampled diagrams and at the minimizer.
-    n, N = 100, 12
-    done = 0
-    for lam in rsk.sample_schur_weyl(n, N, seed + 2, 6):
-        if lam.height >= N or done >= 2:
-            continue
-        lhs, rhs = functionals.prop41_identity(lam, N)
-        _check(checks, "variational_identity", {"n": n, "N": N, "lam": str(lam)},
-               lhs, rhs, 1e-6, cov, ("variational-identity",))
-        done += 1
-    for c in (0.5, 2.0):
-        th = functionals.theta_shape(c)
-        rh = functionals.rho(functionals.shape_curve(c), c)
-        _check(checks, "minimizer_gap", {"c": c}, th, rh, 1e-6, cov,
-               ("minimizer", "hook-integral-quadrature"))
-
-    # Positivity of the gap on sampled profiles.
-    n, N = 100, 10
-    c_n = math.sqrt(n) / N
-    worst = min(functionals.theta_profile(profile(lam))
-                - functionals.rho(profile(lam), c_n)
-                for lam in rsk.sample_schur_weyl(n, N, seed + 3, 10))
-    _check(checks, "gap_nonnegative", {"n": n, "N": N}, min(worst, 0.0), 0.0,
-           1e-9, cov, ("gap-positivity",))
-
-    # Closed-form lemmas over the c grid.
-    for c in c_grid:
-        a, b = functionals.default_window(c)
-        q, cl = functionals.lemma_A(c)
-        _check(checks, "lemma_A", {"c": c}, q, cl, 1e-7, cov, ("lemma-A",))
-        q, cl = functionals.lemma_I(c, 0.5 * c + 1.2, a, b)
-        _check(checks, "lemma_I", {"c": c}, q, cl, 1e-7, cov, ("lemma-I",))
-        q, cl = functionals.lemma_F3(c, 0.3)
-        _check(checks, "lemma_F3", {"c": c}, q, cl, 1e-7, cov, ("lemma-F3",))
-        q, cl = functionals.lemma_intIOmega(c, a, b)
-        _check(checks, "lemma_intIOmega", {"c": c}, q, cl, 1e-6, cov,
-               ("lemma-intIOmega",))
-
-    # Sobolev route agreement.
-    f = functionals.profile_minus_shape(profile(lam1), 1.0)
-    k1 = functionals.sobolev_half_sq(f, route="difference-quotient")
-    k2 = functionals.sobolev_half_sq(f, route="log-kernel")
-    _check(checks, "sobolev_routes", {"lam": "1", "c": 1.0}, k1, k2, 1e-6, cov,
-           ("sobolev-half-norm",))
-
-    # Special functions: derivatives by finite differences.
-    h = 1e-6
-    for c in (0.5, 2.0):
-        z = 1.7
-        fd = (shape.H_tilde(c, z + h) - shape.H_tilde(c, z - h)) / (2 * h)
-        _check(checks, "H_prime_fd", {"c": c, "z": z}, shape.H_tilde_prime(c, z),
-               fd, 1e-6, cov, ("H-function",))
-        fd = (shape.H_tilde_prime(c, z + h) - shape.H_tilde_prime(c, z - h)) / (2 * h)
-        _check(checks, "H_second_fd", {"c": c, "z": z}, shape.H_tilde_second(c, z),
-               fd, 1e-5, cov, ("H-function",))
-        _check(checks, "J_prime_is_H", {"c": c, "z": z},
-               (shape.J_tilde(c, z + h) - shape.J_tilde(c, z - h)) / (2 * h),
-               shape.H_tilde(c, z), 1e-6, cov, ("J-function",))
-        s = 0.3
-        fd = (shape.omega_c(c, s + h) - shape.omega_c(c, s - h)) / (2 * h)
-        _check(checks, "omega_prime_fd", {"c": c, "s": s},
-               shape.omega_c_prime(c, s), fd, 1e-6, cov, ("limit-shape",))
-        fd = (shape.G(c, s + h) - shape.G(c, s - h)) / (2 * h)
-        _check(checks, "G_prime_fd", {"c": c, "s": s},
-               -math.log(abs(1 + 2 * c * s)), fd, 1e-6, cov, ("G-function",))
-
-    # Constants and series.
-    _check(checks, "alpha_0_closed", {}, functionals.alpha_constant(0.0),
-           2 / math.pi - 4 / math.pi ** 2, 1e-10, cov, ("alpha-constant",))
-    _check(checks, "beta_value", {}, functionals.beta_constant(),
-           2 * math.pi / math.sqrt(6), 1e-14, cov, ("beta-constant",))
-    _check(checks, "m_at_1", {}, functionals.m_series(1.0),
-           3 - 4 * math.log(2), 1e-12, cov, ("m-series",))
-    z = 0.3
-    lhs = -3 + (1 + 1 / z) ** 2 * math.log(1 + z) + (1 / z - 1) ** 2 * math.log(1 - z)
-    rhs = -sum(z ** (2 * k) / (k * (k + 1) * (2 * k + 1)) for k in range(1, 100))
-    _check(checks, "power_series_identity", {"z": z}, lhs, rhs, 1e-10, cov,
-           ("power-series-identity",))
-
-    # Hook/content correction inequality.
-    bad = sum(1 for lam in exact.enumerate_diagrams(8, 4)
-              if functionals.theta_hat(lam) < functionals.rho_hat(lam, 4) - 1e-12)
-    _check(checks, "hat_inequality", {"n": 8, "N": 4}, float(bad), 0.0, 0.0, cov,
-           ("hat-inequality",))
-
-    # Partition counting.
-    _check(checks, "partition_count_100", {}, float(exact.partition_count(100)),
-           190569292.0, 0.0, cov, ("partition-function",))
-
+    checks, cov = run_checks(chain(
+        sum_rules(), measure_routes(), chi_square(seed=seed),
+        decomposition(seed=seed + 1), variational_identity(seed=seed + 2),
+        gap_positivity(seed=seed + 3), lemmas(c_grid), sobolev_routes(), derivatives(),
+        constants_and_series(), hat_inequality(),
+        (("partition_count_100", {}, float(exact.partition_count(n)), 190569292.0, 0.0,
+          ("partition-function",)) for n in (100,))))
     passed = all(ch["pass"] for ch in checks)
     return {"checks": checks, "coverage": sorted(cov), "passed": passed,
             "seed": seed, "c_grid": list(c_grid)}
@@ -552,6 +577,8 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # Python >= 3.10.7
+        sys.set_int_max_str_digits(0)  # dims prints exact integers of n!'s size
     parser = _build_parser()
     try:
         argv = sys.argv[1:] if argv is None else list(argv)

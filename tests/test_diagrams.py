@@ -28,6 +28,17 @@ class TestPartition:
         with pytest.raises(ValueError, match="positive"):
             Partition((-1, 2))
 
+    def test_rejects_non_integer_rows(self):
+        with pytest.raises(TypeError):
+            Partition((2.7, 1))
+        with pytest.raises(TypeError):
+            Partition(np.array([3.0, 1.0]))
+
+    def test_accepts_numpy_integers(self):
+        lam = Partition(np.array([3, 1], dtype=np.int64))
+        assert lam.rows == (3, 1) and all(type(r) is int for r in lam.rows)
+        assert Partition((np.int32(2), 1)) == Partition((2, 1))
+
     def test_basic_attributes(self):
         lam = Partition((4, 2, 1))
         assert lam.n == 7

@@ -171,8 +171,14 @@ class TestSobolev:
     def test_zero_function(self):
         f = F.Curve(fn=lambda s: 0.0, prime=lambda s: 0.0,
                     support=(-1.0, 1.0), kinks=())
-        assert F.sobolev_half_sq(f, route="difference-quotient") == pytest.approx(0.0, abs=1e-12)
-        assert F.sobolev_half_sq(f, route="log-kernel") == pytest.approx(0.0, abs=1e-12)
+        assert F._sobolev_quotient(f) == pytest.approx(0.0, abs=1e-12)
+        assert F._sobolev_logkernel_generic(f) == pytest.approx(0.0, abs=1e-12)
+
+    def test_closed_form_rejects_other_curves(self):
+        f = F.Curve(fn=lambda s: 0.0, prime=lambda s: 0.0,
+                    support=(-1.0, 1.0), kinks=())
+        with pytest.raises(TypeError):
+            F.sobolev_half_sq(f)
 
     def test_routes_agree_on_profile_difference(self, verify_all_report):
         # verify-all's sobolev_routes check holds the nested difference quotient
@@ -194,7 +200,7 @@ class TestSobolev:
         f = F.profile_minus_shape(profile(lam), 0.8)
         assert {1.4, 1.4000000000000001} <= set(f.kinks)
         k_fast = F.sobolev_half_sq(f)
-        assert F.sobolev_half_sq(f, route="difference-quotient") == pytest.approx(k_fast, abs=1e-6)
+        assert F._sobolev_quotient(f) == pytest.approx(k_fast, abs=1e-6)
         assert F._sobolev_logkernel_generic(f) == pytest.approx(k_fast, abs=1e-6)
 
     def test_profile_below_default_window_rejected(self):
@@ -207,8 +213,8 @@ class TestSobolev:
             return F.Curve(fn=lambda s: a * np.maximum(0.0, 1.0 - np.abs(s)),
                            prime=lambda s: np.where(np.abs(s) < 1, -a * np.copysign(1.0, s), 0.0),
                            support=(-1.5, 1.5), kinks=(-1.0, 0.0, 1.0))
-        base = F.sobolev_half_sq(hat(1.0), route="difference-quotient")
-        scaled = F.sobolev_half_sq(hat(2.0), route="difference-quotient")
+        base = F._sobolev_quotient(hat(1.0))
+        scaled = F._sobolev_quotient(hat(2.0))
         assert scaled == pytest.approx(4.0 * base, abs=1e-8)
 
 
@@ -324,6 +330,11 @@ class TestConstants:
     def test_alpha_0_closed_form(self):
         assert F.alpha_constant(0.0) == pytest.approx(2 / math.pi - 4 / math.pi ** 2,
                                                       abs=1e-10)
+
+    def test_alpha_rejects_nonfinite_c(self):
+        for c in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError):
+                F.alpha_constant(c)
 
     def test_alpha_positive_and_below_beta(self):
         beta = F.beta_constant()

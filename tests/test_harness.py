@@ -41,6 +41,14 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "dim_iso: 4" in out and "schur_weyl: 1/2" in out
 
+    def test_dims_past_the_int_string_limit(self, capsys):
+        # the Plancherel denominator 2000! has 5736 digits
+        assert main(["dims", "--lam", "2000", "--N", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "dim_gl: 2001\n" in out
+        assert f"plancherel: 1/{math.factorial(2000)}\n" in out
+        assert f"schur_weyl: 2001/{2 ** 2000}\n" in out
+
     def test_dims_examples(self, capsys):
         main(["dims", "--lam", "3", "--N", "2"])
         assert "dim_iso: 4" in capsys.readouterr().out
@@ -149,6 +157,10 @@ class TestSubcommands:
         ["bounds", "--n", "100", "--N", "0"],
         ["biane", "--n", "100", "--N", "0"],
         ["dims", "--lam", "2,1", "--N", "2", "--conf", "missing.cfg"],
+        ["emit-shape", "--c", "1e6", "--step", "1e-3"],
+        ["emit-shape", "--c", "1", "--step", "1e-9"],
+        ["constants", "--c-grid", "nan,1"],
+        ["constants", "--c-grid", "inf"],
     ])
     def test_usage_errors_exit_2(self, argv):
         try:
