@@ -41,8 +41,9 @@ def test_acceptance_03_decomposition_residual():
 
 
 def test_acceptance_04_variational_identity():
-    records, _ = harness.run_checks(
-        harness.variational_identity(n=400, N=25, count=20, keep=10, seed=44))
+    records, _ = harness.run_checks(chain(
+        harness.variational_identity(n=400, N=25, count=20, keep=10, seed=44),
+        harness.minimizer_gap()))
     ok = all(r["pass"] for r in records)
     ok = ok and sum(r["test"] == "variational_identity" for r in records) == 10
     for c in [0.5, 2.0]:
