@@ -123,26 +123,15 @@ class Profile:
         return 0.5 / np.sqrt(self.n)
 
     @cached_property
-    def corner_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        """Integer grid coordinates (X, Y) of the corners of maximal segments.
+    def corners(self) -> tuple[np.ndarray, np.ndarray]:
+        """Scaled coordinates (X, L) of the corners of maximal segments.
 
         Includes both endpoints, where the profile meets |X|.
         """
-        xs = [self.x0]
-        ys = [abs(self.x0)]
-        y = abs(self.x0)
-        for k, s in enumerate(self.slopes):
-            y += s
-            if k + 1 == len(self.slopes) or self.slopes[k + 1] != s:
-                xs.append(self.x0 + k + 1)
-                ys.append(y)
-        return np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
-
-    @cached_property
-    def corners(self) -> tuple[np.ndarray, np.ndarray]:
-        """Corner coordinates in scaled units."""
-        gx, gy = self.corner_grid
-        return gx * self.scale, gy * self.scale
+        s = np.asarray(self.slopes, dtype=np.int64)
+        y = abs(self.x0) + np.concatenate(([0], np.cumsum(s)))
+        k = np.unique(np.concatenate(([0], np.flatnonzero(np.diff(s)) + 1, [len(s)])))
+        return (self.x0 + k) * self.scale, y[k] * self.scale
 
     @property
     def support(self) -> tuple[float, float]:

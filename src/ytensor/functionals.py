@@ -17,9 +17,12 @@ functions check the closed forms of the auxiliary integrals (A, I_c, the
 phi_2 moment of Omega_c'' and the I-against-Omega' integral) by independent
 quadrature.
 
-For a lattice profile the Sobolev norm of L - Omega_c is evaluated from those
-closed forms: exact phi_2 corner sums, the antiderivative of lemma I at the
-profile corners and lemma intIOmega's reduction of the shape self-energy.
+On a lattice profile L'' is a sum of point masses d_k at the corners x_k, so
+two integrations by parts turn every log-kernel functional into a sum over
+corners: theta = 1 - E(x, d) with E = sum_{j,k} d_j d_k phi_2(x_k - x_j), rho
+a sum of phi_2(x_k + 1/(2c)) and x_k^2 terms, and the Sobolev norm of
+L - Omega_c the energy E on the window, the antiderivative of lemma I at the
+corners and lemma intIOmega's reduction of the shape self-energy.
 That reduction and the boundary penalty are each one tanh-sinh call over the
 array-valued G, H and H'; QUADPACK integrates only alpha_c and lemma_F3.
 The nested-quadrature routes (difference quotient, generic log kernel, the
@@ -132,44 +135,35 @@ def default_window(c: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _signed_segments(prof: Profile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximal segments of a profile: left ends, right ends (scaled), slopes."""
-    cx, cy = prof.corner_grid
-    x1 = cx[:-1] * prof.scale
-    x2 = cx[1:] * prof.scale
-    sgn = np.sign(cy[1:] - cy[:-1]).astype(float)
-    return x1, x2, sgn
+def _corner_jumps(prof: Profile) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled corners x_k of a profile and the jumps d_k of L' there.
+
+    L' is -1 left of the profile and +1 right of it, so L'' = sum d_k delta_{x_k}
+    with every d_k = +-2 and sum d_k = 2.
+    """
+    x, y = prof.corners
+    return x, np.diff(np.concatenate(([-1.0], np.sign(np.diff(y)), [1.0])))
 
 
-def _corner_sums(t1, t2, s1, s2) -> np.ndarray:
-    """phi_2(s2-t2) + phi_2(s1-t1) - phi_2(s2-t1) - phi_2(s1-t2) for each segment
-    pair ([t1, t2] by rows, [s1, s2] by columns): the rectangle integral of
-    phi_0(s - t)."""
-    def p2(s, t):
-        return phi(2, s[None, :] - t[:, None])
+def _log_energy(x: np.ndarray, d: np.ndarray) -> float:
+    """E(x, d) = sum_{j,k} d_j d_k phi_2(x_k - x_j).
 
-    return p2(s2, t2) + p2(s1, t1) - p2(s2, t1) - p2(s1, t2)
+    For g' of compact support with g'' = sum d_k delta_{x_k}, two integrations
+    by parts in each variable give iint phi_0(s - t) g'(s) g'(t) ds dt = -E.
+    """
+    return float(d @ phi(2, x[None, :] - x[:, None]) @ d)
 
 
 def theta_profile(prof: Profile) -> float:
-    """Hook integral of a lattice profile, exactly.
+    """Hook integral of a lattice profile, exactly: theta(L) = 1 - E(x, d).
 
-    theta(L) = 1 + 2 iint_{t<s} ln(2(s-t)) (1 - L'(s)) (1 + L'(t)) ds dt.
-    Since L' = +-1, only pairs (ascending segment T, descending segment S with
-    T entirely left of S) contribute, each with weight 4, and every rectangle
-    integral is a four-corner combination of phi_2 (the second antiderivative
-    of ln(2x)).
+    theta(L) = 1 - 2 iint_{t<s} phi_0(s-t) (1 + L'(t)) (1 - L'(s)) ds dt.  Both
+    weights have derivative +-L''; integrating by parts in t and then in s
+    leaves sum_{j<k} d_j d_k phi_2(x_k - x_j) = E/2.  The boundary terms vanish:
+    1 + L' is 0 left of the profile, 1 - L' is 0 right of it, and the diagonal
+    t = s carries phi_1(0) = phi_2(0) = 0.
     """
-    x1, x2, sgn = _signed_segments(prof)
-    t1 = x1[sgn > 0]
-    t2 = x2[sgn > 0]
-    s1 = x1[sgn < 0]
-    s2 = x2[sgn < 0]
-    if len(t1) == 0 or len(s1) == 0:
-        return 1.0
-    # Pair mask: ascending segment strictly to the left of the descending one.
-    mask = t2[:, None] <= s1[None, :] + 1e-12
-    return 1.0 + 8.0 * float(np.sum(_corner_sums(t1, t2, s1, s2), where=mask))
+    return 1.0 - _log_energy(*_corner_jumps(prof))
 
 
 def _theta_curve(L: Curve) -> float:
@@ -209,40 +203,22 @@ def theta_shape(c: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _ln_antiderivative(c: float, s: float) -> float:
-    """Antiderivative of ln(1 + 2cs): (u ln u - u) / (2c) with u = 1 + 2cs."""
-    u = 1.0 + 2.0 * c * s
-    if u < -1e-9:
-        raise ValueError("log argument negative")
-    return (u * math.log(u) - u) / (2.0 * c) if u > 0.0 else 0.0
-
-
-def _s_ln_antiderivative(c: float, s: float) -> float:
-    """Antiderivative of s ln(1 + 2cs), via u = 2cs."""
-    u = 2.0 * c * s
-    w = 1.0 + u
-    if w < -1e-9:
-        raise ValueError("log argument negative")
-    lead = 0.0 if w <= 0.0 else 0.5 * (u * u - 1.0) * math.log(w)
-    return (lead - 0.25 * u * u + 0.5 * u) / (4.0 * c * c)
-
-
 def _rho_profile(prof: Profile, c: float) -> float:
-    """Closed form of rho for a lattice profile: per-segment log antiderivatives."""
-    cx, _ = prof.corners
-    lo = float(cx[0])
-    if lo < -0.5 / c - 1e-9:
+    """Closed form of rho for a lattice profile, as a sum over its corners.
+
+    g = L - |s| has g'' = L'' - 2 delta_0, and ln(1 + 2cs) = ln c - phi_0(s + u)
+    with u = 1/(2c), whose second antiderivatives are ln c s^2/2 and
+    -phi_2(s + u).  Two integrations by parts give
+
+        rho = ln c sum d_k x_k^2 - 2 sum d_k phi_2(x_k + u) + 4 phi_2(u).
+
+    A corner at -u (a diagram with N rows) contributes phi_2(0) = 0.
+    """
+    x, d = _corner_jumps(prof)
+    u = 0.5 / c
+    if x[0] < -u - 1e-9:
         raise ValueError("profile support extends below -1/(2c); rho is undefined")
-    nodes = sorted(set(cx.tolist()) | ({0.0} if cx[0] < 0.0 < cx[-1] else set()))
-    total = 0.0
-    for sa, sb in zip(nodes[:-1], nodes[1:]):
-        ga = prof.evaluate(sa) - abs(sa)
-        gb = prof.evaluate(sb) - abs(sb)
-        g1 = (gb - ga) / (sb - sa)
-        g0 = ga - g1 * sa
-        total += g0 * (_ln_antiderivative(c, sb) - _ln_antiderivative(c, sa))
-        total += g1 * (_s_ln_antiderivative(c, sb) - _s_ln_antiderivative(c, sa))
-    return 2.0 * total
+    return float(math.log(c) * (d @ (x * x)) - 2.0 * (d @ phi(2, x + u)) + 4.0 * phi(2, u))
 
 
 def _rho_curve(L: Curve, c: float) -> float:
@@ -436,19 +412,8 @@ def _sobolev_logkernel_generic(f: Curve) -> float:
             + tanh_sinh(lambda s: f.prime(s) * edge(s), a, b, f.kinks))
 
 
-def _segments_on_window(prof: Profile, a: float, b: float):
-    """Profile segments extended by the |X| tails so they cover [a, b]."""
-    x1, x2, sgn = _signed_segments(prof)
-    xs = float(x1[0])
-    xe = float(x2[-1])
-    e1 = np.concatenate(([a], x1, [xe]))
-    e2 = np.concatenate(([xs], x2, [b]))
-    sg = np.concatenate(([-1.0], sgn, [1.0]))
-    return e1, e2, sg
-
-
-def _lemma_I_antiderivative(c: float, e: float, a: float, b: float) -> float:
-    """An antiderivative in e of the closed form of I_c(e) (lemma I).
+def _lemma_I_antiderivative(c: float, e, a: float, b: float):
+    """An antiderivative in e of the closed form of I_c(e) (lemma I); takes arrays.
 
     int_a^b phi_1(e - t) Omega_c'(t) dt equals this up to a constant in e.
     """
@@ -459,24 +424,20 @@ def _lemma_I_antiderivative(c: float, e: float, a: float, b: float) -> float:
 def _sobolev_profile_shape(f: _ProfileMinusShape) -> float:
     """Closed-form log-kernel evaluation for f = L - Omega_c.
 
-    Expands f'f' into three terms, none by nested quadrature:
-    L'L' is an exact four-corner phi_2 sum over segment pairs; the cross term
-    sums, over segments of L, the antiderivative of lemma I's closed form at
-    both segment ends (the constant of integration cancels); and the shape
+    Expands f'f' into three terms, none by nested quadrature.  Take L' on the
+    window [a, b] and 0 outside it: its jumps are d_bar = [-1, d, -1] at
+    x_bar = [a, x, b].  The L'L' term is -E(x_bar, d_bar); the cross term is
+    sum d_bar_k K(x_bar_k), with K the antiderivative of lemma I's closed form
+    (its constant of integration cancels, since sum d_bar_k = 0); and the shape
     self-energy is -int I_c Omega_c', lemma intIOmega's closed reduction.
     """
     a, b = f.support
     c = f.c
-    e1, e2, sg = _segments_on_window(f.prof, a, b)
-
-    # L'L' term: four-corner phi_2 over all segment pairs.
-    s_ll = float(sg @ _corner_sums(e1, e2, e1, e2) @ sg)
-
-    # Cross term: int Omega'(t) * [int ln|2(s-t)| L'(s) ds] dt
-    #   = sum_k sg_k int (phi_1(e1_k - t) - phi_1(e2_k - t)) Omega'(t) dt.
-    s_lo = sum(g * (_lemma_I_antiderivative(c, x, a, b) - _lemma_I_antiderivative(c, y, a, b))
-               for g, x, y in zip(sg.tolist(), e1.tolist(), e2.tolist()))
-
+    x, d = _corner_jumps(f.prof)
+    xw = np.concatenate(([a], x, [b]))
+    dw = np.concatenate(([-1.0], d, [-1.0]))
+    s_ll = _log_energy(xw, dw)
+    s_lo = float(dw @ _lemma_I_antiderivative(c, xw, a, b))
     s_oo = -_int_I_omega_closed(c, a, b)
     return -s_ll + 2.0 * s_lo - s_oo
 
