@@ -206,6 +206,8 @@ def cmd_sample(cfg: ExperimentConfig, measure: str = "schur-weyl") -> str:
 
 def cmd_bounds(cfg: ExperimentConfig, slack: float = 0.05) -> ExperimentResult:
     """Sample -ln P / sqrt(n) and compare with the (alpha_c - slack, beta) window."""
+    if not (math.isfinite(slack) and slack >= 0.0):
+        raise ValueError(f"slack must be finite and nonnegative, got {slack}")
     N = cfg.resolved_N
     c_n = cfg.c_n
     alpha = functionals.alpha_constant(c_n)

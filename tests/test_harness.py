@@ -166,6 +166,9 @@ class TestSubcommands:
         ["emit-shape", "--c", "1", "--step", "1e-9"],
         ["constants", "--c-grid", "nan,1"],
         ["constants", "--c-grid", "inf"],
+        ["bounds", "--n", "100", "--c", "1", "--samples", "3", "--slack", "nan"],
+        ["bounds", "--n", "100", "--c", "1", "--samples", "3", "--slack", "inf"],
+        ["bounds", "--n", "100", "--c", "1", "--samples", "3", "--slack", "-0.05"],
     ])
     def test_usage_errors_exit_2(self, argv):
         try:
