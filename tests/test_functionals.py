@@ -51,9 +51,10 @@ class TestThetaProfile:
                 F.theta_profile(profile(conj)), abs=1e-12)
 
     def test_quadrature_route_agrees(self):
-        prof = profile(Partition((3, 1)))
-        got = F._theta_curve(profile_as_curve(prof))
-        assert got == pytest.approx(F.theta_profile(prof), abs=1e-7)
+        for lam in [Partition((3, 1)), rsk.sample_schur_weyl(100, 10, 3, 1)[0]]:
+            prof = profile(lam)
+            got = F._theta_curve(profile_as_curve(prof))
+            assert got == pytest.approx(F.theta_profile(prof), abs=1e-7)
 
     def test_plancherel_trend(self):
         meds = []
@@ -85,13 +86,19 @@ class TestRho:
         assert F.rho(curve, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_closed_form_vs_quadrature(self):
-        n, N = 400, 20  # c_n = 1
-        c = 1.0
-        for lam in rsk.sample_schur_weyl(n, N, seed=6, count=10):
-            prof = profile(lam)
-            closed = F.rho(prof, c)
-            quad = F.rho(profile_as_curve(prof), c)
-            assert quad == pytest.approx(closed, abs=1e-9)
+        # c_n = 1, 0.5 and 2
+        for n, N in [(400, 20), (100, 20), (400, 10)]:
+            c = math.sqrt(n) / N
+            for lam in rsk.sample_schur_weyl(n, N, seed=6, count=10):
+                prof = profile(lam)
+                closed = F.rho(prof, c)
+                quad = F.rho(profile_as_curve(prof), c)
+                assert quad == pytest.approx(closed, abs=1e-9)
+        # N rows: the first corner lies exactly at -1/(2c)
+        for rows, N in [((2, 1), 2), ((3, 3, 2), 3)]:
+            prof = profile(Partition(rows))
+            c = math.sqrt(prof.n) / N
+            assert F.rho(profile_as_curve(prof), c) == pytest.approx(F.rho(prof, c), abs=1e-9)
 
     def test_support_precondition(self):
         # profile of a tall column dips below -1/(2c) for large c.
