@@ -229,7 +229,7 @@ def partition_count(n: int) -> int:
     of term 1.  An error in mu_k is magnified by mu_k in cosh, so term k is off
     by at most ~2k (1 + mu_k) 1e-15 in absolute terms; over the K terms, after
     the prefactor (below 0.1 for n >= 2), that is ~1e-16 K (K + 1 + 2 mu_1),
-    below 1e-7 for n <= 1e9.  Lehmer's remainder bound adds less than 1/4, so
+    below 1e-6 for n <= 1e9.  Lehmer's remainder bound adds less than 1/4, so
     rounding to the nearest integer is exact.
     """
     if n < 0:
