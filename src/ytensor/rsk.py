@@ -12,17 +12,27 @@ by letter block, every (row, block) step of one anti-diagonal for all words
 in one pass, so a word over N letters takes at most N + height passes
 instead of one Python-level step per bump (1.5e6 bumps for one word at
 n = 3e4, N = 173).  ``sample_schur_weyl`` uses the kernel: two words at
-n = 3e4, N = 173 take 0.19 s against 0.92-1.03 s on the loop, and one word
+n = 3e4, N = 173 take 0.16-0.23 s against 0.92-1.03 s on the loop, and one word
 at n = 1e6, N = 1000 takes 22-24 s with a 140 MB peak (2 cores).
 ``sample_plancherel`` stays on the bisect loop: a permutation has n letter
 blocks of one position each, so the kernel makes n passes of tiny arrays,
 0.20-0.25 s against 0.12-0.14 s for the loop at n = 1e4.  The loop is also
 the kernel's oracle in the tests.
 
-Randomness uses the counter-based Philox generator keyed by (seed, trial):
-trial k always draws from stream k of ``trial_rng``, whatever the number of
-trials requested.  A sampler call builds one Philox and re-keys it per trial,
-which yields the same streams without paying for a new generator each time.
+Randomness uses the counter-based Philox4x64-10 generator keyed by
+(seed, trial): trial k always draws from stream k of ``trial_rng``, whatever
+the number of trials requested.  ``sample_schur_weyl`` does not step a numpy
+Generator per trial.  It runs Philox's rounds on uint64 arrays for all
+trials of a batch at once and applies ``Generator.integers``' bounded-draw
+rule (Lemire's rejection) to the raw output, so every word equals
+``trial_rng(seed, k).integers(1, N + 1, size=n)`` bit for bit.  Equal
+shapes of one kernel call share one ``Partition``.  Together these take
+2e4 trials at each of (n, N) = (4, 2), (5, 3), (6, 3) from 1.18-1.29 s to
+0.16-0.20 s (2 cores): a Generator's ``integers`` call cost ~10 us per
+trial, re-keying it ~3 us and building each trial's ``Partition`` ~4 us.
+A word at n = 3e4 takes 3-4 ms to draw, against 0.3 ms through
+``integers``, beside 90 ms of kernel.  ``sample_plancherel`` still re-keys
+one Philox per trial and calls ``Generator.permutation``.
 """
 
 from __future__ import annotations
@@ -36,8 +46,18 @@ from .diagrams import Partition
 
 # Letters per rsk_shapes_from_words call in sample_schur_weyl.  It bounds the
 # kernel's arrays: at 2**20 letters, 2e4 words at n = 4 raised the peak RSS by
-# 2 MB over the bisect loop, at 2**14 by 0.3 MB, and no timing moved.
+# 2 MB over the bisect loop, at 2**14 by 0.3 MB, and no timing moved.  It also
+# bounds the Philox temporaries: one pass of _draw_letters makes at most
+# max(one block per word, _KERNEL_LETTERS) draws.
 _KERNEL_LETTERS = 1 << 14
+
+# Philox4x64-10 (Salmon et al., SC 2011, as in numpy's philox.h): the round
+# multipliers and the Weyl constants that bump the key between rounds.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 __all__ = [
     "trial_rng",
@@ -52,8 +72,9 @@ __all__ = [
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Stream ``trial`` of ``seed``: a fresh Philox keyed by (seed mod 2**64, trial).
 
-    This defines the (seed, trial) contract.  The samplers draw the same
-    streams through ``_trial_streams``; the tests compare them against it.
+    This defines the (seed, trial) contract.  ``sample_schur_weyl`` draws the
+    same streams through ``_draw_letters`` and ``sample_plancherel`` through
+    ``_trial_streams``; the tests compare both against it.
     """
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(trial)])
     return np.random.Generator(np.random.Philox(key=key))
@@ -61,6 +82,8 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 def _trial_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
     """Yield one Generator per trial 0..count-1, each equal to ``trial_rng(seed, k)``.
+
+    ``sample_plancherel`` draws its permutations from these.
 
     The same Generator is re-keyed and yielded every time, so a stream must be
     used up before the next one is requested.  Assigning the state dict of a
@@ -75,6 +98,88 @@ def _trial_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
         key[1] = k
         bitgen.state = state
         yield rng
+
+
+def _mulhilo(a: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of a * b, for a uint64 array a and 0 <= b < 2**64.
+
+    The high word is built from 32-bit halves (Hacker's Delight's mulhu: no
+    partial sum overflows 64 bits); the low word is the wrapping uint64
+    product.  Array arithmetic wraps silently where a numpy scalar would warn.
+    """
+    b_lo, b_hi = np.uint64(b & 0xFFFFFFFF), np.uint64(b >> 32)
+    a_lo, a_hi = a & _MASK32, a >> _SHIFT32
+    t = a_hi * b_lo
+    t += (a_lo * b_lo) >> _SHIFT32
+    w = t & _MASK32
+    w += a_lo * b_hi
+    hi = a_hi * b_hi
+    hi += t >> _SHIFT32
+    hi += w >> _SHIFT32
+    return hi, a * np.uint64(b)
+
+
+def _philox_blocks(seed: int, trials: np.ndarray, first: int, blocks: int) -> np.ndarray:
+    """Raw 64-bit outputs of counter blocks first..first+blocks-1 of each trial's stream.
+
+    Row t is ``trial_rng(seed, trials[t])``'s ``bit_generator.random_raw`` from
+    output 4 * (first - 1) on: numpy bumps the counter before it makes a
+    block, so a fresh stream's first block has counter (1, 0, 0, 0).  The
+    key is (seed mod 2**64, trial).
+    """
+    shape = (trials.size, blocks)
+    c0 = np.broadcast_to(np.arange(first, first + blocks, dtype=np.uint64), shape)
+    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
+    k0 = seed & 0xFFFFFFFFFFFFFFFF
+    k1 = trials.astype(np.uint64)[:, None]
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFFFFFFFFFF
+            k1 = k1 + np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack((c0, c1, c2, c3), axis=-1).reshape(trials.size, 4 * blocks)
+
+
+def _draw_letters(seed: int, trials: np.ndarray, n: int, N: int, out: np.ndarray) -> None:
+    """Fill row t of ``out`` with ``trial_rng(seed, trials[t]).integers(1, N + 1, size=n)``.
+
+    ``Generator.integers`` draws with Lemire's method: for N <= 2**32 it takes
+    32-bit outputs u (each 64-bit output low half first, as numpy's
+    ``philox_next32`` does), forms m = u * N and rejects u iff
+    m mod 2**32 < (2**32 - N) mod N; the letter is (m >> 32) + 1.  Larger N
+    takes whole 64-bit outputs and a 128-bit product.  N = 1 draws nothing.
+    Every trial first draws the blocks that hold n + 4 draws; a trial still
+    short draws its next blocks, until every row is full.
+    """
+    if N == 1:
+        out[:] = 1
+        return
+    bits = 32 if N <= 1 << 32 else 64
+    per_block = 256 // bits
+    threshold = ((1 << bits) - N) % N
+    have = np.zeros(trials.size, dtype=np.intp)
+    active = np.arange(trials.size)
+    first = 1
+    while active.size:
+        draws = n - int(have[active].min()) + 4
+        blocks = max(1, min(-(-draws // per_block), _KERNEL_LETTERS // (active.size * per_block)))
+        raw = _philox_blocks(seed, trials[active], first, blocks)
+        if bits == 32:
+            u = np.stack((raw & _MASK32, raw >> _SHIFT32), axis=-1).reshape(active.size, -1)
+            m = u * np.uint64(N)
+            hi, lo = m >> _SHIFT32, m & _MASK32
+        else:
+            hi, lo = _mulhilo(raw, N)
+        accept = lo >= np.uint64(threshold)
+        slot = np.cumsum(accept, axis=1) + have[active, None] - 1
+        take = accept & (slot < n)
+        rows = np.broadcast_to(active[:, None], take.shape)[take]
+        out[rows, slot[take]] = hi[take] + np.uint64(1)
+        have[active] = np.minimum(slot[:, -1] + 1, n)
+        active = active[have[active] < n]
+        first += blocks
 
 
 def rsk_shape_from_letters(letters: Iterable[int]) -> Partition:
@@ -114,9 +219,12 @@ def rsk_shapes_from_words(words: np.ndarray) -> list[Partition]:
     overwrites a sentinel.  Because the groups sit in key order, the running
     maximum that gives p_j restarts by itself at a group boundary.  A real
     entry bumped out of the last row, or a row that fills its last slot,
-    raises ArithmeticError.
+    raises ArithmeticError.  Equal shapes within one call are one shared
+    (frozen) ``Partition``.
     """
-    return [Partition(tuple(r for r in rows if r)) for rows in _row_lengths(words).tolist()]
+    table = list(map(tuple, _row_lengths(words).tolist()))
+    shapes = {rows: Partition(tuple(r for r in rows if r)) for rows in set(table)}
+    return [shapes[rows] for rows in table]
 
 
 def _row_lengths(words: np.ndarray) -> np.ndarray:
@@ -170,20 +278,20 @@ def _row_lengths(words: np.ndarray) -> np.ndarray:
 def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:
     """i.i.d. shapes with the Schur-Weyl law, deterministic for a fixed seed.
 
-    Trial k's word is drawn from stream k exactly as ``rsk_shape_from_letters``
-    would read it; the words of up to ``_KERNEL_LETTERS`` letters at a time
-    go through ``rsk_shapes_from_words`` together.
+    Trial k's word is ``trial_rng(seed, k).integers(1, N + 1, size=n)``, bit
+    for bit, but ``_draw_letters`` draws the words of a whole batch at once
+    from one vectorized Philox pass instead of stepping a Generator per trial.
+    Batches of up to ``_KERNEL_LETTERS`` letters go through
+    ``rsk_shapes_from_words`` together.
     """
     if n < 1 or N < 1 or count < 1:
         raise ValueError("n, N and count must be positive")
     per_call = max(1, _KERNEL_LETTERS // n)
     words = np.empty((min(count, per_call), n), dtype=np.min_scalar_type(N))
-    streams = _trial_streams(seed, count)
     shapes: list[Partition] = []
     for start in range(0, count, per_call):
         batch = words[:min(per_call, count - start)]
-        for word, rng in zip(batch, streams):
-            word[:] = rng.integers(1, N + 1, size=n)
+        _draw_letters(seed, np.arange(start, start + len(batch)), n, N, batch)
         shapes += rsk_shapes_from_words(batch)
     return shapes
 

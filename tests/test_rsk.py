@@ -92,6 +92,60 @@ class TestWordKernel:
         assert rsk.sample_schur_weyl(30, 4, seed=3, count=25) == one_call
 
 
+def reference_words(seed, n, N, trials):
+    return np.array([rsk.trial_rng(seed, k).integers(1, N + 1, size=n) for k in trials])
+
+
+class TestPhilox:
+    # The vectorized Philox4x64-10 of sample_schur_weyl against numpy's.
+
+    @pytest.mark.parametrize("seed", [0, -1, 2**64 - 1])
+    def test_raw_blocks_match_numpy(self, seed):
+        trials = np.array([0, 1, 2**32 + 1])
+        blocks = rsk._philox_blocks(seed, trials, 1, 5)
+        later = rsk._philox_blocks(seed, trials, 3, 2)
+        for k, row, tail in zip(trials, blocks, later):
+            key = np.array([seed % 2**64, k], dtype=np.uint64)
+            raw = np.random.Philox(key=key).random_raw(4 * 5)
+            assert np.array_equal(row, raw)
+            assert np.array_equal(tail, raw[8:16])
+
+    @pytest.mark.parametrize("seed, n, N", [
+        (4, 6, 1),
+        (5, 37, 2**31 + 11),  # about half of all draws rejected: most trials draw again
+        (6, 9, 2**32),
+        (7, 13, 2**40 + 3),  # whole 64-bit draws
+        (-1, 7, 3),
+        (8, 5, 2**32 - 1),
+        (9, 11, 2**32 + 1),
+    ])
+    def test_letters_match_generator_integers(self, seed, n, N):
+        count = 30
+        out = np.empty((count, n), dtype=np.uint64)
+        rsk._draw_letters(seed, np.arange(count), n, N, out)
+        assert np.array_equal(out, reference_words(seed, n, N, range(count)))
+
+    def test_long_word_spans_several_passes(self):
+        n = 5 * rsk._KERNEL_LETTERS // 2 + 1
+        out = np.empty((2, n), dtype=np.uint64)
+        rsk._draw_letters(3, np.array([4, 9]), n, 173, out)
+        assert np.array_equal(out, reference_words(3, n, 173, [4, 9]))
+
+    def test_count_spans_several_kernel_batches(self):
+        n, N, count = 9, 5, 2 * rsk._KERNEL_LETTERS // 9 + 7
+        reference = bisect_shapes(reference_words(11, n, N, range(count)))
+        assert rsk.sample_schur_weyl(n, N, 11, count) == reference
+
+    def test_equal_shapes_share_one_partition(self):
+        words = np.random.default_rng(2).integers(1, 4, size=(300, 6))
+        shapes = rsk.rsk_shapes_from_words(words)
+        assert shapes == bisect_shapes(words)
+        first = {}
+        for lam in shapes:
+            assert first.setdefault(lam, lam) is lam
+        assert len(first) < len(shapes)
+
+
 class TestSamplers:
     def test_deterministic_under_seed(self):
         a = rsk.sample_schur_weyl(50, 5, seed=123, count=4)
@@ -124,7 +178,9 @@ class TestSamplers:
          "8319e4d3838aecbbe463483d1efe3fde73548228d3e755360657e445c616e2b9"),
         (lambda: rsk.sample_plancherel(8, 0, 500),
          "6618b1c02107ad2bc164573aadde21511ab3f399f4bec39ec24b3e3b77e28209"),
-    ], ids=["schur-weyl-6-3", "schur-weyl-2000-45", "plancherel-8"])
+        (lambda: rsk.sample_schur_weyl(7, 300, 5, 5000),
+         "da480149e7912a41492b6067599c3b8e5211d7a5ab921c9f9f819d12d679c0fd"),
+    ], ids=["schur-weyl-6-3", "schur-weyl-2000-45", "plancherel-8", "schur-weyl-7-300"])
     def test_golden_streams(self, samples, digest):
         # Digests of the shapes the samplers produced when they still built
         # one Generator per trial; any change to a (seed, trial) stream shows.
