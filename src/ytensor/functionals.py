@@ -145,13 +145,21 @@ def _corner_jumps(prof: Profile) -> tuple[np.ndarray, np.ndarray]:
     return x, np.diff(np.concatenate(([-1.0], np.sign(np.diff(y)), [1.0])))
 
 
+# Rows j per block of _log_energy's phi_2 matrix, so that phi's temporaries
+# take a few times 8 * _ENERGY_ROWS * K bytes for K corners: on the staircase
+# (2000, ..., 1), K = 4001, theta_profile peaks 33 MB above its baseline,
+# where the whole K x K matrix took 505 MB.
+_ENERGY_ROWS = 256
+
+
 def _log_energy(x: np.ndarray, d: np.ndarray) -> float:
-    """E(x, d) = sum_{j,k} d_j d_k phi_2(x_k - x_j).
+    """E(x, d) = sum_{j,k} d_j d_k phi_2(x_k - x_j), summed over blocks of rows j.
 
     For g' of compact support with g'' = sum d_k delta_{x_k}, two integrations
     by parts in each variable give iint phi_0(s - t) g'(s) g'(t) ds dt = -E.
     """
-    return float(d @ phi(2, x[None, :] - x[:, None]) @ d)
+    return float(sum(d[j:j + _ENERGY_ROWS] @ phi(2, x[None, :] - x[j:j + _ENERGY_ROWS, None]) @ d
+                     for j in range(0, x.size, _ENERGY_ROWS)))
 
 
 def theta_profile(prof: Profile) -> float:

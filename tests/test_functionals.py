@@ -7,6 +7,7 @@ from scipy import integrate
 
 from ytensor.diagrams import Partition, profile, profile_from_slopes
 from ytensor import exact, functionals as F, rsk
+from ytensor.shape import phi
 
 
 def profile_as_curve(prof):
@@ -55,6 +56,12 @@ class TestThetaProfile:
             prof = profile(lam)
             got = F._theta_curve(profile_as_curve(prof))
             assert got == pytest.approx(F.theta_profile(prof), abs=1e-7)
+
+    def test_blocked_log_energy_matches_one_matrix(self):
+        x, d = F._corner_jumps(profile(Partition(tuple(range(300, 0, -1)))))
+        assert x.size > F._ENERGY_ROWS
+        one_matrix = float(d @ phi(2, x[None, :] - x[:, None]) @ d)
+        assert F._log_energy(x, d) == pytest.approx(one_matrix, rel=1e-12, abs=0)
 
     def test_plancherel_trend(self):
         meds = []
