@@ -286,6 +286,8 @@ def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:
     """
     if n < 1 or N < 1 or count < 1:
         raise ValueError("n, N and count must be positive")
+    if N >= 1 << 63:  # trial_rng's int64 letters cannot reach it
+        raise ValueError("N must be below 2**63")
     per_call = max(1, _KERNEL_LETTERS // n)
     words = np.empty((min(count, per_call), n), dtype=np.min_scalar_type(N))
     shapes: list[Partition] = []

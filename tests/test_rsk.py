@@ -136,6 +136,14 @@ class TestPhilox:
         reference = bisect_shapes(reference_words(11, n, N, range(count)))
         assert rsk.sample_schur_weyl(n, N, 11, count) == reference
 
+    def test_alphabet_bound_of_int64_letters(self):
+        # The largest N that Generator.integers' int64 letters allow, and the first it rejects.
+        N = 2**63 - 1
+        assert rsk.sample_schur_weyl(3, N, 0, 2) == bisect_shapes(reference_words(0, 3, N, range(2)))
+        for big in (2**63, 2**64):
+            with pytest.raises(ValueError):
+                rsk.sample_schur_weyl(3, big, 0, 2)
+
     def test_equal_shapes_share_one_partition(self):
         words = np.random.default_rng(2).integers(1, 4, size=(300, 6))
         shapes = rsk.rsk_shapes_from_words(words)
