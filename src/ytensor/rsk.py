@@ -26,7 +26,9 @@ Generator per trial.  It runs Philox's rounds on uint64 arrays for all
 trials of a batch at once and applies ``Generator.integers``' bounded-draw
 rule (Lemire's rejection) to the raw output, so every word equals
 ``trial_rng(seed, k).integers(1, N + 1, size=n)`` bit for bit.  Equal
-shapes of one kernel call share one ``Partition``.  Together these take
+shapes of one ``sample_schur_weyl`` call share one ``Partition``, across
+its kernel batches too, so a ``Counter`` of the samples hashes and compares
+each shape by identity.  Together these take
 2e4 trials at each of (n, N) = (4, 2), (5, 3), (6, 3) from 1.18-1.29 s to
 0.16-0.20 s (2 cores): a Generator's ``integers`` call cost ~10 us per
 trial, re-keying it ~3 us and building each trial's ``Partition`` ~4 us.
@@ -222,8 +224,20 @@ def rsk_shapes_from_words(words: np.ndarray) -> list[Partition]:
     raises ArithmeticError.  Equal shapes within one call are one shared
     (frozen) ``Partition``.
     """
-    table = list(map(tuple, _row_lengths(words).tolist()))
-    shapes = {rows: Partition(tuple(r for r in rows if r)) for rows in set(table)}
+    return _shared_partitions(_row_lengths(words), {})
+
+
+def _shared_partitions(lengths: np.ndarray, shapes: dict) -> list[Partition]:
+    """One ``Partition`` per row of a row-length table, equal rows sharing one.
+
+    ``shapes`` maps row-length tuples, zero-padded or not, to their
+    ``Partition`` and grows with each new shape, so callers that pass the same
+    dict share the partitions across tables of different heights.
+    """
+    table = list(map(tuple, lengths.tolist()))
+    for rows in set(table).difference(shapes):
+        parts = tuple(r for r in rows if r)
+        shapes[rows] = shapes.setdefault(parts, Partition(parts))
     return [shapes[rows] for rows in table]
 
 
@@ -281,8 +295,9 @@ def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:
     Trial k's word is ``trial_rng(seed, k).integers(1, N + 1, size=n)``, bit
     for bit, but ``_draw_letters`` draws the words of a whole batch at once
     from one vectorized Philox pass instead of stepping a Generator per trial.
-    Batches of up to ``_KERNEL_LETTERS`` letters go through
-    ``rsk_shapes_from_words`` together.
+    Batches of up to ``_KERNEL_LETTERS`` letters go through the kernel of
+    ``rsk_shapes_from_words`` together, and equal shapes of all batches are
+    one shared ``Partition``.
     """
     if n < 1 or N < 1 or count < 1:
         raise ValueError("n, N and count must be positive")
@@ -291,10 +306,11 @@ def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:
     per_call = max(1, _KERNEL_LETTERS // n)
     words = np.empty((min(count, per_call), n), dtype=np.min_scalar_type(N))
     shapes: list[Partition] = []
+    distinct: dict = {}
     for start in range(0, count, per_call):
         batch = words[:min(per_call, count - start)]
         _draw_letters(seed, np.arange(start, start + len(batch)), n, N, batch)
-        shapes += rsk_shapes_from_words(batch)
+        shapes += _shared_partitions(_row_lengths(batch), distinct)
     return shapes
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from ytensor import quadrature
 
@@ -71,3 +73,102 @@ class TestQuadBreakpoints:
         with pytest.raises(ArithmeticError, match=r"QUADPACK did not converge on \[0\.0, 1\.0\]: "
                                                   r"The maximum number of subdivisions \(400\)"):
             quadrature.quad_breakpoints(lambda x: 1.0 / x, 0.0, 1.0)
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64)))
+
+
+def _assert_matches_scipy(f, lo, hi, atol, args=()):
+    integral, status = quadrature._tanh_sinh_panels(f, lo, hi, atol, args)
+    with np.errstate(all="ignore"):
+        want = integrate.tanhsinh(f, lo, hi, args=args, atol=atol, rtol=quadrature.REL_TOL)
+    assert _same_bits(integral, want.integral), (integral, want.integral)
+    assert np.array_equal(status, want.status), (status, want.status)
+    return status
+
+
+def _log(x):
+    with np.errstate(divide="ignore"):
+        return np.log(x)
+
+
+class TestTanhSinhPanelsAgainstScipy:
+    # The in-module rule against scipy.integrate.tanhsinh at the same tolerances:
+    # integral and status bit for bit.
+    @pytest.mark.parametrize("atol", [quadrature.ABS_TOL, quadrature.INNER_ABS_TOL])
+    @pytest.mark.parametrize("f, lo, hi, args", [
+        (_log, 0.0, 1.0, ()),  # log singularity at the left end
+        (lambda x: _log(1.0 - x), 0.0, 1.0, ()),  # ... at the right end
+        (lambda x: _log(x * (2.0 - x)), 0.0, 2.0, ()),  # ... at both ends
+        (lambda x: x ** -0.5, 0.0, 1.0, ()),  # inverse square root at 0
+        (lambda x: (-x) ** -0.5, -1.0, 0.0, ()),  # ... at 0 as the right end
+        (lambda x: np.sin(x) * _log(np.abs(x)), [-2.0, 0.0, 1.0], [0.0, 1.0, 5.0], ()),
+        (lambda x: np.abs(x - 0.3) ** -0.5, [0.0, 0.3], [0.3, 1.0], ()),  # split at 0.3
+        (np.ones_like, [0.0, 1.4, 1.4000000000000001], [1.4, 1.4000000000000001, 2.0], ()),
+        (lambda x: 1.0 / x, 0.0, 1.0, ()),  # divergent
+        (lambda x: np.abs(x - 0.3) ** -0.5, 0.0, 1.0, ()),  # interior singularity unsplit
+        (lambda x: np.exp(-x * x), -6.0, 6.0, ()),
+        (np.exp, 1.0, 0.0, ()),  # backwards
+        (np.ones_like, [0.0, 1.0], [0.0, 2.0], ()),  # a zero-width panel
+        (lambda x: np.where(np.abs(x - 0.5) < 1e-12, np.nan, x), 0.0, 1.0, ()),  # NaN at the middle
+        (lambda x, p: x ** p, np.zeros(5), np.ones(5), (np.array([-0.9, -0.5, 0.0, 2.5, 40.0]),)),
+    ])
+    def test_fixed_integrands(self, f, lo, hi, args, atol):
+        _assert_matches_scipy(f, lo, hi, atol, args)
+
+    @given(coefficients=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+           starts=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=3),
+           widths=st.lists(st.floats(1e-3, 3.0), min_size=3, max_size=3),
+           where=st.sampled_from(["lo", "hi", "free"]), free=st.floats(-3.0, 3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_polynomial_times_log(self, coefficients, starts, widths, where, free):
+        lo = np.array(starts)
+        hi = lo + np.array(widths[:len(starts)])
+        a = {"lo": lo[0], "hi": hi[0], "free": free}[where]
+
+        def f(x):
+            return np.polyval(coefficients, x) * _log(np.abs(x - a))
+
+        _assert_matches_scipy(f, lo, hi, quadrature.ABS_TOL)
+
+    @pytest.mark.parametrize("kernel", [
+        _neg_log_kernel,
+        lambda s, t: np.abs(s - t) ** -0.5 * (1.0 + s * t),
+    ])
+    def test_nested_form(self, kernel):
+        # nested_tanh_sinh's inner call: one row of panels per outer node s,
+        # split at s; s at a panel end leaves a zero-width panel
+        lo, hi = np.array([-1.0, -0.25, 0.5]), np.array([-0.25, 0.5, 1.0])
+        s = np.array([-0.9, -0.25, 0.0, 0.3, 0.5, 0.99])[:, None]
+        cut = np.clip(s, lo, hi)
+        p_lo = np.concatenate([np.broadcast_to(lo, cut.shape), cut], axis=1)
+        p_hi = np.concatenate([cut, np.broadcast_to(hi, cut.shape)], axis=1)
+        with np.errstate(divide="ignore"):
+            status = _assert_matches_scipy(lambda t, s_: kernel(s_, t), p_lo, p_hi,
+                                           quadrature.INNER_ABS_TOL, (s,))
+        assert not status.any()
+
+
+def test_converged_panels_leave_with_their_arguments():
+    # cos(w x) x**q converges at a later level the larger w is, and the q = -1
+    # panel not at all; a panel's result must not depend on its neighbours
+    w = np.array([80.0, 1.0, 40.0, 3.0, 3.0, 160.0])
+    q = np.array([0.0, 0.0, 0.0, 0.0, -1.0, 0.0])
+    lo, hi = np.zeros(6), np.linspace(2.0, 2.5, 6)
+    rows = []
+
+    def f(x, w_, q_):
+        rows.append(len(x))
+        with np.errstate(divide="ignore"):
+            return np.cos(w_ * x) * x ** q_
+
+    integral, status = quadrature._tanh_sinh_panels(f, lo, hi, quadrature.ABS_TOL, (w, q))
+    assert len(set(rows)) > 3 and rows == sorted(rows, reverse=True)
+    assert list(status) == [0, 0, 0, 0, -2, 0]
+    for k in range(len(w)):
+        alone = quadrature._tanh_sinh_panels(f, lo[k], hi[k], quadrature.ABS_TOL, (w[k], q[k]))
+        assert _same_bits(integral[k], alone[0]) and status[k] == alone[1]

@@ -91,6 +91,10 @@ class TestWordKernel:
         monkeypatch.setattr(rsk, "_KERNEL_LETTERS", 70)  # two words per call
         assert rsk.sample_schur_weyl(30, 4, seed=3, count=25) == one_call
 
+    def test_equal_shapes_share_one_partition_across_batches(self):
+        samples = rsk.sample_schur_weyl(4, 2, 0, 20000)  # five kernel batches
+        assert len({id(p) for p in samples}) == len(set(samples))
+
 
 def reference_words(seed, n, N, trials):
     return np.array([rsk.trial_rng(seed, k).integers(1, N + 1, size=n) for k in trials])
