@@ -11,9 +11,12 @@ kernel for a batch of words: it inserts each word's positions letter block
 by letter block, every (row, block) step of one anti-diagonal for all words
 in one pass, so a word over N letters takes at most N + height passes
 instead of one Python-level step per bump (1.5e6 bumps for one word at
-n = 3e4, N = 173).  ``sample_schur_weyl`` uses the kernel: two words at
-n = 3e4, N = 173 take 0.16-0.23 s against 0.92-1.03 s on the loop, and one word
-at n = 1e6, N = 1000 takes 22-24 s with a 140 MB peak (2 cores).
+n = 3e4, N = 173).  ``sample_schur_weyl`` uses the kernel, one thread per word
+once words are long: two words at n = 3e4, N = 173 take 0.13-0.21 s on
+2 cores, against 0.19-0.22 s in one thread and 0.92-1.03 s on the loop.
+One word at n = 1e6, N = 1000 takes 22-24 s with a 140 MB peak, and
+``ytensor bounds --n 1000000 --c 1 --samples 2`` takes 25-27 s with a
+197-199 MB peak RSS, against 46-47 s and 170-171 MB in one thread.
 ``sample_plancherel`` stays on the bisect loop: a permutation has n letter
 blocks of one position each, so the kernel makes n passes of tiny arrays,
 0.20-0.25 s against 0.12-0.14 s for the loop at n = 1e4.  The loop is also
@@ -33,13 +36,16 @@ each shape by identity.  Together these take
 0.16-0.20 s (2 cores): a Generator's ``integers`` call cost ~10 us per
 trial, re-keying it ~3 us and building each trial's ``Partition`` ~4 us.
 A word at n = 3e4 takes 3-4 ms to draw, against 0.3 ms through
-``integers``, beside 90 ms of kernel.  ``sample_plancherel`` still re-keys
+``integers``, beside 80-100 ms of kernel.  ``sample_plancherel`` still re-keys
 one Philox per trial and calls ``Generator.permutation``.
 """
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_right
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -214,15 +220,16 @@ def rsk_shapes_from_words(words: np.ndarray) -> list[Partition]:
     at most (distinct letters) + (rows) passes.
 
     All rows of all ``count`` words live in one sorted array of keys
-    group * (n + 1) + position, where group = row * count + word.  A group
-    holds at most n // (row + 1) entries (the row-length bound of a partition
-    of n) and is padded with its sentinel key, group * (n + 1) + n, so one
-    searchsorted serves every group and an insertion past a row's end
-    overwrites a sentinel.  Because the groups sit in key order, the running
-    maximum that gives p_j restarts by itself at a group boundary.  A real
-    entry bumped out of the last row, or a row that fills its last slot,
-    raises ArithmeticError.  Equal shapes within one call are one shared
-    (frozen) ``Partition``.
+    group << shift | position, where group = row * count + word and
+    shift = n.bit_length().  A group holds at most n // (row + 1) entries (the
+    row-length bound of a partition of n) and is padded with its sentinel key,
+    group << shift | mask with mask = 2**shift - 1 >= n, so one searchsorted
+    serves every group, an insertion past a row's end overwrites a sentinel,
+    and a bitmask, not a modulo, tells a bumped sentinel from an entry.
+    Because the groups sit in key order, the running maximum that gives p_j
+    restarts by itself at a group boundary.  A real entry bumped out of the
+    last row, or a row that fills its last slot, raises ArithmeticError.
+    Equal shapes within one call are one shared (frozen) ``Partition``.
     """
     return _shared_partitions(_row_lengths(words), {})
 
@@ -255,19 +262,21 @@ def _row_lengths(words: np.ndarray) -> np.ndarray:
     blocks = edges.size - 1
     height = min(blocks, n)  # a word's height is at most its number of letters
     groups = height * count
+    shift = n.bit_length()
+    mask = (1 << shift) - 1  # every position is below it, so it marks a sentinel
     # Keys of one row past the last must fit too, so that an entry bumped out
     # of the last row searches past the table's end instead of wrapping.
-    dtype = np.int32 if (groups + count) * (n + 1) <= np.iinfo(np.int32).max else np.int64
-    fresh = order.astype(dtype)  # order = word * n + position, so order + word is its row-0 key
-    fresh += fresh // n
+    dtype = np.int32 if (groups + count) << shift <= np.iinfo(np.int32).max else np.int64
+    fresh = order.astype(dtype)  # order = word * n + position; row-0 key word << shift | position
+    fresh += fresh // n * (mask + 1 - n)
     del order, letters
 
     caps = np.repeat(n // np.arange(1, height + 1) + 1, count)  # + 1 for the sentinel
     last = np.cumsum(caps) - 1
-    sentinels = np.arange(groups, dtype=dtype) * (n + 1) + n
+    sentinels = np.arange(groups, dtype=dtype) << shift | mask
     table = np.repeat(sentinels, caps)
     ramp = np.arange(fresh.size)
-    row_step = count * (n + 1)  # from a key to the same position one row down
+    row_step = count << shift  # from a key to the same position one row down
     carry = fresh[:0]
     for d in range(blocks + height):
         s = np.concatenate((fresh[edges[d]:edges[d + 1]], carry)) if d < blocks else carry
@@ -281,7 +290,7 @@ def _row_lengths(words: np.ndarray) -> np.ndarray:
             raise ArithmeticError("RSK kernel: an entry left the last row or a row overflowed")
         bumped = table[p]
         table[p] = s
-        carry = bumped[bumped % (n + 1) != n]
+        carry = bumped[(bumped & mask) != mask]
         carry += row_step
     if np.any(table[last] != sentinels):
         raise ArithmeticError("RSK kernel: a row overflowed")
@@ -298,20 +307,54 @@ def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:
     Batches of up to ``_KERNEL_LETTERS`` letters go through the kernel of
     ``rsk_shapes_from_words`` together, and equal shapes of all batches are
     one shared ``Partition``.
+
+    At n >= ``_KERNEL_LETTERS`` every batch is one word.  Two or more such
+    words run on a thread pool of min(usable CPUs, count) workers, each word
+    drawn into its own buffer, so at most that many words are in flight.
+    The kernel's searchsorted, ufuncs and fancy indexing release the GIL, so
+    the words use every core; the partitions are still built in the calling
+    thread, in trial order.  Batches of short words stay in one thread with
+    one reused buffer: their time goes mostly to Python under the GIL, and a
+    prototype that pooled them too slowed the chisq-small benchmark
+    (3 x 2e4 trials at n = 4..6) from run_ref 0.44 to 0.49 and added 4 MB
+    of RSS.
     """
     if n < 1 or N < 1 or count < 1:
         raise ValueError("n, N and count must be positive")
     if N >= 1 << 63:  # trial_rng's int64 letters cannot reach it
         raise ValueError("N must be below 2**63")
     per_call = max(1, _KERNEL_LETTERS // n)
+    distinct: dict = {}
+    workers = min(_usable_cpus(), count)
+    if per_call == 1 and workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            tables = pool.map(partial(_word_lengths, seed, n=n, N=N), range(count))
+            return [lam for lengths in tables for lam in _shared_partitions(lengths, distinct)]
     words = np.empty((min(count, per_call), n), dtype=np.min_scalar_type(N))
     shapes: list[Partition] = []
-    distinct: dict = {}
     for start in range(0, count, per_call):
         batch = words[:min(per_call, count - start)]
         _draw_letters(seed, np.arange(start, start + len(batch)), n, N, batch)
         shapes += _shared_partitions(_row_lengths(batch), distinct)
     return shapes
+
+
+def _word_lengths(seed: int, trial: int, n: int, N: int) -> np.ndarray:
+    """Row lengths of trial ``trial``'s word, drawn into a buffer of its own.
+
+    ``sample_schur_weyl`` runs it in worker threads, so it calls nothing
+    that keeps shared state.
+    """
+    word = np.empty((1, n), dtype=np.min_scalar_type(N))
+    _draw_letters(seed, np.array([trial]), n, N, word)
+    return _row_lengths(word)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one, else all."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def sample_plancherel(n: int, seed: int, count: int) -> list[Partition]:

@@ -2,6 +2,9 @@ import hashlib
 import itertools
 import json
 import math
+import sys
+import threading
+import time
 from bisect import bisect_left
 
 import numpy as np
@@ -86,6 +89,14 @@ class TestWordKernel:
         words = np.array([w[:n] for w in words])
         assert rsk.rsk_shapes_from_words(words) == bisect_shapes(words)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 2**14 - 1, 2**14, 2**14 + 1])
+    def test_sentinel_mask_at_bit_length_edges(self, n):
+        # The keys are group << n.bit_length() | position and the sentinel is
+        # the all-ones position, so these n are where the shift and the mask change.
+        for N in (1, 3, 40):
+            words = np.random.default_rng(n * 100 + N).integers(1, N + 1, size=(max(2, 64 // n), n))
+            assert rsk.rsk_shapes_from_words(words) == bisect_shapes(words)
+
     def test_chunked_calls_match_one_call(self, monkeypatch):
         one_call = rsk.sample_schur_weyl(30, 4, seed=3, count=25)
         monkeypatch.setattr(rsk, "_KERNEL_LETTERS", 70)  # two words per call
@@ -94,6 +105,80 @@ class TestWordKernel:
     def test_equal_shapes_share_one_partition_across_batches(self):
         samples = rsk.sample_schur_weyl(4, 2, 0, 20000)  # five kernel batches
         assert len({id(p) for p in samples}) == len(set(samples))
+
+
+def shapes_digest(samples):
+    return hashlib.sha256(json.dumps([lam.rows for lam in samples]).encode()).hexdigest()
+
+
+class TestWordPool:
+    # sample_schur_weyl runs one-word batches on a thread pool.
+
+    def test_pooled_words_match_golden_and_one_thread(self, monkeypatch):
+        # Three one-word batches, more than the two workers.  The digest is
+        # that of the single-threaded sampler before the pool was added.
+        monkeypatch.setattr(rsk, "_usable_cpus", lambda: 2)
+        pooled = rsk.sample_schur_weyl(1 << 14, 128, 4, 3)
+        assert shapes_digest(pooled) == \
+            "0b4867e8fbaba932c865c4554eec58c15295c6b546759b09f0d0bc60cbe519b1"
+        monkeypatch.setattr(rsk, "_usable_cpus", lambda: 1)
+        assert rsk.sample_schur_weyl(1 << 14, 128, 4, 3) == pooled
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        monkeypatch.setattr(rsk, "_usable_cpus", lambda: 1)
+        one_thread = rsk.sample_schur_weyl(1 << 14, 40, 2, 6)
+        monkeypatch.setattr(rsk, "_usable_cpus", lambda: 5)
+        kernel = rsk._row_lengths
+
+        def after_a_pause(words):  # lets the other workers draw their words meanwhile
+            time.sleep(0.01)
+            return kernel(words)
+
+        monkeypatch.setattr(rsk, "_row_lengths", after_a_pause)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = rsk.sample_schur_weyl(1 << 14, 40, 2, 6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled == one_thread
+
+    def test_equal_shapes_from_workers_share_one_partition(self, monkeypatch):
+        monkeypatch.setattr(rsk, "_usable_cpus", lambda: 2)
+        samples = rsk.sample_schur_weyl(1 << 14, 1, 0, 4)  # N = 1: every shape is (n,)
+        assert samples == [Partition((1 << 14,))] * 4
+        assert len({id(p) for p in samples}) == 1
+
+    def test_worker_error_propagates_and_threads_end(self, monkeypatch):
+        monkeypatch.setattr(rsk, "_usable_cpus", lambda: 2)
+        baseline = threading.active_count()
+        kernel, calls, lock = rsk._row_lengths, [], threading.Lock()
+
+        def second_call_fails(words):
+            with lock:
+                calls.append(threading.current_thread())
+                failing = len(calls) == 2
+            if failing:
+                raise ArithmeticError("injected")
+            return kernel(words)
+
+        monkeypatch.setattr(rsk, "_row_lengths", second_call_fails)
+        with pytest.raises(ArithmeticError, match="injected"):
+            rsk.sample_schur_weyl(1 << 14, 3, 0, 4)
+        assert threading.main_thread() not in calls
+        assert threading.active_count() == baseline
+
+    def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(rsk.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(rsk.os, "cpu_count", lambda: 8)
+        assert rsk._usable_cpus() == 3
+
+    @pytest.mark.parametrize("cpus, usable", [(8, 8), (None, 1)])
+    def test_usable_cpus_without_affinity(self, monkeypatch, cpus, usable):
+        # As on macOS and Windows, where os.cpu_count() may also return None.
+        monkeypatch.delattr(rsk.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(rsk.os, "cpu_count", lambda: cpus)
+        assert rsk._usable_cpus() == usable
 
 
 def reference_words(seed, n, N, trials):
