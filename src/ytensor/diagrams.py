@@ -49,6 +49,15 @@ class Partition:
             raise ValueError(f"row lengths must be positive: {rows}")
         if any(map(operator.lt, rows, rows[1:])):
             raise ValueError(f"row lengths must be nonincreasing: {rows}")
+        object.__setattr__(self, "_hash", hash(rows))
+
+    def __hash__(self) -> int:
+        # Counters and dicts of sampled shapes hash each one many times.
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # Rebuild through the constructor, so the hash is that of the loading interpreter.
+        return Partition, (self.rows,)
 
     @property
     def n(self) -> int:

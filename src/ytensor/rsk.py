@@ -31,10 +31,12 @@ rule (Lemire's rejection) to the raw output, so every word equals
 ``trial_rng(seed, k).integers(1, N + 1, size=n)`` bit for bit.  Equal
 shapes of one ``sample_schur_weyl`` call share one ``Partition``, across
 its kernel batches too, so a ``Counter`` of the samples hashes and compares
-each shape by identity.  Together these take
+each shape by identity.  When a batch has room for all N**n words, the
+kernel sees each drawn word once.  Together these take
 2e4 trials at each of (n, N) = (4, 2), (5, 3), (6, 3) from 1.18-1.29 s to
-0.16-0.20 s (2 cores): a Generator's ``integers`` call cost ~10 us per
-trial, re-keying it ~3 us and building each trial's ``Partition`` ~4 us.
+0.085-0.096 s (2 cores; 0.13-0.19 s before the kernel saw only distinct
+words): a Generator's ``integers`` call cost ~10 us per trial, re-keying it
+~3 us and building each trial's ``Partition`` ~4 us.
 A word at n = 3e4 takes 3-4 ms to draw, against 0.3 ms through
 ``integers``, beside 80-100 ms of kernel.  ``sample_plancherel`` still re-keys
 one Philox per trial and calls ``Generator.permutation``.
@@ -308,6 +310,15 @@ def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:
     ``rsk_shapes_from_words`` together, and equal shapes of all batches are
     one shared ``Partition``.
 
+    When a batch has at least as many rows as there are words (N**n), most
+    rows repeat a word of another row, so only the batch's distinct words go
+    through the kernel: each word is read as a base-N code, ``np.unique``
+    keeps its first row, and its shape is handed to every row that drew it.
+    That is exact because a word's RSK shape depends on the word alone, and
+    every row still draws its own (seed, trial) stream.  At (n, N) = (6, 3)
+    a batch of 2730 rows runs at most 729 words through the kernel and
+    builds at most 729 row tuples.
+
     At n >= ``_KERNEL_LETTERS`` every batch is one word.  Two or more such
     words run on a thread pool of min(usable CPUs, count) workers, each word
     drawn into its own buffer, so at most that many words are in flight.
@@ -335,8 +346,25 @@ def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:
     for start in range(0, count, per_call):
         batch = words[:min(per_call, count - start)]
         _draw_letters(seed, np.arange(start, start + len(batch)), n, N, batch)
-        shapes += _shared_partitions(_row_lengths(batch), distinct)
+        if _word_space_fits(n, N, len(batch)):
+            codes = (batch - 1) @ N ** np.arange(n, dtype=np.int64)  # base N, below N**n
+            _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+            parts = _shared_partitions(_row_lengths(batch[first]), distinct)
+            shapes += map(parts.__getitem__, inverse.tolist())
+        else:
+            shapes += _shared_partitions(_row_lengths(batch), distinct)
     return shapes
+
+
+def _word_space_fits(n: int, N: int, rows: int) -> bool:
+    """Whether all N**n words over 1..N fit in ``rows`` rows, without forming N**n.
+
+    For N >= 2, N**n >= 2**n > rows once n >= rows.bit_length(), so the power
+    is taken only for n below that: n = 1e6 and N near 2**63 never form it.
+    """
+    if N == 1:
+        return True
+    return n < rows.bit_length() and N ** n <= rows
 
 
 def _word_lengths(seed: int, trial: int, n: int, N: int) -> np.ndarray:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +57,23 @@ class TestPartition:
             Partition.parse("a,b")
         with pytest.raises(ValueError):
             Partition.parse("")
+
+    def test_equal_partitions_hash_equal(self):
+        a, b = Partition((3, 1, 1)), Partition(np.array([3, 1, 1]))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+        assert repr(a) == "Partition(rows=(3, 1, 1))"
+        assert hash(Partition(())) == hash(Partition([]))
+
+    @pytest.mark.parametrize("round_trip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_round_trip_keeps_hash_and_equality(self, round_trip):
+        lam = Partition((5, 2, 2, 1))
+        lam.conjugate_rows  # a cached value rides along or is rebuilt, never stale
+        back = round_trip(lam)
+        assert back == lam and hash(back) == hash(lam)
+        assert back.conjugate_rows == lam.conjugate_rows
+        assert len({lam, back}) == 1
 
     @given(partitions_strategy())
     def test_conjugate_involution(self, lam):

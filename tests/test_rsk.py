@@ -107,6 +107,53 @@ class TestWordKernel:
         assert len({id(p) for p in samples}) == len(set(samples))
 
 
+class TestDistinctWords:
+    # When a batch has room for every word over 1..N, the kernel sees each drawn word once.
+
+    @pytest.mark.parametrize("n, N", [(4, 2), (3, 3), (2, 5)])
+    @pytest.mark.parametrize("spare", [0, -1], ids=["rows=N^n", "rows=N^n-1"])
+    def test_batch_of_word_space_size(self, monkeypatch, n, N, spare):
+        rows = N ** n + spare
+        monkeypatch.setattr(rsk, "_KERNEL_LETTERS", rows * n)
+        assert rsk._word_space_fits(n, N, rows) == (spare == 0)
+        count = 5 * rows + 3  # full batches and a short last one
+        reference = bisect_shapes(reference_words(6, n, N, range(count)))
+        assert rsk.sample_schur_weyl(n, N, 6, count) == reference
+
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    def test_one_letter(self, n):
+        assert rsk._word_space_fits(n, 1, 1)
+        samples = rsk.sample_schur_weyl(n, 1, 2, 300)
+        assert samples == [Partition((n,))] * 300
+        assert len({id(p) for p in samples}) == 1
+
+    @pytest.mark.parametrize("n, N, count", [(4, 2, 20000), (5, 3, 3000), (6, 3, 5000), (3, 1, 50)])
+    def test_kernel_sees_at_most_the_word_space(self, monkeypatch, n, N, count):
+        kernel, seen = rsk._row_lengths, []
+
+        def spy(words):
+            seen.append(len(words))
+            return kernel(words)
+
+        monkeypatch.setattr(rsk, "_row_lengths", spy)
+        samples = rsk.sample_schur_weyl(n, N, 8, count)
+        assert samples == bisect_shapes(reference_words(8, n, N, range(count)))
+        assert seen and max(seen) <= N ** n
+        assert len({id(p) for p in samples}) == len(set(samples))
+
+    def test_larger_word_space_keeps_every_row(self, monkeypatch):
+        kernel, seen = rsk._row_lengths, []
+        monkeypatch.setattr(rsk, "_row_lengths", lambda words: seen.append(len(words)) or kernel(words))
+        rsk.sample_schur_weyl(7, 5, 0, 2000)  # 5**7 = 78125 words, 2000 rows
+        assert seen == [2000]
+
+    def test_predicate_never_forms_the_power(self):
+        start = time.perf_counter()
+        assert not rsk._word_space_fits(10**6, 2**62 + 1, rsk._KERNEL_LETTERS)
+        assert not rsk._word_space_fits(63, 2**63 - 1, 2**62)
+        assert time.perf_counter() - start < 1.0  # the power itself would have 6.2e7 bits
+
+
 def shapes_digest(samples):
     return hashlib.sha256(json.dumps([lam.rows for lam in samples]).encode()).hexdigest()
 
