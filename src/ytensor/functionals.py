@@ -24,7 +24,7 @@ a sum of phi_2(x_k + 1/(2c)) and x_k^2 terms, and the Sobolev norm of
 L - Omega_c the energy E on the window, the antiderivative of lemma I at the
 corners and lemma intIOmega's reduction of the shape self-energy.
 That reduction and the boundary penalty are each one tanh-sinh call over the
-array-valued G, H and H'; QUADPACK integrates only alpha_c and lemma_F3.
+array-valued G, H and H', and so are alpha_c and lemma_F3, in angle variables.
 The nested-quadrature routes (difference quotient, generic log kernel, the
 hook integral of a Curve and lemma intIOmega's left side) are kept as
 independent oracles for the tests; each gives quadrature.nested_tanh_sinh
@@ -43,7 +43,7 @@ import numpy as np
 
 from .diagrams import Partition, Profile, profile
 from .exact import hook_lengths, neg_log_measure_scaled, shifted_contents
-from .quadrature import nested_tanh_sinh, quad_breakpoints, tanh_sinh
+from .quadrature import nested_tanh_sinh, tanh_sinh
 from .shape import (
     G,
     H_tilde,
@@ -531,6 +531,10 @@ def prop41_identity(lam: Partition | Profile, N: int) -> tuple[float, float]:
 # closed-form lemmas, each returned as (quadrature value, closed form)
 # ---------------------------------------------------------------------------
 
+# Multiples k of |1 - c| at which alpha_constant and lemma_F3 split their
+# angle integrals: near c = 1 the integrand turns within ~|1 - c| of one end.
+_TURN_SCALES = (0.25, 1.0, 4.0, 16.0)
+
 
 def _lemma_A_closed(c: float) -> float:
     val = -c * c / 8.0
@@ -591,18 +595,20 @@ def lemma_F3(c: float, x: float) -> tuple[float, float]:
 
     The substitution z = sin(psi) absorbs the inverse-square-root endpoint
     factor: the transformed weight 2(1 + c sin psi)/(pi (1 + c^2 + 2c sin psi))
-    is smooth on [-pi/2, pi/2].
+    is smooth on [-pi/2, pi/2].  Near c = 1 it turns within ~|1 - c| of
+    psi = -pi/2, so breakpoints at -pi/2 + k|1 - c| resolve the turn.
     """
     if c <= 0.0:
         raise ValueError("c must be positive")
 
-    def g(psi: float) -> float:
-        z = math.sin(psi)
-        w = 2.0 * (1.0 + c * z) / (math.pi * (1.0 + c * c + 2.0 * c * z))
-        return phi(2, x - z) * w
+    def g(psi):
+        z = np.sin(psi)
+        return phi(2, x - z) * (2.0 * (1.0 + c * z) / (math.pi * (1.0 + c * c + 2.0 * c * z)))
 
-    pts = (math.asin(x),) if -1.0 < x < 1.0 else ()
-    val = quad_breakpoints(g, -0.5 * math.pi, 0.5 * math.pi, pts)
+    pts = tuple(-0.5 * math.pi + k * abs(1.0 - c) for k in _TURN_SCALES)
+    if -1.0 < x < 1.0:
+        pts += (math.asin(x),)
+    val = tanh_sinh(g, -0.5 * math.pi, 0.5 * math.pi, pts)
     return val, _lemma_F3_closed(c, x)
 
 
@@ -646,18 +652,21 @@ def lemma_intIOmega(c: float, a: float, b: float) -> tuple[float, float]:
 def alpha_constant(c: float) -> float:
     """alpha_c = (1/4) int_{-1}^{1} (sign(z) - Omega_c'(z + c/2))^2 dz.
 
-    At c = 0 this reduces to 2/pi - 4/pi^2.  Near c = 1, Omega_c' turns within
-    ~(1 - c)^2 of z = -1; there tanh-sinh was off by up to 2.7e-9 while
-    reporting convergence, QUADPACK by at most 4.5e-14.
+    Integrated in theta = arccos z, where Omega_c'(z + c/2) is
+    1 - (2/pi) atan2(sin theta, c + cos theta).  Near c = 1 that turns within
+    ~|1 - c| of theta = pi (within ~(1 - c)^2 of z = -1), so breakpoints at
+    pi - k|1 - c| resolve the turn.  At c = 0 this reduces to 2/pi - 4/pi^2.
     """
     if not (math.isfinite(c) and c >= 0.0):
         raise ValueError("c must be finite and nonnegative")
 
-    def g(z: float) -> float:
-        d = (1.0 if z > 0.0 else -1.0 if z < 0.0 else 0.0) - omega_c_prime(c, z + 0.5 * c)
-        return d * d
+    def g(theta):
+        sin, cos = np.sin(theta), np.cos(theta)
+        d = np.sign(cos) - 1.0 + (2.0 / math.pi) * np.arctan2(sin, c + cos)
+        return d * d * sin
 
-    return 0.25 * quad_breakpoints(g, -1.0, 1.0, (0.0,))
+    pts = (0.5 * math.pi,) + tuple(math.pi - k * abs(1.0 - c) for k in _TURN_SCALES)
+    return 0.25 * tanh_sinh(g, 0.0, math.pi, pts)
 
 
 def beta_constant() -> float:

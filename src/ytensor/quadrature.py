@@ -1,8 +1,9 @@
 """Thin quadrature helpers shared by the variational layer, taking breakpoint
 lists: tanh-sinh for array integrands with integrable endpoint singularities
-(tanh_sinh), two-level tanh-sinh for double integrals with a singular diagonal
-(nested_tanh_sinh), and QUADPACK (quad_breakpoints) for the scalar integrands
-of alpha_constant and lemma_F3.
+(tanh_sinh) and two-level tanh-sinh for double integrals with a singular
+diagonal (nested_tanh_sinh).  Every production integral runs on these two.
+quad_breakpoints, a QUADPACK wrapper, has no production caller; it stays only
+while perfbench/spans.py traces it.
 
 The tanh-sinh rule is the one of Bailey, Jeyabalan and Li (A comparison of
 three high-precision quadrature schemes, Experimental Math. 14, 2005), run
@@ -14,13 +15,13 @@ scipy's tanhsinh stays only as the tests' oracle.  What the loop leaves out is
 scipy's per-iteration bookkeeping and its probe call at each panel's midpoint,
 which cost more than the integrands in a verify-all pass.
 
-The policy is fixed: absolute and relative tolerance 1e-9, at most 400
-QUADPACK subdivisions, and INNER_ABS_TOL = 1e-10 for the inner integrals of
-nested_tanh_sinh, so that their error stays below what the outer integral
-resolves.  An unconverged tanh-sinh panel or QUADPACK call raises
-ArithmeticError.  Breakpoints a few ulps apart are merged: on a panel one ulp
-wide every node rounds onto an end and gets weight zero, so the rule has no
-value to use and ends with a NaN and status -3, as scipy's does.
+The policy is fixed: absolute and relative tolerance 1e-9, and
+INNER_ABS_TOL = 1e-10 for the inner integrals of nested_tanh_sinh, so that
+their error stays below what the outer integral resolves.  An unconverged
+tanh-sinh panel raises ArithmeticError.  Breakpoints a few ulps apart are
+merged: on a panel one ulp wide every node rounds onto an end and gets weight
+zero, so the rule has no value to use and ends with a NaN and status -3, as
+scipy's does.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 __all__ = ["quad_breakpoints", "tanh_sinh", "nested_tanh_sinh"]
 
@@ -186,7 +186,12 @@ def _converged(status: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
 
 def quad_breakpoints(f, a: float, b: float, points=()) -> float:
     """Adaptive quadrature of a scalar f over [a, b], splitting at breakpoints;
-    raises ArithmeticError naming [a, b] when QUADPACK reports a problem."""
+    raises ArithmeticError naming [a, b] when QUADPACK reports a problem.
+
+    No production path calls this; it goes when perfbench/spans.py stops
+    tracing it.  scipy is imported here, so importing ytensor loads none.
+    """
+    from scipy import integrate
     if a == b:
         return 0.0
     pts = _edges(a, b, points)[1:-1].tolist()

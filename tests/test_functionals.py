@@ -324,8 +324,9 @@ class TestLemmas:
         assert cl == pytest.approx(phi(1, a - s) + phi(1, b - s) + G(c, s))
 
     def test_lemma_F3(self):
-        for c in self.CS:
-            for x in [0.0, 1.0, -(1 + c * c) / (2 * c)]:
+        # 0.99 and 1.001 put the weight's turn within ~|1 - c| of psi = -pi/2.
+        for c in self.CS + [0.99, 1.001]:
+            for x in [0.0, 1.0, -(1 + c * c) / (2 * c), 2.0, -0.7]:
                 q, cl = F.lemma_F3(c, x)
                 assert q == pytest.approx(cl, abs=1e-7)
 
@@ -356,7 +357,8 @@ class TestConstants:
             a = F.alpha_constant(c)
             assert 0.0 < a < beta
 
-    @pytest.mark.parametrize("c", [0.5, 0.99, math.sqrt(30000) / 173, 1.01, 2.0])
+    @pytest.mark.parametrize("c", [0.5, 0.99, math.sqrt(30000) / 173, 1.01, 2.0,
+                                   0.999, 1.0001, 1.0002, 1.001])
     def test_alpha_matches_mpmath_reference(self, c):
         # On |z| <= 1, s = z + c/2 lies in the bulk, where Omega_c'(s) is
         # (2/pi) arcsin((z + c)/sqrt(1 + c^2 + 2cz)); near c = 1 it turns

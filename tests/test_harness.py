@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
 import sys
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from ytensor.diagrams import Partition
 from ytensor import harness
@@ -225,3 +229,27 @@ class TestVerifyAll:
 
     def test_deterministic(self, verify_all_report):
         assert harness.cmd_verify_all(seed=0) == verify_all_report
+
+
+class TestChiSquare:
+    @pytest.mark.parametrize("dof", [1, 2, 3, 5, 10, 31, 100, 200])
+    def test_sf_matches_scipy(self, dof):
+        for chisq in (0.01, 0.5, dof / 2, dof, 2 * dof, 3 * dof + 20):
+            assert harness.chi_square_sf(chisq, dof) == pytest.approx(
+                stats.chi2.sf(chisq, dof), rel=1e-12, abs=0)
+
+    def test_no_scipy_at_runtime(self):
+        # The pytest process has scipy loaded already, so a fresh one runs the
+        # constants table and the chi-square family.
+        code = ("import sys\n"
+                "from ytensor import harness\n"
+                "assert harness.main(['constants', '--c-grid', '0,1.0001']) == 0\n"
+                "list(harness.chi_square(count=2000))\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        src = Path(harness.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
