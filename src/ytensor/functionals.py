@@ -28,7 +28,9 @@ array-valued G, H and H', and so are alpha_c and lemma_F3, in angle variables.
 The nested-quadrature routes (difference quotient, generic log kernel, the
 hook integral of a Curve and lemma intIOmega's left side) are kept as
 independent oracles for the tests; each gives quadrature.nested_tanh_sinh
-only its regularized kernel and outer weight.
+only its regularized kernel and outer weight.  That integrates the triangle
+t < s alone: the hook integral lives there, and the two Sobolev kernels are
+symmetric in (s, t), the log kernel after averaging it with its mirror image.
 """
 
 from __future__ import annotations
@@ -178,8 +180,9 @@ def _theta_curve(L: Curve) -> float:
     """Hook integral of a smooth curve by nested tanh-sinh quadrature.
 
     The logarithmic diagonal is removed by integrating the inner variable by
-    parts, which leaves a bounded difference-quotient kernel on t < s plus a
-    boundary term at the left support edge.  Both are weighted by 1 - L'(s).
+    parts, which leaves a bounded difference-quotient kernel on t < s, the
+    triangle nested_tanh_sinh integrates, plus a boundary term at the left
+    support edge.  Both are weighted by 1 - L'(s).
     """
     lo, hi = L.support
 
@@ -188,8 +191,7 @@ def _theta_curve(L: Curve) -> float:
 
     def kernel(s, t):
         with np.errstate(divide="ignore", invalid="ignore"):
-            g = 1.0 + np.where(t == s, L.prime(s), (L.fn(s) - L.fn(t)) / (s - t))
-        return np.where(t <= s, -g, 0.0)
+            return -1.0 - np.where(t == s, L.prime(s), (L.fn(s) - L.fn(t)) / (s - t))
 
     def boundary(s):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -375,7 +377,9 @@ def _sobolev_quotient(f: Curve) -> float:
     """Difference-quotient route: (1/2) iint ((f(s)-f(t))/(s-t))^2 ds dt over R^2.
 
     The plane splits into the window square plus two tail strips where one
-    argument is outside [a, b] and f vanishes there.
+    argument is outside [a, b] and f vanishes there.  The kernel is symmetric,
+    so half the square is its triangle t < s, and half the strips is one
+    strip per side: the value is the triangle plus the tails.
     """
     a, b = f.support
 
@@ -389,8 +393,7 @@ def _sobolev_quotient(f: Curve) -> float:
         with np.errstate(divide="ignore", invalid="ignore"):
             return fs * fs * (1.0 / (s - a) + 1.0 / (b - s))
 
-    square = nested_tanh_sinh(kernel, np.ones_like, a, b, f.kinks)
-    return 0.5 * (square + 2.0 * tanh_sinh(tails, a, b, f.kinks))
+    return nested_tanh_sinh(kernel, np.ones_like, a, b, f.kinks) + tanh_sinh(tails, a, b, f.kinks)
 
 
 def _log_kernel(prime, a: float, b: float):
@@ -398,7 +401,8 @@ def _log_kernel(prime, a: float, b: float):
 
     k(s, t) = phi_0(s - t) (prime(t) - prime(s)) is bounded at t = s, and the
     subtracted piece has the closed form e(s) = (phi_1(s-a) + phi_1(b-s)) prime(s).
-    Returns (k, e).
+    Returns (k, e).  Only lemma_I uses it; _sobolev_logkernel_generic takes
+    the symmetrized kernel instead.
     """
     def kernel(s, t):
         d = s - t
@@ -413,11 +417,30 @@ def _log_kernel(prime, a: float, b: float):
 
 def _sobolev_logkernel_generic(f: Curve) -> float:
     """Log-kernel route: - iint ln|2(s-t)| f'(s) f'(t) ds dt over f's support,
-    by nested tanh-sinh quadrature."""
+    by nested tanh-sinh quadrature.
+
+    With e(s) = (phi_1(s-a) + phi_1(b-s)) f'(s) the integral of phi_0(s-t) f'(s)
+    over t, the value is
+
+        -iint_{t<s} phi_0(s-t) (f'(s) - f'(t))^2 dt ds + int f'(s) e(s) ds,
+
+    since iint phi_0(s-t) (f'(t) - f'(s)) f'(s) over the square, averaged with
+    its copy under s <-> t, is -(1/2) iint phi_0(s-t) (f'(s) - f'(t))^2.  The
+    kernel is bounded at t = s.
+    """
     a, b = f.support
-    kernel, edge = _log_kernel(f.prime, a, b)
-    return (nested_tanh_sinh(kernel, f.prime, a, b, f.kinks)
-            + tanh_sinh(lambda s: f.prime(s) * edge(s), a, b, f.kinks))
+
+    def kernel(s, t):
+        d = s - t
+        near = np.abs(d) < 1e-15
+        jump = f.prime(s) - f.prime(t)
+        return np.where(near, 0.0, -phi(0, np.where(near, 0.5, d)) * jump * jump)
+
+    def edge(s):
+        fs = f.prime(s)
+        return (phi(1, s - a) + phi(1, b - s)) * fs * fs
+
+    return nested_tanh_sinh(kernel, np.ones_like, a, b, f.kinks) + tanh_sinh(edge, a, b, f.kinks)
 
 
 def _lemma_I_antiderivative(c: float, e, a: float, b: float):

@@ -1,7 +1,10 @@
 """Thin quadrature helpers shared by the variational layer, taking breakpoint
 lists: tanh-sinh for array integrands with integrable endpoint singularities
 (tanh_sinh) and two-level tanh-sinh for double integrals with a singular
-diagonal (nested_tanh_sinh).  Every production integral runs on these two.
+diagonal (nested_tanh_sinh), taken over the triangle t < s only: its callers'
+integrands are symmetric in (s, t) or vanish above the diagonal, so the other
+half would repeat the first or add zeros.  Every production integral runs on
+these two.
 quad_breakpoints, a QUADPACK wrapper, has no production caller; it stays only
 while perfbench/spans.py traces it.
 
@@ -223,12 +226,15 @@ def tanh_sinh(f, a: float, b: float, points=()) -> float:
 
 
 def nested_tanh_sinh(kernel, weight, a: float, b: float, points=()) -> float:
-    """int_a^b weight(s) int_a^b kernel(s, t) dt ds by two-level tanh-sinh.
+    """int_a^b weight(s) int_a^s kernel(s, t) dt ds by two-level tanh-sinh.
 
-    kernel(s, t) and weight(s) take broadcastable arrays; the kernel may have
-    an integrable singularity at t = s.  One tanh-sinh call takes the inner
-    integrals of NESTED_BLOCK outer nodes s, each panel split at s clipped into
-    it, unless s lies within a few ulps of the panel's ends.
+    Only the triangle t < s is integrated: a kernel symmetric in (s, t) gives
+    half its integral over the square.  kernel(s, t) and weight(s) take
+    broadcastable arrays; the kernel may have an integrable singularity at
+    t = s.  One tanh-sinh call takes the inner integrals of NESTED_BLOCK outer
+    nodes s, over each panel [lo, hi] cut at s clipped into it: [lo, cut].  A
+    cut within a few ulps of lo or hi is moved onto it, so such panels are
+    empty or whole.
     """
     edges = _edges(a, b, points)
     lo, hi = edges[:-1], edges[1:]
@@ -240,11 +246,10 @@ def nested_tanh_sinh(kernel, weight, a: float, b: float, points=()) -> float:
             s_blk = flat[start:start + NESTED_BLOCK]
             cut = np.clip(s_blk, lo, hi)
             cut = np.where(_thin(lo, cut), lo, np.where(_thin(cut, hi), hi, cut))
-            p_lo = np.concatenate([np.broadcast_to(lo, cut.shape), cut], axis=1)
-            p_hi = np.concatenate([cut, np.broadcast_to(hi, cut.shape)], axis=1)
-            integral, status = _tanh_sinh_panels(lambda t, s_: kernel(s_, t), p_lo, p_hi,
+            p_lo = np.broadcast_to(lo, cut.shape)
+            integral, status = _tanh_sinh_panels(lambda t, s_: kernel(s_, t), p_lo, cut,
                                                  INNER_ABS_TOL, (s_blk,))
-            _converged(status, p_lo, p_hi)
+            _converged(status, p_lo, cut)
             out[start:start + NESTED_BLOCK] = integral.sum(axis=1)
         return weight(s) * out.reshape(s.shape)
 

@@ -217,6 +217,13 @@ class TestSobolev:
         assert F._sobolev_quotient(f) == pytest.approx(k_fast, abs=1e-6)
         assert F._sobolev_logkernel_generic(f) == pytest.approx(k_fast, abs=1e-6)
 
+    @pytest.mark.parametrize("rows, c", [((3, 2, 1), 1.0), ((4, 2), 0.5), ((5, 3, 3, 1), 2.0)])
+    def test_nested_routes_match_closed_form(self, rows, c):
+        f = F.profile_minus_shape(profile(Partition(rows)), c)
+        k_fast = F.sobolev_half_sq(f)
+        assert F._sobolev_quotient(f) == pytest.approx(k_fast, abs=1e-9)
+        assert F._sobolev_logkernel_generic(f) == pytest.approx(k_fast, abs=1e-9)
+
     def test_profile_below_default_window_rejected(self):
         # a column of 4 cells at c = 4 reaches X = -2, left of the window's -0.625.
         with pytest.raises(ValueError):
@@ -339,6 +346,16 @@ class TestLemmas:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             F.lemma_intIOmega(0.5, 0.0, 2.5)
+
+    def test_lemma_intIOmega_on_the_verify_all_grid(self, verify_all_report):
+        # the report's lhs is the nested route, its rhs the closed reduction
+        recs = [ch for ch in verify_all_report["checks"] if ch["test"] == "lemma_intIOmega"]
+        assert [ch["params"]["c"] for ch in recs] == verify_all_report["c_grid"]
+        assert len(recs) == 7
+        for ch in recs:
+            a, b = F.default_window(ch["params"]["c"])
+            assert ch["rhs"] == F._int_I_omega_closed(ch["params"]["c"], a, b)
+            assert ch["lhs"] == pytest.approx(ch["rhs"], abs=1e-9)
 
 
 class TestConstants:

@@ -36,9 +36,19 @@ def _neg_log_kernel(s, t):
 
 class TestNestedTanhSinh:
     def test_log_kernel_closed_form(self):
-        # iint_{[0,1]^2} -ln|2(s - t)| ds dt = 3/2 - ln 2
+        # iint_{[0,1]^2} -ln|2(s - t)| ds dt = 3/2 - ln 2, and the kernel is
+        # symmetric, so its triangle t < s holds half of that
         got = quadrature.nested_tanh_sinh(_neg_log_kernel, np.ones_like, 0.0, 1.0)
-        assert got == pytest.approx(1.5 - math.log(2.0), abs=1e-9)
+        assert got == pytest.approx((1.5 - math.log(2.0)) / 2, abs=1e-9)
+
+    @pytest.mark.parametrize("kernel, weight, points, want", [
+        (lambda s, t: t + 0.0 * s, np.ones_like, (), 1.0 / 6.0),  # int_0^1 s^2/2 ds
+        (lambda s, t: np.ones_like(t + s), lambda s: s, (0.4,), 1.0 / 3.0),  # int_0^1 s * s ds
+    ], ids=["kernel_t", "weight_s"])
+    def test_only_below_the_diagonal(self, kernel, weight, points, want):
+        # over the square both would give 1/2
+        got = quadrature.nested_tanh_sinh(kernel, weight, 0.0, 1.0, points)
+        assert got == pytest.approx(want, abs=1e-12)
 
     def test_blocks_do_not_change_the_value(self, monkeypatch):
         def weight(s):
@@ -54,7 +64,7 @@ class TestNestedTanhSinh:
         # which the inner panels must not be split at
         got = quadrature.nested_tanh_sinh(_neg_log_kernel, np.ones_like, -1.0, 0.0,
                                           (-0.55, -0.525, -0.5))
-        assert got == pytest.approx(1.5 - math.log(2.0), abs=1e-9)
+        assert got == pytest.approx((1.5 - math.log(2.0)) / 2, abs=1e-9)
 
     def test_unconverged_inner_panel_raises(self):
         def kernel(s, t):
@@ -140,15 +150,14 @@ class TestTanhSinhPanelsAgainstScipy:
         lambda s, t: np.abs(s - t) ** -0.5 * (1.0 + s * t),
     ])
     def test_nested_form(self, kernel):
-        # nested_tanh_sinh's inner call: one row of panels per outer node s,
-        # split at s; s at a panel end leaves a zero-width panel
+        # nested_tanh_sinh's inner call: one row of panels [lo, s clipped
+        # into the panel] per outer node s; panels right of s have zero width
         lo, hi = np.array([-1.0, -0.25, 0.5]), np.array([-0.25, 0.5, 1.0])
         s = np.array([-0.9, -0.25, 0.0, 0.3, 0.5, 0.99])[:, None]
         cut = np.clip(s, lo, hi)
-        p_lo = np.concatenate([np.broadcast_to(lo, cut.shape), cut], axis=1)
-        p_hi = np.concatenate([cut, np.broadcast_to(hi, cut.shape)], axis=1)
+        p_lo = np.broadcast_to(lo, cut.shape)
         with np.errstate(divide="ignore"):
-            status = _assert_matches_scipy(lambda t, s_: kernel(s_, t), p_lo, p_hi,
+            status = _assert_matches_scipy(lambda t, s_: kernel(s_, t), p_lo, cut,
                                            quadrature.INNER_ABS_TOL, (s,))
         assert not status.any()
 
