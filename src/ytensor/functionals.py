@@ -28,9 +28,11 @@ array-valued G, H and H', and so are alpha_c and lemma_F3, in angle variables.
 The nested-quadrature routes (difference quotient, generic log kernel, the
 hook integral of a Curve and lemma intIOmega's left side) are kept as
 independent oracles for the tests; each gives quadrature.nested_tanh_sinh
-only its regularized kernel and outer weight.  That integrates the triangle
-t < s alone: the hook integral lives there, and the two Sobolev kernels are
-symmetric in (s, t), the log kernel after averaging it with its mirror image.
+its kernel and outer weight as defined.  That integrates the triangle t < s
+alone: the hook integral lives there, and the two Sobolev kernels are
+symmetric in (s, t).  The log kernel phi_0(s - t) goes in as it is, with
+its singularity at the end t = s of the inner panels, where tanh-sinh
+resolves it; so does lemma_I's single integral, split at s.
 """
 
 from __future__ import annotations
@@ -176,29 +178,19 @@ def theta_profile(prof: Profile) -> float:
     return 1.0 - _log_energy(*_corner_jumps(prof))
 
 
+def _phi0_off_diagonal(d):
+    """phi_0(d) = -ln|2d| for d != 0, and 0 at d = 0, where the quadrature
+    routes' nodes have weight zero; d = 0 is evaluated as phi_0(1/2) = 0."""
+    return phi(0, np.where(d == 0.0, 0.5, d))
+
+
 def _theta_curve(L: Curve) -> float:
-    """Hook integral of a smooth curve by nested tanh-sinh quadrature.
-
-    The logarithmic diagonal is removed by integrating the inner variable by
-    parts, which leaves a bounded difference-quotient kernel on t < s, the
-    triangle nested_tanh_sinh integrates, plus a boundary term at the left
-    support edge.  Both are weighted by 1 - L'(s).
-    """
-    lo, hi = L.support
-
-    def weight(s):
-        return 1.0 - L.prime(s)
-
-    def kernel(s, t):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return -1.0 - np.where(t == s, L.prime(s), (L.fn(s) - L.fn(t)) / (s - t))
-
-    def boundary(s):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return -weight(s) * np.log(2.0 * (s - lo)) * (lo + L.fn(lo) - s - L.fn(s))
-
-    return 1.0 + 2.0 * (tanh_sinh(boundary, lo, hi, L.kinks)
-                        + nested_tanh_sinh(kernel, weight, lo, hi, L.kinks))
+    """Hook integral of a curve by nested tanh-sinh quadrature of its definition
+    theta(L) = 1 - 2 iint_{t<s} phi_0(s-t) (1 + L'(t)) (1 - L'(s)) ds dt, where
+    1 + L' vanishes left of the support and 1 - L' right of it."""
+    return 1.0 - 2.0 * nested_tanh_sinh(
+        lambda s, t: _phi0_off_diagonal(s - t) * (1.0 + L.prime(t)),
+        lambda s: 1.0 - L.prime(s), *L.support, L.kinks)
 
 
 def theta_shape(c: float) -> float:
@@ -396,51 +388,12 @@ def _sobolev_quotient(f: Curve) -> float:
     return nested_tanh_sinh(kernel, np.ones_like, a, b, f.kinks) + tanh_sinh(tails, a, b, f.kinks)
 
 
-def _log_kernel(prime, a: float, b: float):
-    """Split int_a^b phi_0(s - t) prime(t) dt into int_a^b k(s, t) dt + e(s).
-
-    k(s, t) = phi_0(s - t) (prime(t) - prime(s)) is bounded at t = s, and the
-    subtracted piece has the closed form e(s) = (phi_1(s-a) + phi_1(b-s)) prime(s).
-    Returns (k, e).  Only lemma_I uses it; _sobolev_logkernel_generic takes
-    the symmetrized kernel instead.
-    """
-    def kernel(s, t):
-        d = s - t
-        near = np.abs(d) < 1e-15
-        return np.where(near, 0.0, phi(0, np.where(near, 0.5, d)) * (prime(t) - prime(s)))
-
-    def edge(s):
-        return (phi(1, s - a) + phi(1, b - s)) * prime(s)
-
-    return kernel, edge
-
-
 def _sobolev_logkernel_generic(f: Curve) -> float:
     """Log-kernel route: - iint ln|2(s-t)| f'(s) f'(t) ds dt over f's support,
-    by nested tanh-sinh quadrature.
-
-    With e(s) = (phi_1(s-a) + phi_1(b-s)) f'(s) the integral of phi_0(s-t) f'(s)
-    over t, the value is
-
-        -iint_{t<s} phi_0(s-t) (f'(s) - f'(t))^2 dt ds + int f'(s) e(s) ds,
-
-    since iint phi_0(s-t) (f'(t) - f'(s)) f'(s) over the square, averaged with
-    its copy under s <-> t, is -(1/2) iint phi_0(s-t) (f'(s) - f'(t))^2.  The
-    kernel is bounded at t = s.
-    """
-    a, b = f.support
-
-    def kernel(s, t):
-        d = s - t
-        near = np.abs(d) < 1e-15
-        jump = f.prime(s) - f.prime(t)
-        return np.where(near, 0.0, -phi(0, np.where(near, 0.5, d)) * jump * jump)
-
-    def edge(s):
-        fs = f.prime(s)
-        return (phi(1, s - a) + phi(1, b - s)) * fs * fs
-
-    return nested_tanh_sinh(kernel, np.ones_like, a, b, f.kinks) + tanh_sinh(edge, a, b, f.kinks)
+    by nested tanh-sinh quadrature: the kernel is symmetric in (s, t), so this
+    is twice its triangle t < s, phi_0(s-t) f'(t) inside and 2 f'(s) outside."""
+    return nested_tanh_sinh(lambda s, t: _phi0_off_diagonal(s - t) * f.prime(t),
+                            lambda s: 2.0 * f.prime(s), *f.support, f.kinks)
 
 
 def _lemma_I_antiderivative(c: float, e, a: float, b: float):
@@ -478,8 +431,9 @@ def sobolev_half_sq(f: Curve) -> float:
 
     The log-kernel form -iint ln|2(s-t)| f'(s) f'(t) is evaluated in closed form
     from lemmas I and intIOmega.  The nested oracles _sobolev_quotient (the
-    difference quotient over the plane) and _sobolev_logkernel_generic take any
-    Curve; the Fourier symbols coincide since int f' = 0.
+    difference quotient over the plane) and _sobolev_logkernel_generic (the
+    log-kernel form itself, on the triangle t < s) take any Curve; the Fourier
+    symbols coincide since int f' = 0.
     """
     if not isinstance(f, _ProfileMinusShape):
         raise TypeError("sobolev_half_sq takes a profile_minus_shape difference")
@@ -593,9 +547,8 @@ def lemma_I(c: float, s: float, a: float, b: float) -> tuple[float, float]:
     """I_c(s) = int_a^b phi_0(s-t) Omega_c'(t) dt, quadrature vs closed form."""
     if not a < s < b:
         raise ValueError("s must lie in (a, b)")
-    kernel, edge = _log_kernel(partial(omega_c_prime, c), a, b)
     pts = tuple(shape_breakpoints(c)) + (0.0, s)
-    val = tanh_sinh(partial(kernel, s), a, b, pts) + edge(s)
+    val = tanh_sinh(lambda t: _phi0_off_diagonal(s - t) * omega_c_prime(c, t), a, b, pts)
     return val, _lemma_I_closed(c, s, a, b)
 
 

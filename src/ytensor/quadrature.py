@@ -2,9 +2,10 @@
 lists: tanh-sinh for array integrands with integrable endpoint singularities
 (tanh_sinh) and two-level tanh-sinh for double integrals with a singular
 diagonal (nested_tanh_sinh), taken over the triangle t < s only: its callers'
-integrands are symmetric in (s, t) or vanish above the diagonal, so the other
-half would repeat the first or add zeros.  Every production integral runs on
-these two.
+integrands are symmetric in (s, t) or live on the triangle alone.  The
+diagonal is then the end of every inner panel, so a log kernel such as
+-ln|2(s - t)| goes in as it is, with no regularization.  Every production
+integral runs on these two.
 quad_breakpoints, a QUADPACK wrapper, has no production caller; it stays only
 while perfbench/spans.py traces it.
 

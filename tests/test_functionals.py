@@ -78,7 +78,7 @@ class TestThetaShape:
         assert abs(F.theta_shape(0.0)) < 1e-6
 
     def test_theta_equals_rho_at_minimizer(self):
-        for c in [0.5, 1.0, 2.0]:
+        for c in [0.5, 1.0, 2.0, 0.99, 1.01]:
             gap = F.theta_shape(c) - F.rho(F.shape_curve(c), c)
             assert abs(gap) < 1e-6
 
@@ -316,11 +316,13 @@ class TestLemmas:
         assert high == pytest.approx(low, abs=1e-10)
 
     def test_lemma_I(self):
-        for c in self.CS:
+        # s runs over both support ends (the right one just inside), the
+        # middle and a point right of the support
+        for c in self.CS + [0.99, 1.01]:
             a, b = F.default_window(c)
-            for s in [0.5 * c, 0.5 * c + 1.2]:
+            for s in [0.5 * c - 1.0, 0.5 * c, 0.5 * c + 0.999, 0.5 * c + 1.2]:
                 q, cl = F.lemma_I(c, s, a, b)
-                assert q == pytest.approx(cl, abs=1e-7)
+                assert q == pytest.approx(cl, abs=1e-8)
 
     def test_lemma_I_bulk_reduction(self):
         # inside the bulk H vanishes, leaving only the phi_1 and G terms.
@@ -338,10 +340,11 @@ class TestLemmas:
                 assert q == pytest.approx(cl, abs=1e-7)
 
     def test_lemma_intIOmega_and_window_invariance(self):
-        q1, r1 = F.lemma_intIOmega(0.5, -1.5, 2.5)
-        assert q1 == pytest.approx(r1, abs=1e-6)
-        q2, r2 = F.lemma_intIOmega(0.5, -2.2, 3.1)
-        assert q2 == pytest.approx(r2, abs=1e-6)
+        for c in [0.5, 0.99, 1.01]:
+            q1, r1 = F.lemma_intIOmega(c, -1.5, 2.5)
+            assert q1 == pytest.approx(r1, abs=1e-6)
+            q2, r2 = F.lemma_intIOmega(c, -2.2, 3.1)
+            assert q2 == pytest.approx(r2, abs=1e-6)
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
