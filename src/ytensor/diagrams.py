@@ -71,12 +71,14 @@ class Partition:
 
     @cached_property
     def conjugate_rows(self) -> tuple[int, ...]:
-        """Column lengths, i.e. the rows of the conjugate diagram."""
-        if not self.rows:
-            return ()
-        cols = []
-        for j in range(1, self.rows[0] + 1):
-            cols.append(sum(1 for r in self.rows if r >= j))
+        """Column lengths, i.e. the rows of the conjugate diagram.
+
+        Columns rows[i] + 1 .. rows[i - 1] have length i (1-based i), so one
+        pass from the last row up lists them in O(rows[0] + height).
+        """
+        cols: list[int] = []
+        for i in range(len(self.rows), 0, -1):
+            cols += [i] * (self.rows[i - 1] - len(cols))
         return tuple(cols)
 
     def contains(self, cell: Cell) -> bool:

@@ -32,12 +32,15 @@ rule (Lemire's rejection) to the raw output, so every word equals
 shapes of one ``sample_schur_weyl`` call share one ``Partition``, across
 its kernel batches too, so a ``Counter`` of the samples hashes and compares
 each shape by identity.  When a batch has room for all N**n words, the
-kernel sees each drawn word once.  Together these take
-2e4 trials at each of (n, N) = (4, 2), (5, 3), (6, 3) from 1.18-1.29 s to
-0.085-0.096 s (2 cores; 0.13-0.19 s before the kernel saw only distinct
-words): a Generator's ``integers`` call cost ~10 us per trial, re-keying it
-~3 us and building each trial's ``Partition`` ~4 us.
-A word at n = 3e4 takes 3-4 ms to draw, against 0.3 ms through
+kernel runs once per call on all of them, and each batch looks its words'
+shapes up in that table.  Together these take 2e4 trials at each of
+(n, N) = (4, 2), (5, 3), (6, 3) in 0.031-0.034 s (2 cores, medians of 9
+calls in each of 3 processes).  A Generator per trial took 1.18-1.29 s:
+its ``integers`` call cost ~10 us per trial, re-keying it ~3 us and
+building each trial's ``Partition`` ~4 us.  A kernel call per batch on the
+batch's distinct words, with every pass of ``_draw_letters`` placing its
+letters by a running count, took 0.061-0.083 s in processes alternating
+with those.  A word at n = 3e4 takes 1.5 ms to draw, against 0.3 ms through
 ``integers``, beside 80-100 ms of kernel.  ``sample_plancherel`` still re-keys
 one Philox per trial and calls ``Generator.permutation``.
 """
@@ -162,6 +165,15 @@ def _draw_letters(seed: int, trials: np.ndarray, n: int, N: int, out: np.ndarray
     takes whole 64-bit outputs and a 128-bit product.  N = 1 draws nothing.
     Every trial first draws the blocks that hold n + 4 draws; a trial still
     short draws its next blocks, until every row is full.
+
+    A pass stores its letters one of two ways.  When every active row holds
+    the same number h0 of letters and every draw that the rows have room
+    for is accepted, draw j of a row is its letter h0 + j, so the pass
+    writes the slice ``out[active, h0:h0 + k]``.  That holds for a batch's
+    first pass whenever no draw is rejected (always for N a power of 2, and
+    all but about once in 4e9 draws at N = 3), and for nearly every pass of
+    a lone long word.  Any other pass places each accepted draw by a running
+    count of the accepted draws before it in its row.
     """
     if N == 1:
         out[:] = 1
@@ -173,7 +185,9 @@ def _draw_letters(seed: int, trials: np.ndarray, n: int, N: int, out: np.ndarray
     active = np.arange(trials.size)
     first = 1
     while active.size:
-        draws = n - int(have[active].min()) + 4
+        fill = have[active]
+        h0 = int(fill.min())
+        draws = n - h0 + 4
         blocks = max(1, min(-(-draws // per_block), _KERNEL_LETTERS // (active.size * per_block)))
         raw = _philox_blocks(seed, trials[active], first, blocks)
         if bits == 32:
@@ -183,11 +197,16 @@ def _draw_letters(seed: int, trials: np.ndarray, n: int, N: int, out: np.ndarray
         else:
             hi, lo = _mulhilo(raw, N)
         accept = lo >= np.uint64(threshold)
-        slot = np.cumsum(accept, axis=1) + have[active, None] - 1
-        take = accept & (slot < n)
-        rows = np.broadcast_to(active[:, None], take.shape)[take]
-        out[rows, slot[take]] = hi[take] + np.uint64(1)
-        have[active] = np.minimum(slot[:, -1] + 1, n)
+        k = min(n - h0, hi.shape[1])
+        if h0 == fill.max() and accept[:, :k].all():
+            out[active, h0:h0 + k] = hi[:, :k] + np.uint64(1)
+            have[active] = h0 + k
+        else:
+            slot = np.cumsum(accept, axis=1) + fill[:, None] - 1
+            take = accept & (slot < n)
+            rows = np.broadcast_to(active[:, None], take.shape)[take]
+            out[rows, slot[take]] = hi[take] + np.uint64(1)
+            have[active] = np.minimum(slot[:, -1] + 1, n)
         active = active[have[active] < n]
         first += blocks
 
@@ -311,13 +330,13 @@ def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:
     one shared ``Partition``.
 
     When a batch has at least as many rows as there are words (N**n), most
-    rows repeat a word of another row, so only the batch's distinct words go
-    through the kernel: each word is read as a base-N code, ``np.unique``
-    keeps its first row, and its shape is handed to every row that drew it.
-    That is exact because a word's RSK shape depends on the word alone, and
-    every row still draws its own (seed, trial) stream.  At (n, N) = (6, 3)
-    a batch of 2730 rows runs at most 729 words through the kernel and
-    builds at most 729 row tuples.
+    rows repeat a word of another row, so the kernel runs once, before the
+    first batch, on all N**n words listed in base-N code order, and every
+    batch reads its rows as base-N codes and looks their shapes up in that
+    table.  That is exact because a word's RSK shape depends on the word
+    alone, and every row still draws its own (seed, trial) stream.  At
+    (n, N) = (6, 3) the 2e4 trials of 8 batches of up to 2730 rows run 729
+    words through the kernel once and build at most 729 row tuples.
 
     At n >= ``_KERNEL_LETTERS`` every batch is one word.  Two or more such
     words run on a thread pool of min(usable CPUs, count) workers, each word
@@ -342,17 +361,21 @@ def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:
             tables = pool.map(partial(_word_lengths, seed, n=n, N=N), range(count))
             return [lam for lengths in tables for lam in _shared_partitions(lengths, distinct)]
     words = np.empty((min(count, per_call), n), dtype=np.min_scalar_type(N))
+    table = None
+    if _word_space_fits(n, N, len(words)):
+        radix = N ** np.arange(n, dtype=np.int64)
+        # Letter i of word c is digit i of c in base N, plus 1.
+        every_word = np.arange(N ** n)[:, None] // radix % N + 1
+        table = np.fromiter(_shared_partitions(_row_lengths(every_word), distinct),
+                            dtype=object, count=N ** n)
     shapes: list[Partition] = []
     for start in range(0, count, per_call):
         batch = words[:min(per_call, count - start)]
         _draw_letters(seed, np.arange(start, start + len(batch)), n, N, batch)
-        if _word_space_fits(n, N, len(batch)):
-            codes = (batch - 1) @ N ** np.arange(n, dtype=np.int64)  # base N, below N**n
-            _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-            parts = _shared_partitions(_row_lengths(batch[first]), distinct)
-            shapes += map(parts.__getitem__, inverse.tolist())
-        else:
+        if table is None:
             shapes += _shared_partitions(_row_lengths(batch), distinct)
+        else:
+            shapes += table[(batch - 1) @ radix].tolist()
     return shapes
 
 

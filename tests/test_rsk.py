@@ -141,6 +141,24 @@ class TestDistinctWords:
         assert seen and max(seen) <= N ** n
         assert len({id(p) for p in samples}) == len(set(samples))
 
+    @pytest.mark.parametrize("n, N, count", [(4, 2, 20000), (5, 3, 3000), (6, 3, 5000)])
+    def test_word_space_table_built_once(self, monkeypatch, n, N, count):
+        # One kernel call per sample_schur_weyl call, on all N**n words, however many batches.
+        kernel, seen = rsk._row_lengths, []
+        monkeypatch.setattr(rsk, "_row_lengths", lambda words: seen.append(len(words)) or kernel(words))
+        samples = rsk.sample_schur_weyl(n, N, 5, count)
+        assert seen == [N ** n]
+        assert samples == bisect_shapes(reference_words(5, n, N, range(count)))
+
+    @given(n=st.integers(1, 6), N=st.integers(1, 5), seed=st.integers(0, 2**64 - 1),
+           copies=st.integers(0, 2), offset=st.integers(-30, 30))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_oracle_around_the_word_space_size(self, n, N, seed, copies, offset):
+        count = max(1, copies * N ** n + offset)  # below, at and above N**n rows
+        samples = rsk.sample_schur_weyl(n, N, seed, count)
+        assert samples == bisect_shapes(reference_words(seed, n, N, range(count)))
+        assert len({id(p) for p in samples}) == len(set(samples))
+
     def test_larger_word_space_keeps_every_row(self, monkeypatch):
         kernel, seen = rsk._row_lengths, []
         monkeypatch.setattr(rsk, "_row_lengths", lambda words: seen.append(len(words)) or kernel(words))
@@ -249,6 +267,7 @@ class TestPhilox:
     @pytest.mark.parametrize("seed, n, N", [
         (4, 6, 1),
         (5, 37, 2**31 + 11),  # about half of all draws rejected: most trials draw again
+        (41, 2, 2**31 + 11),  # rows left short hold different fills, then accept every draw
         (6, 9, 2**32),
         (7, 13, 2**40 + 3),  # whole 64-bit draws
         (-1, 7, 3),
@@ -257,6 +276,20 @@ class TestPhilox:
     ])
     def test_letters_match_generator_integers(self, seed, n, N):
         count = 30
+        out = np.empty((count, n), dtype=np.uint64)
+        rsk._draw_letters(seed, np.arange(count), n, N, out)
+        assert np.array_equal(out, reference_words(seed, n, N, range(count)))
+
+    @pytest.mark.parametrize("seed, n, N, rejecting", [
+        (3, 6, 4, 0),  # N a power of 2 never rejects: the first pass writes one slice
+        (14, 2, 2**31 + 11, 3),  # 3 of 8 rows reject a draw: the pass places letters by count
+    ])
+    def test_pass_with_and_without_rejections(self, seed, n, N, rejecting):
+        count = 8
+        raw = rsk._philox_blocks(seed, np.arange(count), 1, 1)
+        u = np.stack((raw & 0xFFFFFFFF, raw >> 32), axis=-1).reshape(count, -1)
+        low = (u * np.uint64(N)) & np.uint64(0xFFFFFFFF)
+        assert np.count_nonzero((low[:, :n] < (2**32 - N) % N).any(axis=1)) == rejecting
         out = np.empty((count, n), dtype=np.uint64)
         rsk._draw_letters(seed, np.arange(count), n, N, out)
         assert np.array_equal(out, reference_words(seed, n, N, range(count)))
