@@ -160,9 +160,6 @@ class Profile:
             return float(out)
         return out
 
-    def __call__(self, X):
-        return self.evaluate(X)
-
     def area_above_axis(self) -> Fraction:
         """Exact integral of (L - |X|) dX, computed in rational arithmetic."""
         # Integrate per unit grid interval: mean height times width, each in

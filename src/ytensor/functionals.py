@@ -23,8 +23,10 @@ corners: theta = 1 - E(x, d) with E = sum_{j,k} d_j d_k phi_2(x_k - x_j), rho
 a sum of phi_2(x_k + 1/(2c)) and x_k^2 terms, and the Sobolev norm of
 L - Omega_c the energy E on the window, the antiderivative of lemma I at the
 corners and lemma intIOmega's reduction of the shape self-energy.
-That reduction and the boundary penalty are each one tanh-sinh call over the
-array-valued G, H and H', and so are alpha_c and lemma_F3, in angle variables.
+That reduction is one tanh-sinh call over the array-valued G and H, and so
+are alpha_c and lemma_F3, in angle variables.  The boundary penalty takes
+no quadrature: J~_c and H~_c vanish on the bulk, so it is a sum over the
+kinks of L - Omega_c of J~_c times the jumps of its slope.
 The nested-quadrature routes (difference quotient, generic log kernel, the
 hook integral of a Curve and lemma intIOmega's left side) are kept as
 independent oracles for the tests; each gives quadrature.nested_tanh_sinh
@@ -51,7 +53,6 @@ from .quadrature import nested_tanh_sinh, tanh_sinh
 from .shape import (
     G,
     H_tilde,
-    H_tilde_prime,
     J_tilde,
     omega_c,
     omega_c_prime,
@@ -104,15 +105,14 @@ class FunctionalReport:
 @dataclass(frozen=True)
 class Curve:
     """A piecewise-smooth function bundle for the quadrature routes; fn and
-    prime act elementwise on numpy arrays."""
+    prime act elementwise on numpy arrays.  Outside support fn vanishes for
+    a difference such as profile_minus_shape and is |s| for a profile or
+    shape_curve; prime may jump only at kinks."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     prime: Callable[[np.ndarray], np.ndarray]
     support: tuple[float, float]
     kinks: tuple[float, ...]
-
-    def __call__(self, s):
-        return self.fn(s)
 
 
 def shape_curve(c: float) -> Curve:
@@ -441,18 +441,30 @@ def sobolev_half_sq(f: Curve) -> float:
 
 
 def h_term(f: Curve, c: float) -> float:
-    """Boundary penalty 2 int_{|s - c/2| > 1} H'_c(s - c/2) f(s) ds."""
+    """Boundary penalty 2 int_{|s - c/2| > 1} H'_c(s - c/2) f(s) ds, as a sum over kinks.
+
+    H~_c and its antiderivative J~_c vanish on the bulk |z| <= 1, ends
+    included, and f vanishes outside its support, so two integrations by
+    parts give 2 int H~_c' f = -2 int H~_c f' = 2 int J~_c f'' with no
+    boundary terms.  Off the bulk f'' is a sum of point masses at the kinks
+    x_k, each the jump of f' there:
+
+        h = 2 sum_k J~_c(x_k - c/2) (f'(x_k+) - f'(x_k-)).
+
+    The x_k are the support ends, f.kinks, the bulk edges c/2 +- 1 and the
+    pole -1/(2c); f' is read once between each pair of neighbours and taken
+    as 0 outside the support.  Requires f to be linear between those points
+    off the bulk, as every profile difference is; inside the bulk J~_c = 0
+    and f may be anything.
+    """
     if c <= 0.0:
         raise ValueError("c must be positive")
     a, b = f.support
-    bulk = (0.5 * c - 1.0, 0.5 * c + 1.0)
-
-    def integrand(s):
-        z = s - 0.5 * c
-        out = np.abs(z) > 1.0  # H' extends continuously by 0 to |z| <= 1
-        return np.where(out, H_tilde_prime(c, np.where(out, z, 2.0)) * f.fn(s), 0.0)
-
-    return 2.0 * tanh_sinh(integrand, a, b, f.kinks + bulk + (-0.5 / c,))
+    x = np.unique([a, b, *f.kinks, 0.5 * c - 1.0, 0.5 * c + 1.0, -0.5 / c])
+    mid = 0.5 * (x[:-1] + x[1:])
+    slopes = np.where((a < mid) & (mid < b), f.prime(mid), 0.0)
+    jumps = np.diff(np.concatenate(([0.0], slopes, [0.0])))
+    return 2.0 * float(jumps @ J_tilde(c, x - 0.5 * c))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,13 @@ from scipy import integrate
 
 from ytensor.diagrams import Partition, profile, profile_from_slopes
 from ytensor import exact, functionals as F, rsk
-from ytensor.shape import phi
+from ytensor.quadrature import tanh_sinh
+from ytensor.shape import H_tilde_prime, phi
+
+# a sample_schur_weyl(400, 25, 44, 20) draw: at c = 0.8 its profile has a
+# corner at 1.4000000000000001, one ulp from the shape's kink c/2 + 1 = 1.4
+ULP_APART = Partition((56, 41, 39, 34, 29, 26, 24, 21, 19, 17, 15, 13, 13, 10, 10, 10, 8,
+                       5, 4, 3, 2, 1))
 
 
 def profile_as_curve(prof):
@@ -207,11 +213,7 @@ class TestSobolev:
         assert k_log == pytest.approx(k_fast, abs=1e-8)
 
     def test_nested_routes_with_breakpoints_an_ulp_apart(self):
-        # a sample_schur_weyl(400, 25, 44, 20) draw: its profile has a corner at
-        # 1.4000000000000001, one ulp from the shape's kink c/2 + 1 = 1.4
-        lam = Partition((56, 41, 39, 34, 29, 26, 24, 21, 19, 17, 15, 13, 13, 10, 10, 10, 8,
-                         5, 4, 3, 2, 1))
-        f = F.profile_minus_shape(profile(lam), 0.8)
+        f = F.profile_minus_shape(profile(ULP_APART), 0.8)
         assert {1.4, 1.4000000000000001} <= set(f.kinks)
         k_fast = F.sobolev_half_sq(f)
         assert F._sobolev_quotient(f) == pytest.approx(k_fast, abs=1e-6)
@@ -239,7 +241,53 @@ class TestSobolev:
         assert scaled == pytest.approx(4.0 * base, abs=1e-8)
 
 
+def h_term_quadrature(f, c):
+    """The penalty 2 int_{|s - c/2| > 1} H'_c(s - c/2) f(s) ds by tanh-sinh
+    quadrature of its definition: the reference for h_term, for any Curve."""
+    bulk = (0.5 * c - 1.0, 0.5 * c + 1.0)
+
+    def integrand(s):
+        z = s - 0.5 * c
+        out = np.abs(z) > 1.0  # H' extends continuously by 0 to |z| <= 1
+        return np.where(out, H_tilde_prime(c, np.where(out, z, 2.0)) * f.fn(s), 0.0)
+
+    return 2.0 * tanh_sinh(integrand, *f.support, f.kinks + bulk + (-0.5 / c,))
+
+
+def penalty_differences():
+    """The profile differences f = L - Omega_c of the penalty tests, with c.
+
+    c runs from 0.15 to 2.12, over both branches of Omega_c.  The sample
+    plus 150 cells has n = 99^2, so c = 1 at N = 99 and 0.99 at N = 100.
+    """
+    sample = rsk.sample_schur_weyl(9651, 99, 1, 1)[0]
+    long_row = Partition((sample.rows[0] + 150,) + sample.rows[1:])
+    cases = [(Partition(rows), N) for rows, N in [
+        ((9,), 2), ((12, 4), 3), ((40, 30, 2), 4), ((9,), 20), ((1,) * 5, 9),
+        ((2,) * 6, 7), ((60, 40), 10), ((50, 30, 20), 9)]]
+    cases += [(long_row, 99), (long_row, 100)]
+    diffs = [(lam, math.sqrt(lam.n) / N) for lam, N in cases] + [(ULP_APART, 0.8)]
+    return [(F.profile_minus_shape(profile(lam), c), c) for lam, c in diffs]
+
+
+def tent(c, lo, hi):
+    """A tent of height 0.1 on [lo, hi], as a Curve, with c."""
+    mid, slope = 0.5 * (lo + hi), 0.2 / (hi - lo)
+    return F.Curve(fn=lambda s: np.maximum(0.0, 0.1 - slope * np.abs(s - mid)),
+                   prime=lambda s: np.where((lo < s) & (s < hi), -slope * np.sign(s - mid), 0.0),
+                   support=(lo, hi), kinks=(mid,)), c
+
+
 class TestHTerm:
+    @pytest.mark.parametrize("f, c", penalty_differences() + [
+        # off the bulk: right of it, left of it, and on Omega_2's affine branch
+        tent(1.0, 1.6, 2.4), tent(0.5, -2.0, -1.3), tent(2.0, -0.24, -0.02)])
+    def test_matches_quadrature(self, f, c):
+        assert F.h_term(f, c) == pytest.approx(h_term_quadrature(f, c), abs=1e-10)
+
+    def test_penalty_cases_are_not_all_zero(self):
+        assert sum(F.h_term(f, c) > 1e-3 for f, c in penalty_differences()) >= 8
+
     def test_zero_function(self):
         f = F.Curve(fn=lambda s: 0.0, prime=lambda s: 0.0,
                     support=(-2.0, 3.0), kinks=())
@@ -287,8 +335,10 @@ class TestDecomposition:
 
 class TestVariationalIdentity:
     def test_small_diagrams(self):
-        # the last two have c = 1.5 and 4/3, on the c > 1 branch of Omega_c
-        for rows, N in [((1,), 2), ((3, 1), 4), ((4, 2, 1), 5), ((9,), 2), ((12, 4), 3)]:
+        # (9,) and (12, 4) have c = 1.5 and 4/3, on the c > 1 branch of Omega_c;
+        # the last two have c = 1 and 10/9, and a nonzero penalty
+        for rows, N in [((1,), 2), ((3, 1), 4), ((4, 2, 1), 5), ((9,), 2), ((12, 4), 3),
+                        ((60, 40), 10), ((50, 30, 20), 9)]:
             lhs, rhs = F.prop41_identity(Partition(rows), N)
             assert lhs == pytest.approx(rhs, abs=1e-7)
             assert lhs >= 0.0
