@@ -181,7 +181,7 @@ def theta_profile(prof: Profile) -> float:
 def _phi0_off_diagonal(d):
     """phi_0(d) = -ln|2d| for d != 0, and 0 at d = 0, where the quadrature
     routes' nodes have weight zero; d = 0 is evaluated as phi_0(1/2) = 0."""
-    return phi(0, np.where(d == 0.0, 0.5, d))
+    return -np.log(np.abs(2.0 * np.where(d == 0.0, 0.5, d)))
 
 
 def _theta_curve(L: Curve) -> float:

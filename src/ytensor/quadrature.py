@@ -83,9 +83,12 @@ def _thin(lo, hi):
 def _edges(a: float, b: float, points) -> np.ndarray:
     """a, the breakpoints strictly inside (a, b) in order, and b, leaving out
     each breakpoint a few ulps from the edge before it or from b."""
+    def thin(lo: float, hi: float) -> bool:
+        return hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi)))
+
     edges = [a]
     for p in sorted({float(p) for p in points if a < p < b}):
-        if not (_thin(edges[-1], p) or _thin(p, b)):
+        if not (thin(edges[-1], p) or thin(p, b)):
             edges.append(p)
     return np.array(edges + [b])
 
@@ -136,19 +139,22 @@ def _tanh_sinh_panels(f, lo, hi, atol: float, args=()) -> tuple[np.ndarray, np.n
                 break
             h = _H0 / 2 ** k
             alpha = (b - a) / 2
-            x = np.concatenate((-alpha * xc + b, alpha * xc + a), axis=1)
+            ax = alpha * xc
+            x = np.concatenate((b - ax, a + ax), axis=1)
             w = np.repeat(wc * alpha, 2, axis=1)
             w[(x <= a) | (x >= b)] = 0
             fx = np.asarray(f(x.reshape(live.size, -1), *args), dtype=float).reshape(x.shape)
             bad = ~np.isfinite(fx) | (w == 0)
 
             reach = np.where(bad, -np.inf, side * x)
-            i = reach.argmax(axis=2)[..., None]
-            top = np.take_along_axis(reach, i, axis=2)[..., 0]
+            # Flat index of each (panel, side)'s outermost finite node.
+            i = reach.argmax(axis=2)
+            i += np.arange(0, i.size * x.shape[2], x.shape[2]).reshape(i.shape)
+            top = reach.ravel()[i]
             new = top > outer
             outer = np.where(new, top, outer)
-            f_outer = np.where(new, np.take_along_axis(fx, i, axis=2)[..., 0], f_outer)
-            w_outer = np.where(new, np.take_along_axis(w, i, axis=2)[..., 0], w_outer)
+            f_outer = np.where(new, fx.ravel()[i], f_outer)
+            w_outer = np.where(new, w.ravel()[i], w_outer)
             d4 = np.max(np.abs(f_outer * w_outer), axis=1)
 
             terms = np.where(bad, f_outer[..., None], fx) * w
@@ -163,7 +169,8 @@ def _tanh_sinh_panels(f, lo, hi, atol: float, args=()) -> tuple[np.ndarray, np.n
             d2 = np.abs(est - prev2)
             d3 = eps * np.max(np.abs(terms), axis=(1, 2))
             power = np.where(d1 > 0, d1 ** (np.log(d1) / np.log(d2)), 0)
-            err = np.clip(np.max([power, d1 ** 2, d3, d4], axis=0), eps * np.abs(est), d1)
+            err = np.clip(np.maximum(np.maximum(np.maximum(power, d1 ** 2), d3), d4),
+                          eps * np.abs(est), d1)
             done = (err / np.abs(est) < REL_TOL) | (err < atol)
             failed = ~np.isfinite(est) & ~done
             integral[live] = est

@@ -12,8 +12,10 @@ by letter block, every (row, block) step of one anti-diagonal for all words
 in one pass, so a word over N letters takes at most N + height passes
 instead of one Python-level step per bump (1.5e6 bumps for one word at
 n = 3e4, N = 173).  ``sample_schur_weyl`` uses the kernel, one thread per word
-once words are long: two words at n = 3e4, N = 173 take 0.13-0.21 s on
+once words are long: two words at n = 3e4, N = 173 took 0.13-0.21 s on
 2 cores, against 0.19-0.22 s in one thread and 0.92-1.03 s on the loop.
+On a host that gave about one CPU of throughput to two processes, the pool
+read 0.11-0.17 s against 0.12-0.17 s in one thread (7 calls each).
 One word at n = 1e6, N = 1000 takes 22-24 s with a 140 MB peak, and
 ``ytensor bounds --n 1000000 --c 1 --samples 2`` takes 25-27 s with a
 197-199 MB peak RSS, against 46-47 s and 170-171 MB in one thread.
@@ -28,21 +30,28 @@ the number of trials requested.  ``sample_schur_weyl`` does not step a numpy
 Generator per trial.  It runs Philox's rounds on uint64 arrays for all
 trials of a batch at once and applies ``Generator.integers``' bounded-draw
 rule (Lemire's rejection) to the raw output, so every word equals
-``trial_rng(seed, k).integers(1, N + 1, size=n)`` bit for bit.  Equal
-shapes of one ``sample_schur_weyl`` call share one ``Partition``, across
-its kernel batches too, so a ``Counter`` of the samples hashes and compares
-each shape by identity.  When a batch has room for all N**n words, the
-kernel runs once per call on all of them, and each batch looks its words'
-shapes up in that table.  Together these take 2e4 trials at each of
-(n, N) = (4, 2), (5, 3), (6, 3) in 0.031-0.034 s (2 cores, medians of 9
-calls in each of 3 processes).  A Generator per trial took 1.18-1.29 s:
-its ``integers`` call cost ~10 us per trial, re-keying it ~3 us and
-building each trial's ``Partition`` ~4 us.  A kernel call per batch on the
-batch's distinct words, with every pass of ``_draw_letters`` placing its
-letters by a running count, took 0.061-0.083 s in processes alternating
-with those.  A word at n = 3e4 takes 1.5 ms to draw, against 0.3 ms through
-``integers``, beside 80-100 ms of kernel.  ``sample_plancherel`` still re-keys
-one Philox per trial and calls ``Generator.permutation``.
+``trial_rng(seed, k).integers(1, N + 1, size=n)`` bit for bit.  A pass runs
+Philox's first two rounds only on the lanes that depend on the trial, draws
+only the blocks its emptiest row needs, reads the 32-bit draws as a view of
+the 64-bit outputs, and forms the bounded draws only where rows take them.
+Equal shapes of one ``sample_schur_weyl`` call share one ``Partition``,
+across its kernel batches too, so a ``Counter`` of the samples hashes and
+compares each shape by identity.  When a batch has room for all N**n words,
+the kernel runs once per call on all of them, and each batch looks its
+words' shapes up in that table.  Together these take 2e4 trials at each of
+(n, N) = (4, 2), (5, 3), (6, 3) in 0.017-0.023 s (2 cores, medians of 25
+calls in each of 3 processes), against 0.022-0.032 s for calls alternating
+with them with 20 full-array Philox products per pass, 4 spare draws per
+row and the bounded draw formed on every draw.  With those, a kernel call
+per batch on the batch's distinct words and every pass of ``_draw_letters``
+placing its letters by a running count took 0.061-0.083 s, and a Generator
+per trial 1.18-1.29 s: its ``integers`` call cost ~10 us per trial,
+re-keying it ~3 us and building each trial's ``Partition`` ~4 us.  A word
+at n = 3e4 takes 1.0-1.8 ms to draw (1.1-2.0 ms with all 20 products),
+against 0.3 ms through ``integers``, beside 80-100 ms of kernel; most of
+the draw is the 17 calls of ``_mulhilo``, 15 uint64 array operations each.
+``sample_plancherel`` still re-keys one Philox per trial and calls
+``Generator.permutation``.
 """
 
 from __future__ import annotations
@@ -139,20 +148,43 @@ def _philox_blocks(seed: int, trials: np.ndarray, first: int, blocks: int) -> np
     output 4 * (first - 1) on: numpy bumps the counter before it makes a
     block, so a fresh stream's first block has counter (1, 0, 0, 0).  The
     key is (seed mod 2**64, trial).
+
+    The first two rounds run only on the lanes that depend on the trial.  In
+    round 0 the counter's lanes 1-3 are zero, so the second product is 0 and
+    the first depends on the block alone: it is taken on the 1-D counters.
+    In round 1, lane 0 is the seed key, so its product is one Python-int
+    multiplication.  A pass makes 17 full-array products instead of 20.
     """
-    shape = (trials.size, blocks)
-    c0 = np.broadcast_to(np.arange(first, first + blocks, dtype=np.uint64), shape)
-    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
     k0 = seed & 0xFFFFFFFFFFFFFFFF
     k1 = trials.astype(np.uint64)[:, None]
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFFFFFFFFFF
-            k1 = k1 + np.uint64(_PHILOX_W[1])
+    hi0, lo0 = _mulhilo(np.arange(first, first + blocks, dtype=np.uint64), _PHILOX_M[0])
+    c2, c3 = hi0 ^ k1, lo0  # round 0; lane 0 is now k0 and lane 1 zero
+    p0 = k0 * _PHILOX_M[0]
+    k0 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFFFFFFFFFF
+    k1 = k1 + np.uint64(_PHILOX_W[1])
+    hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+    c0, c1 = hi1 ^ np.uint64(k0), lo1  # round 1
+    c2, c3 = np.uint64(p0 >> 64) ^ c3 ^ k1, np.uint64(p0 & 0xFFFFFFFFFFFFFFFF)
+    for _ in range(2, _PHILOX_ROUNDS):
+        k0 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFFFFFFFFFF
+        k1 = k1 + np.uint64(_PHILOX_W[1])
         hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
         hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
+        hi1 ^= c1  # in place: the products are fresh arrays
+        hi1 ^= np.uint64(k0)
+        hi0 ^= c3
+        hi0 ^= k1
+        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
     return np.stack((c0, c1, c2, c3), axis=-1).reshape(trials.size, 4 * blocks)
+
+
+def _lemire(u: np.ndarray, N: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low ``bits``-bit words of u * N: the letter minus 1, and the
+    word that Lemire's rejection test compares with its threshold."""
+    if bits == 64:
+        return _mulhilo(u, N)
+    m = u * np.uint64(N)
+    return m >> _SHIFT32, m & _MASK32
 
 
 def _draw_letters(seed: int, trials: np.ndarray, n: int, N: int, out: np.ndarray) -> None:
@@ -163,52 +195,61 @@ def _draw_letters(seed: int, trials: np.ndarray, n: int, N: int, out: np.ndarray
     ``philox_next32`` does), forms m = u * N and rejects u iff
     m mod 2**32 < (2**32 - N) mod N; the letter is (m >> 32) + 1.  Larger N
     takes whole 64-bit outputs and a 128-bit product.  N = 1 draws nothing.
-    Every trial first draws the blocks that hold n + 4 draws; a trial still
-    short draws its next blocks, until every row is full.
+    A pass draws the blocks that hold the n - h0 draws its emptiest row
+    lacks (h0 letters held), as far as its size cap allows; rows left short
+    by rejections draw their next blocks in another pass, until every row is
+    full.
 
     A pass stores its letters one of two ways.  When every active row holds
-    the same number h0 of letters and every draw that the rows have room
-    for is accepted, draw j of a row is its letter h0 + j, so the pass
-    writes the slice ``out[active, h0:h0 + k]``.  That holds for a batch's
-    first pass whenever no draw is rejected (always for N a power of 2, and
-    all but about once in 4e9 draws at N = 3), and for nearly every pass of
-    a lone long word.  Any other pass places each accepted draw by a running
-    count of the accepted draws before it in its row.
+    the same number h0 of letters, it first forms u * N and the rejection
+    test on the k draws the rows still need only, and if every one is
+    accepted, draw j of a row is its letter h0 + j, so the pass writes the
+    slice ``out[active, h0:h0 + k]``.  That holds for a batch's first pass
+    whenever no draw is rejected (always for N a power of 2, where the test
+    is skipped, and all but about once in 4e9 draws at N = 3), and for nearly
+    every pass of a lone long word.  Any other pass forms every draw's
+    product and places each accepted draw by a running count of the
+    accepted draws before it in its row.  A first pass over 4096 rows at
+    (n, N) = (4, 2) takes 0.7-0.8 ms, against 1.4-1.6 ms with 20 full-array
+    products, the draws stacked from masked halves and u * N formed on all
+    8 draws of the block (medians of 200 calls, 2 cores).
     """
     if N == 1:
         out[:] = 1
         return
     bits = 32 if N <= 1 << 32 else 64
     per_block = 256 // bits
-    threshold = ((1 << bits) - N) % N
+    threshold = np.uint64(((1 << bits) - N) % N)
     have = np.zeros(trials.size, dtype=np.intp)
     active = np.arange(trials.size)
     first = 1
     while active.size:
         fill = have[active]
         h0 = int(fill.min())
-        draws = n - h0 + 4
-        blocks = max(1, min(-(-draws // per_block), _KERNEL_LETTERS // (active.size * per_block)))
+        blocks = max(1, min(-(-(n - h0) // per_block),
+                            _KERNEL_LETTERS // (active.size * per_block)))
         raw = _philox_blocks(seed, trials[active], first, blocks)
-        if bits == 32:
-            u = np.stack((raw & _MASK32, raw >> _SHIFT32), axis=-1).reshape(active.size, -1)
-            m = u * np.uint64(N)
-            hi, lo = m >> _SHIFT32, m & _MASK32
-        else:
-            hi, lo = _mulhilo(raw, N)
-        accept = lo >= np.uint64(threshold)
-        k = min(n - h0, hi.shape[1])
-        if h0 == fill.max() and accept[:, :k].all():
-            out[active, h0:h0 + k] = hi[:, :k] + np.uint64(1)
-            have[active] = h0 + k
-        else:
-            slot = np.cumsum(accept, axis=1) + fill[:, None] - 1
-            take = accept & (slot < n)
-            rows = np.broadcast_to(active[:, None], take.shape)[take]
-            out[rows, slot[take]] = hi[take] + np.uint64(1)
-            have[active] = np.minimum(slot[:, -1] + 1, n)
-        active = active[have[active] < n]
         first += blocks
+        u = raw
+        if bits == 32:  # each output's halves, low first: its little-endian uint32 view
+            u = raw.astype("<u8", copy=False).view("<u4").reshape(active.size, -1)
+        if h0 == fill.max():
+            k = min(n - h0, u.shape[1])
+            hi, lo = _lemire(u[:, :k], N, bits)
+            if not threshold or (lo >= threshold).all():
+                rows = slice(None) if active.size == trials.size else active  # a slice is cheaper
+                out[rows, h0:h0 + k] = hi + np.uint64(1)
+                have[active] = h0 + k
+                active = active[have[active] < n]
+                continue
+        hi, lo = _lemire(u, N, bits)
+        accept = lo >= threshold
+        slot = np.cumsum(accept, axis=1) + fill[:, None] - 1
+        take = accept & (slot < n)
+        rows = np.broadcast_to(active[:, None], take.shape)[take]
+        out[rows, slot[take]] = hi[take] + np.uint64(1)
+        have[active] = np.minimum(slot[:, -1] + 1, n)
+        active = active[have[active] < n]
 
 
 def rsk_shape_from_letters(letters: Iterable[int]) -> Partition:

@@ -255,14 +255,17 @@ class TestPhilox:
 
     @pytest.mark.parametrize("seed", [0, -1, 2**64 - 1])
     def test_raw_blocks_match_numpy(self, seed):
-        trials = np.array([0, 1, 2**32 + 1])
+        # Trial 2**64 - 1 wraps the key bump k1 + W1 in every round.
+        trials = np.array([0, 1, 2**32 + 1, 2**64 - 1], dtype=np.uint64)
         blocks = rsk._philox_blocks(seed, trials, 1, 5)
         later = rsk._philox_blocks(seed, trials, 3, 2)
-        for k, row, tail in zip(trials, blocks, later):
+        single = rsk._philox_blocks(seed, trials, 2, 1)
+        for k, row, tail, one in zip(trials, blocks, later, single):
             key = np.array([seed % 2**64, k], dtype=np.uint64)
             raw = np.random.Philox(key=key).random_raw(4 * 5)
             assert np.array_equal(row, raw)
             assert np.array_equal(tail, raw[8:16])
+            assert np.array_equal(one, raw[4:8])
 
     @pytest.mark.parametrize("seed, n, N", [
         (4, 6, 1),
@@ -273,6 +276,12 @@ class TestPhilox:
         (-1, 7, 3),
         (8, 5, 2**32 - 1),
         (9, 11, 2**32 + 1),
+        # n = 8 and 16 fill whole blocks of 32-bit draws: the first pass has no spare draw.
+        (10, 8, 3),
+        (11, 16, 3),
+        (12, 8, 2**31 + 11),
+        (13, 16, 2**31 + 11),
+        (15, 4, 2),  # threshold (2**32 - N) mod N = 0: no rejection test
     ])
     def test_letters_match_generator_integers(self, seed, n, N):
         count = 30
