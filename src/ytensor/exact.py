@@ -4,11 +4,8 @@ Dimensions of the symmetric-group representation V, the GL(N) highest-weight
 representation W and the isotypic component E = V (x) W, and the Plancherel
 and Schur-Weyl probabilities, are exact integers and rationals.  The scaled
 log-measure -ln P / sqrt(n) is summed in the log domain over the hook and
-shifted-content histograms, built with ``np.bincount`` and moved onto prime
-factors so that one logarithm is taken per prime, and p(n) comes from the
-Hardy-Ramanujan-Rademacher series rounded to the nearest integer; neither
-builds an n!-sized integer.  ``hook_lengths`` and ``shifted_contents`` list
-the cells for the exact dimensions of small diagrams.
+shifted-content histograms, and p(n) comes from the Hardy-Ramanujan-Rademacher
+series rounded to the nearest integer; neither builds an n!-sized integer.
 Diagrams with bounded height are enumerated iteratively.
 """
 
@@ -21,7 +18,6 @@ from fractions import Fraction
 from typing import Iterator
 
 import mpmath
-import numpy as np
 
 from .diagrams import Partition
 
@@ -155,81 +151,24 @@ def neg_log_measure_scaled(lam: Partition, N: int) -> mpmath.mpf:
 
     -ln P = n ln N - ln n! + sum_k (2 m_h(k) - m_x(k)) ln k, where m_h and m_x
     count the hook lengths and shifted contents equal to k.  n! is folded into
-    the same histogram up to its largest key (or n, if smaller), so equal
-    factors cancel before any logarithm is taken (P = 1 gives exactly 0), and
-    the rest of ln n! is a difference of log-gammas.  Both histograms are
-    ``np.bincount``s over the cells.  The weights of the keys up to n move
-    onto the keys' prime factors as exact integers (``_fold_onto_primes``),
-    so one logarithm is taken per prime, and shifted contents above n, if
-    any, take one each.  The logarithms are taken at 50 significant decimal
-    digits.  The two n = 3e4, N = 173 samples of seed 0 need 114 and 118
-    logarithms instead of one per nonzero key, 633 and 651, and take
-    2.5-4 ms together warm, against 17-31 ms through ``Counter``s of
-    ``hook_lengths`` and ``shifted_contents`` (2 cores).
+    the same histogram up to its largest key, so equal factors cancel before
+    any logarithm is taken (P = 1 gives exactly 0), and the rest of ln n! is a
+    difference of log-gammas.  The logarithms are taken at 50 significant
+    decimal digits.
     """
     if N < 1:
         raise ValueError("N must be positive")
     if lam.height > N:
         raise ZeroDivisionError(f"measure of {lam} is zero for N={N}")
     n = lam.n
-    hooks, diagonals = _hook_and_diagonal_histograms(lam)
-    # Shifted content N + j - i is key base + t for diagonal bin t = j - i + height - 1.
-    base = N - lam.height + 1
-    top = min(n, base + diagonals.size - 1)
-    weight = np.zeros(top + 1, dtype=np.int64)
-    weight[:hooks.size] = 2 * hooks
-    low = max(0, min(diagonals.size, top - base + 1))  # the bins with key <= top
-    weight[base:base + low] -= diagonals[:low]
-    weight[1:] -= 1
-    primes, powers = _fold_onto_primes(weight)
-    high = {base + t: m for t, m in enumerate(diagonals[low:].tolist(), start=low) if m}
+    weight = Counter({h: 2 * m for h, m in Counter(hook_lengths(lam)).items()})
+    weight.subtract(Counter(shifted_contents(lam, N)))
+    top = min(n, max(weight, default=0))
+    weight.subtract(range(1, top + 1))
     with mpmath.workdps(50):
         val = (n * mpmath.log(N) - (mpmath.loggamma(n + 1) - mpmath.loggamma(top + 1))
-               + mpmath.fsum(w * mpmath.log(p) for p, w in zip(primes.tolist(), powers.tolist()))
-               - mpmath.fsum(m * mpmath.log(k) for k, m in high.items()))
+               + mpmath.fsum(w * mpmath.log(k) for k, w in weight.items() if w))
         return val / mpmath.sqrt(n)
-
-
-def _hook_and_diagonal_histograms(lam: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """Counts of the cells by hook length h and by diagonal j - i + height - 1.
-
-    Cell (i, j), 0-based, has hook rows[i] - j + conj[j] - i - 1; the cells
-    are listed row-major through ``np.repeat``.
-    """
-    rows = np.array(lam.rows, dtype=np.int64)
-    conj = np.array(lam.conjugate_rows, dtype=np.int64)
-    i = np.repeat(np.arange(rows.size), rows)
-    j = np.arange(lam.n) - np.repeat(np.cumsum(rows) - rows, rows)
-    hooks = np.bincount(np.repeat(rows, rows) + conj[j] - i - j - 1)
-    j -= i
-    j += rows.size - 1
-    return hooks, np.bincount(j)
-
-
-def _fold_onto_primes(weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Primes p and exponents W_p with prod_p p**W_p = prod_k k**weight[k], k >= 2.
-
-    Each weight moves onto the prime factors of its key through an integer
-    smallest-prime-factor table, one factor per round for every key with a
-    factor left, so the rounds number the most prime factors of any key.
-    """
-    top = weight.size - 1
-    spf = np.arange(top + 1)
-    for p in range(2, math.isqrt(top) + 1):
-        if spf[p] == p:
-            multiples = spf[p * p::p]
-            np.minimum(multiples, p, out=multiples)
-    keys = np.flatnonzero(weight[2:]) + 2
-    w = weight[keys]
-    powers = np.zeros(spf.size, dtype=np.int64)
-    while keys.size:
-        p = spf[keys]
-        np.add.at(powers, p, w)
-        keys //= p
-        left = keys > 1
-        keys, w = keys[left], w[left]
-    primes = np.flatnonzero(powers)
-    return primes, powers[primes]
 
 
 def enumerate_diagrams(n: int, N: int) -> Iterator[Partition]:

@@ -83,12 +83,9 @@ def _thin(lo, hi):
 def _edges(a: float, b: float, points) -> np.ndarray:
     """a, the breakpoints strictly inside (a, b) in order, and b, leaving out
     each breakpoint a few ulps from the edge before it or from b."""
-    def thin(lo: float, hi: float) -> bool:
-        return hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi)))
-
     edges = [a]
     for p in sorted({float(p) for p in points if a < p < b}):
-        if not (thin(edges[-1], p) or thin(p, b)):
+        if not (_thin(edges[-1], p) or _thin(p, b)):
             edges.append(p)
     return np.array(edges + [b])
 

@@ -12,10 +12,10 @@ by letter block, every (row, block) step of one anti-diagonal for all words
 in one pass, so a word over N letters takes at most N + height passes
 instead of one Python-level step per bump (1.5e6 bumps for one word at
 n = 3e4, N = 173).  ``sample_schur_weyl`` uses the kernel, one thread per word
-once words are long: two words at n = 3e4, N = 173 took 0.13-0.21 s on
-2 cores, against 0.19-0.22 s in one thread and 0.92-1.03 s on the loop.
-On a host that gave about one CPU of throughput to two processes, the pool
-read 0.11-0.17 s against 0.12-0.17 s in one thread (7 calls each).
+once words are long: two words at n = 3e4, N = 173 take 0.13-0.21 s on
+2 cores, against 0.19-0.22 s in one thread and 0.92-1.03 s on the loop; on
+a host that gives about one CPU of throughput to two processes, the pool
+reads 0.11-0.17 s against 0.12-0.17 s in one thread (7 calls each).
 One word at n = 1e6, N = 1000 takes 22-24 s with a 140 MB peak, and
 ``ytensor bounds --n 1000000 --c 1 --samples 2`` takes 25-27 s with a
 197-199 MB peak RSS, against 46-47 s and 170-171 MB in one thread.
@@ -40,16 +40,12 @@ compares each shape by identity.  When a batch has room for all N**n words,
 the kernel runs once per call on all of them, and each batch looks its
 words' shapes up in that table.  Together these take 2e4 trials at each of
 (n, N) = (4, 2), (5, 3), (6, 3) in 0.017-0.023 s (2 cores, medians of 25
-calls in each of 3 processes), against 0.022-0.032 s for calls alternating
-with them with 20 full-array Philox products per pass, 4 spare draws per
-row and the bounded draw formed on every draw.  With those, a kernel call
-per batch on the batch's distinct words and every pass of ``_draw_letters``
-placing its letters by a running count took 0.061-0.083 s, and a Generator
-per trial 1.18-1.29 s: its ``integers`` call cost ~10 us per trial,
-re-keying it ~3 us and building each trial's ``Partition`` ~4 us.  A word
-at n = 3e4 takes 1.0-1.8 ms to draw (1.1-2.0 ms with all 20 products),
-against 0.3 ms through ``integers``, beside 80-100 ms of kernel; most of
-the draw is the 17 calls of ``_mulhilo``, 15 uint64 array operations each.
+calls in each of 3 processes), against 1.18-1.29 s for a Generator per
+trial: its ``integers`` call costs ~10 us per trial, re-keying it ~3 us and
+building each trial's ``Partition`` ~4 us.  A word at n = 3e4 takes
+1.0-1.8 ms to draw, against 0.3 ms through ``integers``, beside 80-100 ms
+of kernel; most of the draw is the 17 calls of ``_mulhilo``, 15 uint64
+array operations each.
 ``sample_plancherel`` still re-keys one Philox per trial and calls
 ``Generator.permutation``.
 """
@@ -153,7 +149,7 @@ def _philox_blocks(seed: int, trials: np.ndarray, first: int, blocks: int) -> np
     round 0 the counter's lanes 1-3 are zero, so the second product is 0 and
     the first depends on the block alone: it is taken on the 1-D counters.
     In round 1, lane 0 is the seed key, so its product is one Python-int
-    multiplication.  A pass makes 17 full-array products instead of 20.
+    multiplication.  A pass makes 17 full-array products, not two per round.
     """
     k0 = seed & 0xFFFFFFFFFFFFFFFF
     k1 = trials.astype(np.uint64)[:, None]
@@ -183,7 +179,7 @@ def _lemire(u: np.ndarray, N: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
     word that Lemire's rejection test compares with its threshold."""
     if bits == 64:
         return _mulhilo(u, N)
-    m = u * np.uint64(N)
+    m = np.multiply(u, np.uint64(N), dtype=np.uint64)  # u may be a uint32 view
     return m >> _SHIFT32, m & _MASK32
 
 
@@ -210,9 +206,7 @@ def _draw_letters(seed: int, trials: np.ndarray, n: int, N: int, out: np.ndarray
     every pass of a lone long word.  Any other pass forms every draw's
     product and places each accepted draw by a running count of the
     accepted draws before it in its row.  A first pass over 4096 rows at
-    (n, N) = (4, 2) takes 0.7-0.8 ms, against 1.4-1.6 ms with 20 full-array
-    products, the draws stacked from masked halves and u * N formed on all
-    8 draws of the block (medians of 200 calls, 2 cores).
+    (n, N) = (4, 2) takes 0.7-0.8 ms (medians of 200 calls, 2 cores).
     """
     if N == 1:
         out[:] = 1

@@ -1,9 +1,7 @@
 import math
-from collections import Counter
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,28 +14,6 @@ def _neg_log_oracle(lam, N):
     p = exact.schur_weyl_measure(lam, N).value
     with mpmath.workdps(50):
         return -(mpmath.log(p.numerator) - mpmath.log(p.denominator)) / mpmath.sqrt(lam.n)
-
-
-def _neg_log_counter_route(lam, N):
-    """-ln P / sqrt(n) with one logarithm per histogram key, from Counters of
-    hook_lengths and shifted_contents (n! folded in up to the largest key)."""
-    n = lam.n
-    weight = Counter({h: 2 * m for h, m in Counter(exact.hook_lengths(lam)).items()})
-    weight.subtract(Counter(exact.shifted_contents(lam, N)))
-    top = min(n, max(weight, default=0))
-    weight.subtract(range(1, top + 1))
-    with mpmath.workdps(50):
-        val = (n * mpmath.log(N) - (mpmath.loggamma(n + 1) - mpmath.loggamma(top + 1))
-               + mpmath.fsum(w * mpmath.log(k) for k, w in weight.items() if w))
-        return val / mpmath.sqrt(n)
-
-
-def _partitions_with_N(max_rows=9, max_part=12):
-    """A partition and an N from its height up to its height + 3."""
-    rows = st.lists(st.integers(1, max_part), min_size=1, max_size=max_rows)
-    return rows.flatmap(lambda xs: st.tuples(
-        st.just(Partition(tuple(sorted(xs, reverse=True)))),
-        st.integers(len(xs), len(xs) + 3)))
 
 
 def _pentagonal_table(n):
@@ -144,35 +120,8 @@ class TestMeasures:
         (lam,) = rsk.sample_schur_weyl(30000, 173, 0, 1)
         assert float(exact.neg_log_measure_scaled(lam, 173)) == float(_neg_log_oracle(lam, 173))
 
-    @settings(max_examples=200, deadline=None)
-    @given(_partitions_with_N())
-    def test_numpy_histograms_match_counters(self, lam_N):
-        lam, N = lam_N
-        hooks, diagonals = exact._hook_and_diagonal_histograms(lam)
-        base = N - lam.height + 1  # the shifted content of diagonal bin 0
-        assert {k: m for k, m in enumerate(hooks.tolist()) if m} == Counter(exact.hook_lengths(lam))
-        assert ({base + t: m for t, m in enumerate(diagonals.tolist()) if m}
-                == Counter(exact.shifted_contents(lam, N)))
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.integers(-6, 6), max_size=80))
-    def test_prime_folding_is_exact(self, weights):
-        weight = np.array([0, 0] + weights, dtype=np.int64)
-        primes, powers = exact._fold_onto_primes(weight)
-        assert all(all(p % q for q in range(2, math.isqrt(p) + 1)) for p in primes.tolist())
-        assert primes.min(initial=2) >= 2
-        assert (math.prod(Fraction(p) ** w for p, w in zip(primes.tolist(), powers.tolist()))
-                == math.prod(Fraction(k) ** w for k, w in enumerate(weight.tolist())))
-
-    def test_matches_counter_route_on_10_5_cells(self):
-        # A height-N sample: every shifted content is at least 1.
-        (lam,) = rsk.sample_schur_weyl(10**5, 316, 0, 1)
-        assert lam.height == 316
-        assert abs(exact.neg_log_measure_scaled(lam, 316)
-                   - _neg_log_counter_route(lam, 316)) < mpmath.mpf("1e-30")
-
     def test_alphabet_beyond_int64(self):
-        # Every shifted content is above n and above 2**63: one logarithm each, in Python ints.
+        # Every shifted content is above n and above 2**63, beyond int64.
         lam = Partition((5, 2, 2))
         assert abs(exact.neg_log_measure_scaled(lam, 2**70)
                    - _neg_log_oracle(lam, 2**70)) < mpmath.mpf("1e-30")

@@ -303,6 +303,14 @@ class TestPhilox:
         rsk._draw_letters(seed, np.arange(count), n, N, out)
         assert np.array_equal(out, reference_words(seed, n, N, range(count)))
 
+    @pytest.mark.parametrize("N", [2, 3, 173, 2**31 + 11, 2**32])
+    def test_lemire_product_of_uint32_draws_is_64_bit(self, N):
+        # The 32-bit draws reach _lemire as a uint32 view; u * N must not wrap at 2**32.
+        u = np.array([0, 1, 2**31, 2**32 - 1], dtype=np.uint32)
+        hi, lo = rsk._lemire(u, N, 32)
+        assert hi.tolist() == [int(x) * N >> 32 for x in u]
+        assert lo.tolist() == [int(x) * N & 0xFFFFFFFF for x in u]
+
     def test_long_word_spans_several_passes(self):
         n = 5 * rsk._KERNEL_LETTERS // 2 + 1
         out = np.empty((2, n), dtype=np.uint64)
