@@ -27,14 +27,17 @@ That reduction is one tanh-sinh call over the array-valued G and H, and so
 are alpha_c and lemma_F3, in angle variables.  The boundary penalty takes
 no quadrature: J~_c and H~_c vanish on the bulk, so it is a sum over the
 kinks of L - Omega_c of J~_c times the jumps of its slope.
-The nested-quadrature routes (difference quotient, generic log kernel, the
-hook integral of a Curve and lemma intIOmega's left side) are kept as
-independent oracles for the tests; each gives quadrature.nested_tanh_sinh
-its kernel and outer weight as defined.  That integrates the triangle t < s
-alone: the hook integral lives there, and the two Sobolev kernels are
-symmetric in (s, t).  The log kernel phi_0(s - t) goes in as it is, with
-its singularity at the end t = s of the inner panels, where tanh-sinh
-resolves it; so does lemma_I's single integral, split at s.
+theta(Omega_c) is -2 A(c), lemma A's closed form, since Omega_c minimizes
+theta - rho with gap 0.  The nested-quadrature routes (difference quotient,
+generic log kernel, lemma intIOmega's left side and the hook integral of a
+Curve, minimizer_gap's left side) are independent oracles; each gives
+quadrature.nested_tanh_sinh its kernel and outer weight as defined.  That
+integrates the triangle t < s alone: the hook integral lives there, and the
+two Sobolev kernels are symmetric in (s, t).  The log kernel phi_0(s - t)
+goes in as it is, with its singularity at the end t = s of the inner panels,
+where tanh-sinh resolves it; so does lemma_I's single integral, split at s.
+_rho_curve, rho of a Curve, is lemma A's quadrature side and the oracle for
+rho.
 """
 
 from __future__ import annotations
@@ -194,10 +197,14 @@ def _theta_curve(L: Curve) -> float:
 
 
 def theta_shape(c: float) -> float:
-    """Hook integral of the limit shape Omega_c."""
-    if c < 0.0:
-        raise ValueError("c must be nonnegative")
-    return _theta_curve(shape_curve(c))
+    """Hook integral of the limit shape Omega_c: -2 A(c), which is c^2/4 for c <= 1.
+
+    Omega_c minimizes theta - rho with gap 0, and rho(Omega_c) = -2 A(c) by the
+    definition of A; minimizer_gap checks this against _theta_curve.
+    """
+    if not (math.isfinite(c) and c >= 0.0):
+        raise ValueError("c must be finite and nonnegative")
+    return -2.0 * _lemma_A_closed(c)
 
 
 # ---------------------------------------------------------------------------
@@ -205,26 +212,8 @@ def theta_shape(c: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _rho_profile(prof: Profile, c: float) -> float:
-    """Closed form of rho for a lattice profile, as a sum over its corners.
-
-    g = L - |s| has g'' = L'' - 2 delta_0, and ln(1 + 2cs) = ln c - phi_0(s + u)
-    with u = 1/(2c), whose second antiderivatives are ln c s^2/2 and
-    -phi_2(s + u).  Two integrations by parts give
-
-        rho = ln c sum d_k x_k^2 - 2 sum d_k phi_2(x_k + u) + 4 phi_2(u).
-
-    A corner at -u (a diagram with N rows) contributes phi_2(0) = 0.
-    """
-    x, d = _corner_jumps(prof)
-    u = 0.5 / c
-    if x[0] < -u - 1e-9:
-        raise ValueError("profile support extends below -1/(2c); rho is undefined")
-    return float(math.log(c) * (d @ (x * x)) - 2.0 * (d @ phi(2, x + u)) + 4.0 * phi(2, u))
-
-
 def _rho_curve(L: Curve, c: float) -> float:
-    """rho by tanh-sinh quadrature (log singularity possible at the left edge)."""
+    """rho of a Curve by tanh-sinh quadrature (log singularity possible at the left edge)."""
     lo, hi = L.support
     edge = -0.5 / c
     if lo < edge - 1e-9:
@@ -242,20 +231,31 @@ def _rho_curve(L: Curve, c: float) -> float:
     return tanh_sinh(integrand, lo, hi, L.kinks + (0.0,))
 
 
-def rho(L: Profile | Curve, c_n: float) -> float:
-    """Content integral rho(L) = 2 int ln(1 + 2 c_n s) (L(s) - |s|) ds.
+def rho(L: Profile, c_n: float) -> float:
+    """Content integral rho(L) = 2 int ln(1 + 2 c_n s) (L(s) - |s|) ds of a lattice
+    profile, in closed form as a sum over its corners.
 
-    Requires L(s) = |s| for s <= -1/(2 c_n) so the log argument stays positive
-    where the integrand is nonzero.  Lattice profiles are evaluated in closed
-    form; Curve inputs fall back to quadrature.
+    g = L - |s| has g'' = L'' - 2 delta_0, and ln(1 + 2cs) = ln c - phi_0(s + u)
+    with u = 1/(2c), whose second antiderivatives are ln c s^2/2 and
+    -phi_2(s + u).  Two integrations by parts give
+
+        rho = ln c sum d_k x_k^2 - 2 sum d_k phi_2(x_k + u) + 4 phi_2(u).
+
+    Requires L(s) = |s| for s <= -u, so the log argument stays positive where
+    the integrand is nonzero; a corner at -u (a diagram with N rows)
+    contributes phi_2(0) = 0.
     """
-    if c_n < 0.0:
-        raise ValueError("c_n must be nonnegative")
+    if not isinstance(L, Profile):
+        raise TypeError("rho takes a Profile")
+    if not (math.isfinite(c_n) and c_n >= 0.0):
+        raise ValueError("c must be finite and nonnegative")
     if c_n == 0.0:
         return 0.0
-    if isinstance(L, Profile):
-        return _rho_profile(L, c_n)
-    return _rho_curve(L, c_n)
+    x, d = _corner_jumps(L)
+    u = 0.5 / c_n
+    if x[0] < -u - 1e-9:
+        raise ValueError("profile support extends below -1/(2c); rho is undefined")
+    return float(math.log(c_n) * (d @ (x * x)) - 2.0 * (d @ phi(2, x + u)) + 4.0 * phi(2, u))
 
 
 # ---------------------------------------------------------------------------
@@ -535,20 +535,12 @@ def _lemma_A_closed(c: float) -> float:
 def lemma_A(c: float) -> tuple[float, float]:
     """A(c) = int ln(1 + 2cs) (|s| - Omega_c(s)) ds, quadrature vs closed form.
 
-    The integrand vanishes outside the shape support; for c >= 1 the left
+    The quadrature side is -rho(Omega_c)/2 by _rho_curve; for c >= 1 the left
     support endpoint carries a log singularity, handled by tanh-sinh.
     """
     if c <= 0.0:
         raise ValueError("c must be positive")
-    lo, hi = shape_support(c)
-
-    def integrand(s):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log1p(2.0 * c * s) * (np.abs(s) - omega_c(c, s))
-
-    pts = tuple(shape_breakpoints(c)) + (0.0,)
-    val = tanh_sinh(integrand, lo, hi, pts)
-    return val, _lemma_A_closed(c)
+    return -0.5 * _rho_curve(shape_curve(c), c), _lemma_A_closed(c)
 
 
 def _lemma_I_closed(c: float, s: float, a: float, b: float) -> float:

@@ -276,6 +276,8 @@ def cmd_constants(c_grid: list[float], fmt: str = "csv") -> str:
 
 def cmd_emit_shape(c: float, step: float = 0.01) -> str:
     """CSV of Omega_c and its derivative on a uniform grid over the support +- 0.5."""
+    if not math.isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
     if not step > 0.0:
         raise ValueError("step must be positive")
     lo, hi = shape.shape_support(c)
@@ -360,10 +362,10 @@ def decomposition(n=64, N=8, count=5, seed=1):
 
 
 def minimizer_gap(cs=(0.5, 2.0)):
-    """theta - rho vanishes at Omega_c."""
+    """theta - rho vanishes at Omega_c: nested theta(Omega_c) against -2 A(c)."""
     for c in cs:
-        yield ("minimizer_gap", {"c": c}, functionals.theta_shape(c),
-               functionals.rho(functionals.shape_curve(c), c), 1e-6,
+        yield ("minimizer_gap", {"c": c}, functionals._theta_curve(functionals.shape_curve(c)),
+               functionals.theta_shape(c), 1e-6,
                ("minimizer", "hook-integral-quadrature"))
 
 

@@ -85,8 +85,23 @@ class TestThetaShape:
 
     def test_theta_equals_rho_at_minimizer(self):
         for c in [0.5, 1.0, 2.0, 0.99, 1.01]:
-            gap = F.theta_shape(c) - F.rho(F.shape_curve(c), c)
+            gap = F.theta_shape(c) - F._rho_curve(F.shape_curve(c), c)
             assert abs(gap) < 1e-6
+
+    def test_closed_form_matches_nested_quadrature(self):
+        for c in [0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0]:
+            nested = F._theta_curve(F.shape_curve(c))
+            assert F.theta_shape(c) == pytest.approx(nested, abs=1e-9)
+
+    def test_closed_form_below_one_and_at_the_branch_point(self):
+        for c in [0.0, 0.1, 0.5, 0.99, 1.0]:
+            assert F.theta_shape(c) == c * c / 4.0
+        assert F.theta_shape(math.nextafter(1.0, 2.0)) == pytest.approx(0.25, abs=1e-11)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, -0.5])
+    def test_rejects_nonfinite_and_negative_c(self, c):
+        with pytest.raises(ValueError, match="c must be finite and nonnegative"):
+            F.theta_shape(c)
 
 
 class TestRho:
@@ -96,7 +111,7 @@ class TestRho:
     def test_zero_for_absolute_value(self):
         curve = F.Curve(fn=abs, prime=lambda s: math.copysign(1.0, s) if s else 0.0,
                         support=(-1.0, 1.0), kinks=(0.0,))
-        assert F.rho(curve, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert F._rho_curve(curve, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_closed_form_vs_quadrature(self):
         # c_n = 1, 0.5 and 2
@@ -105,13 +120,23 @@ class TestRho:
             for lam in rsk.sample_schur_weyl(n, N, seed=6, count=10):
                 prof = profile(lam)
                 closed = F.rho(prof, c)
-                quad = F.rho(profile_as_curve(prof), c)
+                quad = F._rho_curve(profile_as_curve(prof), c)
                 assert quad == pytest.approx(closed, abs=1e-9)
         # N rows: the first corner lies exactly at -1/(2c)
         for rows, N in [((2, 1), 2), ((3, 3, 2), 3)]:
             prof = profile(Partition(rows))
             c = math.sqrt(prof.n) / N
-            assert F.rho(profile_as_curve(prof), c) == pytest.approx(F.rho(prof, c), abs=1e-9)
+            quad = F._rho_curve(profile_as_curve(prof), c)
+            assert quad == pytest.approx(F.rho(prof, c), abs=1e-9)
+
+    def test_rejects_a_curve(self):
+        with pytest.raises(TypeError):
+            F.rho(F.shape_curve(1.0), 1.0)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, -0.5])
+    def test_rejects_nonfinite_and_negative_c(self, c):
+        with pytest.raises(ValueError, match="c must be finite and nonnegative"):
+            F.rho(profile(Partition((2, 1))), c)
 
     def test_support_precondition(self):
         # profile of a tall column dips below -1/(2c) for large c.
@@ -121,7 +146,7 @@ class TestRho:
 
     def test_rho_shape_matches_closed_reduction(self):
         for c in [0.5, 1.0, 2.0]:
-            got = F.rho(F.shape_curve(c), c)
+            got = F._rho_curve(F.shape_curve(c), c)
             assert got == pytest.approx(-2.0 * F._lemma_A_closed(c), abs=1e-9)
 
 

@@ -147,6 +147,11 @@ class TestSubcommands:
         assert lines[0] == "s,omega_c,omega_c_prime"
         assert len(lines) > 10
 
+    @pytest.mark.parametrize("c", ["nan", "inf"])
+    def test_emit_shape_rejects_nonfinite_c(self, capsys, c):
+        assert main(["emit-shape", "--c", c]) == 2
+        assert capsys.readouterr().err == f"error: c must be finite, got {c}\n"
+
     def test_out_file(self, tmp_path):
         out = tmp_path / "dims.txt"
         assert main(["dims", "--lam", "2,1", "--N", "2", "--out", str(out)]) == 0
