@@ -55,8 +55,8 @@ def omega_c(c: float, s):
     The left end of the branch goes to the neighbouring branch, which has the
     same value there and no 0/0 at c = 1, s = -1/2.
     """
-    if c < 0.0:
-        raise ValueError("c must be nonnegative")
+    if not (math.isfinite(c) and c >= 0.0):
+        raise ValueError("c must be finite and nonnegative")
     s = np.asarray(s, dtype=float)
     two_s = 2.0 * s
     with np.errstate(invalid="ignore"):
@@ -72,8 +72,8 @@ def omega_c(c: float, s):
 def omega_c_prime(c: float, s):
     """Derivative of Omega_c: (2/pi) arcsin((c+2s)/(2 sqrt(1+2cs))) on the bulk,
     evaluated as (2/pi) atan2(2s + c, w) with w as in omega_c (0 at c = 1, s = -1/2)."""
-    if c < 0.0:
-        raise ValueError("c must be nonnegative")
+    if not (math.isfinite(c) and c >= 0.0):
+        raise ValueError("c must be finite and nonnegative")
     s = np.asarray(s, dtype=float)
     two_s = 2.0 * s
     with np.errstate(invalid="ignore"):
@@ -92,8 +92,8 @@ def omega_c_second(c: float, z: float) -> float:
     and are rejected (quadrature against this factor should substitute
     z = sin(psi) first).
     """
-    if c < 0.0:
-        raise ValueError("c must be nonnegative")
+    if not (math.isfinite(c) and c >= 0.0):
+        raise ValueError("c must be finite and nonnegative")
     if abs(z) > 1.0:
         return 0.0
     if abs(z) == 1.0:
@@ -123,8 +123,8 @@ def phi(k: int, x):
 
 
 def _require_positive_c(c: float) -> None:
-    if c <= 0.0:
-        raise ValueError("defined only for c > 0")
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValueError("c must be finite and positive")
 
 
 def _off_bulk(c: float, z, k: int):
@@ -190,6 +190,8 @@ def J_tilde(c: float, z):
 
 def shape_support(c: float) -> tuple[float, float]:
     """Interval outside which Omega_c(s) equals |s|."""
+    if not (math.isfinite(c) and c >= 0.0):
+        raise ValueError("c must be finite and nonnegative")
     if c > 1.0:
         return -0.5 / c, 0.5 * c + 1.0
     return 0.5 * c - 1.0, 0.5 * c + 1.0

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from scipy import integrate
 
 from ytensor.diagrams import Partition, profile, profile_from_slopes
-from ytensor import exact, functionals as F, rsk
+from ytensor import exact, functionals as F, rsk, shape
 from ytensor.quadrature import tanh_sinh
 from ytensor.shape import H_tilde_prime, phi
 
@@ -434,6 +435,86 @@ class TestLemmas:
             a, b = F.default_window(ch["params"]["c"])
             assert ch["rhs"] == F._int_I_omega_closed(ch["params"]["c"], a, b)
             assert ch["lhs"] == pytest.approx(ch["rhs"], abs=1e-9)
+
+    @staticmethod
+    def full_window_route(c, a, b):
+        # the log-kernel energy of Omega_c' by one nested quadrature over the
+        # whole window, with no split into hh, hk and kk
+        window = replace(F.shape_curve(c), support=(a, b),
+                         kinks=(*shape.shape_breakpoints(c), 0.0, -0.5 / c))
+        return F._sobolev_logkernel_generic(window)
+
+    @staticmethod
+    def windows(c):
+        lo, hi = shape.shape_support(c)
+        return [w for w in (F.default_window(c), (-1.5, 2.5), (-2.2, 3.1))
+                if w[0] < lo and hi < w[1]]
+
+    @pytest.mark.parametrize("c", [0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0])
+    def test_split_matches_the_full_window_route(self, c):
+        # worst measured: 8.6e-11 at c = 1.1 on (-2.2, 3.1)
+        for a, b in self.windows(c):
+            lhs, _ = F.lemma_intIOmega(c, a, b)
+            assert lhs == pytest.approx(self.full_window_route(c, a, b), abs=2e-10)
+
+    @pytest.mark.parametrize("c", [0.99, 1.01])
+    def test_split_matches_the_full_window_route_near_one(self, c):
+        # both routes under-resolve Omega_c''s turn near c = 1; worst
+        # measured: 1.3e-9 at c = 0.99 on (-2.2, 3.1)
+        for a, b in self.windows(c):
+            lhs, _ = F.lemma_intIOmega(c, a, b)
+            assert lhs == pytest.approx(self.full_window_route(c, a, b), abs=2e-9)
+
+    @pytest.mark.parametrize("x, values", [
+        ((-1.5, -0.5, 1.5, 2.5), (-1.0, 0.0, 1.0)),
+        ((-1.2, -0.25, 0.5, 2.5, 3.0), (-1.0, 1.0, 0.0, 1.0)),  # a jump of 2 at -0.25
+        ((-0.7, 0.1, 0.4, 1.9), (0.5, -1.5, 0.75)),
+    ])
+    def test_log_energy_of_a_step_function(self, x, values):
+        # g' piecewise constant on [x_0, x_K] and 0 outside it, with jumps d at x
+        x, values = np.array(x), np.array(values)
+        d = np.diff(np.concatenate(([0.0], values, [0.0])))
+        step = F.Curve(fn=lambda s: s, prime=lambda s: values[np.searchsorted(x[1:-1], s)],
+                       support=(x[0], x[-1]), kinks=tuple(x[1:-1]))
+        assert F._sobolev_logkernel_generic(step) == pytest.approx(-F._log_energy(x, d), abs=1e-9)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 1.1, 4.0])
+    def test_one_nested_quadrature_on_the_bulk(self, c, monkeypatch):
+        supports, nested = [], F.nested_tanh_sinh
+
+        def recording(kernel, weight, a, b, points=()):
+            supports.append((a, b))
+            return nested(kernel, weight, a, b, points)
+
+        monkeypatch.setattr(F, "nested_tanh_sinh", recording)
+        F.lemma_intIOmega(c, *F.default_window(c))
+        assert supports == [(0.5 * c - 1.0, 0.5 * c + 1.0)]
+
+
+class TestNonfiniteC:
+    @pytest.mark.parametrize("fn", [
+        lambda c: shape.omega_c(c, 0.1),
+        lambda c: shape.omega_c_prime(c, 0.1),
+        lambda c: shape.omega_c_second(c, 0.1),
+        lambda c: shape.G(c, 0.1),
+        lambda c: shape.H_tilde(c, 1.5),
+        lambda c: shape.J_tilde(c, 1.5),
+        shape.shape_support,
+        F.shape_curve,
+        F.default_window,
+        lambda c: F.profile_minus_shape(profile(Partition((1,))), c),
+        lambda c: F.h_term(F.profile_minus_shape(profile(Partition((1,))), 1.0), c),
+        F.lemma_A,
+        lambda c: F.lemma_I(c, 0.5, -2.0, 3.0),
+        lambda c: F.lemma_F3(c, 0.3),
+        lambda c: F.lemma_intIOmega(c, -2.0, 3.0),
+    ], ids=["omega_c", "omega_c_prime", "omega_c_second", "G", "H_tilde", "J_tilde",
+            "shape_support", "shape_curve", "default_window", "profile_minus_shape",
+            "h_term", "lemma_A", "lemma_I", "lemma_F3", "lemma_intIOmega"])
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_c(self, fn, c):
+        with pytest.raises(ValueError, match="c must be finite and (nonnegative|positive)"):
+            fn(c)
 
 
 class TestConstants:
