@@ -17,7 +17,10 @@ step, levels 2..10 with a jump start, the handling of non-finite values and
 the error estimate, so integral and status agree with scipy's bit for bit;
 scipy's tanhsinh stays only as the tests' oracle.  What the loop leaves out is
 scipy's per-iteration bookkeeping and its probe call at each panel's midpoint,
-which cost more than the integrands in a verify-all pass.
+which cost more than the integrands in a verify-all pass.  Its own cost is a
+fixed number of numpy calls per call and per pass, and most calls end after
+their first pass; so the loop keeps that number small, and nested_tanh_sinh
+makes few, wide inner calls (NESTED_BLOCK) instead of many narrow ones.
 
 The policy is fixed: absolute and relative tolerance 1e-9, and
 INNER_ABS_TOL = 1e-10 for the inner integrals of nested_tanh_sinh, so that
@@ -40,7 +43,14 @@ ABS_TOL = 1e-9
 INNER_ABS_TOL = 1e-10
 REL_TOL = 1e-9
 MAX_SUBDIVISIONS = 400
-NESTED_BLOCK = 64  # outer nodes per inner tanh-sinh call; bounds its memory
+# The most inner panels (outer nodes times breakpoint panels) one inner
+# tanh-sinh call of nested_tanh_sinh takes; it bounds the call's memory.  A
+# call has a fixed cost on top of its per-node work: a one-panel call of a
+# cheap integrand takes ~80 us on 2 cores (~120 us before the pass loop was
+# trimmed), so wider calls make fewer of them.  At 1024, each outer pass of
+# verify-all's nested quadratures makes one or two calls; ROADMAP records
+# other budgets against verify-all's time and memory.
+NESTED_BLOCK = 1024
 
 # Tanh-sinh levels: level k has step _H0 / 2**k and 8 * 2**k steps to each
 # side, so its outermost complement 1 - x_j just avoids underflow (4 * tiny).
@@ -66,13 +76,18 @@ def _level_nodes(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _LEVELS = [_level_nodes(k) for k in range(_LAST_LEVEL + 1)]
-# One (complements, weights) pair per pass: levels 0.._FIRST_LEVEL in order
-# for the first, then one level each.
-_PASSES = ([tuple(np.concatenate(z) for z in zip(*_LEVELS[:_FIRST_LEVEL + 1]))]
-           + _LEVELS[_FIRST_LEVEL + 1:])
 # Of the first pass's nodes per side, the first _COARSE[0] make level
 # _FIRST_LEVEL - 2 and the first _COARSE[1] level _FIRST_LEVEL - 1.
 _COARSE = np.cumsum([len(xc) for xc, _ in _LEVELS[:_FIRST_LEVEL]])[-2:]
+# One entry per pass: levels 0.._FIRST_LEVEL in order for the first, then one
+# level each.  An entry holds the nodes' signed offsets and weights per side,
+# right then left: [-xc; xc] and [w; w], so that the panel's ends [b; a] plus
+# alpha times the offsets are b - alpha xc and a + alpha xc bit for bit.
+_PASSES = [(np.stack((-xc, xc)), np.stack((w, w)))
+           for xc, w in [tuple(map(np.concatenate, zip(*_LEVELS[:_FIRST_LEVEL + 1])))]
+           + _LEVELS[_FIRST_LEVEL + 1:]]
+_SIDE = np.array([[1.0], [-1.0]])
+_EPS = np.finfo(float).eps
 
 
 def _thin(lo, hi):
@@ -96,7 +111,8 @@ def _tanh_sinh_panels(f, lo, hi, atol: float, args=()) -> tuple[np.ndarray, np.n
     lo, hi and the arrays in args broadcast to the panels' shape.  Each pass
     calls f(x, *args) once, with x of shape (panels, nodes) and each arg a
     column, for the panels still running only: a panel leaves the pass it
-    converges in, with its arguments.  Status 0 is converged; -2 means level
+    converges in, with its arguments, and the call ends with the pass in
+    which the last one does.  Status 0 is converged; -2 means level
     _LAST_LEVEL did not converge, and the integral is its estimate; -3 means
     the estimate became non-finite.  A zero-width panel is 0 with no call.
 
@@ -111,39 +127,44 @@ def _tanh_sinh_panels(f, lo, hi, atol: float, args=()) -> tuple[np.ndarray, np.n
     each panel's midpoint first and stops with status -3 where that is NaN;
     here a NaN at the level-0 node in the middle does the same.  Limits are
     finite, and lo > hi integrates backwards.
+
+    A pass makes a fixed number of numpy calls whatever the panel count: the
+    panels' ends and half widths are formed once per call and leave with
+    their panels, and the nodes come from per-pass signed offsets.  Each
+    pass's outermost node lies within 1e-279 half widths of the end, so it
+    rounds onto the end of larger magnitude: every pass of every panel has
+    a value to replace, and the replacement is never skipped.
     """
     lo, hi, *args = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float),
                                         *args)
     shape = lo.shape
     lo, hi = lo.ravel(), hi.ravel()
-    backward = hi < lo
-    a, b = np.where(backward, hi, lo), np.where(backward, lo, hi)
     integral = np.zeros(lo.size)
-    status = np.where(a == b, 0, -2)
-    live = np.flatnonzero(a != b)
-    a, b = a[live, None, None], b[live, None, None]
+    status = np.where(lo == hi, 0, -2)
+    live = status.nonzero()[0]
+    # Per live panel, formed once: the ends [b; a], which alpha times the
+    # signed offsets of _PASSES move inwards, and the half width alpha.
+    ends = np.empty((live.size, 2, 1))
+    ends[:, 0, 0] = np.maximum(lo, hi)[live]
+    ends[:, 1, 0] = np.minimum(lo, hi)[live]
+    alpha = (ends[:, :1] - ends[:, 1:]) / 2
     args = [arg.ravel()[live, None] for arg in args]
     # Per panel and side (right, left): the outermost finite node so far, as
     # x on the right and -x on the left, its f and its weight.
     outer = np.full((live.size, 2), -np.inf)
     f_outer = np.full((live.size, 2), np.nan)
     w_outer = np.zeros((live.size, 2))
-    side = np.array([[1.0], [-1.0]])
-    eps = np.finfo(float).eps
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k, (xc, wc) in enumerate(_PASSES, _FIRST_LEVEL):
-            if not live.size:
-                break
+        for k, (offsets, weights) in enumerate(_PASSES if live.size else (), _FIRST_LEVEL):
             h = _H0 / 2 ** k
-            alpha = (b - a) / 2
-            ax = alpha * xc
-            x = np.concatenate((b - ax, a + ax), axis=1)
-            w = np.repeat(wc * alpha, 2, axis=1)
-            w[(x <= a) | (x >= b)] = 0
-            fx = np.asarray(f(x.reshape(live.size, -1), *args), dtype=float).reshape(x.shape)
+            x = alpha * offsets
+            x += ends  # in place: a broadcast sum into a new array is ~2x slower on wide calls
+            fx = np.asarray(f(x.reshape(len(x), -1), *args), dtype=float).reshape(x.shape)
+            w = alpha * weights  # after the call: a wide call's peak memory is f's temporaries
+            w[(x <= ends[:, 1:]) | (x >= ends[:, :1])] = 0
             bad = ~np.isfinite(fx) | (w == 0)
 
-            reach = np.where(bad, -np.inf, side * x)
+            reach = np.where(bad, -np.inf, x * _SIDE)
             # Flat index of each (panel, side)'s outermost finite node.
             i = reach.argmax(axis=2)
             i += np.arange(0, i.size * x.shape[2], x.shape[2]).reshape(i.shape)
@@ -152,34 +173,41 @@ def _tanh_sinh_panels(f, lo, hi, atol: float, args=()) -> tuple[np.ndarray, np.n
             outer = np.where(new, top, outer)
             f_outer = np.where(new, fx.ravel()[i], f_outer)
             w_outer = np.where(new, w.ravel()[i], w_outer)
-            d4 = np.max(np.abs(f_outer * w_outer), axis=1)
+            d4 = np.abs(f_outer * w_outer).max(axis=1)
 
-            terms = np.where(bad, f_outer[..., None], fx) * w
-            est = terms.reshape(live.size, -1).sum(axis=1) * h
+            terms = np.where(bad, f_outer[..., None], fx)
+            terms *= w
+            est = terms.reshape(len(x), -1).sum(axis=1) * h
             if k == _FIRST_LEVEL:
                 est[np.isnan(fx[:, 0, 0])] = np.nan  # where scipy's midpoint probe stops
-                prev2, prev = (terms[..., :n].reshape(live.size, -1).sum(axis=1) * (h * 2 ** m)
-                               for n, m in zip(_COARSE, (2, 1)))
+                prev2 = terms[..., :_COARSE[0]].reshape(len(x), -1).sum(axis=1) * (h * 4)
+                prev = terms[..., :_COARSE[1]].reshape(len(x), -1).sum(axis=1) * (h * 2)
             else:
                 est = prev / 2 + est
             d1 = np.abs(est - prev)
             d2 = np.abs(est - prev2)
-            d3 = eps * np.max(np.abs(terms), axis=(1, 2))
+            d3 = _EPS * np.abs(terms, out=reach).reshape(len(x), -1).max(axis=1)  # reach is free
             power = np.where(d1 > 0, d1 ** (np.log(d1) / np.log(d2)), 0)
-            err = np.clip(np.maximum(np.maximum(np.maximum(power, d1 ** 2), d3), d4),
-                          eps * np.abs(est), d1)
-            done = (err / np.abs(est) < REL_TOL) | (err < atol)
-            failed = ~np.isfinite(est) & ~done
+            size = np.abs(est)
+            # np.clip(max(power, d1^2, d3, d4), d5, d1) in fewer calls
+            err = np.minimum(np.maximum(np.maximum(np.maximum(np.maximum(power, d1 * d1), d3), d4),
+                                        _EPS * size), d1)
+            done = (err / size < REL_TOL) | (err < atol)
             integral[live] = est
-            status[live[done]] = 0
-            status[live[failed]] = -3
-            keep = ~(done | failed)
+            if done.all():
+                status[live] = 0
+                break
+            keep = ~done & np.isfinite(est)
+            status[live] = np.where(done, 0, np.where(keep, -2, -3))
+            if not keep.any():
+                break
             if not keep.all():
-                live, a, b, args = live[keep], a[keep], b[keep], [arg[keep] for arg in args]
+                live, ends, alpha = live[keep], ends[keep], alpha[keep]
+                args = [arg[keep] for arg in args]
                 outer, f_outer, w_outer = outer[keep], f_outer[keep], w_outer[keep]
                 est, prev = est[keep], prev[keep]
             prev2, prev = prev, est
-    integral[backward] *= -1
+    integral[hi < lo] *= -1
     return integral.reshape(shape), status.reshape(shape)
 
 
@@ -236,10 +264,11 @@ def nested_tanh_sinh(kernel, weight, a: float, b: float, points=()) -> float:
     Only the triangle t < s is integrated: a kernel symmetric in (s, t) gives
     half its integral over the square.  kernel(s, t) and weight(s) take
     broadcastable arrays; the kernel may have an integrable singularity at
-    t = s.  One tanh-sinh call takes the inner integrals of NESTED_BLOCK outer
-    nodes s, over each panel [lo, hi] cut at s clipped into it: [lo, cut].  A
-    cut within a few ulps of lo or hi is moved onto it, so such panels are
-    empty or whole.
+    t = s.  One tanh-sinh call takes the inner integrals of
+    max(1, NESTED_BLOCK // panels) outer nodes s, over each panel [lo, hi]
+    cut at s clipped into it: [lo, cut], so it holds at most NESTED_BLOCK
+    panels unless one node's row alone has more.  A cut within a few ulps of
+    lo or hi is moved onto it, so such panels are empty or whole.
     """
     edges = _edges(a, b, points)
     lo, hi = edges[:-1], edges[1:]
@@ -247,15 +276,16 @@ def nested_tanh_sinh(kernel, weight, a: float, b: float, points=()) -> float:
     def rows(s: np.ndarray) -> np.ndarray:
         flat = s.reshape(-1, 1)
         out = np.empty(len(flat))
-        for start in range(0, len(flat), NESTED_BLOCK):
-            s_blk = flat[start:start + NESTED_BLOCK]
+        step = max(1, NESTED_BLOCK // len(lo))
+        for start in range(0, len(flat), step):
+            s_blk = flat[start:start + step]
             cut = np.clip(s_blk, lo, hi)
             cut = np.where(_thin(lo, cut), lo, np.where(_thin(cut, hi), hi, cut))
             p_lo = np.broadcast_to(lo, cut.shape)
             integral, status = _tanh_sinh_panels(lambda t, s_: kernel(s_, t), p_lo, cut,
                                                  INNER_ABS_TOL, (s_blk,))
             _converged(status, p_lo, cut)
-            out[start:start + NESTED_BLOCK] = integral.sum(axis=1)
+            out[start:start + step] = integral.sum(axis=1)
         return weight(s) * out.reshape(s.shape)
 
     return tanh_sinh(rows, a, b, points)

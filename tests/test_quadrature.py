@@ -58,6 +58,37 @@ class TestNestedTanhSinh:
         monkeypatch.setattr(quadrature, "NESTED_BLOCK", 5)
         got = quadrature.nested_tanh_sinh(_neg_log_kernel, weight, 0.0, 1.0, (0.4,))
         assert got == want
+        # a budget below one row's panels: one outer node per inner call
+        monkeypatch.setattr(quadrature, "NESTED_BLOCK", 1)
+        got = quadrature.nested_tanh_sinh(_neg_log_kernel, weight, 0.0, 1.0, (0.4,))
+        assert got == want
+
+    @pytest.mark.parametrize("budget", [quadrature.NESTED_BLOCK, 200, 9])
+    def test_inner_calls_take_at_most_the_panel_budget(self, monkeypatch, budget):
+        # Per outer pass: its row count and the panel count of each inner call.
+        passes = []
+        panels_tanh_sinh = quadrature._tanh_sinh_panels
+
+        def spy(f, lo, hi, atol, args=()):
+            if args:  # an inner call: one row of panels per outer node
+                passes[-1][1].append(np.broadcast(lo, hi).size)
+                return panels_tanh_sinh(f, lo, hi, atol, args)
+
+            def outer_pass(s):
+                passes.append((s.size, []))
+                return f(s)
+
+            return panels_tanh_sinh(outer_pass, lo, hi, atol)
+
+        monkeypatch.setattr(quadrature, "_tanh_sinh_panels", spy)
+        monkeypatch.setattr(quadrature, "NESTED_BLOCK", budget)
+        quadrature.nested_tanh_sinh(_neg_log_kernel, np.ones_like, 0.0, 1.0, (0.4,))
+        assert passes
+        for rows, calls in passes:  # two panels per row
+            assert sum(calls) == 2 * rows and max(calls) <= budget
+            assert len(calls) == -(-rows // (budget // 2))  # one call when 2 * rows <= budget
+        # the first pass's 132 rows (264 panels) fit the default budget only
+        assert passes[0][0] == 132 and (len(passes[0][1]) == 1) == (budget >= 264)
 
     def test_outer_node_an_ulp_from_an_inner_edge(self):
         # some outer nodes on these panels round to within an ulp of -0.525,
@@ -126,6 +157,16 @@ class TestTanhSinhPanelsAgainstScipy:
         (np.ones_like, [0.0, 1.0], [0.0, 2.0], ()),  # a zero-width panel
         (lambda x: np.where(np.abs(x - 0.5) < 1e-12, np.nan, x), 0.0, 1.0, ()),  # NaN at the middle
         (lambda x, p: x ** p, np.zeros(5), np.ones(5), (np.array([-0.9, -0.5, 0.0, 2.5, 40.0]),)),
+        # The first panel stops at once (NaN at its middle); the other two
+        # converge together in a later pass, which ends the call.
+        (lambda x: np.where(np.abs(x - 0.5) < 1e-12, np.nan, np.cos(30.0 * x)),
+         [0.0, 1.0, 2.0], [1.0, 2.0, 3.0], ()),
+        # inf on the last nodes before 1: a later level puts a finite node
+        # outside the first pass's outermost one, which the outer state must take
+        (lambda x: np.where(x > 0.999999, np.inf, np.cos(15.0 * x)), 0.0, 1.0, ()),
+        # ... and d4 must come from the outermost finite node so far, not from
+        # the outermost one of the pass at hand
+        (lambda x: np.where(x > 1.0 - 1e-12, np.inf, np.cos(15.0 * x) * np.sqrt(x)), 0.0, 1.0, ()),
     ])
     def test_fixed_integrands(self, f, lo, hi, args, atol):
         _assert_matches_scipy(f, lo, hi, atol, args)
