@@ -61,6 +61,7 @@ from .shape import (
     G,
     H_tilde,
     J_tilde,
+    _require_c,
     omega_c,
     omega_c_prime,
     phi,
@@ -136,8 +137,7 @@ def shape_curve(c: float) -> Curve:
 
 def default_window(c: float) -> tuple[float, float]:
     """Default integration window [a, b] strictly containing the shape support."""
-    if not (math.isfinite(c) and c > 0.0):
-        raise ValueError("c must be finite and positive")
+    _require_c(c, positive=True)
     return min(0.5 * c - 1.0, -0.5 / c) - 0.5, 0.5 * c + 1.5
 
 
@@ -206,8 +206,7 @@ def theta_shape(c: float) -> float:
     Omega_c minimizes theta - rho with gap 0, and rho(Omega_c) = -2 A(c) by the
     definition of A; minimizer_gap checks this against _theta_curve.
     """
-    if not (math.isfinite(c) and c >= 0.0):
-        raise ValueError("c must be finite and nonnegative")
+    _require_c(c)
     return -2.0 * _lemma_A_closed(c)
 
 
@@ -251,8 +250,7 @@ def rho(L: Profile, c_n: float) -> float:
     """
     if not isinstance(L, Profile):
         raise TypeError("rho takes a Profile")
-    if not (math.isfinite(c_n) and c_n >= 0.0):
-        raise ValueError("c must be finite and nonnegative")
+    _require_c(c_n)
     if c_n == 0.0:
         return 0.0
     x, d = _corner_jumps(L)
@@ -343,8 +341,7 @@ def profile_minus_shape(prof: Profile, c: float) -> _ProfileMinusShape:
     The window is default_window(c) widened on the right so that f vanishes
     outside it (required by both Sobolev routes and the penalty term).
     """
-    if not (math.isfinite(c) and c > 0.0):
-        raise ValueError("c must be finite and positive")
+    _require_c(c, positive=True)
     cx, _ = prof.corners
     a, b0 = default_window(c)
     b = max(b0, float(cx[-1]) + 0.5)
@@ -461,8 +458,7 @@ def h_term(f: Curve, c: float) -> float:
     off the bulk, as every profile difference is; inside the bulk J~_c = 0
     and f may be anything.
     """
-    if not (math.isfinite(c) and c > 0.0):
-        raise ValueError("c must be finite and positive")
+    _require_c(c, positive=True)
     a, b = f.support
     x = np.unique([a, b, *f.kinks, 0.5 * c - 1.0, 0.5 * c + 1.0, -0.5 / c])
     mid = 0.5 * (x[:-1] + x[1:])
@@ -542,8 +538,7 @@ def lemma_A(c: float) -> tuple[float, float]:
     The quadrature side is -rho(Omega_c)/2 by _rho_curve; for c >= 1 the left
     support endpoint carries a log singularity, handled by tanh-sinh.
     """
-    if not (math.isfinite(c) and c > 0.0):
-        raise ValueError("c must be finite and positive")
+    _require_c(c, positive=True)
     return -0.5 * _rho_curve(shape_curve(c), c), _lemma_A_closed(c)
 
 
@@ -582,8 +577,7 @@ def lemma_F3(c: float, x: float) -> tuple[float, float]:
     is smooth on [-pi/2, pi/2].  Near c = 1 it turns within ~|1 - c| of
     psi = -pi/2, so breakpoints at -pi/2 + k|1 - c| resolve the turn.
     """
-    if not (math.isfinite(c) and c > 0.0):
-        raise ValueError("c must be finite and positive")
+    _require_c(c, positive=True)
 
     def g(psi):
         z = np.sin(psi)
@@ -661,8 +655,7 @@ def alpha_constant(c: float) -> float:
     ~|1 - c| of theta = pi (within ~(1 - c)^2 of z = -1), so breakpoints at
     pi - k|1 - c| resolve the turn.  At c = 0 this reduces to 2/pi - 4/pi^2.
     """
-    if not (math.isfinite(c) and c >= 0.0):
-        raise ValueError("c must be finite and nonnegative")
+    _require_c(c)
 
     def g(theta):
         sin, cos = np.sin(theta), np.cos(theta)

@@ -10,6 +10,9 @@ Subcommands:
     emit-shape  CSV table of Omega_c and its derivative on a grid
     verify-all  run every identity check and emit a JSON report
 
+enumerate and constants print CSV by default, bounds and biane JSON; --format
+csv or --format json picks either.  CSV string fields, such as partitions, are quoted.
+
 Exit codes: 0 success, 1 verification failure (including an ArithmeticError
 such as an unconverged quadrature), 2 usage error.  All randomized
 commands are bit-reproducible for a fixed seed regardless of scheduling.
@@ -24,11 +27,14 @@ parameters; the acceptance tests run the same families at larger sizes.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from decimal import Decimal
 from itertools import chain
 
 import mpmath
@@ -135,31 +141,31 @@ def summarize(values: list[float]) -> dict:
 def cmd_dims(lam: Partition, N: int) -> str:
     """Text report of exact dimensions and measures of one diagram.
 
-    Python's int-to-string digit limit (4300 digits; n! passes it at n = 1749) is
-    lifted while the report is formatted and restored afterwards.
+    The integers are printed through Decimal, which has no counterpart of
+    Python's int-to-string digit limit (4300 digits; n! passes it at n = 1749).
     """
     d = exact.exact_dims(lam, N)
     pl = exact.plancherel(lam).value
     sw = exact.schur_weyl_measure(lam, N).value
-    # Python >= 3.10.7 has the limit; 0 means none is set
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        lines = [
-            f"partition: {lam}",
-            f"n: {lam.n}",
-            f"N: {N}",
-            f"dim_sym: {d.dim_sym}",
-            f"dim_gl: {d.dim_gl}",
-            f"dim_iso: {d.dim_iso}",
-            f"plancherel: {pl.numerator}/{pl.denominator}",
-            f"schur_weyl: {sw.numerator}/{sw.denominator}",
-        ]
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    lines = [
+        f"partition: {lam}",
+        f"n: {lam.n}",
+        f"N: {N}",
+        f"dim_sym: {Decimal(d.dim_sym)}",
+        f"dim_gl: {Decimal(d.dim_gl)}",
+        f"dim_iso: {Decimal(d.dim_iso)}",
+        f"plancherel: {Decimal(pl.numerator)}/{Decimal(pl.denominator)}",
+        f"schur_weyl: {Decimal(sw.numerator)}/{Decimal(sw.denominator)}",
+    ]
     return "\n".join(lines) + "\n"
+
+
+def _csv_table(columns: list[str], rows) -> str:
+    """A plain header line, then one line per row with every string field quoted."""
+    buf = io.StringIO()
+    buf.write(",".join(columns) + "\n")
+    csv.writer(buf, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def cmd_enumerate(n: int, N: int, fmt: str = "csv") -> tuple[str, bool]:
@@ -184,12 +190,9 @@ def cmd_enumerate(n: int, N: int, fmt: str = "csv") -> tuple[str, bool]:
         text = json.dumps({"rows": rows, "sum_dim_iso": total,
                            "expected": N ** n, "passed": passed}, indent=2)
     else:
-        lines = ["partition,dim_sym,dim_gl,dim_iso,measure_num,measure_den"]
-        lines += [f'"{r["partition"]}",{r["dim_sym"]},{r["dim_gl"]},{r["dim_iso"]},'
-                  f'{r["measure_num"]},{r["measure_den"]}' for r in rows]
-        lines.append(f"# sum dim_iso = {total}, N^n = {N ** n}, "
-                     f"{'pass' if passed else 'FAIL'}")
-        text = "\n".join(lines) + "\n"
+        text = _csv_table(["partition", "dim_sym", "dim_gl", "dim_iso", "measure_num",
+                           "measure_den"], (r.values() for r in rows))
+        text += f"# sum dim_iso = {total}, N^n = {N ** n}, {'pass' if passed else 'FAIL'}\n"
     return text, passed
 
 
@@ -269,9 +272,7 @@ def cmd_constants(c_grid: list[float], fmt: str = "csv") -> str:
             for c in c_grid]
     if fmt == "json":
         return json.dumps(rows, indent=2)
-    lines = ["c,alpha_c,beta"]
-    lines += [f'{r["c"]!r},{r["alpha_c"]!r},{r["beta"]!r}' for r in rows]
-    return "\n".join(lines) + "\n"
+    return _csv_table(["c", "alpha_c", "beta"], (r.values() for r in rows))
 
 
 def cmd_emit_shape(c: float, step: float = 0.01) -> str:
@@ -523,73 +524,53 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="ytensor",
                                 description="isotypic-component dimension toolkit")
     sub = p.add_subparsers(dest="command", required=True)
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--config", default=None, help="key=value config file")
+    files.add_argument("--out", default=None)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None)
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--n", type=int, required=True)
+    sampling.add_argument("--N", type=int, default=None)
+    sampling.add_argument("--c", type=float, default=None)
+    sampling.add_argument("--samples", type=int, default=1)
+    sampling.add_argument("--seed", type=int, default=0)
 
-    def common(sp, n=False, N=False, c=False, samples=False, seed=False):
-        sp.add_argument("--config", default=None, help="key=value config file")
-        sp.add_argument("--out", default=None)
-        if n:
-            sp.add_argument("--n", type=int, required=True)
-        if N:
-            sp.add_argument("--N", type=int, default=None)
-        if c:
-            sp.add_argument("--c", type=float, default=None)
-        if samples:
-            sp.add_argument("--samples", type=int, default=1)
-        if seed:
-            sp.add_argument("--seed", type=int, default=0)
+    def command(name, summary, *parents):
+        return sub.add_parser(name, help=summary, parents=[files, *parents])
 
-    sp = sub.add_parser("dims", help="exact dimensions of one diagram")
+    sp = command("dims", "exact dimensions of one diagram")
     sp.add_argument("--lam", required=True, help='partition, e.g. "4,2,1"')
     sp.add_argument("--N", type=int, required=True)
-    common(sp)
 
-    sp = sub.add_parser("enumerate", help="all diagrams of Y_N^n with measures")
+    sp = command("enumerate", "all diagrams of Y_N^n with measures", fmt)
+    sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--N", type=int, required=True)
-    common(sp, n=True)
-    sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None)
 
-    sp = sub.add_parser("sample", help="dump random diagrams")
-    common(sp, n=True, N=True, c=True, samples=True, seed=True)
+    sp = command("sample", "dump random diagrams", sampling)
     sp.add_argument("--measure", choices=["schur-weyl", "plancherel"],
                     default="schur-weyl")
 
-    sp = sub.add_parser("bounds", help="-ln P / sqrt(n) window statistics")
-    common(sp, n=True, N=True, c=True, samples=True, seed=True)
+    sp = command("bounds", "-ln P / sqrt(n) window statistics", fmt, sampling)
     sp.add_argument("--slack", type=float, default=0.05)
-    sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None)
 
-    sp = sub.add_parser("biane", help="sup-distance to the limit shape")
-    common(sp, n=True, N=True, c=True, samples=True, seed=True)
-    sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None)
+    command("biane", "sup-distance to the limit shape", fmt, sampling)
 
-    sp = sub.add_parser("constants", help="alpha_c and beta table")
-    sp.add_argument("--c-grid", default="0,0.5,1,2",
-                    help="comma-separated c values")
-    sp.add_argument("--format", dest="fmt", choices=["csv", "json"], default=None)
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--out", default=None)
+    sp = command("constants", "alpha_c and beta table", fmt)
+    sp.add_argument("--c-grid", default="0,0.5,1,2", help="comma-separated c values")
 
-    sp = sub.add_parser("emit-shape", help="limit shape table")
+    sp = command("emit-shape", "limit shape table")
     sp.add_argument("--c", type=float, required=True)
     sp.add_argument("--step", type=float, default=0.01)
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--out", default=None)
 
-    sp = sub.add_parser("verify-all", help="run every identity check")
-    common(sp, seed=True)
+    sp = command("verify-all", "run every identity check")
+    sp.add_argument("--seed", type=int, default=0)
     return p
 
 
 def _result_text(res: ExperimentResult, fmt: str | None) -> str:
     if fmt == "csv":
-        if not res.records:
-            return ""
-        cols = list(res.records[0].keys())
-        lines = [",".join(cols)]
-        for r in res.records:
-            lines.append(",".join(repr(r[k]) if isinstance(r[k], float) else str(r[k])
-                                  for k in cols))
-        return "\n".join(lines) + "\n"
+        return _csv_table(list(res.records[0]), (r.values() for r in res.records))
     return res.to_json() + "\n"
 
 
@@ -633,18 +614,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "emit-shape":
             _emit(cmd_emit_shape(args.c, step=args.step), args.out)
             return 0
-        if args.command == "verify-all":
-            report = cmd_verify_all(seed=args.seed)
-            _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
-            return 0 if report["passed"] else 1
-        parser.error(f"unknown command {args.command}")
+        # verify-all: the subcommand is required, so no other value gets here
+        report = cmd_verify_all(seed=args.seed)
+        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+        return 0 if report["passed"] else 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:  # a non-integral quotient, unconverged quadrature, RSK breach
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

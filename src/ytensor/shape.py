@@ -39,6 +39,12 @@ def _result(out: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
+def _require_c(c: float, positive: bool = False) -> None:
+    """Reject a non-finite or negative c, and with positive also c = 0."""
+    if not (math.isfinite(c) and (c > 0.0 if positive else c >= 0.0)):
+        raise ValueError(f"c must be finite and {'positive' if positive else 'nonnegative'}")
+
+
 def omega(X):
     """The undeformed limit shape: (2/pi)(sqrt(1-X^2) + X arcsin X) on [-1, 1]."""
     return omega_c(0.0, X)
@@ -55,8 +61,7 @@ def omega_c(c: float, s):
     The left end of the branch goes to the neighbouring branch, which has the
     same value there and no 0/0 at c = 1, s = -1/2.
     """
-    if not (math.isfinite(c) and c >= 0.0):
-        raise ValueError("c must be finite and nonnegative")
+    _require_c(c)
     s = np.asarray(s, dtype=float)
     two_s = 2.0 * s
     with np.errstate(invalid="ignore"):
@@ -72,8 +77,7 @@ def omega_c(c: float, s):
 def omega_c_prime(c: float, s):
     """Derivative of Omega_c: (2/pi) arcsin((c+2s)/(2 sqrt(1+2cs))) on the bulk,
     evaluated as (2/pi) atan2(2s + c, w) with w as in omega_c (0 at c = 1, s = -1/2)."""
-    if not (math.isfinite(c) and c >= 0.0):
-        raise ValueError("c must be finite and nonnegative")
+    _require_c(c)
     s = np.asarray(s, dtype=float)
     two_s = 2.0 * s
     with np.errstate(invalid="ignore"):
@@ -92,8 +96,7 @@ def omega_c_second(c: float, z: float) -> float:
     and are rejected (quadrature against this factor should substitute
     z = sin(psi) first).
     """
-    if not (math.isfinite(c) and c >= 0.0):
-        raise ValueError("c must be finite and nonnegative")
+    _require_c(c)
     if abs(z) > 1.0:
         return 0.0
     if abs(z) == 1.0:
@@ -122,9 +125,6 @@ def phi(k: int, x):
     return _result(np.where(x == 0.0, 0.0, out))
 
 
-def _require_positive_c(c: float) -> None:
-    if not (math.isfinite(c) and c > 0.0):
-        raise ValueError("c must be finite and positive")
 
 
 def _off_bulk(c: float, z, k: int):
@@ -137,7 +137,7 @@ def _off_bulk(c: float, z, k: int):
     the last one takes its limit: 0 for k > 0, infinite for k = 0.  An
     arccosh argument rounded below 1 counts as 1.
     """
-    _require_positive_c(c)
+    _require_c(c, positive=True)
     z = np.asarray(z, dtype=float)
     out = np.abs(z) > 1.0
     zo = np.where(out, z, 2.0)
@@ -166,7 +166,7 @@ def H_tilde_prime(c: float, z):
 
 def H_tilde_second(c: float, z: float) -> float:
     """Second derivative of H_tilde for |z| > 1."""
-    _require_positive_c(c)
+    _require_c(c, positive=True)
     if abs(z) <= 1.0:
         raise ValueError("H_tilde_second is defined for |z| > 1")
     a = (1.0 + c * c) / (2.0 * c)
@@ -175,7 +175,7 @@ def H_tilde_second(c: float, z: float) -> float:
 
 def G(c: float, s):
     """G_c(s) = (1/c) phi_1((1+2cs)/2) - (1-c^2)/(2c); G' = -ln|1+2cs|."""
-    _require_positive_c(c)
+    _require_c(c, positive=True)
     return phi(1, 0.5 * (1.0 + 2.0 * c * s)) / c - (1.0 - c * c) / (2.0 * c)
 
 
@@ -190,8 +190,7 @@ def J_tilde(c: float, z):
 
 def shape_support(c: float) -> tuple[float, float]:
     """Interval outside which Omega_c(s) equals |s|."""
-    if not (math.isfinite(c) and c >= 0.0):
-        raise ValueError("c must be finite and nonnegative")
+    _require_c(c)
     if c > 1.0:
         return -0.5 / c, 0.5 * c + 1.0
     return 0.5 * c - 1.0, 0.5 * c + 1.0

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -57,6 +58,14 @@ class TestSubcommands:
         assert "dim_gl: 2001\n" in out
         assert f"plancherel: 1/{Decimal(math.factorial(2000))}\n" in out
         assert f"schur_weyl: 2001/{2 ** 2000}\n" in out
+
+    def test_dims_leaves_the_int_string_limit_alone(self, monkeypatch, capsys):
+        def fail(limit):
+            raise RuntimeError("cmd_dims must not change the int-to-string limit")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", fail, raising=False)
+        assert main(["dims", "--lam", "2000", "--N", "2"]) == 0
+        assert f"plancherel: 1/{Decimal(math.factorial(2000))}\n" in capsys.readouterr().out
 
     def test_dims_examples(self, capsys):
         main(["dims", "--lam", "3", "--N", "2"])
@@ -203,6 +212,46 @@ class TestSubcommands:
     def test_sample_plancherel(self, capsys):
         assert main(["sample", "--measure", "plancherel", "--n", "10", "--samples", "2"]) == 0
         assert capsys.readouterr().out.startswith("# n=10 N=- seed=0 count=2")
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--n", "5", "--N", "3"],
+        ["constants", "--c-grid", "0,0.5,1,2"],
+        ["bounds", "--n", "20", "--N", "3", "--samples", "2", "--format", "csv"],
+        ["biane", "--n", "100", "--c", "1", "--samples", "3", "--format", "csv"],
+        ["emit-shape", "--c", "1", "--step", "0.5"],
+    ])
+    def test_csv_rows_match_the_header(self, capsys, argv):
+        assert main(argv) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+        header, *rows = csv.reader(lines)
+        assert rows and all(len(row) == len(header) for row in rows)
+
+    def test_bounds_csv_partitions_parse_back(self, capsys):
+        argv = ["bounds", "--n", "20", "--N", "3", "--samples", "2", "--format", "csv"]
+        assert main(argv) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        records = harness.cmd_bounds(ExperimentConfig(n=20, N=3, samples=2)).records
+        assert [Partition.parse(r["partition"]) for r in rows] == [
+            Partition.parse(r["partition"]) for r in records]
+        assert all("," in r["partition"] for r in rows)
+
+    @pytest.mark.parametrize("command, options", [
+        ("dims", {"--lam", "--N"}),
+        ("enumerate", {"--n", "--N", "--format"}),
+        ("sample", {"--n", "--N", "--c", "--samples", "--seed", "--measure"}),
+        ("bounds", {"--n", "--N", "--c", "--samples", "--seed", "--slack", "--format"}),
+        ("biane", {"--n", "--N", "--c", "--samples", "--seed", "--format"}),
+        ("constants", {"--c-grid", "--format"}),
+        ("emit-shape", {"--c", "--step"}),
+        ("verify-all", {"--seed"}),
+    ])
+    def test_help_lists_each_option(self, capsys, command, options):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listing = capsys.readouterr().out.partition("\noptions:\n")[2]
+        listed = {word.rstrip(",") for word in listing.split() if word.startswith("-")}
+        assert listed == options | {"-h", "--help", "--config", "--out"}
 
     def test_json_format(self, capsys):
         assert main(["enumerate", "--n", "3", "--N", "2", "--format", "json"]) == 0
