@@ -14,7 +14,7 @@ import argparse
 
 import numpy as np
 
-from ytensor import functionals as F, rsk
+from ytensor import checks, functionals as F, rsk
 
 
 def main():
@@ -38,7 +38,7 @@ def main():
 
     print("\nat the minimizer L = Omega_c the gap vanishes:")
     for cc in [0.5, 1.0, 2.0]:
-        gap = F.theta_shape(cc) - F._rho_curve(F.shape_curve(cc), cc)
+        gap = F.theta_shape(cc) - checks._rho_curve(checks.shape_curve(cc), cc)
         print(f"  c={cc}: theta - rho = {gap:.2e}")
 
 

@@ -1,7 +1,9 @@
 """Exact and asymptotic analysis of isotypic-component dimensions of tensor
 powers: Young diagram combinatorics, exact measures, RSK samplers, limit
-shapes, the variational functionals and a CLI harness."""
+shapes, the variational functionals, their verification checks and a CLI
+harness."""
 
+from .checks import lemma_A, lemma_F3, lemma_I, lemma_intIOmega, shape_curve
 from .diagrams import Cell, Partition, Profile, profile, profile_from_slopes
 from .exact import (
     ExactDims,
@@ -21,17 +23,12 @@ from .functionals import (
     alpha_constant,
     beta_constant,
     h_term,
-    lemma_A,
-    lemma_F3,
-    lemma_I,
-    lemma_intIOmega,
     m_series,
     profile_minus_shape,
     prop31_decompose,
     prop41_identity,
     rho,
     rho_hat,
-    shape_curve,
     sobolev_half_sq,
     theta_hat,
     theta_profile,

@@ -12,10 +12,9 @@ eps_n depending on n only.  The identity
     theta(L) - rho(L) = (1/2) ||L - Omega_c||^2_{1/2} + 2 int H'_c (L - Omega_c)
 
 expresses the gap as a half-Sobolev norm plus a boundary penalty, which is the
-mechanism behind positivity and the unique minimizer Omega_c.  The lemma_*
-functions check the closed forms of the auxiliary integrals (A, I_c, the
-phi_2 moment of Omega_c'' and the I-against-Omega' integral) by independent
-quadrature.
+mechanism behind positivity and the unique minimizer Omega_c.  The
+_lemma_*_closed helpers are the closed forms of the auxiliary integrals (A,
+I_c, the phi_2 moment of Omega_c'' and the I-against-Omega' integral).
 
 On a lattice profile L'' is a sum of point masses d_k at the corners x_k, so
 two integrations by parts turn every log-kernel functional into a sum over
@@ -24,24 +23,13 @@ a sum of phi_2(x_k + 1/(2c)) and x_k^2 terms, and the Sobolev norm of
 L - Omega_c the energy E on the window, the antiderivative of lemma I at the
 corners and lemma intIOmega's reduction of the shape self-energy.
 That reduction is one tanh-sinh call over the array-valued G and H, and so
-are alpha_c and lemma_F3, in angle variables.  The boundary penalty takes
-no quadrature: J~_c and H~_c vanish on the bulk, so it is a sum over the
-kinks of L - Omega_c of J~_c times the jumps of its slope.
-theta(Omega_c) is -2 A(c), lemma A's closed form, since Omega_c minimizes
-theta - rho with gap 0.  The nested-quadrature routes (difference quotient,
-generic log kernel and the hook integral of a Curve, minimizer_gap's left
-side) are independent oracles; each gives quadrature.nested_tanh_sinh its
-kernel and outer weight as defined.  That integrates the triangle t < s
-alone: the hook integral lives there, and the two Sobolev kernels are
-symmetric in (s, t).  The log kernel phi_0(s - t) goes in as it is, with its
-singularity at the end t = s of the inner panels, where tanh-sinh resolves
-it; so does lemma_I's single integral, split at s.  Lemma intIOmega's left
-side, the log energy of Omega_c' on the window, is an oracle built from phi_0's
-antiderivatives alone: off the bulk Omega_c' is +-1, so that part's energy is
--E and its cross term with the bulk one tanh-sinh call, and only the bulk's
-own energy is a nested quadrature, by the generic log-kernel route.
-_rho_curve, rho of a Curve, is lemma A's quadrature side and the oracle for
-rho.
+is alpha_c, in angle variables.  The boundary penalty takes no quadrature:
+J~_c and H~_c vanish on the bulk, so it is a sum over the kinks of
+L - Omega_c of J~_c times the jumps of its slope.  theta(Omega_c) is
+-2 A(c), lemma A's closed form, since Omega_c minimizes theta - rho with
+gap 0.  No route here takes a nested quadrature: the independent oracles
+for these closed forms, and the lemma_* pairs of quadrature and closed form,
+live in ytensor.checks.
 """
 
 from __future__ import annotations
@@ -49,14 +37,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .diagrams import Partition, Profile, profile
 from .exact import hook_lengths, neg_log_measure_scaled, shifted_contents
-from .quadrature import nested_tanh_sinh, tanh_sinh
+from .quadrature import tanh_sinh
 from .shape import (
     G,
     H_tilde,
@@ -72,7 +59,6 @@ from .shape import (
 __all__ = [
     "FunctionalReport",
     "Curve",
-    "shape_curve",
     "profile_minus_shape",
     "default_window",
     "theta_profile",
@@ -85,10 +71,6 @@ __all__ = [
     "h_term",
     "prop31_decompose",
     "prop41_identity",
-    "lemma_A",
-    "lemma_I",
-    "lemma_F3",
-    "lemma_intIOmega",
     "alpha_constant",
     "beta_constant",
 ]
@@ -115,24 +97,12 @@ class Curve:
     """A piecewise-smooth function bundle for the quadrature routes; fn and
     prime act elementwise on numpy arrays.  Outside support fn vanishes for
     a difference such as profile_minus_shape and is |s| for a profile or
-    shape_curve; prime may jump only at kinks."""
+    checks.shape_curve; prime may jump only at kinks."""
 
     fn: Callable[[np.ndarray], np.ndarray]
     prime: Callable[[np.ndarray], np.ndarray]
     support: tuple[float, float]
     kinks: tuple[float, ...]
-
-
-def shape_curve(c: float) -> Curve:
-    """Omega_c as a Curve (support where it differs from |s|, kinks at branch points)."""
-    lo, hi = shape_support(c)
-    kinks = tuple(shape_breakpoints(c)) + ((0.0,) if lo < 0.0 < hi else ())
-    return Curve(
-        fn=partial(omega_c, c),
-        prime=partial(omega_c_prime, c),
-        support=(lo, hi),
-        kinks=tuple(sorted(set(kinks))),
-    )
 
 
 def default_window(c: float) -> tuple[float, float]:
@@ -185,26 +155,11 @@ def theta_profile(prof: Profile) -> float:
     return 1.0 - _log_energy(*_corner_jumps(prof))
 
 
-def _phi0_off_diagonal(d):
-    """phi_0(d) = -ln|2d| for d != 0, and 0 at d = 0, where the quadrature
-    routes' nodes have weight zero; d = 0 is evaluated as phi_0(1/2) = 0."""
-    return -np.log(np.abs(2.0 * np.where(d == 0.0, 0.5, d)))
-
-
-def _theta_curve(L: Curve) -> float:
-    """Hook integral of a curve by nested tanh-sinh quadrature of its definition
-    theta(L) = 1 - 2 iint_{t<s} phi_0(s-t) (1 + L'(t)) (1 - L'(s)) ds dt, where
-    1 + L' vanishes left of the support and 1 - L' right of it."""
-    return 1.0 - 2.0 * nested_tanh_sinh(
-        lambda s, t: _phi0_off_diagonal(s - t) * (1.0 + L.prime(t)),
-        lambda s: 1.0 - L.prime(s), *L.support, L.kinks)
-
-
 def theta_shape(c: float) -> float:
     """Hook integral of the limit shape Omega_c: -2 A(c), which is c^2/4 for c <= 1.
 
     Omega_c minimizes theta - rho with gap 0, and rho(Omega_c) = -2 A(c) by the
-    definition of A; minimizer_gap checks this against _theta_curve.
+    definition of A; checks.minimizer_gap checks this against checks._theta_curve.
     """
     _require_c(c)
     return -2.0 * _lemma_A_closed(c)
@@ -213,25 +168,6 @@ def theta_shape(c: float) -> float:
 # ---------------------------------------------------------------------------
 # rho: the content integral
 # ---------------------------------------------------------------------------
-
-
-def _rho_curve(L: Curve, c: float) -> float:
-    """rho of a Curve by tanh-sinh quadrature (log singularity possible at the left edge)."""
-    lo, hi = L.support
-    edge = -0.5 / c
-    if lo < edge - 1e-9:
-        # only allowed when L coincides with |s| below the singular edge
-        probes = np.linspace(lo, edge, 7)
-        if np.any(np.abs(L.fn(probes) - np.abs(probes)) > 1e-12):
-            raise ValueError("L differs from |s| below -1/(2c); rho is undefined")
-        lo = edge
-
-    def integrand(s):
-        g = L.fn(s) - np.abs(s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(g != 0.0, 2.0 * np.log1p(2.0 * c * s) * g, 0.0)
-
-    return tanh_sinh(integrand, lo, hi, L.kinks + (0.0,))
 
 
 def rho(L: Profile, c_n: float) -> float:
@@ -366,37 +302,6 @@ def profile_minus_shape(prof: Profile, c: float) -> _ProfileMinusShape:
                               prof=prof, c=c)
 
 
-def _sobolev_quotient(f: Curve) -> float:
-    """Difference-quotient route: (1/2) iint ((f(s)-f(t))/(s-t))^2 ds dt over R^2.
-
-    The plane splits into the window square plus two tail strips where one
-    argument is outside [a, b] and f vanishes there.  The kernel is symmetric,
-    so half the square is its triangle t < s, and half the strips is one
-    strip per side: the value is the triangle plus the tails.
-    """
-    a, b = f.support
-
-    def kernel(s, t):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.where(np.abs(t - s) < 1e-13, f.prime(s), (f.fn(s) - f.fn(t)) / (s - t))
-        return d * d
-
-    def tails(s):
-        fs = f.fn(s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return fs * fs * (1.0 / (s - a) + 1.0 / (b - s))
-
-    return nested_tanh_sinh(kernel, np.ones_like, a, b, f.kinks) + tanh_sinh(tails, a, b, f.kinks)
-
-
-def _sobolev_logkernel_generic(f: Curve) -> float:
-    """Log-kernel route: - iint ln|2(s-t)| f'(s) f'(t) ds dt over f's support,
-    by nested tanh-sinh quadrature: the kernel is symmetric in (s, t), so this
-    is twice its triangle t < s, phi_0(s-t) f'(t) inside and 2 f'(s) outside."""
-    return nested_tanh_sinh(lambda s, t: _phi0_off_diagonal(s - t) * f.prime(t),
-                            lambda s: 2.0 * f.prime(s), *f.support, f.kinks)
-
-
 def _lemma_I_antiderivative(c: float, e, a: float, b: float):
     """An antiderivative in e of the closed form of I_c(e) (lemma I); takes arrays.
 
@@ -431,10 +336,10 @@ def sobolev_half_sq(f: Curve) -> float:
     """(1/2) ||f||^2_{1/2} for a profile-minus-shape difference f = L - Omega_c.
 
     The log-kernel form -iint ln|2(s-t)| f'(s) f'(t) is evaluated in closed form
-    from lemmas I and intIOmega.  The nested oracles _sobolev_quotient (the
-    difference quotient over the plane) and _sobolev_logkernel_generic (the
-    log-kernel form itself, on the triangle t < s) take any Curve; the Fourier
-    symbols coincide since int f' = 0.
+    from lemmas I and intIOmega.  The nested oracles checks._sobolev_quotient
+    (the difference quotient over the plane) and checks._sobolev_logkernel_generic
+    (the log-kernel form itself, on the triangle t < s) take any Curve; the
+    Fourier symbols coincide since int f' = 0.
     """
     if not isinstance(f, _ProfileMinusShape):
         raise TypeError("sobolev_half_sq takes a profile_minus_shape difference")
@@ -517,10 +422,10 @@ def prop41_identity(lam: Partition | Profile, N: int) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# closed-form lemmas, each returned as (quadrature value, closed form)
+# closed forms of the lemmas; checks.lemma_* pairs each with its quadrature
 # ---------------------------------------------------------------------------
 
-# Multiples k of |1 - c| at which alpha_constant and lemma_F3 split their
+# Multiples k of |1 - c| at which alpha_constant and checks.lemma_F3 split their
 # angle integrals: near c = 1 the integrand turns within ~|1 - c| of one end.
 _TURN_SCALES = (0.25, 1.0, 4.0, 16.0)
 
@@ -532,27 +437,8 @@ def _lemma_A_closed(c: float) -> float:
     return val
 
 
-def lemma_A(c: float) -> tuple[float, float]:
-    """A(c) = int ln(1 + 2cs) (|s| - Omega_c(s)) ds, quadrature vs closed form.
-
-    The quadrature side is -rho(Omega_c)/2 by _rho_curve; for c >= 1 the left
-    support endpoint carries a log singularity, handled by tanh-sinh.
-    """
-    _require_c(c, positive=True)
-    return -0.5 * _rho_curve(shape_curve(c), c), _lemma_A_closed(c)
-
-
 def _lemma_I_closed(c: float, s: float, a: float, b: float) -> float:
     return phi(1, a - s) + phi(1, b - s) + G(c, s) - H_tilde(c, s - 0.5 * c)
-
-
-def lemma_I(c: float, s: float, a: float, b: float) -> tuple[float, float]:
-    """I_c(s) = int_a^b phi_0(s-t) Omega_c'(t) dt, quadrature vs closed form."""
-    if not a < s < b:
-        raise ValueError("s must lie in (a, b)")
-    pts = tuple(shape_breakpoints(c)) + (0.0, s)
-    val = tanh_sinh(lambda t: _phi0_off_diagonal(s - t) * omega_c_prime(c, t), a, b, pts)
-    return val, _lemma_I_closed(c, s, a, b)
 
 
 def _lemma_F3_closed(c: float, x: float) -> float:
@@ -567,27 +453,6 @@ def _lemma_F3_closed(c: float, x: float) -> float:
     if c > 1.0:
         val -= (x + a_c) ** 2 * math.log(c)
     return val
-
-
-def lemma_F3(c: float, x: float) -> tuple[float, float]:
-    """int_{-1}^{1} phi_2(x - z) Omega_c''(z + c/2 shift) dz vs its closed form.
-
-    The substitution z = sin(psi) absorbs the inverse-square-root endpoint
-    factor: the transformed weight 2(1 + c sin psi)/(pi (1 + c^2 + 2c sin psi))
-    is smooth on [-pi/2, pi/2].  Near c = 1 it turns within ~|1 - c| of
-    psi = -pi/2, so breakpoints at -pi/2 + k|1 - c| resolve the turn.
-    """
-    _require_c(c, positive=True)
-
-    def g(psi):
-        z = np.sin(psi)
-        return phi(2, x - z) * (2.0 * (1.0 + c * z) / (math.pi * (1.0 + c * c + 2.0 * c * z)))
-
-    pts = tuple(-0.5 * math.pi + k * abs(1.0 - c) for k in _TURN_SCALES)
-    if -1.0 < x < 1.0:
-        pts += (math.asin(x),)
-    val = tanh_sinh(g, -0.5 * math.pi, 0.5 * math.pi, pts)
-    return val, _lemma_F3_closed(c, x)
 
 
 def _int_I_omega_closed(c: float, a: float, b: float) -> float:
@@ -607,39 +472,6 @@ def _int_I_omega_closed(c: float, a: float, b: float) -> float:
     if c > 1.0:
         val += 1.0 - 5.0 / (4.0 * c * c) + c * c / 4.0 - (2.0 + 1.0 / (c * c)) * math.log(c)
     return val
-
-
-def lemma_intIOmega(c: float, a: float, b: float) -> tuple[float, float]:
-    """int_a^b I_c(s) Omega_c'(s) ds from its definition vs its closed reduction.
-
-    The left side is the log-kernel energy iint phi_0(s-t) Omega_c'(s) Omega_c'(t)
-    over the window.  Split Omega_c' there into h, the constant +-1 off the
-    bulk [c/2 - 1, c/2 + 1] and 0 on it, and k, Omega_c' on the bulk.  Then
-    the energy is hh + 2 hk + kk:
-
-    - hh = -E(x, d), with d the jumps of h at x = [a, breakpoints, b];
-    - 2 hk = 2 int_bulk Omega_c'(t) (-sum_k d_k phi_1(x_k - t)) dt, one
-      tanh-sinh call, since int phi_0(s - t) h(s) ds = -sum_k d_k phi_1(x_k - t);
-    - kk, the generic log-kernel route on the bulk, the only nested quadrature.
-
-    None of it uses G, H~, J~ or lemma I, on which the closed reduction rests.
-    The value is independent of the window (a, b) as long as it strictly
-    contains the shape support.
-    """
-    rhs = _int_I_omega_closed(c, a, b)  # first: it checks the window
-    lo, hi = 0.5 * c - 1.0, 0.5 * c + 1.0
-    x = np.array([a, *shape_breakpoints(c), b])
-    mid = 0.5 * (x[:-1] + x[1:])
-    h = np.where((lo < mid) & (mid < hi), 0.0, omega_c_prime(c, mid))
-    d = np.diff(np.concatenate(([0.0], h, [0.0])))
-    # Omega_c' is smooth at 0, but a split there shortens the panel whose left
-    # end holds Omega_c''s turn near c = 1: without it the worst error on
-    # verify-all's grid is 6.4e-9 instead of 3.3e-10.
-    kinks = (0.0,) if lo < 0.0 < hi else ()
-    hk = -tanh_sinh(lambda t: omega_c_prime(c, t) * (phi(1, x - t[..., None]) @ d), lo, hi, kinks)
-    kk = _sobolev_logkernel_generic(Curve(partial(omega_c, c), partial(omega_c_prime, c),
-                                          (lo, hi), kinks))
-    return -_log_energy(x, d) + 2.0 * hk + kk, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -669,3 +501,16 @@ def alpha_constant(c: float) -> float:
 def beta_constant() -> float:
     """The upper-bound constant 2 pi / sqrt(6)."""
     return 2.0 * math.pi / math.sqrt(6.0)
+
+
+_IN_CHECKS = frozenset({"lemma_A", "lemma_I", "lemma_F3", "lemma_intIOmega"})
+
+
+def __getattr__(name: str):
+    """checks.lemma_* under their former names here, imported on first use so
+    that this module never imports checks at load time.  It goes once
+    perfbench/spans.py traces them as checks.lemma_*."""
+    if name in _IN_CHECKS:
+        from . import checks
+        return getattr(checks, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,17 +11,15 @@ Subcommands:
     verify-all  run every identity check and emit a JSON report
 
 enumerate and constants print CSV by default, bounds and biane JSON; --format
-csv or --format json picks either.  CSV string fields, such as partitions, are quoted.
+csv or --format json picks either.  CSV string fields, such as partitions, are
+quoted; enumerate, bounds and biane end their CSV with one # line that carries
+the summary.
 
 Exit codes: 0 success, 1 verification failure (including an ArithmeticError
 such as an unconverged quadrature), 2 usage error.  All randomized
 commands are bit-reproducible for a fixed seed regardless of scheduling.
 
-verify-all chains the identity families sum_rules, measure_routes,
-chi_square, decomposition, variational_identity, minimizer_gap,
-gap_positivity, lemmas, sobolev_routes, derivatives, constants_and_series
-and hat_inequality, plus p(100).  Each family takes its sizes and seed as
-parameters; the acceptance tests run the same families at larger sizes.
+verify-all chains the identity families of ytensor.checks, plus p(100).
 """
 
 from __future__ import annotations
@@ -32,15 +30,13 @@ import io
 import json
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal
 from itertools import chain
 
-import mpmath
 import numpy as np
 
-from . import exact, functionals, rsk, shape
+from . import checks, exact, functionals, rsk, shape
 from .diagrams import Partition, profile
 
 __all__ = [
@@ -285,169 +281,15 @@ def cmd_emit_shape(c: float, step: float = 0.01) -> str:
     points = (hi - lo + 1.0) / step
     if not points <= SHAPE_GRID_CAP:  # also rejects a NaN count
         raise ValueError(f"the grid exceeds the shape grid cap {SHAPE_GRID_CAP} points")
-    return shape.emit_shape_csv(c, np.arange(lo - 0.5, hi + 0.5 + step / 2, step))
+    s = np.arange(lo - 0.5, hi + 0.5 + step / 2, step)
+    return _csv_table(["s", "omega_c", "omega_c_prime"],
+                      zip(s.tolist(), shape.omega_c(c, s).tolist(),
+                          shape.omega_c_prime(c, s).tolist()))
 
 
 # ---------------------------------------------------------------------------
 # verify-all
 # ---------------------------------------------------------------------------
-
-
-def run_checks(checks) -> tuple[list[dict], set[str]]:
-    """The report records and coverage tags of (test, params, lhs, rhs, tol, tags) tuples."""
-    records: list[dict] = []
-    cov: set[str] = set()
-    for test, params, lhs, rhs, tol, tags in checks:
-        err = abs(lhs - rhs)
-        records.append({"test": test, "params": params, "lhs": lhs, "rhs": rhs,
-                        "abs_err": err, "tol": tol, "pass": bool(err <= tol)})
-        cov.update(tags)
-    return records, cov
-
-
-# Identity families: each yields one (test, params, lhs, rhs, tol, tags) tuple per
-# check.  The defaults are verify-all's sizes; the acceptance tests pass larger ones.
-
-
-def sum_rules(tensor=((3, 2), (5, 3), (6, 4)), plancherel=(4, 8)):
-    """sum dim_iso = N^n over Y_N^n and sum dim_sym^2 = n!."""
-    for n, N in tensor:
-        total = sum(exact.dim_iso(lam, N) for lam in exact.enumerate_diagrams(n, N))
-        yield ("sum_dim_iso", {"n": n, "N": N}, float(total), float(N ** n), 0.0,
-               ("sum-rule-tensor",))
-    for n in plancherel:
-        total = sum(exact.dim_sym(lam) ** 2 for lam in exact.enumerate_diagrams(n, n))
-        yield ("sum_dim_sym_sq", {"n": n}, float(total), float(math.factorial(n)), 0.0,
-               ("sum-rule-plancherel",))
-
-
-def measure_routes():
-    """The Schur-Weyl measure by hooks and by the content product, as rationals."""
-    for n, N in ((5, 3), (6, 2)):
-        for lam in exact.enumerate_diagrams(n, N):
-            yield ("measure_two_routes", {"lam": str(lam), "N": N},
-                   float(exact.schur_weyl_measure(lam, N).value),
-                   float(exact.schur_weyl_via_contents(lam, N)), 0.0,
-                   ("measure-content-product",))
-
-
-def chi_square_sf(chisq: float, dof: int) -> float:
-    """P(X > chisq) for X chi-square with dof degrees of freedom: Q(dof/2, chisq/2)."""
-    return float(mpmath.gammainc(dof / 2, chisq / 2, regularized=True))
-
-
-def chi_square(sizes=((4, 2),), count=20000, seed=0):
-    """Chi-square fit of count RSK samples per (n, N); passes when p > 1e-3."""
-    for n, N in sizes:
-        observed = Counter(rsk.sample_schur_weyl(n, N, seed, count))
-        chisq = 0.0
-        dof = -1
-        for lam in exact.enumerate_diagrams(n, N):
-            e = float(exact.schur_weyl_measure(lam, N).value) * count
-            chisq += (observed[lam] - e) ** 2 / e
-            dof += 1
-        pval = chi_square_sf(chisq, dof)
-        yield ("sampler_chi_square", {"n": n, "N": N, "count": count, "chisq": chisq,
-                                      "dof": dof},
-               pval, pval if pval > 1e-3 else -1.0, 0.0, ("rsk-sampler",))
-
-
-def decomposition(n=64, N=8, count=5, seed=1):
-    """eps_1 = 1, and the residual eps_n is the same on count sampled diagrams."""
-    yield ("eps_1", {}, functionals.prop31_decompose(Partition((1,)), 1).residual, 1.0,
-           1e-12, ("decomposition",))
-    res = [functionals.prop31_decompose(lam, N).residual
-           for lam in rsk.sample_schur_weyl(n, N, seed, count)]
-    yield ("residual_lambda_independent", {"n": n, "N": N}, max(res), min(res), 1e-9,
-           ("decomposition", "eps-independence"))
-
-
-def minimizer_gap(cs=(0.5, 2.0)):
-    """theta - rho vanishes at Omega_c: nested theta(Omega_c) against -2 A(c)."""
-    for c in cs:
-        yield ("minimizer_gap", {"c": c}, functionals._theta_curve(functionals.shape_curve(c)),
-               functionals.theta_shape(c), 1e-6,
-               ("minimizer", "hook-integral-quadrature"))
-
-
-def variational_identity(n=100, N=12, count=6, keep=2, seed=2):
-    """The variational identity on the first keep of count samples with fewer than N rows."""
-    kept = [lam for lam in rsk.sample_schur_weyl(n, N, seed, count) if lam.height < N]
-    for lam in kept[:keep]:
-        lhs, rhs = functionals.prop41_identity(lam, N)
-        yield ("variational_identity", {"n": n, "N": N, "lam": str(lam)}, lhs, rhs, 1e-6,
-               ("variational-identity",))
-
-
-def gap_positivity(n=100, N=10, count=10, seed=3):
-    """theta - rho >= -1e-9 on count sampled profiles."""
-    c_n = math.sqrt(n) / N
-    profs = [profile(lam) for lam in rsk.sample_schur_weyl(n, N, seed, count)]
-    worst = min(functionals.theta_profile(p) - functionals.rho(p, c_n) for p in profs)
-    yield "gap_nonnegative", {"n": n, "N": N}, min(worst, 0.0), 0.0, 1e-9, ("gap-positivity",)
-
-
-def lemmas(c_grid):
-    """Lemmas A, I, F3 and intIOmega: quadrature against closed form at each c."""
-    for c in c_grid:
-        a, b = functionals.default_window(c)
-        yield "lemma_A", {"c": c}, *functionals.lemma_A(c), 1e-7, ("lemma-A",)
-        yield ("lemma_I", {"c": c}, *functionals.lemma_I(c, 0.5 * c + 1.2, a, b), 1e-7,
-               ("lemma-I",))
-        yield "lemma_F3", {"c": c}, *functionals.lemma_F3(c, 0.3), 1e-7, ("lemma-F3",)
-        yield ("lemma_intIOmega", {"c": c}, *functionals.lemma_intIOmega(c, a, b), 1e-6,
-               ("lemma-intIOmega",))
-
-
-def sobolev_routes():
-    """The nested difference quotient against the closed-form Sobolev norm of L - Omega_1."""
-    f = functionals.profile_minus_shape(profile(Partition((1,))), 1.0)
-    yield ("sobolev_routes", {"lam": "1", "c": 1.0}, functionals._sobolev_quotient(f),
-           functionals.sobolev_half_sq(f), 1e-6, ("sobolev-half-norm",))
-
-
-def derivatives(cs=(0.5, 2.0), zs=(1.7,), ss=(0.3,)):
-    """H', H'', J' = H at each z and Omega', G' at each s against central differences."""
-    h = 1e-6
-
-    def fd(fn, c, x):
-        return (fn(c, x + h) - fn(c, x - h)) / (2 * h)
-
-    for c in cs:
-        for z in zs:
-            yield ("H_prime_fd", {"c": c, "z": z}, shape.H_tilde_prime(c, z),
-                   fd(shape.H_tilde, c, z), 1e-6, ("H-function",))
-            yield ("H_second_fd", {"c": c, "z": z}, shape.H_tilde_second(c, z),
-                   fd(shape.H_tilde_prime, c, z), 1e-5, ("H-function",))
-            yield ("J_prime_is_H", {"c": c, "z": z}, fd(shape.J_tilde, c, z),
-                   shape.H_tilde(c, z), 1e-6, ("J-function",))
-        for s in ss:
-            yield ("omega_prime_fd", {"c": c, "s": s}, shape.omega_c_prime(c, s),
-                   fd(shape.omega_c, c, s), 1e-6, ("limit-shape",))
-            yield ("G_prime_fd", {"c": c, "s": s}, -math.log(abs(1 + 2 * c * s)),
-                   fd(shape.G, c, s), 1e-6, ("G-function",))
-
-
-def constants_and_series(zs=(0.3,)):
-    """alpha_0, beta and m(1) in closed form, and the power-series identity at each z."""
-    yield ("alpha_0_closed", {}, functionals.alpha_constant(0.0),
-           2 / math.pi - 4 / math.pi ** 2, 1e-10, ("alpha-constant",))
-    yield ("beta_value", {}, functionals.beta_constant(), 2 * math.pi / math.sqrt(6),
-           1e-14, ("beta-constant",))
-    yield ("m_at_1", {}, functionals.m_series(1.0), 3 - 4 * math.log(2), 1e-12,
-           ("m-series",))
-    for z in zs:
-        lhs = -3 + (1 + 1 / z) ** 2 * math.log(1 + z) + (1 / z - 1) ** 2 * math.log(1 - z)
-        rhs = -sum(z ** (2 * k) / (k * (k + 1) * (2 * k + 1)) for k in range(1, 100))
-        yield "power_series_identity", {"z": z}, lhs, rhs, 1e-10, ("power-series-identity",)
-
-
-def hat_inequality():
-    """theta_hat >= rho_hat on every diagram of Y_4^8."""
-    n, N = 8, 4
-    bad = sum(1 for lam in exact.enumerate_diagrams(n, N)
-              if functionals.theta_hat(lam) < functionals.rho_hat(lam, N) - 1e-12)
-    yield "hat_inequality", {"n": n, "N": N}, float(bad), 0.0, 0.0, ("hat-inequality",)
 
 
 def cmd_verify_all(c_grid: tuple[float, ...] = (0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0),
@@ -457,15 +299,16 @@ def cmd_verify_all(c_grid: tuple[float, ...] = (0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4
     The coverage manifest lists which identities were exercised; tests assert
     it is complete.  Deterministic: fixed seed, fixed evaluation order.
     """
-    checks, cov = run_checks(chain(
-        sum_rules(), measure_routes(), chi_square(seed=seed),
-        decomposition(seed=seed + 1), variational_identity(seed=seed + 2),
-        minimizer_gap(), gap_positivity(seed=seed + 3), lemmas(c_grid), sobolev_routes(),
-        derivatives(), constants_and_series(), hat_inequality(),
+    records, cov = checks.run_checks(chain(
+        checks.sum_rules(), checks.measure_routes(), checks.chi_square(seed=seed),
+        checks.decomposition(seed=seed + 1), checks.variational_identity(seed=seed + 2),
+        checks.minimizer_gap(), checks.gap_positivity(seed=seed + 3), checks.lemmas(c_grid),
+        checks.sobolev_routes(), checks.derivatives(), checks.constants_and_series(),
+        checks.hat_inequality(),
         (("partition_count_100", {}, float(exact.partition_count(n)), 190569292.0, 0.0,
           ("partition-function",)) for n in (100,))))
-    passed = all(ch["pass"] for ch in checks)
-    return {"checks": checks, "coverage": sorted(cov), "passed": passed,
+    passed = all(ch["pass"] for ch in records)
+    return {"checks": records, "coverage": sorted(cov), "passed": passed,
             "seed": seed, "c_grid": list(c_grid)}
 
 
@@ -569,8 +412,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _result_text(res: ExperimentResult, fmt: str | None) -> str:
+    """The result as JSON, or as CSV records and a last # line with the summary."""
     if fmt == "csv":
-        return _csv_table(list(res.records[0]), (r.values() for r in res.records))
+        tail = {**res.summary, "passed": res.passed}
+        return (_csv_table(list(res.records[0]), (r.values() for r in res.records))
+                + "# " + ", ".join(f"{k}={v!r}" for k, v in tail.items()) + "\n")
     return res.to_json() + "\n"
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "J_tilde",
     "shape_support",
     "shape_breakpoints",
-    "emit_shape_csv",
 ]
 
 
@@ -202,10 +201,3 @@ def shape_breakpoints(c: float) -> list[float]:
     if c > 1.0:
         pts.insert(0, -0.5 / c)
     return pts
-
-
-def emit_shape_csv(c: float, s_values) -> str:
-    """CSV table with columns s, omega_c, omega_c_prime on the given grid."""
-    s = np.asarray(s_values, dtype=float)
-    rows = zip(s.tolist(), omega_c(c, s).tolist(), omega_c_prime(c, s).tolist())
-    return "\n".join(["s,omega_c,omega_c_prime"] + [f"{x!r},{y!r},{d!r}" for x, y, d in rows]) + "\n"

@@ -4,7 +4,7 @@ import hashlib
 import math
 from itertools import chain
 
-from ytensor import exact, functionals as F, harness, rsk, shape
+from ytensor import checks, exact, functionals as F, harness, rsk, shape
 
 
 def report(num: int, desc: str, ok: bool) -> None:
@@ -12,24 +12,24 @@ def report(num: int, desc: str, ok: bool) -> None:
     assert ok, f"acceptance criterion {num} failed: {desc}"
 
 
-def passed(checks) -> bool:
-    records, _ = harness.run_checks(checks)
+def passed(family) -> bool:
+    records, _ = checks.run_checks(family)
     return all(r["pass"] for r in records)
 
 
 def test_acceptance_01_exact_sum_identities():
-    ok = passed(harness.sum_rules(tensor=[(n, N) for n in range(1, 11) for N in range(1, 7)],
-                                  plancherel=range(1, 13)))
+    ok = passed(checks.sum_rules(tensor=[(n, N) for n in range(1, 11) for N in range(1, 7)],
+                                 plancherel=range(1, 13)))
     report(1, "sum dim_iso = N^n (n<=10, N<=6) and sum (dim_sym)^2 = n! (n<=12)", ok)
 
 
 def test_acceptance_02_sampler_chi_square():
-    ok = passed(harness.chi_square(sizes=[(4, 2), (5, 3), (6, 3)], count=10 ** 5, seed=2024))
+    ok = passed(checks.chi_square(sizes=[(4, 2), (5, 3), (6, 3)], count=10 ** 5, seed=2024))
     report(2, "chi-square GOF of 1e5 RSK samples at (4,2),(5,3),(6,3), alpha=1e-3", ok)
 
 
 def test_acceptance_03_decomposition_residual():
-    ok = passed(harness.decomposition(n=400, N=20, count=20, seed=33))
+    ok = passed(checks.decomposition(n=400, N=20, count=20, seed=33))
     ratios = []
     for n in [100, 400, 1600]:
         N = round(math.sqrt(n))
@@ -41,15 +41,15 @@ def test_acceptance_03_decomposition_residual():
 
 
 def test_acceptance_04_variational_identity():
-    records, _ = harness.run_checks(chain(
-        harness.variational_identity(n=400, N=25, count=20, keep=10, seed=44),
-        harness.minimizer_gap()))
+    records, _ = checks.run_checks(chain(
+        checks.variational_identity(n=400, N=25, count=20, keep=10, seed=44),
+        checks.minimizer_gap()))
     ok = all(r["pass"] for r in records)
     ok = ok and sum(r["test"] == "variational_identity" for r in records) == 10
     for c in [0.5, 2.0]:
         zero = F.Curve(fn=lambda s: 0.0, prime=lambda s: 0.0,
                        support=F.default_window(c), kinks=())
-        rhs = F._sobolev_logkernel_generic(zero) + F.h_term(zero, c)
+        rhs = checks._sobolev_logkernel_generic(zero) + F.h_term(zero, c)
         ok = ok and abs(rhs) < 1e-6
     report(4, "theta-rho = 0.5||f||^2 + penalty within 1e-6; both sides < 1e-6 at Omega_c", ok)
 
@@ -68,8 +68,8 @@ def test_acceptance_05_lemma_closed_forms(verify_all_report):
 
 
 def test_acceptance_06_gap_positivity():
-    ok = passed(chain(harness.gap_positivity(n=400, N=20, count=50, seed=66),
-                      harness.minimizer_gap(cs=[0.5, 1.0, 2.0])))
+    ok = passed(chain(checks.gap_positivity(n=400, N=20, count=50, seed=66),
+                      checks.minimizer_gap(cs=[0.5, 1.0, 2.0])))
     report(6, "theta - rho >= -1e-9 on 50 samples and < 1e-6 at the minimizer", ok)
 
 
@@ -93,10 +93,10 @@ def test_acceptance_08_bounds_window():
 
 
 def test_acceptance_09_derivative_and_series_checks():
-    ok = passed(chain(*(harness.derivatives(cs=[c], zs=[1.5, -1.7],
-                                            ss=[0.5 * c - 0.6, 0.5 * c + 0.4, 0.3])
+    ok = passed(chain(*(checks.derivatives(cs=[c], zs=[1.5, -1.7],
+                                           ss=[0.5 * c - 0.6, 0.5 * c + 0.4, 0.3])
                         for c in [0.5, 1.0, 2.0]),
-                      harness.constants_and_series(zs=[0.1, 0.3, 0.5])))
+                      checks.constants_and_series(zs=[0.1, 0.3, 0.5])))
     h = 1e-6
     phi2_prime = (shape.phi(2, 0.4 + h) - shape.phi(2, 0.4 - h)) / (2 * h)
     ok = ok and abs(shape.phi(1, 0.4) - phi2_prime) < 1e-6

@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 
 from ytensor.diagrams import Partition, profile, profile_from_slopes
-from ytensor import exact, functionals as F, rsk, shape
+from ytensor import checks as C, exact, functionals as F, rsk, shape
 from ytensor.quadrature import tanh_sinh
 from ytensor.shape import H_tilde_prime, phi
 
@@ -61,7 +61,7 @@ class TestThetaProfile:
     def test_quadrature_route_agrees(self):
         for lam in [Partition((3, 1)), rsk.sample_schur_weyl(100, 10, 3, 1)[0]]:
             prof = profile(lam)
-            got = F._theta_curve(profile_as_curve(prof))
+            got = C._theta_curve(profile_as_curve(prof))
             assert got == pytest.approx(F.theta_profile(prof), abs=1e-7)
 
     def test_blocked_log_energy_matches_one_matrix(self):
@@ -86,12 +86,12 @@ class TestThetaShape:
 
     def test_theta_equals_rho_at_minimizer(self):
         for c in [0.5, 1.0, 2.0, 0.99, 1.01]:
-            gap = F.theta_shape(c) - F._rho_curve(F.shape_curve(c), c)
+            gap = F.theta_shape(c) - C._rho_curve(C.shape_curve(c), c)
             assert abs(gap) < 1e-6
 
     def test_closed_form_matches_nested_quadrature(self):
         for c in [0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0]:
-            nested = F._theta_curve(F.shape_curve(c))
+            nested = C._theta_curve(C.shape_curve(c))
             assert F.theta_shape(c) == pytest.approx(nested, abs=1e-9)
 
     def test_closed_form_below_one_and_at_the_branch_point(self):
@@ -112,7 +112,7 @@ class TestRho:
     def test_zero_for_absolute_value(self):
         curve = F.Curve(fn=abs, prime=lambda s: math.copysign(1.0, s) if s else 0.0,
                         support=(-1.0, 1.0), kinks=(0.0,))
-        assert F._rho_curve(curve, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert C._rho_curve(curve, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_closed_form_vs_quadrature(self):
         # c_n = 1, 0.5 and 2
@@ -121,18 +121,18 @@ class TestRho:
             for lam in rsk.sample_schur_weyl(n, N, seed=6, count=10):
                 prof = profile(lam)
                 closed = F.rho(prof, c)
-                quad = F._rho_curve(profile_as_curve(prof), c)
+                quad = C._rho_curve(profile_as_curve(prof), c)
                 assert quad == pytest.approx(closed, abs=1e-9)
         # N rows: the first corner lies exactly at -1/(2c)
         for rows, N in [((2, 1), 2), ((3, 3, 2), 3)]:
             prof = profile(Partition(rows))
             c = math.sqrt(prof.n) / N
-            quad = F._rho_curve(profile_as_curve(prof), c)
+            quad = C._rho_curve(profile_as_curve(prof), c)
             assert quad == pytest.approx(F.rho(prof, c), abs=1e-9)
 
     def test_rejects_a_curve(self):
         with pytest.raises(TypeError):
-            F.rho(F.shape_curve(1.0), 1.0)
+            F.rho(C.shape_curve(1.0), 1.0)
 
     @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, -0.5])
     def test_rejects_nonfinite_and_negative_c(self, c):
@@ -147,7 +147,7 @@ class TestRho:
 
     def test_rho_shape_matches_closed_reduction(self):
         for c in [0.5, 1.0, 2.0]:
-            got = F._rho_curve(F.shape_curve(c), c)
+            got = C._rho_curve(C.shape_curve(c), c)
             assert got == pytest.approx(-2.0 * F._lemma_A_closed(c), abs=1e-9)
 
 
@@ -217,8 +217,8 @@ class TestSobolev:
     def test_zero_function(self):
         f = F.Curve(fn=lambda s: 0.0, prime=lambda s: 0.0,
                     support=(-1.0, 1.0), kinks=())
-        assert F._sobolev_quotient(f) == pytest.approx(0.0, abs=1e-12)
-        assert F._sobolev_logkernel_generic(f) == pytest.approx(0.0, abs=1e-12)
+        assert C._sobolev_quotient(f) == pytest.approx(0.0, abs=1e-12)
+        assert C._sobolev_logkernel_generic(f) == pytest.approx(0.0, abs=1e-12)
 
     def test_closed_form_rejects_other_curves(self):
         f = F.Curve(fn=lambda s: 0.0, prime=lambda s: 0.0,
@@ -234,7 +234,7 @@ class TestSobolev:
         f = F.profile_minus_shape(profile(Partition((1,))), 1.0)
         k_fast = F.sobolev_half_sq(f)
         k_quot = rec["lhs"]
-        k_log = F._sobolev_logkernel_generic(f)
+        k_log = C._sobolev_logkernel_generic(f)
         assert k_quot == pytest.approx(k_fast, abs=1e-6)
         assert k_log == pytest.approx(k_fast, abs=1e-8)
 
@@ -242,15 +242,15 @@ class TestSobolev:
         f = F.profile_minus_shape(profile(ULP_APART), 0.8)
         assert {1.4, 1.4000000000000001} <= set(f.kinks)
         k_fast = F.sobolev_half_sq(f)
-        assert F._sobolev_quotient(f) == pytest.approx(k_fast, abs=1e-6)
-        assert F._sobolev_logkernel_generic(f) == pytest.approx(k_fast, abs=1e-6)
+        assert C._sobolev_quotient(f) == pytest.approx(k_fast, abs=1e-6)
+        assert C._sobolev_logkernel_generic(f) == pytest.approx(k_fast, abs=1e-6)
 
     @pytest.mark.parametrize("rows, c", [((3, 2, 1), 1.0), ((4, 2), 0.5), ((5, 3, 3, 1), 2.0)])
     def test_nested_routes_match_closed_form(self, rows, c):
         f = F.profile_minus_shape(profile(Partition(rows)), c)
         k_fast = F.sobolev_half_sq(f)
-        assert F._sobolev_quotient(f) == pytest.approx(k_fast, abs=1e-9)
-        assert F._sobolev_logkernel_generic(f) == pytest.approx(k_fast, abs=1e-9)
+        assert C._sobolev_quotient(f) == pytest.approx(k_fast, abs=1e-9)
+        assert C._sobolev_logkernel_generic(f) == pytest.approx(k_fast, abs=1e-9)
 
     def test_profile_below_default_window_rejected(self):
         # a column of 4 cells at c = 4 reaches X = -2, left of the window's -0.625.
@@ -262,8 +262,8 @@ class TestSobolev:
             return F.Curve(fn=lambda s: a * np.maximum(0.0, 1.0 - np.abs(s)),
                            prime=lambda s: np.where(np.abs(s) < 1, -a * np.copysign(1.0, s), 0.0),
                            support=(-1.5, 1.5), kinks=(-1.0, 0.0, 1.0))
-        base = F._sobolev_quotient(hat(1.0))
-        scaled = F._sobolev_quotient(hat(2.0))
+        base = C._sobolev_quotient(hat(1.0))
+        scaled = C._sobolev_quotient(hat(2.0))
         assert scaled == pytest.approx(4.0 * base, abs=1e-8)
 
 
@@ -379,7 +379,7 @@ class TestLemmas:
 
     def test_lemma_A(self):
         for c in self.CS:
-            q, cl = F.lemma_A(c)
+            q, cl = C.lemma_A(c)
             assert q == pytest.approx(cl, abs=1e-8)
 
     def test_lemma_A_simple_branch(self):
@@ -397,14 +397,14 @@ class TestLemmas:
         for c in self.CS + [0.99, 1.01]:
             a, b = F.default_window(c)
             for s in [0.5 * c - 1.0, 0.5 * c, 0.5 * c + 0.999, 0.5 * c + 1.2]:
-                q, cl = F.lemma_I(c, s, a, b)
+                q, cl = C.lemma_I(c, s, a, b)
                 assert q == pytest.approx(cl, abs=1e-8)
 
     def test_lemma_I_bulk_reduction(self):
         # inside the bulk H vanishes, leaving only the phi_1 and G terms.
         c, s = 0.5, 0.25
         a, b = F.default_window(c)
-        _, cl = F.lemma_I(c, s, a, b)
+        _, cl = C.lemma_I(c, s, a, b)
         from ytensor.shape import G, phi
         assert cl == pytest.approx(phi(1, a - s) + phi(1, b - s) + G(c, s))
 
@@ -412,19 +412,19 @@ class TestLemmas:
         # 0.99 and 1.001 put the weight's turn within ~|1 - c| of psi = -pi/2.
         for c in self.CS + [0.99, 1.001]:
             for x in [0.0, 1.0, -(1 + c * c) / (2 * c), 2.0, -0.7]:
-                q, cl = F.lemma_F3(c, x)
+                q, cl = C.lemma_F3(c, x)
                 assert q == pytest.approx(cl, abs=1e-7)
 
     def test_lemma_intIOmega_and_window_invariance(self):
         for c in [0.5, 0.99, 1.01]:
-            q1, r1 = F.lemma_intIOmega(c, -1.5, 2.5)
+            q1, r1 = C.lemma_intIOmega(c, -1.5, 2.5)
             assert q1 == pytest.approx(r1, abs=1e-6)
-            q2, r2 = F.lemma_intIOmega(c, -2.2, 3.1)
+            q2, r2 = C.lemma_intIOmega(c, -2.2, 3.1)
             assert q2 == pytest.approx(r2, abs=1e-6)
 
     def test_window_validation(self):
         with pytest.raises(ValueError):
-            F.lemma_intIOmega(0.5, 0.0, 2.5)
+            C.lemma_intIOmega(0.5, 0.0, 2.5)
 
     def test_lemma_intIOmega_on_the_verify_all_grid(self, verify_all_report):
         # the report's lhs is the nested route, its rhs the closed reduction
@@ -440,9 +440,9 @@ class TestLemmas:
     def full_window_route(c, a, b):
         # the log-kernel energy of Omega_c' by one nested quadrature over the
         # whole window, with no split into hh, hk and kk
-        window = replace(F.shape_curve(c), support=(a, b),
+        window = replace(C.shape_curve(c), support=(a, b),
                          kinks=(*shape.shape_breakpoints(c), 0.0, -0.5 / c))
-        return F._sobolev_logkernel_generic(window)
+        return C._sobolev_logkernel_generic(window)
 
     @staticmethod
     def windows(c):
@@ -454,7 +454,7 @@ class TestLemmas:
     def test_split_matches_the_full_window_route(self, c):
         # worst measured: 8.6e-11 at c = 1.1 on (-2.2, 3.1)
         for a, b in self.windows(c):
-            lhs, _ = F.lemma_intIOmega(c, a, b)
+            lhs, _ = C.lemma_intIOmega(c, a, b)
             assert lhs == pytest.approx(self.full_window_route(c, a, b), abs=2e-10)
 
     @pytest.mark.parametrize("c", [0.99, 1.01])
@@ -462,7 +462,7 @@ class TestLemmas:
         # both routes under-resolve Omega_c''s turn near c = 1; worst
         # measured: 1.3e-9 at c = 0.99 on (-2.2, 3.1)
         for a, b in self.windows(c):
-            lhs, _ = F.lemma_intIOmega(c, a, b)
+            lhs, _ = C.lemma_intIOmega(c, a, b)
             assert lhs == pytest.approx(self.full_window_route(c, a, b), abs=2e-9)
 
     @pytest.mark.parametrize("x, values", [
@@ -476,18 +476,18 @@ class TestLemmas:
         d = np.diff(np.concatenate(([0.0], values, [0.0])))
         step = F.Curve(fn=lambda s: s, prime=lambda s: values[np.searchsorted(x[1:-1], s)],
                        support=(x[0], x[-1]), kinks=tuple(x[1:-1]))
-        assert F._sobolev_logkernel_generic(step) == pytest.approx(-F._log_energy(x, d), abs=1e-9)
+        assert C._sobolev_logkernel_generic(step) == pytest.approx(-F._log_energy(x, d), abs=1e-9)
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 1.1, 4.0])
     def test_one_nested_quadrature_on_the_bulk(self, c, monkeypatch):
-        supports, nested = [], F.nested_tanh_sinh
+        supports, nested = [], C.nested_tanh_sinh
 
         def recording(kernel, weight, a, b, points=()):
             supports.append((a, b))
             return nested(kernel, weight, a, b, points)
 
-        monkeypatch.setattr(F, "nested_tanh_sinh", recording)
-        F.lemma_intIOmega(c, *F.default_window(c))
+        monkeypatch.setattr(C, "nested_tanh_sinh", recording)
+        C.lemma_intIOmega(c, *F.default_window(c))
         assert supports == [(0.5 * c - 1.0, 0.5 * c + 1.0)]
 
 
@@ -500,14 +500,14 @@ class TestNonfiniteC:
         lambda c: shape.H_tilde(c, 1.5),
         lambda c: shape.J_tilde(c, 1.5),
         shape.shape_support,
-        F.shape_curve,
+        C.shape_curve,
         F.default_window,
         lambda c: F.profile_minus_shape(profile(Partition((1,))), c),
         lambda c: F.h_term(F.profile_minus_shape(profile(Partition((1,))), 1.0), c),
-        F.lemma_A,
-        lambda c: F.lemma_I(c, 0.5, -2.0, 3.0),
-        lambda c: F.lemma_F3(c, 0.3),
-        lambda c: F.lemma_intIOmega(c, -2.0, 3.0),
+        C.lemma_A,
+        lambda c: C.lemma_I(c, 0.5, -2.0, 3.0),
+        lambda c: C.lemma_F3(c, 0.3),
+        lambda c: C.lemma_intIOmega(c, -2.0, 3.0),
     ], ids=["omega_c", "omega_c_prime", "omega_c_second", "G", "H_tilde", "J_tilde",
             "shape_support", "shape_curve", "default_window", "profile_minus_shape",
             "h_term", "lemma_A", "lemma_I", "lemma_F3", "lemma_intIOmega"])

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 from scipy import stats
 
 from ytensor.diagrams import Partition
-from ytensor import harness
+from ytensor import checks, harness
 from ytensor.harness import ExperimentConfig, main
 
 
@@ -229,11 +230,29 @@ class TestSubcommands:
     def test_bounds_csv_partitions_parse_back(self, capsys):
         argv = ["bounds", "--n", "20", "--N", "3", "--samples", "2", "--format", "csv"]
         assert main(argv) == 0
-        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+        rows = list(csv.DictReader(lines))
         records = harness.cmd_bounds(ExperimentConfig(n=20, N=3, samples=2)).records
         assert [Partition.parse(r["partition"]) for r in rows] == [
             Partition.parse(r["partition"]) for r in records]
         assert all("," in r["partition"] for r in rows)
+
+    @pytest.mark.parametrize("argv, run", [
+        (["bounds", "--n", "20", "--N", "3", "--samples", "2", "--format", "csv"],
+         lambda: harness.cmd_bounds(ExperimentConfig(n=20, N=3, samples=2))),
+        (["bounds", "--n", "20", "--N", "3", "--samples", "4", "--slack", "0", "--format", "csv"],
+         lambda: harness.cmd_bounds(ExperimentConfig(n=20, N=3, samples=4), slack=0.0)),
+        (["biane", "--n", "100", "--c", "1", "--samples", "3", "--format", "csv"],
+         lambda: harness.cmd_biane(ExperimentConfig(n=100, c=1.0, samples=3))),
+    ], ids=["bounds", "bounds-failing", "biane"])
+    def test_csv_ends_with_the_summary(self, capsys, argv, run):
+        res = run()
+        assert main(argv) == (0 if res.passed else 1)
+        lines = capsys.readouterr().out.splitlines()
+        assert [ln.startswith("#") for ln in lines] == [False] * (len(lines) - 1) + [True]
+        items = dict(item.split("=", 1) for item in lines[-1].removeprefix("# ").split(", "))
+        assert {key: ast.literal_eval(val) for key, val in items.items()} == {
+            **res.summary, "passed": res.passed}
 
     @pytest.mark.parametrize("command, options", [
         ("dims", {"--lam", "--N"}),
@@ -289,16 +308,16 @@ class TestChiSquare:
     @pytest.mark.parametrize("dof", [1, 2, 3, 5, 10, 31, 100, 200])
     def test_sf_matches_scipy(self, dof):
         for chisq in (0.01, 0.5, dof / 2, dof, 2 * dof, 3 * dof + 20):
-            assert harness.chi_square_sf(chisq, dof) == pytest.approx(
+            assert checks.chi_square_sf(chisq, dof) == pytest.approx(
                 stats.chi2.sf(chisq, dof), rel=1e-12, abs=0)
 
     def test_no_scipy_at_runtime(self):
         # The pytest process has scipy loaded already, so a fresh one runs the
         # constants table and the chi-square family.
         code = ("import sys\n"
-                "from ytensor import harness\n"
+                "from ytensor import checks, harness\n"
                 "assert harness.main(['constants', '--c-grid', '0,1.0001']) == 0\n"
-                "list(harness.chi_square(count=2000))\n"
+                "list(checks.chi_square(count=2000))\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
         src = Path(harness.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ytensor import shape
+from ytensor import harness, shape
 
 
 def fd(f, x, h=1e-6):
@@ -229,9 +229,12 @@ class TestEmit:
         assert lo == -0.25 and hi == 2.0
 
     def test_emit_shape_csv(self):
-        text = shape.emit_shape_csv(1.0, [0.0, 0.5])
+        # the grid runs over the support [-0.5, 1.5] +- 0.5: s = -1, -0.5, ..., 2
+        text = harness.cmd_emit_shape(1.0, step=0.5)
         lines = text.strip().split("\n")
         assert lines[0] == "s,omega_c,omega_c_prime"
-        assert len(lines) == 3
-        s, om, op = map(float, lines[1].split(","))
-        assert om == pytest.approx(shape.omega_c(1.0, s))
+        assert len(lines) == 8
+        for line in lines[1:]:
+            s, om, op = map(float, line.split(","))
+            assert om == pytest.approx(shape.omega_c(1.0, s))
+            assert op == pytest.approx(shape.omega_c_prime(1.0, s))
