@@ -1,6 +1,6 @@
 """Young diagram core: partitions, cells, hooks, contents and boundary profiles.
 
-A partition is stored as a nonincreasing tuple of positive row lengths.  The
+A partition is a ``tuple`` of its positive, nonincreasing row lengths.  The
 profile of a diagram is the piecewise-linear boundary of the rotated diagram,
 scaled so that its area above ``|X|`` is exactly 1/2.  Corner positions live on
 the grid ``k / (2 sqrt(n))``; internally only the integer grid index ``k`` is
@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -36,38 +36,49 @@ class Cell:
     j: int
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A Young diagram as a nonincreasing sequence of positive row lengths."""
+class Partition(tuple):
+    """A Young diagram: the tuple of its row lengths, positive and nonincreasing.
 
-    rows: tuple[int, ...]
+    Hashing and equality are the tuple's own, in C, so a ``Counter`` or dict
+    of sampled shapes makes no Python-level call per element:
+    ``hash(Partition(r)) == hash(tuple(r))``, and a partition equals the plain
+    tuple of its rows, ``Partition((2, 1)) == (2, 1)``.  It also orders as
+    that tuple.  Rows are checked once, in ``__new__``; attributes cannot be
+    set.
+    """
 
-    def __post_init__(self) -> None:
-        rows = tuple(map(operator.index, self.rows))
-        object.__setattr__(self, "rows", rows)
-        if rows and min(rows) <= 0:
-            raise ValueError(f"row lengths must be positive: {rows}")
-        if any(map(operator.lt, rows, rows[1:])):
-            raise ValueError(f"row lengths must be nonincreasing: {rows}")
-        object.__setattr__(self, "_hash", hash(rows))
+    def __new__(cls, rows: Iterable[int]) -> "Partition":
+        self = super().__new__(cls, map(operator.index, rows))
+        if self and min(self) <= 0:
+            raise ValueError(f"row lengths must be positive: {self.rows}")
+        if any(map(operator.lt, self, self[1:])):
+            raise ValueError(f"row lengths must be nonincreasing: {self.rows}")
+        return self
 
-    def __hash__(self) -> int:
-        # Counters and dicts of sampled shapes hash each one many times.
-        return self._hash
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"Partition is immutable; cannot set {name!r}")
 
     def __reduce__(self) -> tuple:
-        # Rebuild through the constructor, so the hash is that of the loading interpreter.
+        # Rebuild from the rows alone, through __new__'s checks; cached values are remade on use.
         return Partition, (self.rows,)
+
+    def __repr__(self) -> str:
+        return f"Partition(rows={self.rows!r})"
+
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """The row lengths as a plain tuple, made once per partition."""
+        return tuple(self)
 
     @property
     def n(self) -> int:
         """Total number of cells."""
-        return sum(self.rows)
+        return sum(self)
 
     @property
     def height(self) -> int:
         """Number of (nonempty) rows."""
-        return len(self.rows)
+        return len(self)
 
     @cached_property
     def conjugate_rows(self) -> tuple[int, ...]:
@@ -77,12 +88,9 @@ class Partition:
         pass from the last row up lists them in O(rows[0] + height).
         """
         cols: list[int] = []
-        for i in range(len(self.rows), 0, -1):
-            cols += [i] * (self.rows[i - 1] - len(cols))
+        for i in range(len(self), 0, -1):
+            cols += [i] * (self[i - 1] - len(cols))
         return tuple(cols)
-
-    def contains(self, cell: Cell) -> bool:
-        return 1 <= cell.i <= len(self.rows) and 1 <= cell.j <= self.rows[cell.i - 1]
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -97,14 +105,14 @@ class Partition:
         return cls(rows)
 
     def __str__(self) -> str:
-        return ",".join(str(r) for r in self.rows)
+        return ",".join(map(str, self))
 
 
 def hook_length(lam: Partition, cell: Cell) -> int:
     """Hook length of a cell: arm + leg + 1."""
-    if not lam.contains(cell):
+    if not (1 <= cell.i <= len(lam) and 1 <= cell.j <= lam[cell.i - 1]):
         raise ValueError(f"cell {cell} not in partition {lam}")
-    arm = lam.rows[cell.i - 1] - cell.j
+    arm = lam[cell.i - 1] - cell.j
     leg = lam.conjugate_rows[cell.j - 1] - cell.i
     return arm + leg + 1
 
@@ -209,10 +217,10 @@ def profile(lam: Partition) -> Profile:
     slopes: list[int] = []
     prev = 0
     for i in range(r, 0, -1):
-        run = lam.rows[i - 1] - prev
+        run = lam[i - 1] - prev
         slopes.extend([1] * run)
         slopes.append(-1)
-        prev = lam.rows[i - 1]
+        prev = lam[i - 1]
     return Profile(n=lam.n, x0=-r, slopes=tuple(slopes))
 
 

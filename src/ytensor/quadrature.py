@@ -95,12 +95,21 @@ def _thin(lo, hi):
     return hi - lo <= 4.0 * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
 
 
+def _thin_float(lo: float, hi: float) -> bool:
+    """``_thin`` on two floats, without numpy scalar calls.
+
+    math.ulp(x) equals np.spacing(x) for finite x >= 0 below the largest
+    float, where np.spacing overflows to inf.
+    """
+    return hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi)))
+
+
 def _edges(a: float, b: float, points) -> np.ndarray:
     """a, the breakpoints strictly inside (a, b) in order, and b, leaving out
     each breakpoint a few ulps from the edge before it or from b."""
     edges = [a]
     for p in sorted({float(p) for p in points if a < p < b}):
-        if not (_thin(edges[-1], p) or _thin(p, b)):
+        if not (_thin_float(edges[-1], p) or _thin_float(p, b)):
             edges.append(p)
     return np.array(edges + [b])
 

@@ -35,17 +35,19 @@ Philox's first two rounds only on the lanes that depend on the trial, draws
 only the blocks its emptiest row needs, reads the 32-bit draws as a view of
 the 64-bit outputs, and forms the bounded draws only where rows take them.
 Equal shapes of one ``sample_schur_weyl`` call share one ``Partition``,
-across its kernel batches too, so a ``Counter`` of the samples hashes and
-compares each shape by identity.  When a batch has room for all N**n words,
-the kernel runs once per call on all of them, and each batch looks its
-words' shapes up in that table.  Together these take 2e4 trials at each of
-(n, N) = (4, 2), (5, 3), (6, 3) in 0.017-0.023 s (2 cores, medians of 25
-calls in each of 3 processes), against 1.18-1.29 s for a Generator per
-trial: its ``integers`` call costs ~10 us per trial, re-keying it ~3 us and
-building each trial's ``Partition`` ~4 us.  A word at n = 3e4 takes
-1.0-1.8 ms to draw, against 0.3 ms through ``integers``, beside 80-100 ms
-of kernel; most of the draw is the 17 calls of ``_mulhilo``, 15 uint64
-array operations each.
+across its kernel batches too.  A ``Partition`` is a tuple of its rows and
+hashes and compares as one, so a ``Counter`` of the samples makes one C hash
+per element and no Python-level call.  When a batch has room for all N**n
+words, the kernel runs once per call on all of them, and each batch looks
+its words' shapes up in that table; those batches only draw and look up,
+so they hold ``_TABLE_LETTERS`` letters, not ``_KERNEL_LETTERS``.  Together
+these take 2e4 trials at each of (n, N) = (4, 2), (5, 3), (6, 3) in
+0.014-0.021 s (2 cores, medians of 40 calls in each of 8 processes), against
+1.18-1.29 s for a Generator per trial: its ``integers`` call costs ~10 us
+per trial, re-keying it ~3 us and building each trial's ``Partition`` ~4 us.
+A word at n = 3e4 takes 1.0-1.8 ms to draw, against 0.3 ms through
+``integers``, beside 80-100 ms of kernel; most of the draw is the 17 calls
+of ``_mulhilo``, 15 uint64 array operations each.
 ``sample_plancherel`` still re-keys one Philox per trial and calls
 ``Generator.permutation``.
 """
@@ -62,12 +64,33 @@ import numpy as np
 
 from .diagrams import Partition
 
-# Letters per rsk_shapes_from_words call in sample_schur_weyl.  It bounds the
-# kernel's arrays: at 2**20 letters, 2e4 words at n = 4 raised the peak RSS by
-# 2 MB over the bisect loop, at 2**14 by 0.3 MB, and no timing moved.  It also
-# bounds the Philox temporaries: one pass of _draw_letters makes at most
-# max(one block per word, _KERNEL_LETTERS) draws.
+# Letters per rsk_shapes_from_words call in sample_schur_weyl, so per batch
+# outside the word-table path.  It bounds the kernel's arrays: at 2**20
+# letters, 2e4 words at n = 4 raised the peak RSS by 2 MB over the bisect
+# loop, at 2**14 by 0.3 MB, and no timing moved.  It also bounds the Philox
+# temporaries: one pass of _draw_letters makes at most
+# max(one block per word, _KERNEL_LETTERS) draws.  It does not size the
+# word-table path's batches, which never reach the kernel.
 _KERNEL_LETTERS = 1 << 14
+
+# Letters per batch in sample_schur_weyl's word-table path.  There the kernel
+# runs once per call, on the N**n listed words, and a batch only draws its
+# letters and looks their shapes up.  Each batch's draw costs a fixed
+# ~0.45 ms of numpy calls at (n, N) = (4, 2), so fewer, larger batches are
+# faster until their temporaries outgrow the cache.  Per call of 2e4 trials, as a ratio to 2**14 letters (medians of 40
+# calls per process, then over 8 fresh processes per size, 2 cores), and the
+# peak RSS that the first calls at the three (n, N) add to a fresh process:
+#
+#   letters   (4, 2)   (5, 3)   (6, 3)   peak RSS rise
+#   2**14     1        1        1        1.7 MB
+#   2**15     0.91     0.88     0.80     2.3 MB
+#   2**16     0.83     0.80     0.77     3.7 MB
+#   2**17     0.81     0.76     0.71     5.8 MB
+#
+# Past 2**16 the gain is small and the RSS rise doubles.  At n <= 8 and
+# N <= 2**32, _draw_letters' first pass draws one Philox block, eight 32-bit
+# draws, per row, which fills every row that keeps n of them.
+_TABLE_LETTERS = 1 << 16
 
 # Philox4x64-10 (Salmon et al., SC 2011, as in numpy's philox.h): the round
 # multipliers and the Weyl constants that bump the key between rounds.
@@ -205,8 +228,10 @@ def _draw_letters(seed: int, trials: np.ndarray, n: int, N: int, out: np.ndarray
     is skipped, and all but about once in 4e9 draws at N = 3), and for nearly
     every pass of a lone long word.  Any other pass forms every draw's
     product and places each accepted draw by a running count of the
-    accepted draws before it in its row.  A first pass over 4096 rows at
-    (n, N) = (4, 2) takes 0.7-0.8 ms (medians of 200 calls, 2 cores).
+    accepted draws before it in its row.  A first pass over 16384 rows at
+    (n, N) = (4, 2), one word-table batch, takes 2.9-3.3 ms, against
+    0.9-1.3 ms over 4096 rows (medians of 200 calls, 4 processes each,
+    2 cores).
     """
     if N == 1:
         out[:] = 1
@@ -364,14 +389,16 @@ def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:
     ``rsk_shapes_from_words`` together, and equal shapes of all batches are
     one shared ``Partition``.
 
-    When a batch has at least as many rows as there are words (N**n), most
-    rows repeat a word of another row, so the kernel runs once, before the
-    first batch, on all N**n words listed in base-N code order, and every
-    batch reads its rows as base-N codes and looks their shapes up in that
-    table.  That is exact because a word's RSK shape depends on the word
-    alone, and every row still draws its own (seed, trial) stream.  At
-    (n, N) = (6, 3) the 2e4 trials of 8 batches of up to 2730 rows run 729
-    words through the kernel once and build at most 729 row tuples.
+    When such a batch would have at least as many rows as there are words
+    (N**n), most rows repeat a word of another row, so the kernel runs once,
+    before the first batch, on all N**n words listed in base-N code order,
+    and every batch reads its rows as base-N codes and looks their shapes up
+    in that table.  That is exact because a word's RSK shape depends on the
+    word alone, and every row still draws its own (seed, trial) stream.  The
+    kernel then sees no batch, so batches hold up to ``_TABLE_LETTERS``
+    letters.  At (n, N) = (6, 3) the 2e4 trials of 2 batches of up to 10922
+    rows run 729 words through the kernel once and build at most 729 row
+    tuples.
 
     At n >= ``_KERNEL_LETTERS`` every batch is one word.  Two or more such
     words run on a thread pool of min(usable CPUs, count) workers, each word
@@ -395,14 +422,15 @@ def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:
         with ThreadPoolExecutor(workers) as pool:
             tables = pool.map(partial(_word_lengths, seed, n=n, N=N), range(count))
             return [lam for lengths in tables for lam in _shared_partitions(lengths, distinct)]
-    words = np.empty((min(count, per_call), n), dtype=np.min_scalar_type(N))
     table = None
-    if _word_space_fits(n, N, len(words)):
+    if _word_space_fits(n, N, min(count, per_call)):
+        per_call = max(per_call, _TABLE_LETTERS // n)
         radix = N ** np.arange(n, dtype=np.int64)
         # Letter i of word c is digit i of c in base N, plus 1.
         every_word = np.arange(N ** n)[:, None] // radix % N + 1
         table = np.fromiter(_shared_partitions(_row_lengths(every_word), distinct),
                             dtype=object, count=N ** n)
+    words = np.empty((min(count, per_call), n), dtype=np.min_scalar_type(N))
     shapes: list[Partition] = []
     for start in range(0, count, per_call):
         batch = words[:min(per_call, count - start)]

@@ -65,6 +65,32 @@ class TestPartition:
         assert repr(a) == "Partition(rows=(3, 1, 1))"
         assert hash(Partition(())) == hash(Partition([]))
 
+    @pytest.mark.parametrize("rows", [(), (1,), (2, 1), (5, 2, 2, 1), (3,) * 7])
+    def test_is_the_tuple_of_its_rows(self, rows):
+        # A Partition hashes, compares and orders as the plain tuple of its rows.
+        lam = Partition(rows)
+        assert isinstance(lam, tuple) and lam == rows and rows == lam
+        assert hash(lam) == hash(rows) and {rows: 1}[lam] == 1
+        assert (lam < rows + (1,)) and lam != list(rows)
+        assert Partition((2, 1)) == (2, 1)
+
+    def test_hash_and_equality_are_the_tuples_c_slots(self):
+        # A Python-level __hash__ or __eq__ would be called once per Counter element.
+        assert Partition.__hash__ is tuple.__hash__
+        assert Partition.__eq__ is tuple.__eq__
+
+    def test_rows_is_a_plain_tuple_made_once(self):
+        lam = Partition(np.array([4, 4, 1]))
+        assert type(lam.rows) is tuple and lam.rows == (4, 4, 1)
+        assert lam.rows is lam.rows
+
+    def test_immutable(self):
+        lam = Partition((2, 1))
+        for name in ("rows", "conjugate_rows", "other"):
+            with pytest.raises(AttributeError):
+                setattr(lam, name, (3,))
+        assert lam.rows == (2, 1) and lam.conjugate_rows == (2, 1)
+
     @pytest.mark.parametrize("round_trip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
                              ids=["pickle", "deepcopy"])
     def test_round_trip_keeps_hash_and_equality(self, round_trip):
@@ -93,6 +119,11 @@ class TestHooks:
     def test_hook_outside_raises(self):
         with pytest.raises(ValueError):
             hook_length(Partition((2, 1)), Cell(2, 2))
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (3, 1), (1, 3), (2, 2), (-1, 1)])
+    def test_hook_of_each_outside_cell_raises(self, i, j):
+        with pytest.raises(ValueError, match="not in partition"):
+            hook_length(Partition((2, 1)), Cell(i, j))
 
     @given(partitions_strategy())
     def test_hook_multiset_conjugation_invariant(self, lam):

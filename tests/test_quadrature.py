@@ -19,6 +19,24 @@ class TestTanhSinh:
         got = quadrature.tanh_sinh(np.ones_like, 0.0, 2.0, (1.4, 1.4000000000000001))
         assert got == pytest.approx(2.0, abs=1e-12)
 
+    @given(st.floats(min_value=0.0, max_value=1e300), st.integers(-6, 6),
+           st.sampled_from([1.0, -1.0]))
+    def test_float_thinness_matches_the_array_test(self, x, ulps, sign):
+        # _edges checks breakpoints on floats; nested_tanh_sinh's cuts on arrays.
+        lo = sign * x
+        hi = lo
+        for _ in range(abs(ulps)):
+            hi = math.nextafter(hi, math.inf if ulps > 0 else -math.inf)
+        for a, b in ((lo, hi), (hi, lo)):
+            assert quadrature._thin_float(a, b) == bool(quadrature._thin(np.float64(a), np.float64(b)))
+
+    def test_edges_drop_breakpoints_a_few_ulps_from_an_edge(self):
+        u = math.ulp(0.25)
+        points = [4 * math.ulp(0.0), 0.25, 0.25 + 2 * u, 0.25 + 8 * u, 0.5,
+                  math.nextafter(0.5, 1.0), 1.0 - 4 * math.ulp(0.5), 2.0]
+        got = quadrature._edges(0.0, 1.0, points)
+        assert got.tolist() == [0.0, 0.25, 0.25 + 8 * u, 0.5, 1.0]
+
     @pytest.mark.parametrize("f", [
         lambda x: 1.0 / x,  # divergent
         lambda x: np.abs(x - 0.3) ** -0.5,  # interior singularity left unsplit

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 from bisect import bisect_left
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -103,7 +104,7 @@ class TestWordKernel:
         assert rsk.sample_schur_weyl(30, 4, seed=3, count=25) == one_call
 
     def test_equal_shapes_share_one_partition_across_batches(self):
-        samples = rsk.sample_schur_weyl(4, 2, 0, 20000)  # five kernel batches
+        samples = rsk.sample_schur_weyl(4, 2, 0, 20000)  # two draw batches
         assert len({id(p) for p in samples}) == len(set(samples))
 
 
@@ -158,6 +159,57 @@ class TestDistinctWords:
         samples = rsk.sample_schur_weyl(n, N, seed, count)
         assert samples == bisect_shapes(reference_words(seed, n, N, range(count)))
         assert len({id(p) for p in samples}) == len(set(samples))
+
+    @pytest.mark.parametrize("n, N", [(4, 2), (5, 3), (6, 3)])
+    @pytest.mark.parametrize("batches", [1, 2], ids=["rows+1", "2rows+1"])
+    def test_words_next_to_a_table_batch_boundary(self, monkeypatch, n, N, batches):
+        # Word-table batches hold _TABLE_LETTERS // n rows; the trials on
+        # either side of each boundary draw their own streams.
+        rows, seed = rsk._TABLE_LETTERS // n, 12
+        count = batches * rows + 1
+        draw, drawn = rsk._draw_letters, {}
+
+        def spy(seed_, trials, n_, N_, out):
+            draw(seed_, trials, n_, N_, out)
+            drawn.update(zip(trials.tolist(), out.tolist()))
+
+        monkeypatch.setattr(rsk, "_draw_letters", spy)
+        samples = rsk.sample_schur_weyl(n, N, seed, count)
+        assert len(samples) == len(drawn) == count
+        for edge in range(rows, count, rows):
+            for k in range(edge - 2, min(edge + 2, count)):
+                word = rsk.trial_rng(seed, k).integers(1, N + 1, size=n).tolist()
+                assert drawn[k] == word
+                assert samples[k] == rsk.rsk_shape_from_letters(word)
+
+    def test_table_batches_are_sized_by_their_own_budget(self, monkeypatch):
+        draw, batches = rsk._draw_letters, []
+        monkeypatch.setattr(rsk, "_draw_letters",
+                            lambda seed, trials, n, N, out: batches.append(len(trials))
+                            or draw(seed, trials, n, N, out))
+        rsk.sample_schur_weyl(4, 2, 0, 20000)
+        assert batches == [rsk._TABLE_LETTERS // 4, 20000 - rsk._TABLE_LETTERS // 4]
+        batches.clear()
+        rsk.sample_schur_weyl(7, 5, 0, 3000)  # no table: the kernel's budget sizes the batches
+        assert batches == [rsk._KERNEL_LETTERS // 7, 3000 - rsk._KERNEL_LETTERS // 7]
+
+    def test_counter_of_samples_makes_no_python_level_call(self):
+        # Partition hashes and compares in C, as a tuple.
+        calls = []
+
+        def profiler(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profiler)
+        try:
+            counts = Counter(rsk.sample_schur_weyl(4, 2, 0, 1000))
+            for lam in exact.enumerate_diagrams(4, 2):
+                counts[lam]
+        finally:
+            sys.setprofile(None)
+        assert not [name for name in calls if name in ("__hash__", "__eq__")]
+        assert sum(counts.values()) == 1000 and len(counts) == 3
 
     def test_larger_word_space_keeps_every_row(self, monkeypatch):
         kernel, seen = rsk._row_lengths, []
