@@ -13,6 +13,10 @@ acceptance tests run the same families at larger sizes.  run_checks turns
 the tuples into report records; harness.cmd_verify_all chains every family,
 plus p(100).
 
+_schur_weyl_via_contents, the Plancherel measure times the product of
+(N + c)/N over the cells' contents c, is measure_routes' second route to the
+Schur-Weyl measure.
+
 The lemma_* functions check the closed forms of the auxiliary integrals (A,
 I_c, the phi_2 moment of Omega_c'' and the I-against-Omega' integral) by
 independent quadrature, each returning (quadrature value, closed form).  The
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from fractions import Fraction
 from functools import partial
 
 import mpmath
@@ -78,7 +83,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# the oracles: quadrature routes of the closed forms
+# the oracles: the content route of the measure, quadrature routes of the closed forms
 # ---------------------------------------------------------------------------
 
 
@@ -86,6 +91,16 @@ def _phi0_off_diagonal(d):
     """phi_0(d) = -ln|2d| for d != 0, and 0 at d = 0, where the quadrature
     routes' nodes have weight zero; d = 0 is evaluated as phi_0(1/2) = 0."""
     return -np.log(np.abs(2.0 * np.where(d == 0.0, 0.5, d)))
+
+
+def _schur_weyl_via_contents(lam: Partition, N: int) -> Fraction:
+    """Alternate route: Plancherel times the product of (1 + c/N) over cells."""
+    if lam.height > N:
+        return Fraction(0)
+    prod = Fraction(1)
+    for c in exact.shifted_contents(lam, N):
+        prod *= Fraction(c, N)
+    return exact.plancherel(lam).value * prod
 
 
 def shape_curve(c: float) -> Curve:
@@ -267,7 +282,7 @@ def measure_routes():
         for lam in exact.enumerate_diagrams(n, N):
             yield ("measure_two_routes", {"lam": str(lam), "N": N},
                    float(exact.schur_weyl_measure(lam, N).value),
-                   float(exact.schur_weyl_via_contents(lam, N)), 0.0,
+                   float(_schur_weyl_via_contents(lam, N)), 0.0,
                    ("measure-content-product",))
 
 

@@ -136,16 +136,6 @@ def schur_weyl_measure(lam: Partition, N: int) -> ExactMeasure:
     return ExactMeasure(value)
 
 
-def schur_weyl_via_contents(lam: Partition, N: int) -> Fraction:
-    """Alternate route: Plancherel times the product of (1 + c/N) over cells."""
-    if lam.height > N:
-        return Fraction(0)
-    prod = Fraction(1)
-    for c in shifted_contents(lam, N):
-        prod *= Fraction(c, N)
-    return plancherel(lam).value * prod
-
-
 def neg_log_measure_scaled(lam: Partition, N: int) -> mpmath.mpf:
     """-ln(P(lam)) / sqrt(n) for the Schur-Weyl measure, in the log domain.
 

@@ -278,23 +278,18 @@ def profile_minus_shape(prof: Profile, c: float) -> _ProfileMinusShape:
     outside it (required by both Sobolev routes and the penalty term).
     """
     _require_c(c, positive=True)
-    cx, _ = prof.corners
+    cx, d = _corner_jumps(prof)
     a, b0 = default_window(c)
     b = max(b0, float(cx[-1]) + 0.5)
     if a > float(cx[0]) - 1e-12:
         raise ValueError("profile support reaches the left end of the default window")
-
-    slopes = np.asarray(prof.slopes, dtype=float)
+    lp = np.cumsum(np.concatenate(([-1.0], d)))  # L' left of cx[0], on each piece, right of it
 
     def fn(s):
         return prof.evaluate(s) - omega_c(c, s)
 
     def prime(s):
-        s = np.asarray(s, dtype=float)
-        with np.errstate(invalid="ignore"):
-            k = np.clip((s / prof.scale - prof.x0).astype(int), 0, len(slopes) - 1)
-        lp = np.where(s < cx[0], -1.0, np.where(s > cx[-1], 1.0, slopes[k]))
-        return lp - omega_c_prime(c, s)
+        return lp[np.searchsorted(cx, s, side="right")] - omega_c_prime(c, s)
 
     kinks = sorted(set(cx.tolist()) | set(shape_breakpoints(c)) | {0.0})
     return _ProfileMinusShape(fn=fn, prime=prime, support=(a, b),
@@ -311,39 +306,30 @@ def _lemma_I_antiderivative(c: float, e, a: float, b: float):
             - (1.0 - c * c) * e / (2.0 * c) - J_tilde(c, e - 0.5 * c))
 
 
-def _sobolev_profile_shape(f: _ProfileMinusShape) -> float:
-    """Closed-form log-kernel evaluation for f = L - Omega_c.
-
-    Expands f'f' into three terms, none by nested quadrature.  Take L' on the
-    window [a, b] and 0 outside it: its jumps are d_bar = [-1, d, -1] at
-    x_bar = [a, x, b].  The L'L' term is -E(x_bar, d_bar); the cross term is
-    sum d_bar_k K(x_bar_k), with K the antiderivative of lemma I's closed form
-    (its constant of integration cancels, since sum d_bar_k = 0); and the shape
-    self-energy is -int I_c Omega_c', lemma intIOmega's closed reduction.
-    """
-    a, b = f.support
-    c = f.c
-    x, d = _corner_jumps(f.prof)
-    xw = np.concatenate(([a], x, [b]))
-    dw = np.concatenate(([-1.0], d, [-1.0]))
-    s_ll = _log_energy(xw, dw)
-    s_lo = float(dw @ _lemma_I_antiderivative(c, xw, a, b))
-    s_oo = -_int_I_omega_closed(c, a, b)
-    return -s_ll + 2.0 * s_lo - s_oo
-
-
 def sobolev_half_sq(f: Curve) -> float:
     """(1/2) ||f||^2_{1/2} for a profile-minus-shape difference f = L - Omega_c.
 
-    The log-kernel form -iint ln|2(s-t)| f'(s) f'(t) is evaluated in closed form
-    from lemmas I and intIOmega.  The nested oracles checks._sobolev_quotient
-    (the difference quotient over the plane) and checks._sobolev_logkernel_generic
-    (the log-kernel form itself, on the triangle t < s) take any Curve; the
-    Fourier symbols coincide since int f' = 0.
+    The log-kernel form -iint ln|2(s-t)| f'(s) f'(t) is evaluated in closed
+    form: f'f' expands into three terms, none by nested quadrature.  Take L'
+    on the window [a, b] and 0 outside it: its jumps are d_bar = [-1, d, -1]
+    at x_bar = [a, x, b].  The L'L' term is -E(x_bar, d_bar); the cross term
+    is sum d_bar_k K(x_bar_k), with K the antiderivative of lemma I's closed
+    form (its constant of integration cancels, since sum d_bar_k = 0); and the
+    shape self-energy is -int I_c Omega_c', lemma intIOmega's closed reduction.
+
+    The nested oracles checks._sobolev_quotient (the difference quotient over
+    the plane) and checks._sobolev_logkernel_generic (the log-kernel form
+    itself, on the triangle t < s) take any Curve; the Fourier symbols
+    coincide since int f' = 0.
     """
     if not isinstance(f, _ProfileMinusShape):
         raise TypeError("sobolev_half_sq takes a profile_minus_shape difference")
-    return _sobolev_profile_shape(f)
+    a, b = f.support
+    x, d = _corner_jumps(f.prof)
+    xw = np.concatenate(([a], x, [b]))
+    dw = np.concatenate(([-1.0], d, [-1.0]))
+    s_lo = float(dw @ _lemma_I_antiderivative(f.c, xw, a, b))
+    return -_log_energy(xw, dw) + 2.0 * s_lo + _int_I_omega_closed(f.c, a, b)
 
 
 def h_term(f: Curve, c: float) -> float:
@@ -367,8 +353,8 @@ def h_term(f: Curve, c: float) -> float:
     a, b = f.support
     x = np.unique([a, b, *f.kinks, 0.5 * c - 1.0, 0.5 * c + 1.0, -0.5 / c])
     mid = 0.5 * (x[:-1] + x[1:])
-    slopes = np.where((a < mid) & (mid < b), f.prime(mid), 0.0)
-    jumps = np.diff(np.concatenate(([0.0], slopes, [0.0])))
+    fprime = np.where((a < mid) & (mid < b), f.prime(mid), 0.0)
+    jumps = np.diff(np.concatenate(([0.0], fprime, [0.0])))
     return 2.0 * float(jumps @ J_tilde(c, x - 0.5 * c))
 
 

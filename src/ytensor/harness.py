@@ -57,6 +57,13 @@ __all__ = [
 ENUMERATION_CAP = 40
 SHAPE_GRID_CAP = 10 ** 6
 SAMPLING_CAP = 10 ** 6
+# n above which dims and sample --measure plancherel are refused.  Both run
+# per-cell Python work that grows faster than n: one Plancherel sample took
+# 0.15 s at n = 1e4, 5.5 s at 1e5 and 47 s at 3e5 (its per-letter bisect loop
+# grows like n**1.5), and dims took 0.22 s at n = 1e4, 1.9 s at 3e4 and 22 s
+# at 1e5.  At this cap they take at most about the 22-27 s of a Schur-Weyl
+# run at SAMPLING_CAP.
+CELL_LOOP_CAP = 10 ** 5
 BIANE_GRID_STEP = 1e-3
 
 
@@ -81,8 +88,8 @@ class ExperimentConfig:
             raise ValueError("n and samples must be positive")
         if self.N is not None and self.N < 1:
             raise ValueError("N must be positive")
-        if self.c is not None and not (math.isfinite(self.c) and self.c > 0.0):
-            raise ValueError("c must be finite and positive")
+        if self.c is not None:
+            shape._require_c(self.c, positive=True)
         if self.n > SAMPLING_CAP:
             raise ValueError(f"n exceeds the sampling cap {SAMPLING_CAP}")
 
@@ -140,6 +147,8 @@ def cmd_dims(lam: Partition, N: int) -> str:
     The integers are printed through Decimal, which has no counterpart of
     Python's int-to-string digit limit (4300 digits; n! passes it at n = 1749).
     """
+    if lam.n > CELL_LOOP_CAP:
+        raise ValueError(f"n exceeds the cell loop cap {CELL_LOOP_CAP}")
     d = exact.exact_dims(lam, N)
     pl = exact.plancherel(lam).value
     sw = exact.schur_weyl_measure(lam, N).value
@@ -199,9 +208,19 @@ def cmd_sample(cfg: ExperimentConfig, measure: str = "schur-weyl") -> str:
         samples = rsk.sample_schur_weyl(cfg.n, N, cfg.seed, cfg.samples)
         return rsk.sample_dump(samples, cfg.n, N, cfg.seed)
     if measure == "plancherel":
+        if cfg.n > CELL_LOOP_CAP:
+            raise ValueError(f"n exceeds the cell loop cap {CELL_LOOP_CAP}")
         samples = rsk.sample_plancherel(cfg.n, cfg.seed, cfg.samples)
         return rsk.sample_dump(samples, cfg.n, None, cfg.seed)
     raise ValueError(f"unknown measure {measure!r}")
+
+
+def _sampled(cfg: ExperimentConfig, column: str, record) -> ExperimentResult:
+    """One record per sampled diagram, ``trial`` first, then the fields that
+    ``record(lam)`` returns; the summary is ``summarize`` of ``column``."""
+    samples = rsk.sample_schur_weyl(cfg.n, cfg.resolved_N, cfg.seed, cfg.samples)
+    records = [{"trial": trial, **record(lam)} for trial, lam in enumerate(samples)]
+    return ExperimentResult(records, summarize([r[column] for r in records]))
 
 
 def cmd_bounds(cfg: ExperimentConfig, slack: float = 0.05) -> ExperimentResult:
@@ -212,23 +231,17 @@ def cmd_bounds(cfg: ExperimentConfig, slack: float = 0.05) -> ExperimentResult:
     c_n = cfg.c_n
     alpha = functionals.alpha_constant(c_n)
     beta = functionals.beta_constant()
-    samples = rsk.sample_schur_weyl(cfg.n, N, cfg.seed, cfg.samples)
-    res = ExperimentResult()
-    values = []
-    for trial, lam in enumerate(samples):
+
+    def record(lam):
         v = float(exact.neg_log_measure_scaled(lam, N))
-        values.append(v)
-        res.records.append({
-            "trial": trial, "partition": str(lam), "neg_log_p_scaled": v,
-            "above_alpha": v > alpha - slack, "below_beta": v < beta,
-        })
-    res.summary = summarize(values)
-    res.summary.update({
-        "alpha_c": alpha, "beta": beta, "slack": slack, "c_n": c_n, "N": N,
-        "fraction_inside": float(np.mean([r["above_alpha"] and r["below_beta"]
-                                          for r in res.records])),
-    })
-    res.passed = all(r["above_alpha"] and r["below_beta"] for r in res.records)
+        return {"partition": str(lam), "neg_log_p_scaled": v,
+                "above_alpha": v > alpha - slack, "below_beta": v < beta}
+
+    res = _sampled(cfg, "neg_log_p_scaled", record)
+    inside = [r["above_alpha"] and r["below_beta"] for r in res.records]
+    res.summary.update({"alpha_c": alpha, "beta": beta, "slack": slack, "c_n": c_n, "N": N,
+                        "fraction_inside": float(np.mean(inside))})
+    res.passed = all(inside)
     return res
 
 
@@ -241,7 +254,6 @@ def _sup_distance(prof, c: float, grid: np.ndarray, omega_grid: np.ndarray) -> f
 
 def cmd_biane(cfg: ExperimentConfig) -> ExperimentResult:
     """Sup-distance of sampled (rescaled) profiles to the limit shape Omega_c."""
-    N = cfg.resolved_N
     c_n = cfg.c_n
     lo, hi = shape.shape_support(c_n)
     # The grid must cover both supports; profiles of n cells stay within
@@ -249,15 +261,10 @@ def cmd_biane(cfg: ExperimentConfig) -> ExperimentResult:
     span = max(hi, 1.0) + 1.0
     grid = np.arange(min(lo, -span), span, BIANE_GRID_STEP)
     omega_grid = shape.omega_c(c_n, grid)
-    samples = rsk.sample_schur_weyl(cfg.n, N, cfg.seed, cfg.samples)
-    res = ExperimentResult()
-    values = []
-    for trial, lam in enumerate(samples):
-        d = _sup_distance(profile(lam), c_n, grid, omega_grid)
-        values.append(d)
-        res.records.append({"trial": trial, "sup_distance": d})
-    res.summary = summarize(values)
-    res.summary.update({"c_n": c_n, "N": N, "n": cfg.n, "grid_step": BIANE_GRID_STEP})
+    res = _sampled(cfg, "sup_distance", lambda lam: {
+        "sup_distance": _sup_distance(profile(lam), c_n, grid, omega_grid)})
+    res.summary.update({"c_n": c_n, "N": cfg.resolved_N, "n": cfg.n,
+                        "grid_step": BIANE_GRID_STEP})
     return res
 
 

@@ -6,16 +6,19 @@ Robinson-Schensted shape of a uniform random permutation.  Only the shape is
 kept (the recording tableau is never built).
 
 Two routes compute it.  ``rsk_shape_from_letters`` inserts one letter at a
-time with one binary search per bump.  ``rsk_shapes_from_words`` is a numpy
-kernel for a batch of words: it inserts each word's positions letter block
-by letter block, every (row, block) step of one anti-diagonal for all words
-in one pass, so a word over N letters takes at most N + height passes
-instead of one Python-level step per bump (1.5e6 bumps for one word at
-n = 3e4, N = 173).  ``sample_schur_weyl`` uses the kernel, one thread per word
-once words are long: two words at n = 3e4, N = 173 take 0.13-0.21 s on
-2 cores, against 0.19-0.22 s in one thread and 0.92-1.03 s on the loop; on
-a host that gives about one CPU of throughput to two processes, the pool
-reads 0.11-0.17 s against 0.12-0.17 s in one thread (7 calls each).
+time with one binary search per bump.  ``_row_lengths`` is a numpy kernel
+for a batch of words: it inserts each word's positions letter block by
+letter block, every (row, block) step of one anti-diagonal for all words in
+one pass, so a word over N letters takes at most N + height passes instead
+of one Python-level step per bump (1.5e6 bumps for one word at n = 3e4,
+N = 173).  ``sample_schur_weyl`` maps one function, ``_draw_batch``, over its
+batches: each batch draws its words into a buffer of its own and returns
+their row lengths from the kernel, or, on the word-table path below, their
+word codes.  Long words run one per batch and one thread per word: two
+words at n = 3e4, N = 173 take 0.13-0.21 s on 2 cores, against
+0.19-0.22 s in one thread and 0.92-1.03 s on the loop; on a host that
+gives about one CPU of throughput to two processes, the pool reads
+0.11-0.17 s against 0.12-0.17 s in one thread (7 calls each).
 One word at n = 1e6, N = 1000 takes 22-24 s with a 140 MB peak, and
 ``ytensor bounds --n 1000000 --c 1 --samples 2`` takes 25-27 s with a
 197-199 MB peak RSS, against 46-47 s and 170-171 MB in one thread.
@@ -57,6 +60,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from functools import partial
 from typing import Iterable, Iterator, Sequence
 
@@ -64,8 +68,8 @@ import numpy as np
 
 from .diagrams import Partition
 
-# Letters per rsk_shapes_from_words call in sample_schur_weyl, so per batch
-# outside the word-table path.  It bounds the kernel's arrays: at 2**20
+# Letters per _row_lengths call in sample_schur_weyl, so per batch outside
+# the word-table path.  It bounds the kernel's arrays: at 2**20
 # letters, 2e4 words at n = 4 raised the peak RSS by 2 MB over the bisect
 # loop, at 2**14 by 0.3 MB, and no timing moved.  It also bounds the Philox
 # temporaries: one pass of _draw_letters makes at most
@@ -77,9 +81,10 @@ _KERNEL_LETTERS = 1 << 14
 # runs once per call, on the N**n listed words, and a batch only draws its
 # letters and looks their shapes up.  Each batch's draw costs a fixed
 # ~0.45 ms of numpy calls at (n, N) = (4, 2), so fewer, larger batches are
-# faster until their temporaries outgrow the cache.  Per call of 2e4 trials, as a ratio to 2**14 letters (medians of 40
-# calls per process, then over 8 fresh processes per size, 2 cores), and the
-# peak RSS that the first calls at the three (n, N) add to a fresh process:
+# faster until their temporaries outgrow the cache.  Per call of 2e4 trials,
+# as a ratio to 2**14 letters (medians of 40 calls per process, then over 8
+# fresh processes per size, 2 cores), and the peak RSS that the first calls
+# at the three (n, N) add to a fresh process:
 #
 #   letters   (4, 2)   (5, 3)   (6, 3)   peak RSS rise
 #   2**14     1        1        1        1.7 MB
@@ -103,7 +108,6 @@ _SHIFT32 = np.uint64(32)
 __all__ = [
     "trial_rng",
     "rsk_shape_from_letters",
-    "rsk_shapes_from_words",
     "sample_schur_weyl",
     "sample_plancherel",
     "sample_dump",
@@ -287,13 +291,32 @@ def rsk_shape_from_letters(letters: Iterable[int]) -> Partition:
     return Partition(tuple(len(r) for r in rows))
 
 
-def rsk_shapes_from_words(words: np.ndarray) -> list[Partition]:
-    """RSK shapes of the rows of a 2-D integer array, one word per row.
+def _shared_partitions(lengths: np.ndarray, shapes: dict) -> list[Partition]:
+    """One ``Partition`` per row of a row-length table, equal rows sharing one.
 
-    Equal to ``rsk_shape_from_letters`` on each row.  By RSK symmetry a word
-    has the shape of the permutation that lists its positions letter by
-    letter, so the kernel inserts positions, one letter block at a time.  A
-    block's positions increase, so a row takes a whole block in one step:
+    ``shapes`` maps row-length tuples, zero-padded or not, to their
+    ``Partition`` and grows with each new shape, so callers that pass the same
+    dict share the partitions across tables of different heights.
+    """
+    table = list(map(tuple, lengths.tolist()))
+    for rows in set(table).difference(shapes):
+        parts = tuple(r for r in rows if r)
+        shapes[rows] = shapes.setdefault(parts, Partition(parts))
+    return [shapes[rows] for rows in table]
+
+
+def _row_lengths(words: np.ndarray) -> np.ndarray:
+    """The RSK kernel: row lengths of the rows of a 2-D integer array, one word per row.
+
+    Row w of the result is ``rsk_shape_from_letters`` of word w, padded with
+    zeros to the table's height; ``_shared_partitions`` turns the table into
+    partitions.  The kernel's arrays are freed on return, before the caller
+    builds them.
+
+    By RSK symmetry a word has the shape of the permutation that lists its
+    positions letter by letter, so the kernel inserts positions, one letter
+    block at a time.  A block's positions increase, so a row takes a whole
+    block in one step:
     entry j lands at p_j = max(searchsorted(row, s_j), p_{j-1} + 1) and
     bumps the old row[p_j], if any, into the next row.  Row i of block v
     needs only row i - 1 of block v and row i of block v - 1, so each pass
@@ -310,29 +333,6 @@ def rsk_shapes_from_words(words: np.ndarray) -> list[Partition]:
     Because the groups sit in key order, the running maximum that gives p_j
     restarts by itself at a group boundary.  A real entry bumped out of the
     last row, or a row that fills its last slot, raises ArithmeticError.
-    Equal shapes within one call are one shared (frozen) ``Partition``.
-    """
-    return _shared_partitions(_row_lengths(words), {})
-
-
-def _shared_partitions(lengths: np.ndarray, shapes: dict) -> list[Partition]:
-    """One ``Partition`` per row of a row-length table, equal rows sharing one.
-
-    ``shapes`` maps row-length tuples, zero-padded or not, to their
-    ``Partition`` and grows with each new shape, so callers that pass the same
-    dict share the partitions across tables of different heights.
-    """
-    table = list(map(tuple, lengths.tolist()))
-    for rows in set(table).difference(shapes):
-        parts = tuple(r for r in rows if r)
-        shapes[rows] = shapes.setdefault(parts, Partition(parts))
-    return [shapes[rows] for rows in table]
-
-
-def _row_lengths(words: np.ndarray) -> np.ndarray:
-    """The kernel of ``rsk_shapes_from_words``: row lengths, one word per row.
-
-    Its arrays are freed on return, before the caller builds the partitions.
     """
     words = np.asarray(words)
     count, n = words.shape
@@ -385,15 +385,16 @@ def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:
     Trial k's word is ``trial_rng(seed, k).integers(1, N + 1, size=n)``, bit
     for bit, but ``_draw_letters`` draws the words of a whole batch at once
     from one vectorized Philox pass instead of stepping a Generator per trial.
-    Batches of up to ``_KERNEL_LETTERS`` letters go through the kernel of
-    ``rsk_shapes_from_words`` together, and equal shapes of all batches are
-    one shared ``Partition``.
+    ``_draw_batch`` draws one batch of up to ``_KERNEL_LETTERS`` letters and
+    runs the kernel ``_row_lengths`` on it; the batches' shapes become
+    partitions in trial order, and equal shapes of all batches are one shared
+    ``Partition``.
 
     When such a batch would have at least as many rows as there are words
     (N**n), most rows repeat a word of another row, so the kernel runs once,
     before the first batch, on all N**n words listed in base-N code order,
-    and every batch reads its rows as base-N codes and looks their shapes up
-    in that table.  That is exact because a word's RSK shape depends on the
+    and every batch returns its rows' base-N codes, which look their shapes
+    up in that table.  That is exact because a word's RSK shape depends on the
     word alone, and every row still draws its own (seed, trial) stream.  The
     kernel then sees no batch, so batches hold up to ``_TABLE_LETTERS``
     letters.  At (n, N) = (6, 3) the 2e4 trials of 2 batches of up to 10922
@@ -401,28 +402,23 @@ def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:
     tuples.
 
     At n >= ``_KERNEL_LETTERS`` every batch is one word.  Two or more such
-    words run on a thread pool of min(usable CPUs, count) workers, each word
-    drawn into its own buffer, so at most that many words are in flight.
+    words run on a thread pool of min(usable CPUs, count) workers; each batch
+    draws into a buffer of its own, so at most that many words are in flight.
     The kernel's searchsorted, ufuncs and fancy indexing release the GIL, so
     the words use every core; the partitions are still built in the calling
-    thread, in trial order.  Batches of short words stay in one thread with
-    one reused buffer: their time goes mostly to Python under the GIL, and a
-    prototype that pooled them too slowed the chisq-small benchmark
-    (3 x 2e4 trials at n = 4..6) from run_ref 0.44 to 0.49 and added 4 MB
-    of RSS.
+    thread, in trial order.  Batches of short words stay in one thread: their
+    time goes mostly to Python under the GIL, and a prototype that pooled
+    them too slowed the chisq-small benchmark (3 x 2e4 trials at n = 4..6)
+    from run_ref 0.44 to 0.49 and added 4 MB of RSS.
     """
     if n < 1 or N < 1 or count < 1:
         raise ValueError("n, N and count must be positive")
     if N >= 1 << 63:  # trial_rng's int64 letters cannot reach it
         raise ValueError("N must be below 2**63")
     per_call = max(1, _KERNEL_LETTERS // n)
+    workers = min(_usable_cpus(), count) if per_call == 1 else 1
     distinct: dict = {}
-    workers = min(_usable_cpus(), count)
-    if per_call == 1 and workers > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            tables = pool.map(partial(_word_lengths, seed, n=n, N=N), range(count))
-            return [lam for lengths in tables for lam in _shared_partitions(lengths, distinct)]
-    table = None
+    table = radix = None
     if _word_space_fits(n, N, min(count, per_call)):
         per_call = max(per_call, _TABLE_LETTERS // n)
         radix = N ** np.arange(n, dtype=np.int64)
@@ -430,16 +426,27 @@ def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:
         every_word = np.arange(N ** n)[:, None] // radix % N + 1
         table = np.fromiter(_shared_partitions(_row_lengths(every_word), distinct),
                             dtype=object, count=N ** n)
-    words = np.empty((min(count, per_call), n), dtype=np.min_scalar_type(N))
+    batch = partial(_draw_batch, seed, n, N, count, per_call, radix)
     shapes: list[Partition] = []
-    for start in range(0, count, per_call):
-        batch = words[:min(per_call, count - start)]
-        _draw_letters(seed, np.arange(start, start + len(batch)), n, N, batch)
-        if table is None:
-            shapes += _shared_partitions(_row_lengths(batch), distinct)
-        else:
-            shapes += table[(batch - 1) @ radix].tolist()
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for result in (pool.map if pool else map)(batch, range(0, count, per_call)):
+            shapes += (_shared_partitions(result, distinct) if table is None
+                       else table[result].tolist())
     return shapes
+
+
+def _draw_batch(seed: int, n: int, N: int, count: int, per_call: int,
+                radix: np.ndarray | None, start: int) -> np.ndarray:
+    """Trials start..min(start + per_call, count) - 1, drawn into a buffer of their own.
+
+    Returns the words' base-N codes sum_i (letter_i - 1) N**i when ``radix``
+    holds the powers N**i (the word-table path), else their ``_row_lengths``.
+    ``sample_schur_weyl`` may run it in worker threads, so it calls nothing
+    that keeps shared state.
+    """
+    words = np.empty((min(per_call, count - start), n), dtype=np.min_scalar_type(N))
+    _draw_letters(seed, np.arange(start, start + len(words)), n, N, words)
+    return _row_lengths(words) if radix is None else (words - 1) @ radix
 
 
 def _word_space_fits(n: int, N: int, rows: int) -> bool:
@@ -451,17 +458,6 @@ def _word_space_fits(n: int, N: int, rows: int) -> bool:
     if N == 1:
         return True
     return n < rows.bit_length() and N ** n <= rows
-
-
-def _word_lengths(seed: int, trial: int, n: int, N: int) -> np.ndarray:
-    """Row lengths of trial ``trial``'s word, drawn into a buffer of its own.
-
-    ``sample_schur_weyl`` runs it in worker threads, so it calls nothing
-    that keeps shared state.
-    """
-    word = np.empty((1, n), dtype=np.min_scalar_type(N))
-    _draw_letters(seed, np.array([trial]), n, N, word)
-    return _row_lengths(word)
 
 
 def _usable_cpus() -> int:

@@ -60,6 +60,28 @@ def names(tree: ast.Module) -> set[str]:
     return found
 
 
+def defined(tree: ast.Module) -> set[str]:
+    """Names of the module's top-level functions and classes."""
+    return {node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+class TestOneRoutePerQuantity:
+    PROFILE_GRID = {"slopes", "x0", "scale"}
+
+    def test_functionals_reads_profiles_only_through_corners(self):
+        assert not self.PROFILE_GRID & names(syntax_tree("functionals"))
+        assert self.PROFILE_GRID <= names(syntax_tree("diagrams"))  # the scan sees them
+
+    def test_content_route_of_the_measure_is_an_oracle(self):
+        assert "schur_weyl_via_contents" not in defined(syntax_tree("exact"))
+        assert "_schur_weyl_via_contents" in defined(syntax_tree("checks"))
+
+    def test_one_schur_weyl_batch_path(self):
+        assert not {"_word_lengths", "rsk_shapes_from_words"} & defined(syntax_tree("rsk"))
+        assert {"_draw_batch", "_row_lengths"} <= defined(syntax_tree("rsk"))
+
+
 class TestBoundary:
     @pytest.mark.parametrize("module", PRODUCTION)
     def test_no_load_time_import_of_checks(self, module):

@@ -188,6 +188,8 @@ class TestSubcommands:
         ["bounds", "--n", "100", "--c", "1", "--samples", "3", "--slack", "nan"],
         ["bounds", "--n", "100", "--c", "1", "--samples", "3", "--slack", "inf"],
         ["bounds", "--n", "100", "--c", "1", "--samples", "3", "--slack", "-0.05"],
+        ["sample", "--measure", "plancherel", "--n", "100001"],
+        ["dims", "--lam", "100001", "--N", "2"],
     ])
     def test_usage_errors_exit_2(self, argv):
         try:

@@ -59,28 +59,32 @@ def bisect_shapes(words):
     return [rsk.rsk_shape_from_letters(w) for w in np.asarray(words).tolist()]
 
 
+def kernel_shapes(words):
+    return rsk._shared_partitions(rsk._row_lengths(words), {})
+
+
 class TestWordKernel:
-    # rsk_shapes_from_words against the per-letter bisect loop.
+    # The kernel _row_lengths against the per-letter bisect loop.
 
     @pytest.mark.parametrize("n, N", [(n, N) for n in range(1, 8) for N in (1, 2, 3)]
                              + [(n, N) for n in range(1, 6) for N in (4, 5)])
     def test_every_word(self, n, N):
         words = np.array(list(itertools.product(range(1, N + 1), repeat=n)))
-        assert rsk.rsk_shapes_from_words(words) == bisect_shapes(words)
+        assert kernel_shapes(words) == bisect_shapes(words)
 
     @pytest.mark.parametrize("n, N", [(1, 1), (9, 1), (1, 6), (4, 9), (12, 40), (6, 6), (25, 25)],
                              ids=["n=N=1", "N=1", "n=1", "N>n", "N>>n", "N=n", "N=n=25"])
     def test_edge_cases(self, n, N):
         words = np.random.default_rng(n * 100 + N).integers(1, N + 1, size=(50, n))
-        assert rsk.rsk_shapes_from_words(words) == bisect_shapes(words)
+        assert kernel_shapes(words) == bisect_shapes(words)
 
     def test_random_words(self):
         words = np.random.default_rng(7).integers(1, 46, size=(4, 2000))
-        assert rsk.rsk_shapes_from_words(words) == bisect_shapes(words)
+        assert kernel_shapes(words) == bisect_shapes(words)
 
     def test_one_long_word(self):
         word = np.random.default_rng(8).integers(1, 174, size=(1, 30_000))
-        assert rsk.rsk_shapes_from_words(word) == bisect_shapes(word)
+        assert kernel_shapes(word) == bisect_shapes(word)
 
     @given(st.integers(1, 10).flatmap(lambda N: st.lists(
         st.lists(st.integers(1, N), min_size=1, max_size=40), min_size=1, max_size=4)))
@@ -88,7 +92,7 @@ class TestWordKernel:
     def test_matches_bisect_loop(self, words):
         n = min(map(len, words))
         words = np.array([w[:n] for w in words])
-        assert rsk.rsk_shapes_from_words(words) == bisect_shapes(words)
+        assert kernel_shapes(words) == bisect_shapes(words)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 2**14 - 1, 2**14, 2**14 + 1])
     def test_sentinel_mask_at_bit_length_edges(self, n):
@@ -96,7 +100,7 @@ class TestWordKernel:
         # the all-ones position, so these n are where the shift and the mask change.
         for N in (1, 3, 40):
             words = np.random.default_rng(n * 100 + N).integers(1, N + 1, size=(max(2, 64 // n), n))
-            assert rsk.rsk_shapes_from_words(words) == bisect_shapes(words)
+            assert kernel_shapes(words) == bisect_shapes(words)
 
     def test_chunked_calls_match_one_call(self, monkeypatch):
         one_call = rsk.sample_schur_weyl(30, 4, seed=3, count=25)
@@ -285,6 +289,24 @@ class TestWordPool:
         assert threading.main_thread() not in calls
         assert threading.active_count() == baseline
 
+    @pytest.mark.parametrize("n, pooled", [(8192, False), (8193, True)])
+    def test_pool_threshold(self, monkeypatch, n, pooled):
+        # per_call = max(1, 2**14 // n): n = 8192 is the last size batched two
+        # words at a time, n = 8193 the first that runs one word per thread.
+        pools = []
+
+        class Recorder(rsk.ThreadPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(rsk, "ThreadPoolExecutor", Recorder)
+        reference = bisect_shapes(reference_words(7, n, 5, range(3)))
+        for cpus in (2, 1):
+            monkeypatch.setattr(rsk, "_usable_cpus", lambda: cpus)
+            assert rsk.sample_schur_weyl(n, 5, 7, 3) == reference
+        assert pools == ([2] if pooled else [])
+
     def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(rsk.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         monkeypatch.setattr(rsk.os, "cpu_count", lambda: 8)
@@ -384,7 +406,7 @@ class TestPhilox:
 
     def test_equal_shapes_share_one_partition(self):
         words = np.random.default_rng(2).integers(1, 4, size=(300, 6))
-        shapes = rsk.rsk_shapes_from_words(words)
+        shapes = kernel_shapes(words)
         assert shapes == bisect_shapes(words)
         first = {}
         for lam in shapes:
