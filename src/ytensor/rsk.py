@@ -9,16 +9,16 @@ Two routes compute it.  ``rsk_shape_from_letters`` inserts one letter at a
 time with one binary search per bump.  ``_row_lengths`` is a numpy kernel
 for a batch of words: it inserts each word's positions letter block by
 letter block, every (row, block) step of one anti-diagonal for all words in
-one pass, so a word over N letters takes at most N + height passes instead
-of one Python-level step per bump (1.5e6 bumps for one word at n = 3e4,
-N = 173).  ``sample_schur_weyl`` maps one function, ``_draw_batch``, over its
-batches: each batch draws its words into a buffer of its own and returns
-their row lengths from the kernel, or, on the word-table path below, their
-word codes.  Long words run one per batch and one thread per word: two
-words at n = 3e4, N = 173 take 0.13-0.21 s on 2 cores, against
-0.19-0.22 s in one thread and 0.92-1.03 s on the loop; on a host that
-gives about one CPU of throughput to two processes, the pool reads
-0.11-0.17 s against 0.12-0.17 s in one thread (7 calls each).
+one pass, so a word of n letters over N takes at most min(N, n) + height
+passes instead of one Python-level step per bump (1.5e6 bumps for one word
+at n = 3e4, N = 173).  ``sample_schur_weyl`` maps one function,
+``_draw_batch``, over its batches: each batch draws its words into a buffer
+of its own and returns their row lengths from the kernel, or, on the
+word-table path below, their word codes.  Long words run one per batch and
+one thread per word: two words at n = 3e4, N = 173 take 0.13-0.21 s on
+2 cores, against 0.19-0.22 s in one thread and 0.92-1.03 s on the loop; on
+a host that gives about one CPU of throughput to two processes, the pool
+reads 0.11-0.17 s against 0.12-0.17 s in one thread (7 calls each).
 One word at n = 1e6, N = 1000 takes 22-24 s with a 140 MB peak, and
 ``ytensor bounds --n 1000000 --c 1 --samples 2`` takes 25-27 s with a
 197-199 MB peak RSS, against 46-47 s and 170-171 MB in one thread.
@@ -30,13 +30,15 @@ the kernel's oracle in the tests.
 Randomness uses the counter-based Philox4x64-10 generator keyed by
 (seed, trial): trial k always draws from stream k of ``trial_rng``, whatever
 the number of trials requested.  ``sample_schur_weyl`` does not step a numpy
-Generator per trial.  It runs Philox's rounds on uint64 arrays for all
-trials of a batch at once and applies ``Generator.integers``' bounded-draw
-rule (Lemire's rejection) to the raw output, so every word equals
-``trial_rng(seed, k).integers(1, N + 1, size=n)`` bit for bit.  A pass runs
-Philox's first two rounds only on the lanes that depend on the trial, draws
-only the blocks its emptiest row needs, reads the 32-bit draws as a view of
-the 64-bit outputs, and forms the bounded draws only where rows take them.
+Generator per trial of a batch of two or more words.  ``_draw_letters`` runs
+Philox's rounds on uint64 arrays for all trials of the batch at once, in one
+pass over the blocks that hold n draws, and applies ``Generator.integers``'
+bounded-draw rule (Lemire's rejection) to each row's first n draws, so each
+word equals ``trial_rng(seed, k).integers(1, N + 1, size=n)`` bit for bit
+unless one of those draws was rejected.  Those rows, and a batch of one
+word (the long words on the pool), draw from their own trial's Generator.
+The pass runs Philox's first two rounds only on the lanes that depend on
+the trial and reads the 32-bit draws as a view of the 64-bit outputs.
 Equal shapes of one ``sample_schur_weyl`` call share one ``Partition``,
 across its kernel batches too.  A ``Partition`` is a tuple of its rows and
 hashes and compares as one, so a ``Counter`` of the samples makes one C hash
@@ -48,9 +50,14 @@ these take 2e4 trials at each of (n, N) = (4, 2), (5, 3), (6, 3) in
 0.014-0.021 s (2 cores, medians of 40 calls in each of 8 processes), against
 1.18-1.29 s for a Generator per trial: its ``integers`` call costs ~10 us
 per trial, re-keying it ~3 us and building each trial's ``Partition`` ~4 us.
-A word at n = 3e4 takes 1.0-1.8 ms to draw, against 0.3 ms through
-``integers``, beside 80-100 ms of kernel; most of the draw is the 17 calls
-of ``_mulhilo``, 15 uint64 array operations each.
+A lone word at n = 3e4 draws through ``integers`` in 0.25-0.28 ms, where
+the vectorized pass took 1.8 ms (medians of 7 timings of 20 calls, in
+each of 3 process pairs), beside 80-100 ms of kernel; most of a pass is
+the 17 calls of ``_mulhilo``, 15 uint64 array operations each.  At N near
+2**31 about half of all draws are rejected, so nearly every short word
+redraws from its Generator: 2000 six-letter words at N = 2**31 + 11 take
+14-25 ms to draw, where placing the accepted draws by count took 4.0-4.4 ms
+(medians of 5 calls in each of 3 process pairs, 2 cores).
 ``sample_plancherel`` still re-keys one Philox per trial and calls
 ``Generator.permutation``.
 """
@@ -71,10 +78,9 @@ from .diagrams import Partition
 # Letters per _row_lengths call in sample_schur_weyl, so per batch outside
 # the word-table path.  It bounds the kernel's arrays: at 2**20
 # letters, 2e4 words at n = 4 raised the peak RSS by 2 MB over the bisect
-# loop, at 2**14 by 0.3 MB, and no timing moved.  It also bounds the Philox
-# temporaries: one pass of _draw_letters makes at most
-# max(one block per word, _KERNEL_LETTERS) draws.  It does not size the
-# word-table path's batches, which never reach the kernel.
+# loop, at 2**14 by 0.3 MB, and no timing moved.  It only sizes kernel
+# batches: _draw_letters draws whatever batch it is given in one pass, and
+# the word-table path's batches never reach the kernel.
 _KERNEL_LETTERS = 1 << 14
 
 # Letters per batch in sample_schur_weyl's word-table path.  There the kernel
@@ -92,9 +98,9 @@ _KERNEL_LETTERS = 1 << 14
 #   2**16     0.83     0.80     0.77     3.7 MB
 #   2**17     0.81     0.76     0.71     5.8 MB
 #
-# Past 2**16 the gain is small and the RSS rise doubles.  At n <= 8 and
-# N <= 2**32, _draw_letters' first pass draws one Philox block, eight 32-bit
-# draws, per row, which fills every row that keeps n of them.
+# Past 2**16 the gain is small and the RSS rise doubles.  _draw_letters
+# draws a batch in one Philox pass of ceil(n / 8) blocks per row at
+# N <= 2**32, so a batch's draw temporaries grow with its letters alone.
 _TABLE_LETTERS = 1 << 16
 
 # Philox4x64-10 (Salmon et al., SC 2011, as in numpy's philox.h): the round
@@ -125,10 +131,11 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _trial_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
-    """Yield one Generator per trial 0..count-1, each equal to ``trial_rng(seed, k)``.
+def _trial_streams(seed: int, trials: Iterable[int]) -> Iterator[np.random.Generator]:
+    """Yield one Generator per trial id k of ``trials``, each equal to ``trial_rng(seed, k)``.
 
-    ``sample_plancherel`` draws its permutations from these.
+    ``sample_plancherel`` draws its permutations from these, and
+    ``_draw_letters`` the words it does not take from its vectorized pass.
 
     The same Generator is re-keyed and yielded every time, so a stream must be
     used up before the next one is requested.  Assigning the state dict of a
@@ -139,7 +146,7 @@ def _trial_streams(seed: int, count: int) -> Iterator[np.random.Generator]:
     rng = np.random.Generator(bitgen)
     state = bitgen.state
     key = state["state"]["key"]
-    for k in range(count):
+    for k in trials:
         key[1] = k
         bitgen.state = state
         yield rng
@@ -164,13 +171,13 @@ def _mulhilo(a: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
     return hi, a * np.uint64(b)
 
 
-def _philox_blocks(seed: int, trials: np.ndarray, first: int, blocks: int) -> np.ndarray:
-    """Raw 64-bit outputs of counter blocks first..first+blocks-1 of each trial's stream.
+def _philox_blocks(seed: int, trials: np.ndarray, blocks: int) -> np.ndarray:
+    """Raw 64-bit outputs of the first ``blocks`` counter blocks of each trial's stream.
 
-    Row t is ``trial_rng(seed, trials[t])``'s ``bit_generator.random_raw`` from
-    output 4 * (first - 1) on: numpy bumps the counter before it makes a
-    block, so a fresh stream's first block has counter (1, 0, 0, 0).  The
-    key is (seed mod 2**64, trial).
+    Row t is ``trial_rng(seed, trials[t]).bit_generator.random_raw(4 * blocks)``:
+    numpy bumps the counter before it makes a block, so a fresh stream's
+    blocks have counters (1, 0, 0, 0) to (blocks, 0, 0, 0).  The key is
+    (seed mod 2**64, trial).
 
     The first two rounds run only on the lanes that depend on the trial.  In
     round 0 the counter's lanes 1-3 are zero, so the second product is 0 and
@@ -180,7 +187,7 @@ def _philox_blocks(seed: int, trials: np.ndarray, first: int, blocks: int) -> np
     """
     k0 = seed & 0xFFFFFFFFFFFFFFFF
     k1 = trials.astype(np.uint64)[:, None]
-    hi0, lo0 = _mulhilo(np.arange(first, first + blocks, dtype=np.uint64), _PHILOX_M[0])
+    hi0, lo0 = _mulhilo(np.arange(1, blocks + 1, dtype=np.uint64), _PHILOX_M[0])
     c2, c3 = hi0 ^ k1, lo0  # round 0; lane 0 is now k0 and lane 1 zero
     p0 = k0 * _PHILOX_M[0]
     k0 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFFFFFFFFFF
@@ -218,61 +225,29 @@ def _draw_letters(seed: int, trials: np.ndarray, n: int, N: int, out: np.ndarray
     ``philox_next32`` does), forms m = u * N and rejects u iff
     m mod 2**32 < (2**32 - N) mod N; the letter is (m >> 32) + 1.  Larger N
     takes whole 64-bit outputs and a 128-bit product.  N = 1 draws nothing.
-    A pass draws the blocks that hold the n - h0 draws its emptiest row
-    lacks (h0 letters held), as far as its size cap allows; rows left short
-    by rejections draw their next blocks in another pass, until every row is
-    full.
 
-    A pass stores its letters one of two ways.  When every active row holds
-    the same number h0 of letters, it first forms u * N and the rejection
-    test on the k draws the rows still need only, and if every one is
-    accepted, draw j of a row is its letter h0 + j, so the pass writes the
-    slice ``out[active, h0:h0 + k]``.  That holds for a batch's first pass
-    whenever no draw is rejected (always for N a power of 2, where the test
-    is skipped, and all but about once in 4e9 draws at N = 3), and for nearly
-    every pass of a lone long word.  Any other pass forms every draw's
-    product and places each accepted draw by a running count of the
-    accepted draws before it in its row.  A first pass over 16384 rows at
-    (n, N) = (4, 2), one word-table batch, takes 2.9-3.3 ms, against
-    0.9-1.3 ms over 4096 rows (medians of 200 calls, 4 processes each,
-    2 cores).
+    Two or more words take one vectorized pass: one ``_philox_blocks`` call
+    for the blocks that hold n draws, and the bounded letters of each row's
+    first n draws, written as one slice.  A row is then exact unless one of
+    those n draws was rejected; such rows, and a lone word, draw from their
+    own trial's Generator instead.  Rejection is rare at the alphabets the
+    paper's regime samples (at most N / 2**32 of draws, 4e-8 at N = 173, and
+    none for N a power of 2), but nearly every row of a few letters redraws
+    at N near 2**31.
     """
     if N == 1:
         out[:] = 1
         return
     bits = 32 if N <= 1 << 32 else 64
-    per_block = 256 // bits
-    threshold = np.uint64(((1 << bits) - N) % N)
-    have = np.zeros(trials.size, dtype=np.intp)
-    active = np.arange(trials.size)
-    first = 1
-    while active.size:
-        fill = have[active]
-        h0 = int(fill.min())
-        blocks = max(1, min(-(-(n - h0) // per_block),
-                            _KERNEL_LETTERS // (active.size * per_block)))
-        raw = _philox_blocks(seed, trials[active], first, blocks)
-        first += blocks
-        u = raw
-        if bits == 32:  # each output's halves, low first: its little-endian uint32 view
-            u = raw.astype("<u8", copy=False).view("<u4").reshape(active.size, -1)
-        if h0 == fill.max():
-            k = min(n - h0, u.shape[1])
-            hi, lo = _lemire(u[:, :k], N, bits)
-            if not threshold or (lo >= threshold).all():
-                rows = slice(None) if active.size == trials.size else active  # a slice is cheaper
-                out[rows, h0:h0 + k] = hi + np.uint64(1)
-                have[active] = h0 + k
-                active = active[have[active] < n]
-                continue
-        hi, lo = _lemire(u, N, bits)
-        accept = lo >= threshold
-        slot = np.cumsum(accept, axis=1) + fill[:, None] - 1
-        take = accept & (slot < n)
-        rows = np.broadcast_to(active[:, None], take.shape)[take]
-        out[rows, slot[take]] = hi[take] + np.uint64(1)
-        have[active] = np.minimum(slot[:, -1] + 1, n)
-        active = active[have[active] < n]
+    redraw = np.arange(trials.size)
+    if trials.size > 1:
+        raw = _philox_blocks(seed, trials, -(-n * bits // 256))
+        u = raw.astype("<u8", copy=False).view("<u4") if bits == 32 else raw  # low half first
+        hi, lo = _lemire(u[:, :n], N, bits)
+        out[:] = hi + np.uint64(1)
+        redraw = np.unique(np.flatnonzero(lo < np.uint64(((1 << bits) - N) % N)) // n)
+    for row, rng in zip(redraw, _trial_streams(seed, trials[redraw].tolist())):
+        out[row] = rng.integers(1, N + 1, size=n)
 
 
 def rsk_shape_from_letters(letters: Iterable[int]) -> Partition:
@@ -321,7 +296,11 @@ def _row_lengths(words: np.ndarray) -> np.ndarray:
     bumps the old row[p_j], if any, into the next row.  Row i of block v
     needs only row i - 1 of block v and row i of block v - 1, so each pass
     runs every (row, block) step of one anti-diagonal, for all words at once:
-    at most (distinct letters) + (rows) passes.
+    at most (distinct letters) + (rows) passes.  A word's shape depends only
+    on the relative order of its letters, so when the letters span more
+    values than a word has positions, each word's letters are first replaced
+    by their ranks within the word: then there are at most n blocks, and at
+    most n + (rows) passes however large the alphabet.
 
     All rows of all ``count`` words live in one sorted array of keys
     group << shift | position, where group = row * count + word and
@@ -336,6 +315,12 @@ def _row_lengths(words: np.ndarray) -> np.ndarray:
     """
     words = np.asarray(words)
     count, n = words.shape
+    if int(words.max()) - int(words.min()) >= n:  # rank the letters within each word
+        by_row = np.argsort(words, axis=1, kind="stable")
+        ordered = np.take_along_axis(words, by_row, axis=1)
+        ranks = np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1)
+        words = np.zeros(words.shape, dtype=np.intp)
+        np.put_along_axis(words, by_row[:, 1:], ranks, axis=1)
     order = np.argsort(words, axis=None, kind="stable")  # by (letter, word, position)
     letters = words.ravel()[order]
     edges = np.concatenate(([0], np.flatnonzero(letters[1:] != letters[:-1]) + 1,
@@ -384,7 +369,8 @@ def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:
 
     Trial k's word is ``trial_rng(seed, k).integers(1, N + 1, size=n)``, bit
     for bit, but ``_draw_letters`` draws the words of a whole batch at once
-    from one vectorized Philox pass instead of stepping a Generator per trial.
+    from one vectorized Philox pass instead of stepping a Generator per trial
+    (a lone word, or a row with a rejected draw, steps its own Generator).
     ``_draw_batch`` draws one batch of up to ``_KERNEL_LETTERS`` letters and
     runs the kernel ``_row_lengths`` on it; the batches' shapes become
     partitions in trial order, and equal shapes of all batches are one shared
@@ -472,7 +458,7 @@ def sample_plancherel(n: int, seed: int, count: int) -> list[Partition]:
     if n < 1 or count < 1:
         raise ValueError("n and count must be positive")
     return [rsk_shape_from_letters(rng.permutation(n).tolist())
-            for rng in _trial_streams(seed, count)]
+            for rng in _trial_streams(seed, range(count))]
 
 
 def sample_dump(samples: Sequence[Partition], n: int, N: int | None, seed: int) -> str:

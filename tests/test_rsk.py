@@ -102,6 +102,18 @@ class TestWordKernel:
             words = np.random.default_rng(n * 100 + N).integers(1, N + 1, size=(max(2, 64 // n), n))
             assert kernel_shapes(words) == bisect_shapes(words)
 
+    @pytest.mark.parametrize("N", [10**5, 2**31 + 11, 2**63 - 1])
+    def test_large_alphabet_takes_at_most_n_plus_height_passes(self, monkeypatch, N):
+        # One searchsorted per pass and one for the lengths; the batch has
+        # far more distinct letters than a word has positions.
+        words = np.random.default_rng(N % 1000).integers(1, N, size=(500, 6), dtype=np.int64)
+        expected = bisect_shapes(words)
+        searchsorted, calls = np.searchsorted, []
+        monkeypatch.setattr(np, "searchsorted",
+                            lambda *args, **kw: calls.append(1) or searchsorted(*args, **kw))
+        assert kernel_shapes(words) == expected
+        assert len(calls) <= 6 + max(lam.height for lam in expected) + 1
+
     def test_chunked_calls_match_one_call(self, monkeypatch):
         one_call = rsk.sample_schur_weyl(30, 4, seed=3, count=25)
         monkeypatch.setattr(rsk, "_KERNEL_LETTERS", 70)  # two words per call
@@ -331,15 +343,10 @@ class TestPhilox:
     def test_raw_blocks_match_numpy(self, seed):
         # Trial 2**64 - 1 wraps the key bump k1 + W1 in every round.
         trials = np.array([0, 1, 2**32 + 1, 2**64 - 1], dtype=np.uint64)
-        blocks = rsk._philox_blocks(seed, trials, 1, 5)
-        later = rsk._philox_blocks(seed, trials, 3, 2)
-        single = rsk._philox_blocks(seed, trials, 2, 1)
-        for k, row, tail, one in zip(trials, blocks, later, single):
+        blocks = rsk._philox_blocks(seed, trials, 5)
+        for k, row in zip(trials, blocks):
             key = np.array([seed % 2**64, k], dtype=np.uint64)
-            raw = np.random.Philox(key=key).random_raw(4 * 5)
-            assert np.array_equal(row, raw)
-            assert np.array_equal(tail, raw[8:16])
-            assert np.array_equal(one, raw[4:8])
+            assert np.array_equal(row, np.random.Philox(key=key).random_raw(4 * 5))
 
     @pytest.mark.parametrize("seed, n, N", [
         (4, 6, 1),
@@ -365,11 +372,11 @@ class TestPhilox:
 
     @pytest.mark.parametrize("seed, n, N, rejecting", [
         (3, 6, 4, 0),  # N a power of 2 never rejects: the first pass writes one slice
-        (14, 2, 2**31 + 11, 3),  # 3 of 8 rows reject a draw: the pass places letters by count
+        (14, 2, 2**31 + 11, 3),  # 3 of 8 rows reject a draw: they redraw from their own streams
     ])
     def test_pass_with_and_without_rejections(self, seed, n, N, rejecting):
         count = 8
-        raw = rsk._philox_blocks(seed, np.arange(count), 1, 1)
+        raw = rsk._philox_blocks(seed, np.arange(count), 1)
         u = np.stack((raw & 0xFFFFFFFF, raw >> 32), axis=-1).reshape(count, -1)
         low = (u * np.uint64(N)) & np.uint64(0xFFFFFFFF)
         assert np.count_nonzero((low[:, :n] < (2**32 - N) % N).any(axis=1)) == rejecting
@@ -385,11 +392,43 @@ class TestPhilox:
         assert hi.tolist() == [int(x) * N >> 32 for x in u]
         assert lo.tolist() == [int(x) * N & 0xFFFFFFFF for x in u]
 
-    def test_long_word_spans_several_passes(self):
+    def test_long_words_draw_in_one_pass(self, monkeypatch):
         n = 5 * rsk._KERNEL_LETTERS // 2 + 1
+        blocks, calls = rsk._philox_blocks, []
+        monkeypatch.setattr(rsk, "_philox_blocks",
+                            lambda *args: calls.append(args[2]) or blocks(*args))
         out = np.empty((2, n), dtype=np.uint64)
         rsk._draw_letters(3, np.array([4, 9]), n, 173, out)
         assert np.array_equal(out, reference_words(3, n, 173, [4, 9]))
+        assert calls == [-(-n // 8)]
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_each_table_batch_draws_in_one_pass(self, monkeypatch, n):
+        # Word-table batches of more than 8 letters once took two Philox passes each.
+        draw, blocks, batches, passes = rsk._draw_letters, rsk._philox_blocks, [], []
+        monkeypatch.setattr(rsk, "_draw_letters", lambda *args: batches.append(args[1]) or draw(*args))
+        monkeypatch.setattr(rsk, "_philox_blocks", lambda *args: passes.append(args[1]) or blocks(*args))
+        samples = rsk.sample_schur_weyl(n, 2, 0, 20000)
+        assert len(batches) > 1 and len(passes) == len(batches)
+        assert all(np.array_equal(p, b) for p, b in zip(passes, batches))
+        assert samples[-50:] == bisect_shapes(reference_words(0, n, 2, range(19950, 20000)))
+
+    def test_lone_word_draws_from_its_trial_stream(self, monkeypatch):
+        # n = 8193 runs one word per batch on the pool (see test_pool_threshold).
+        monkeypatch.setattr(rsk, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(rsk, "_philox_blocks", lambda *args: pytest.fail("vectorized pass"))
+        draw, drawn, lock = rsk._draw_letters, {}, threading.Lock()
+
+        def spy(seed, trials, n, N, out):
+            draw(seed, trials, n, N, out)
+            with lock:
+                drawn.update(zip(trials.tolist(), out.tolist()))
+
+        monkeypatch.setattr(rsk, "_draw_letters", spy)
+        samples = rsk.sample_schur_weyl(8193, 5, 7, 3)
+        reference = reference_words(7, 8193, 5, range(3))
+        assert [drawn[k] for k in range(3)] == reference.tolist()
+        assert samples == bisect_shapes(reference)
 
     def test_count_spans_several_kernel_batches(self):
         n, N, count = 9, 5, 2 * rsk._KERNEL_LETTERS // 9 + 7
