@@ -4,22 +4,13 @@
 # yields a random partition distributed by the Schur-Weyl measure with
 # parameter c = sqrt(n)/N.  As n grows, the rescaled boundary profile
 # L_lambda concentrates around a deterministic curve Omega_c.  This
-# script measures the sup distance for increasing n.
+# script measures the sup distance for increasing n, as `ytensor biane`
+# reports it.
 
 import argparse
 
-import numpy as np
-
-from ytensor import rsk, shape
-from ytensor.diagrams import profile
-
-
-def sup_distance(lam, c):
-    prof = profile(lam)
-    lo, hi = prof.support
-    grid = np.arange(lo, hi, 1e-3)
-    omega = shape.omega_c(c, grid)
-    return float(np.max(np.abs(prof.evaluate(grid) - omega)))
+from ytensor import harness, rsk
+from ytensor.harness import ExperimentConfig
 
 
 def main():
@@ -30,13 +21,10 @@ def main():
     args = ap.parse_args()
 
     for n in [100, 400, 1600, 6400]:
-        N = round(np.sqrt(n) / args.c)
-        c_n = np.sqrt(n) / N
-        dists = [sup_distance(lam, c_n)
-                 for lam in rsk.sample_schur_weyl(n, N, seed=args.seed,
-                                                  count=args.samples)]
-        print(f"n={n:>6} N={N:>3}  median sup|L - Omega_c| = "
-              f"{np.median(dists):.4f}  (max {np.max(dists):.4f})")
+        summary = harness.cmd_biane(ExperimentConfig(
+            n=n, c=args.c, samples=args.samples, seed=args.seed)).summary
+        print(f"n={n:>6} N={summary['N']:>3}  median sup|L - Omega_c| = "
+              f"{summary['median']:.4f}  (max {summary['max']:.4f})")
 
     # the first row of the RSK shape is the longest weakly increasing
     # subsequence of the word; show one explicit small example.

@@ -4,7 +4,7 @@ shapes, the variational functionals, their verification checks and a CLI
 harness."""
 
 from .checks import lemma_A, lemma_F3, lemma_I, lemma_intIOmega, shape_curve
-from .diagrams import Cell, Partition, Profile, profile, profile_from_slopes
+from .diagrams import Cell, Partition, Profile, profile
 from .exact import (
     ExactDims,
     ExactMeasure,

@@ -1,20 +1,20 @@
 """Young diagram core: partitions, cells, hooks, contents and boundary profiles.
 
 A partition is a ``tuple`` of its positive, nonincreasing row lengths.  The
-profile of a diagram is the piecewise-linear boundary of the rotated diagram,
-scaled so that its area above ``|X|`` is exactly 1/2.  Corner positions live on
-the grid ``k / (2 sqrt(n))``; internally only the integer grid index ``k`` is
-stored, so combinatorial checks (area, round trips) can be done in exact
-rational arithmetic.
+profile L of a diagram is the piecewise-linear boundary of the rotated diagram,
+scaled so that its area above ``|X|`` is exactly 1/2.  Every functional of a
+profile reads it through L'', a sum of point masses at its corners (Kerov's
+interlacing minima and maxima), so a ``Profile`` stores just those corners, as
+integer coordinates on the grid ``k / (2 sqrt(n))``; the scaled floats are
+made once per profile.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "Profile",
     "hook_length",
     "profile",
-    "profile_from_slopes",
 ]
 
 
@@ -119,43 +118,32 @@ def hook_length(lam: Partition, cell: Cell) -> int:
 
 @dataclass(frozen=True)
 class Profile:
-    """Boundary of the rotated diagram, scaled by sqrt(2n).
+    """Boundary L of the rotated diagram, scaled by sqrt(2n), stored as its corners.
 
-    ``slopes[k]`` is the slope (+1 or -1) of L on the grid interval
-    ``[x0 + k, x0 + k + 1]`` in units of ``1/(2 sqrt(n))``.  Outside
-    ``[x0, x0 + len(slopes)]`` the profile equals ``|X|``.
+    ``(xs[k], ys[k])`` are the integer coordinates, in units of
+    ``1/(2 sqrt(n))``, of the points where L changes slope, with both ends,
+    where L meets ``|X|``, included.  L has slope +1 or -1 between neighbouring
+    corners and equals ``|X|`` outside ``[xs[0], xs[-1]]``.
     """
 
     n: int
-    x0: int
-    slopes: tuple[int, ...]
+    xs: tuple[int, ...]
+    ys: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("profile requires n >= 1 (scaling is singular at n=0)")
-        if any(s not in (-1, 1) for s in self.slopes):
-            raise ValueError("profile slopes must be +1 or -1")
-
-    @property
-    def scale(self) -> float:
-        """Grid step 1/(2 sqrt(n))."""
-        return 0.5 / np.sqrt(self.n)
+        xs, ys = self.xs, self.ys
+        if not (len(xs) == len(ys) >= 2 and ys[0] == abs(xs[0]) and ys[-1] == abs(xs[-1])
+                and all(0 < xb - xa == abs(yb - ya)
+                        for xa, xb, ya, yb in zip(xs, xs[1:], ys, ys[1:]))):
+            raise ValueError("profile corners must join two points of |X| by slopes +-1")
 
     @cached_property
     def corners(self) -> tuple[np.ndarray, np.ndarray]:
-        """Scaled coordinates (X, L) of the corners of maximal segments.
-
-        Includes both endpoints, where the profile meets |X|.
-        """
-        s = np.asarray(self.slopes, dtype=np.int64)
-        y = abs(self.x0) + np.concatenate(([0], np.cumsum(s)))
-        k = np.unique(np.concatenate(([0], np.flatnonzero(np.diff(s)) + 1, [len(s)])))
-        return (self.x0 + k) * self.scale, y[k] * self.scale
-
-    @property
-    def support(self) -> tuple[float, float]:
-        """Leftmost and rightmost X where L may differ from |X|."""
-        return self.x0 * self.scale, (self.x0 + len(self.slopes)) * self.scale
+        """Scaled coordinates (X, L) of the corners, both ends included."""
+        scale = 0.5 / np.sqrt(self.n)
+        return np.array(self.xs) * scale, np.array(self.ys) * scale
 
     def evaluate(self, X):
         """Evaluate L(X); returns |X| outside the support.  Accepts arrays."""
@@ -168,61 +156,25 @@ class Profile:
             return float(out)
         return out
 
-    def area_above_axis(self) -> Fraction:
-        """Exact integral of (L - |X|) dX, computed in rational arithmetic."""
-        # Integrate per unit grid interval: mean height times width, each in
-        # grid units, then convert by the grid area factor 1/(4n).
-        total = Fraction(0)
-        x = self.x0
-        y = abs(self.x0)
-        for s in self.slopes:
-            ym = Fraction(2 * y + s, 2)  # midpoint height of L
-            # midpoint of |X| over [x, x+1], which never straddles 0 (x is an integer)
-            am = abs(Fraction(2 * x + 1, 2))
-            total += ym - am
-            y += s
-            x += 1
-        return total / (4 * self.n)
-
-    def to_partition(self) -> Partition:
-        """Reconstruct the partition from the slope sequence."""
-        rows: list[int] = []
-        x = 0  # horizontal steps so far
-        for s in self.slopes:
-            if s == 1:
-                x += 1
-            else:
-                rows.append(x)
-        rows = [r for r in reversed(rows) if r > 0]
-        return Partition(tuple(rows))
-
-    def corner_csv(self) -> str:
-        """CSV export: columns X,L at corner points only."""
-        cx, cy = self.corners
-        lines = ["X,L"]
-        lines += [f"{x!r},{y!r}" for x, y in zip(cx.tolist(), cy.tolist())]
-        return "\n".join(lines) + "\n"
-
 
 def profile(lam: Partition) -> Profile:
     """Rotated, sqrt(2n)-scaled boundary profile of a diagram.
 
-    The slope sequence is read off the boundary walk from the bottom-left
-    corner (X = -height) to the top-right corner (X = rows[0]), one grid unit
-    per cell edge: horizontal edges give slope +1, vertical edges slope -1.
+    One pass from the last row up, starting at the left end (-height, height):
+    row i (1-based) adds the peak (lam_i - i, lam_i + i) where it is longer
+    than the row below, and the valley (lam_i - i + 1, lam_i + i - 1) where
+    the row above is longer, or where i = 1 (the right end).
     """
     if lam.n < 1:
         raise ValueError("profile requires a nonempty diagram")
     r = lam.height
-    slopes: list[int] = []
-    prev = 0
+    corners = [(-r, r)]
+    below = 0
     for i in range(r, 0, -1):
-        run = lam[i - 1] - prev
-        slopes.extend([1] * run)
-        slopes.append(-1)
-        prev = lam[i - 1]
-    return Profile(n=lam.n, x0=-r, slopes=tuple(slopes))
-
-
-def profile_from_slopes(n: int, x0: int, slopes: Sequence[int]) -> Profile:
-    return Profile(n=n, x0=x0, slopes=tuple(int(s) for s in slopes))
+        row = lam[i - 1]
+        if row > below:
+            corners.append((row - i, row + i))
+        if i == 1 or lam[i - 2] > row:
+            corners.append((row - i + 1, row + i - 1))
+        below = row
+    return Profile(lam.n, *zip(*corners))

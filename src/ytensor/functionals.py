@@ -82,6 +82,8 @@ class FunctionalReport:
 
     lhs is -ln P / sqrt(n); residual = sqrt(n)(theta - rho) + theta_hat -
     rho_hat - lhs, which estimates the diagram-independent constant eps_n.
+    Measured, not derived: eps_n = (ln n! - n ln n + n)/sqrt(n), exactly 1 at
+    n = 1 and within 4e-11 on samples up to n = 3e4 with N or fewer rows.
     """
 
     theta: float

@@ -1,14 +1,14 @@
 """The limit-shape family and its auxiliary special functions.
 
 The deformed limit shape Omega_c (with Omega_0 the Vershik-Kerov-Logan-Shepp
-curve), its first two derivatives, the iterated log antiderivatives phi_k, and
+curve), its derivative, the iterated log antiderivatives phi_k, and
 the closed-form functions H, G, J that appear in the variational identity.
 Shifted arguments are written z = s - c/2 throughout; functions named
 ``*_tilde`` take the shifted coordinate.  omega, omega_c, omega_c_prime and
 phi take floats or numpy arrays through one numpy body: a float in gives a
 float out, an array in gives an array out.  So do G and, through one shared
 body masked for |z| <= 1 and the pole of the inner arccosh, H_tilde,
-H_tilde_prime and J_tilde; H_tilde_second and omega_c_second take floats only.
+H_tilde_prime and J_tilde; H_tilde_second takes floats only.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ __all__ = [
     "omega",
     "omega_c",
     "omega_c_prime",
-    "omega_c_second",
     "phi",
     "H_tilde",
     "H_tilde_prime",
@@ -86,21 +85,6 @@ def omega_c_prime(c: float, s):
     if c > 1.0:
         out = np.where((-1.0 / c <= two_s) & (two_s < c - 2.0), 1.0, out)
     return _result(out)
-
-
-def omega_c_second(c: float, z: float) -> float:
-    """Second derivative in the shifted coordinate: 2(1+cz)/(pi(1+c^2+2cz)sqrt(1-z^2)).
-
-    Zero for |z| > 1; the endpoints |z| = 1 are nonintegrable point evaluations
-    and are rejected (quadrature against this factor should substitute
-    z = sin(psi) first).
-    """
-    _require_c(c)
-    if abs(z) > 1.0:
-        return 0.0
-    if abs(z) == 1.0:
-        raise ValueError("omega_c_second is singular at |z| = 1")
-    return 2.0 * (1.0 + c * z) / (math.pi * (1.0 + c * c + 2.0 * c * z) * math.sqrt(1.0 - z * z))
 
 
 def phi(k: int, x):

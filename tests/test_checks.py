@@ -66,12 +66,34 @@ def defined(tree: ast.Module) -> set[str]:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
 
 
-class TestOneRoutePerQuantity:
-    PROFILE_GRID = {"slopes", "x0", "scale"}
+def named_anywhere(tree: ast.Module) -> set[str]:
+    """names, plus every function and class defined at any depth (methods
+    too) and every string constant, such as an ``__all__`` entry."""
+    found = names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
 
-    def test_functionals_reads_profiles_only_through_corners(self):
-        assert not self.PROFILE_GRID & names(syntax_tree("functionals"))
-        assert self.PROFILE_GRID <= names(syntax_tree("diagrams"))  # the scan sees them
+
+class TestOneRoutePerQuantity:
+    # the profile's slope grid and the helpers that only tests called
+    GONE = {"slopes", "x0", "profile_from_slopes", "area_above_axis", "to_partition",
+            "corner_csv", "omega_c_second"}
+
+    def test_no_module_names_what_is_gone(self):
+        found = {module: sorted(self.GONE & named_anywhere(syntax_tree(module)))
+                 for module in sorted(path.stem for path in SRC.glob("*.py"))}
+        assert "__init__" in found and "diagrams" in found
+        assert not {module: gone for module, gone in found.items() if gone}
+        # the scan sees a dataclass field, a method, a loop variable and an __all__ entry
+        seen = named_anywhere(ast.parse(
+            '__all__ = ["corner_csv"]\n'
+            "class Profile:\n    x0: int\n    def to_partition(self): pass\n"
+            "def walk(p):\n    for slopes in p: pass\n"))
+        assert {"corner_csv", "x0", "to_partition", "slopes"} <= seen
 
     def test_content_route_of_the_measure_is_an_oracle(self):
         assert "schur_weyl_via_contents" not in defined(syntax_tree("exact"))

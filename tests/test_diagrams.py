@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ytensor.diagrams import Cell, Partition, hook_length, profile, profile_from_slopes
+from ytensor.diagrams import Cell, Partition, Profile, hook_length, profile
 
 
 def partitions_strategy(max_rows=8, max_part=12):
@@ -135,38 +135,71 @@ class TestHooks:
         assert hooks == hooks_conj
 
 
+def slope_walk_corners(lam):
+    """Corners of the boundary walk from (-height, height), one grid unit per
+    cell edge: slope +1 along a row's horizontal edges, -1 up each vertical one."""
+    slopes = []
+    prev = 0
+    for row in reversed(lam.rows):
+        slopes += [1] * (row - prev) + [-1]
+        prev = row
+    x, y = -lam.height, lam.height
+    xs, ys = [x], [y]
+    for k, s in enumerate(slopes):
+        x, y = x + 1, y + s
+        if k + 1 == len(slopes) or slopes[k + 1] != s:
+            xs.append(x)
+            ys.append(y)
+    return tuple(xs), tuple(ys)
+
+
+def exact_area(prof):
+    """Integral of (L - |X|) dX in exact arithmetic, from the integer corners:
+    a trapezoid under each segment less X|X|/2 across it, times the grid area
+    factor 1/(4n)."""
+    total = Fraction(0)
+    for x0, x1, y0, y1 in zip(prof.xs, prof.xs[1:], prof.ys, prof.ys[1:]):
+        total += Fraction((y0 + y1) * (x1 - x0), 2)
+        total -= Fraction(x1 * abs(x1) - x0 * abs(x0), 2)  # integral of |X|
+    return total / (4 * prof.n)
+
+
 class TestProfile:
     def test_single_box(self):
         prof = profile(Partition((1,)))
-        assert prof.x0 == -1
-        assert prof.slopes == (1, -1)
+        assert prof.xs == (-1, 0, 1)
+        assert prof.ys == (1, 2, 1)
         assert prof.evaluate(0.0) == pytest.approx(1.0)
         assert prof.evaluate(5.0) == 5.0
 
     def test_area_is_exactly_half(self):
         for rows in [(1,), (3, 1), (4, 4, 2, 1), (7,)]:
-            assert profile(Partition(rows)).area_above_axis() == Fraction(1, 2)
+            assert exact_area(profile(Partition(rows))) == Fraction(1, 2)
 
     @given(partitions_strategy())
-    def test_area_and_round_trip(self, lam):
+    def test_area_and_slope_walk(self, lam):
         prof = profile(lam)
-        assert prof.area_above_axis() == Fraction(1, 2)
-        assert prof.to_partition() == lam
+        assert exact_area(prof) == Fraction(1, 2)
+        assert (prof.xs, prof.ys) == slope_walk_corners(lam)
 
     def test_above_absolute_value(self):
         prof = profile(Partition((3, 2, 2)))
         xs = np.linspace(-2, 2, 101)
         assert np.all(prof.evaluate(xs) >= np.abs(xs) - 1e-12)
 
-    def test_slope_validation(self):
+    @pytest.mark.parametrize("n, xs, ys", [
+        (0, (-1, 0, 1), (1, 2, 1)),    # n = 0
+        (1, (-1, 0, 1), (1, 2)),       # lengths differ
+        (1, (0,), (0,)),               # one point
+        (1, (-1, 0, 1), (2, 3, 2)),    # ends off |X|
+        (1, (-1, 1, 2), (1, 2, 2)),    # slope 1/2, then 0
+        (1, (-1, -1, 0, 1), (1, 1, 2, 1)),  # zero width
+        (1, (1, 0, -1), (1, 2, 1)),    # negative width
+    ], ids=["n0", "lengths", "one_point", "ends_off_axis", "slope", "zero_width",
+            "negative_width"])
+    def test_bad_corners_rejected(self, n, xs, ys):
         with pytest.raises(ValueError):
-            profile_from_slopes(2, -1, (1, 0, -1))
-
-    def test_corner_csv(self):
-        text = profile(Partition((1,))).corner_csv()
-        lines = text.strip().split("\n")
-        assert lines[0] == "X,L"
-        assert len(lines) == 4  # two outer endpoints plus the peak... and start
+            Profile(n, xs, ys)
 
     def test_evaluate_scalar_vs_array(self):
         prof = profile(Partition((2, 1)))

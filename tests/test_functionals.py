@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ytensor.diagrams import Partition, profile, profile_from_slopes
+from ytensor.diagrams import Partition, Profile, profile
 from ytensor import checks as C, exact, functionals as F, rsk, shape
 from ytensor.quadrature import tanh_sinh
 from ytensor.shape import H_tilde_prime, phi
@@ -20,11 +20,11 @@ ULP_APART = Partition((56, 41, 39, 34, 29, 26, 24, 21, 19, 17, 15, 13, 13, 10, 1
 def profile_as_curve(prof):
     """Wrap a lattice profile as a generic Curve (for quadrature cross-checks)."""
     cx, _ = prof.corners
-    slopes = np.asarray(prof.slopes, dtype=float)
+    slopes = np.sign(np.diff(prof.ys)).astype(float)  # L' on each segment between corners
 
     def prime(s):
         s = np.asarray(s, dtype=float)
-        k = np.clip((s / prof.scale - prof.x0).astype(int), 0, len(slopes) - 1)
+        k = np.clip(np.searchsorted(cx, s, side="right") - 1, 0, len(slopes) - 1)
         return np.where(s < cx[0], -1.0, np.where(s > cx[-1], 1.0, slopes[k]))
 
     return F.Curve(fn=lambda s: prof.evaluate(s), prime=prime,
@@ -47,7 +47,7 @@ class TestThetaProfile:
     def test_representation_independence(self):
         lam = Partition((3, 1))
         prof = profile(lam)
-        rebuilt = profile_from_slopes(prof.n, prof.x0, prof.slopes)
+        rebuilt = Profile(prof.n, prof.xs, prof.ys)
         assert F.theta_profile(rebuilt) == F.theta_profile(prof)
 
     def test_conjugation_symmetry(self):
@@ -349,6 +349,21 @@ class TestDecomposition:
                 res.append(F.prop31_decompose(lam, N).residual)
         assert max(res) - min(res) < 1e-12
 
+    def test_residual_closed_form(self):
+        # eps_n = (ln n! - n ln n + n)/sqrt(n), as FunctionalReport states; lgamma
+        # cancels digits at large n, so n stays at or below 3e4
+        def eps(n):
+            return (math.lgamma(n + 1) - n * math.log(n) + n) / math.sqrt(n)
+
+        for n, N in [(64, 8), (100, 12), (2500, 50), (10**4, 100), (3 * 10**4, 173)]:
+            samples = rsk.sample_schur_weyl(n, N, 0, 4)
+            assert {lam.height == N for lam in samples} == {True, False}
+            for lam in samples:
+                assert F.prop31_decompose(lam, N).residual == pytest.approx(eps(n), abs=1e-9)
+        assert F.prop31_decompose(Partition((400,)), 401).residual == pytest.approx(
+            eps(400), abs=1e-9)
+        assert eps(1) == 1.0 == F.prop31_decompose(Partition((1,)), 1).residual
+
     def test_report_invariants(self):
         c = math.sqrt(64) / 8
         for lam in rsk.sample_schur_weyl(64, 8, seed=2, count=3):
@@ -495,7 +510,6 @@ class TestNonfiniteC:
     @pytest.mark.parametrize("fn", [
         lambda c: shape.omega_c(c, 0.1),
         lambda c: shape.omega_c_prime(c, 0.1),
-        lambda c: shape.omega_c_second(c, 0.1),
         lambda c: shape.G(c, 0.1),
         lambda c: shape.H_tilde(c, 1.5),
         lambda c: shape.J_tilde(c, 1.5),
@@ -508,7 +522,7 @@ class TestNonfiniteC:
         lambda c: C.lemma_I(c, 0.5, -2.0, 3.0),
         lambda c: C.lemma_F3(c, 0.3),
         lambda c: C.lemma_intIOmega(c, -2.0, 3.0),
-    ], ids=["omega_c", "omega_c_prime", "omega_c_second", "G", "H_tilde", "J_tilde",
+    ], ids=["omega_c", "omega_c_prime", "G", "H_tilde", "J_tilde",
             "shape_support", "shape_curve", "default_window", "profile_minus_shape",
             "h_term", "lemma_A", "lemma_I", "lemma_F3", "lemma_intIOmega"])
     @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])

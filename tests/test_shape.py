@@ -60,17 +60,6 @@ class TestOmega:
             assert shape.omega_c_prime(c, 0.5 * c + 1.0) == pytest.approx(1.0)
         assert shape.omega_c_prime(0.5, 0.25 - 1.0) == pytest.approx(-1.0)
 
-    def test_second_by_finite_differences(self):
-        for c in [0.5, 2.0]:
-            for z in [-0.5, 0.0, 0.7]:
-                got = shape.omega_c_second(c, z)
-                want = fd(lambda y: shape.omega_c_prime(c, y + 0.5 * c), z, h=1e-5)
-                assert got == pytest.approx(want, rel=1e-4, abs=1e-6)
-
-    def test_second_rejects_endpoint(self):
-        with pytest.raises(ValueError):
-            shape.omega_c_second(1.0, 1.0)
-
 
 class TestPhi:
     def test_values(self):
