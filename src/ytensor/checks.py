@@ -325,10 +325,9 @@ def minimizer_gap(cs=(0.5, 2.0)):
                ("minimizer", "hook-integral-quadrature"))
 
 
-def variational_identity(n=100, N=12, count=6, keep=2, seed=2):
-    """The variational identity on the first keep of count samples with fewer than N rows."""
-    kept = [lam for lam in rsk.sample_schur_weyl(n, N, seed, count) if lam.height < N]
-    for lam in kept[:keep]:
+def variational_identity(n=100, N=12, count=2, keep=2, seed=2):
+    """The variational identity on the first keep of count samples, N-row ones included."""
+    for lam in rsk.sample_schur_weyl(n, N, seed, count)[:keep]:
         lhs, rhs = functionals.prop41_identity(lam, N)
         yield ("variational_identity", {"n": n, "N": N, "lam": str(lam)}, lhs, rhs, 1e-6,
                ("variational-identity",))

@@ -123,7 +123,8 @@ class Profile:
     ``(xs[k], ys[k])`` are the integer coordinates, in units of
     ``1/(2 sqrt(n))``, of the points where L changes slope, with both ends,
     where L meets ``|X|``, included.  L has slope +1 or -1 between neighbouring
-    corners and equals ``|X|`` outside ``[xs[0], xs[-1]]``.
+    corners and equals ``|X|`` outside ``[xs[0], xs[-1]]``.  The area between
+    L and ``|X|`` is that of n cells, 2n in these units.
     """
 
     n: int
@@ -138,6 +139,11 @@ class Profile:
                 and all(0 < xb - xa == abs(yb - ya)
                         for xa, xb, ya, yb in zip(xs, xs[1:], ys, ys[1:]))):
             raise ValueError("profile corners must join two points of |X| by slopes +-1")
+        # each cell is a square of area 2 in these units: twice the area above
+        # |X| is the trapezoids' sum less twice the area under |X|
+        twice_area = sum((xb - xa) * (ya + yb) for xa, xb, ya, yb in zip(xs, xs[1:], ys, ys[1:]))
+        if twice_area - xs[-1] * abs(xs[-1]) + xs[0] * abs(xs[0]) != 4 * self.n:
+            raise ValueError(f"profile corners must enclose n = {self.n} cells above |X|")
 
     @cached_property
     def corners(self) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,9 @@ eps_n depending on n only.  The identity
     theta(L) - rho(L) = (1/2) ||L - Omega_c||^2_{1/2} + 2 int H'_c (L - Omega_c)
 
 expresses the gap as a half-Sobolev norm plus a boundary penalty, which is the
-mechanism behind positivity and the unique minimizer Omega_c.  The
+mechanism behind positivity and the unique minimizer Omega_c.  Both hold on
+all of Y_N^n, the diagrams with at most N rows, c = sqrt(n)/N; for c > 1
+typical diagrams have exactly N rows, since Omega_c runs along X + 1/c.  The
 _lemma_*_closed helpers are the closed forms of the auxiliary integrals (A,
 I_c, the phi_2 moment of Omega_c'' and the I-against-Omega' integral).
 
@@ -349,15 +351,20 @@ def h_term(f: Curve, c: float) -> float:
     pole -1/(2c); f' is read once between each pair of neighbours and taken
     as 0 outside the support.  Requires f to be linear between those points
     off the bulk, as every profile difference is; inside the bulk J~_c = 0
-    and f may be anything.
+    and f may be anything.  J~_c is taken as 0 at every x_k in the bulk,
+    its edges included, by x_k itself: at an edge x_k - c/2 may round to
+    an ulp outside +-1.  The pole is a kink of L - Omega_c for
+    c > 1, and the left end of a diagram with N rows; J~_c and H~_c are
+    continuous through it, so its point mass is read like any other.
     """
     _require_c(c, positive=True)
     a, b = f.support
-    x = np.unique([a, b, *f.kinks, 0.5 * c - 1.0, 0.5 * c + 1.0, -0.5 / c])
+    lo, hi = 0.5 * c - 1.0, 0.5 * c + 1.0
+    x = np.unique([a, b, *f.kinks, lo, hi, -0.5 / c])
     mid = 0.5 * (x[:-1] + x[1:])
     fprime = np.where((a < mid) & (mid < b), f.prime(mid), 0.0)
     jumps = np.diff(np.concatenate(([0.0], fprime, [0.0])))
-    return 2.0 * float(jumps @ J_tilde(c, x - 0.5 * c))
+    return 2.0 * float(jumps @ np.where((lo <= x) & (x <= hi), 0.0, J_tilde(c, x - 0.5 * c)))
 
 
 # ---------------------------------------------------------------------------
@@ -383,26 +390,23 @@ def prop31_decompose(lam: Partition, N: int) -> FunctionalReport:
                             lhs=lhs, residual=residual)
 
 
-def _check_admissible(prof: Profile, c: float) -> None:
-    """Conditions for the variational identity: L >= |X| (automatic for
-    diagram profiles) and strict L(X) < X + 1/c, i.e. fewer than N rows."""
-    cx, cy = prof.corners
-    slack = (cx + 1.0 / c) - cy
-    if float(np.min(slack)) <= 1e-12:
-        raise ValueError("profile touches the line X + 1/c (diagram has N rows); "
-                         "the identity requires strictly fewer rows")
-
-
 def prop41_identity(lam: Partition | Profile, N: int) -> tuple[float, float]:
     """Both sides of theta - rho = (1/2)||f||^2 + penalty, with c = sqrt(n)/N.
 
     Returns (lhs, rhs).  The left side uses the exact profile formulas; the
     right side is built from the Sobolev norm and the boundary penalty of
     f = L - Omega_c, so agreement is a genuine two-route check.
+
+    The domain is all of Y_N^n, diagrams with N rows included.  The profile
+    of one leaves |X| at -1/(2c), where ln(1 + 2cs) and H~_c' have their log
+    singularities, but no integration by parts behind either side needs it
+    strictly to the right: L - |s| vanishes linearly there, phi_1(0) =
+    phi_2(0) = 0, and H~_c and J~_c are continuous through the pole.  A
+    diagram with more than N rows reaches left of -1/(2c), and rho rejects
+    it with a ValueError.
     """
     prof = lam if isinstance(lam, Profile) else profile(lam)
     c = math.sqrt(prof.n) / N
-    _check_admissible(prof, c)
     lhs = theta_profile(prof) - rho(prof, c)
     f = profile_minus_shape(prof, c)
     rhs = sobolev_half_sq(f) + h_term(f, c)

@@ -110,15 +110,28 @@ def phi(k: int, x):
 
 
 
+def _arccosh1p(delta):
+    """arccosh(1 + delta) for delta >= 0, with no loss of digits near delta = 0."""
+    return np.log1p(delta + np.sqrt(delta * (2.0 + delta)))
+
+
 def _off_bulk(c: float, z, k: int):
     """The shared body of H_tilde, H_tilde_prime and J_tilde.
 
     Returns the mask |z| > 1; zo, which is z where the mask holds and 2
     elsewhere, so that every piece is finite and callers mask results back;
     arccosh|zo|; sign(zo) sqrt(zo^2 - 1); and sgn(1 - c) (zo + a)^k
-    arccosh|(1 + a zo)/(zo + a)| with a = (1+c^2)/(2c).  At the pole zo = -a
-    the last one takes its limit: 0 for k > 0, infinite for k = 0.  An
-    arccosh argument rounded below 1 counts as 1.
+    arccosh|q| with q = (1 + a zo)/(zo + a) and a = (1+c^2)/(2c).  At the
+    pole zo = -a the last one takes its limit: 0 for k > 0, infinite for k = 0.
+
+    Each arccosh argument, and the root, vanishes to first order at |z| = 1,
+    where J~ and H~ are sums of terms ~sqrt(|z| - 1) that cancel to
+    ~(|z| - 1)^{5/2} and ^{3/2}.  So each distance from 1 is formed as a
+    product of the factors that vanish there, never as a difference of
+    numbers near 1: |zo| - 1; |q| - 1 = (a - 1)(zo - 1)/(zo + a) where
+    q >= 0, that is where zo > 1 or zo < -a, and -(a + 1)(zo + 1)/(zo + a)
+    where q < 0; and (zo - 1)(zo + 1).  With a -+ 1 = (1 -+ c)^2/(2c), every
+    factor's sign is exact, so both quotients are >= 0.
     """
     _require_c(c, positive=True)
     z = np.asarray(z, dtype=float)
@@ -127,10 +140,12 @@ def _off_bulk(c: float, z, k: int):
     a = (1.0 + c * c) / (2.0 * c)
     d = zo + a
     with np.errstate(divide="ignore", invalid="ignore"):
-        inner = np.power(d, k) * np.arccosh(np.maximum(np.abs((1.0 + a * zo) / d), 1.0))
+        abs_q_minus_1 = np.where((zo > 1.0) | (d < 0.0), (1.0 - c) ** 2 * (zo - 1.0),
+                                 -(1.0 + c) ** 2 * (zo + 1.0)) / (2.0 * c * d)
+        inner = np.power(d, k) * _arccosh1p(abs_q_minus_1)
     inner = np.sign(1.0 - c) * np.where(d == 0.0, 0.0 if k else np.inf, inner)
-    root = np.copysign(np.sqrt(zo * zo - 1.0), zo)
-    return out, zo, np.arccosh(np.abs(zo)), root, inner
+    root = np.copysign(np.sqrt((zo - 1.0) * (zo + 1.0)), zo)
+    return out, zo, _arccosh1p(np.abs(zo) - 1.0), root, inner
 
 
 def H_tilde(c: float, z):
@@ -153,7 +168,7 @@ def H_tilde_second(c: float, z: float) -> float:
     if abs(z) <= 1.0:
         raise ValueError("H_tilde_second is defined for |z| > 1")
     a = (1.0 + c * c) / (2.0 * c)
-    return math.copysign(1.0, z) * (z + 1.0 / c) / ((a + z) * math.sqrt(z * z - 1.0))
+    return math.copysign(1.0, z) * (z + 1.0 / c) / ((a + z) * math.sqrt((z - 1.0) * (z + 1.0)))
 
 
 def G(c: float, s):

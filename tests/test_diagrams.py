@@ -195,8 +195,10 @@ class TestProfile:
         (1, (-1, 1, 2), (1, 2, 2)),    # slope 1/2, then 0
         (1, (-1, -1, 0, 1), (1, 1, 2, 1)),  # zero width
         (1, (1, 0, -1), (1, 2, 1)),    # negative width
+        (1, (-2, 0, 2), (2, 4, 2)),    # 4 cells, not 1
+        (4, (-1, 0, 1), (1, 2, 1)),    # 1 cell, not 4
     ], ids=["n0", "lengths", "one_point", "ends_off_axis", "slope", "zero_width",
-            "negative_width"])
+            "negative_width", "too_many_cells", "too_few_cells"])
     def test_bad_corners_rejected(self, n, xs, ys):
         with pytest.raises(ValueError):
             Profile(n, xs, ys)

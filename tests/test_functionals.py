@@ -283,8 +283,9 @@ def h_term_quadrature(f, c):
 def penalty_differences():
     """The profile differences f = L - Omega_c of the penalty tests, with c.
 
-    c runs from 0.15 to 2.12, over both branches of Omega_c.  The sample
+    c runs from 0.15 to 6.67, over both branches of Omega_c.  The sample
     plus 150 cells has n = 99^2, so c = 1 at N = 99 and 0.99 at N = 100.
+    The last three are seed-0 samples with N rows, at c = 3.95, 3.95 and 6.67.
     """
     sample = rsk.sample_schur_weyl(9651, 99, 1, 1)[0]
     long_row = Partition((sample.rows[0] + 150,) + sample.rows[1:])
@@ -292,6 +293,8 @@ def penalty_differences():
         ((9,), 2), ((12, 4), 3), ((40, 30, 2), 4), ((9,), 20), ((1,) * 5, 9),
         ((2,) * 6, 7), ((60, 40), 10), ((50, 30, 20), 9)]]
     cases += [(long_row, 99), (long_row, 100)]
+    cases += [(rsk.sample_schur_weyl(n, N, 0, 1)[0], N) for n, N in [(1000, 8), (4000, 16),
+                                                                     (400, 3)]]
     diffs = [(lam, math.sqrt(lam.n) / N) for lam, N in cases] + [(ULP_APART, 0.8)]
     return [(F.profile_minus_shape(profile(lam), c), c) for lam, c in diffs]
 
@@ -330,8 +333,6 @@ class TestHTerm:
         n, N = 100, 10
         c = 1.0
         for lam in rsk.sample_schur_weyl(n, N, seed=8, count=5):
-            if lam.height >= N:
-                continue
             f = F.profile_minus_shape(profile(lam), c)
             assert F.h_term(f, c) >= -1e-9
 
@@ -384,9 +385,18 @@ class TestVariationalIdentity:
             assert lhs == pytest.approx(rhs, abs=1e-7)
             assert lhs >= 0.0
 
-    def test_full_height_rejected(self):
+    def test_every_diagram_with_N_rows(self):
+        # Y_N^n's boundary: L leaves |X| at the pole -1/(2c); c runs from 0.35 to 4.47
+        cases = [(lam, N) for n in range(1, 21) for N in range(1, 9)
+                 for lam in exact.enumerate_diagrams(n, N) if lam.height == N]
+        assert len(cases) == 2098
+        for lam, N in cases:
+            lhs, rhs = F.prop41_identity(lam, N)
+            assert lhs == pytest.approx(rhs, abs=1e-9)
+
+    def test_more_than_N_rows_rejected(self):
         with pytest.raises(ValueError):
-            F.prop41_identity(Partition((1, 1)), 2)
+            F.prop41_identity(Partition((1, 1, 1)), 2)
 
 
 class TestLemmas:

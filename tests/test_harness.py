@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ytensor.diagrams import Partition
-from ytensor import checks, harness
+from ytensor.diagrams import Partition, profile
+from ytensor import checks, harness, rsk, shape
 from ytensor.harness import ExperimentConfig, main
 
 
@@ -141,6 +141,19 @@ class TestSubcommands:
         res = harness.cmd_biane(ExperimentConfig(n=400, c=1.0, samples=5, seed=1))
         assert all(0 < r["sup_distance"] < 0.5 for r in res.records)
         assert res.summary["count"] == 5
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    def test_biane_sup_is_the_corner_max(self, c):
+        # L - Omega_c is monotone between corners, so no grid point reads above them
+        cfg = ExperimentConfig(n=400, c=c, samples=4, seed=1)
+        res = harness.cmd_biane(cfg)
+        lo, hi = shape.shape_support(cfg.c_n)
+        for lam, rec in zip(rsk.sample_schur_weyl(cfg.n, cfg.resolved_N, 1, 4), res.records):
+            cx, cy = profile(lam).corners
+            assert rec["sup_distance"] == float(np.max(np.abs(cy - shape.omega_c(cfg.c_n, cx))))
+            grid = np.arange(min(cx[0], lo) - 0.5, max(cx[-1], hi) + 0.5, 1e-4)
+            on_grid = np.max(np.abs(profile(lam).evaluate(grid) - shape.omega_c(cfg.c_n, grid)))
+            assert rec["sup_distance"] >= on_grid - 1e-15
 
     def test_constants_csv(self, capsys):
         assert main(["constants", "--c-grid", "0,1,2"]) == 0
@@ -304,6 +317,12 @@ class TestVerifyAll:
 
     def test_deterministic(self, verify_all_report):
         assert harness.cmd_verify_all(seed=0) == verify_all_report
+
+    def test_variational_identity_on_N_row_samples(self, verify_all_report):
+        rows = {(ch["params"]["n"], ch["params"]["N"]): Partition.parse(ch["params"]["lam"])
+                for ch in verify_all_report["checks"] if ch["test"] == "variational_identity"}
+        assert {(100, 5), (64, 2)} <= set(rows)
+        assert rows[100, 5].height == 5 and rows[64, 2].height == 2
 
 
 class TestChiSquare:

@@ -204,6 +204,30 @@ class TestHGJ:
     def test_J_vanishes_inside(self):
         assert shape.J_tilde(0.7, 0.99) == 0.0
 
+    @pytest.mark.parametrize("c", [0.5, 2.0, 4.0, 6.0])
+    def test_accurate_next_to_the_bulk(self, c):
+        # J~ and H~ cancel terms ~sqrt(|z| - 1) down to ~(|z| - 1)^{5/2} and ^{3/2}
+        def closed_forms(z):
+            with mpmath.workdps(50):
+                cm, z = mpmath.mpf(c), mpmath.mpf(z)
+                a = (1 + cm * cm) / (2 * cm)
+                acz = mpmath.acosh(abs(z))
+                inner = mpmath.sign(1 - cm) * mpmath.acosh(abs((1 + a * z) / (z + a)))
+                root = mpmath.sign(z) * mpmath.sqrt(z * z - 1)
+                shift = z + (cm * cm - 1) / (2 * cm)
+                J = ((1 - 1 / (2 * cm * cm) + shift ** 2) * acz / 2
+                     + (1 - cm * cm - 3 * cm * z) / (4 * cm) * root + (z + a) ** 2 * inner / 2)
+                H = (z - (1 - cm * cm) / (2 * cm)) * acz + (z + a) * inner - root
+                return J, H, acz + inner, (z + 1 / cm) / ((a + z) * root)
+
+        for side in (1.0, -1.0):
+            for z in (np.nextafter(side, 2 * side), side * (1 + 1e-12), side * (1 + 1e-8)):
+                J, H, H_prime, H_second = closed_forms(z)
+                assert abs(shape.J_tilde(c, z) - J) <= 1e-18
+                assert abs(shape.H_tilde(c, z) - H) <= 1e-18
+                assert abs(shape.H_tilde_prime(c, z) - H_prime) <= 1e-13 * abs(H_prime)
+                assert abs(shape.H_tilde_second(c, z) - H_second) <= 1e-13 * abs(H_second)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             shape.H_tilde_prime(1.0, 0.5)
