@@ -3,7 +3,8 @@ powers: Young diagram combinatorics, exact measures, RSK samplers, limit
 shapes, the variational functionals, their verification checks and a CLI
 harness."""
 
-from .checks import lemma_A, lemma_F3, lemma_I, lemma_intIOmega, shape_curve
+from .checks import (lemma_A, lemma_F3, lemma_I, lemma_intIOmega, profile_minus_shape,
+                     shape_curve)
 from .diagrams import Cell, Partition, Profile, profile
 from .exact import (
     ExactDims,
@@ -24,7 +25,6 @@ from .functionals import (
     beta_constant,
     h_term,
     m_series,
-    profile_minus_shape,
     prop31_decompose,
     prop41_identity,
     rho,

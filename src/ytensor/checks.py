@@ -5,17 +5,24 @@ shape, exact); this module holds the second routes and the checks that pair
 the two.  No module of the production layers imports it.
 
 The identity families are sum_rules, measure_routes, chi_square,
-decomposition, variational_identity, minimizer_gap, gap_positivity, lemmas,
-sobolev_routes, derivatives, constants_and_series and hat_inequality.  Each
-yields one (test, params, lhs, rhs, tol, tags) tuple per check and takes its
-sizes and seed as parameters; the defaults are verify-all's sizes, and the
-acceptance tests run the same families at larger sizes.  run_checks turns
-the tuples into report records; harness.cmd_verify_all chains every family,
-plus p(100).
+decomposition, variational_identity, minimizer_gap, gap_positivity,
+penalty_nonnegative, lemmas, sobolev_routes, derivatives,
+constants_and_series and hat_inequality.  Each yields one (test, params,
+lhs, rhs, tol, tags) tuple per check and takes its sizes and seed as
+parameters; the defaults are verify-all's sizes, and the acceptance tests
+run the same families at larger sizes.  run_checks turns the tuples into
+report records; harness.cmd_verify_all chains every family, plus p(100).
 
 _schur_weyl_via_contents, the Plancherel measure times the product of
 (N + c)/N over the cells' contents c, is measure_routes' second route to the
 Schur-Weyl measure.
+
+The oracles read a function through a Curve: fn and prime as numpy
+callables, a support and the kinks where prime may jump.  shape_curve is
+Omega_c as one, and profile_minus_shape the difference L - Omega_c over
+the window of functionals.sobolev_half_sq, built from the profile's corners
+and Omega_c; the production functionals take the profile itself and never
+a Curve.
 
 The lemma_* functions check the closed forms of the auxiliary integrals (A,
 I_c, the phi_2 moment of Omega_c'' and the I-against-Omega' integral) by
@@ -27,40 +34,47 @@ defined.  That integrates the triangle t < s alone: the hook integral lives
 there, and the two Sobolev kernels are symmetric in (s, t).  The log kernel
 phi_0(s - t) goes in as it is, with its singularity at the end t = s of the
 inner panels, where tanh-sinh resolves it; so does lemma_I's single
-integral, split at s.  Lemma intIOmega's left side, the log energy of
-Omega_c' on the window, is an oracle built from phi_0's antiderivatives
-alone: off the bulk Omega_c' is +-1, so that part's energy is -E and its
-cross term with the bulk one tanh-sinh call, and only the bulk's own energy
-is a nested quadrature, by the generic log-kernel route.  _rho_curve, rho of
-a Curve, is lemma A's quadrature side and the oracle for rho.
+integral, split at s and, as alpha_c and lemma F3 are, at multiples of
+|1 - c| past the bulk's left end, where Omega_c' turns near c = 1.  Lemma
+intIOmega's left side, the log energy of Omega_c' on the window, is an
+oracle built from phi_0's antiderivatives alone: off the bulk Omega_c' is
++-1, so that part's energy is -E and its cross term with the bulk one
+tanh-sinh call, and only the bulk's own energy is a nested quadrature, by
+the generic log-kernel route.  _rho_curve, rho of a Curve, is lemma A's
+quadrature side and the oracle for rho.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from typing import Callable
 
 import mpmath
 import numpy as np
 
 from . import exact, functionals, rsk, shape
-from .diagrams import Partition, profile
+from .diagrams import Partition, Profile, profile
 from .functionals import (
     _TURN_SCALES,
-    Curve,
+    _corner_jumps,
     _int_I_omega_closed,
     _lemma_A_closed,
     _lemma_F3_closed,
     _lemma_I_closed,
     _log_energy,
+    _window,
 )
 from .quadrature import nested_tanh_sinh, tanh_sinh
 from .shape import _require_c, omega_c, omega_c_prime, phi, shape_breakpoints, shape_support
 
 __all__ = [
+    "Curve",
     "shape_curve",
+    "profile_minus_shape",
     "lemma_A",
     "lemma_I",
     "lemma_F3",
@@ -74,6 +88,7 @@ __all__ = [
     "minimizer_gap",
     "variational_identity",
     "gap_positivity",
+    "penalty_nonnegative",
     "lemmas",
     "sobolev_routes",
     "derivatives",
@@ -103,6 +118,19 @@ def _schur_weyl_via_contents(lam: Partition, N: int) -> Fraction:
     return exact.plancherel(lam).value * prod
 
 
+@dataclass(frozen=True)
+class Curve:
+    """A piecewise-smooth function for the quadrature routes; fn and prime act
+    elementwise on numpy arrays.  Outside support fn vanishes for
+    profile_minus_shape and is |s| for shape_curve; prime may jump only at
+    kinks."""
+
+    fn: Callable[[np.ndarray], np.ndarray]
+    prime: Callable[[np.ndarray], np.ndarray]
+    support: tuple[float, float]
+    kinks: tuple[float, ...]
+
+
 def shape_curve(c: float) -> Curve:
     """Omega_c as a Curve (support where it differs from |s|, kinks at branch points)."""
     lo, hi = shape_support(c)
@@ -113,6 +141,19 @@ def shape_curve(c: float) -> Curve:
         support=(lo, hi),
         kinks=tuple(sorted(set(kinks))),
     )
+
+
+def profile_minus_shape(prof: Profile, c: float) -> Curve:
+    """The difference f = L - Omega_c as a Curve over functionals' window [a, b],
+    outside which f vanishes; kinks at the corners, the shape's breakpoints
+    and 0."""
+    cx, d = _corner_jumps(prof)
+    a, b = _window(prof, c)
+    lp = np.cumsum(np.concatenate(([-1.0], d)))  # L' left of cx[0], on each piece, right of it
+    kinks = sorted(set(cx.tolist()) | set(shape_breakpoints(c)) | {0.0})
+    return Curve(fn=lambda s: prof.evaluate(s) - omega_c(c, s),
+                 prime=lambda s: lp[np.searchsorted(cx, s, side="right")] - omega_c_prime(c, s),
+                 support=(a, b), kinks=tuple(k for k in kinks if a < k < b))
 
 
 def _theta_curve(L: Curve) -> float:
@@ -185,10 +226,17 @@ def lemma_A(c: float) -> tuple[float, float]:
 
 
 def lemma_I(c: float, s: float, a: float, b: float) -> tuple[float, float]:
-    """I_c(s) = int_a^b phi_0(s-t) Omega_c'(t) dt, quadrature vs closed form."""
+    """I_c(s) = int_a^b phi_0(s-t) Omega_c'(t) dt, quadrature vs closed form.
+
+    Near c = 1 Omega_c' turns just right of the bulk's left end, within
+    ~(1 - c)^2 of it; breakpoints at c/2 - 1 + k|1 - c| shorten the panels
+    around the turn.  At c = 0.99 and 1.01 they take the error at s = c/2 and
+    c/2 + 1.2 from up to 2.7e-9 to at most 1.1e-12.
+    """
     if not a < s < b:
         raise ValueError("s must lie in (a, b)")
-    pts = tuple(shape_breakpoints(c)) + (0.0, s)
+    turns = (0.5 * c - 1.0 + k * abs(1.0 - c) for k in _TURN_SCALES)
+    pts = (*shape_breakpoints(c), 0.0, s, *turns)
     val = tanh_sinh(lambda t: _phi0_off_diagonal(s - t) * omega_c_prime(c, t), a, b, pts)
     return val, _lemma_I_closed(c, s, a, b)
 
@@ -341,6 +389,20 @@ def gap_positivity(n=100, N=10, count=10, seed=3):
     yield "gap_nonnegative", {"n": n, "N": N}, min(worst, 0.0), 0.0, 1e-9, ("gap-positivity",)
 
 
+def penalty_nonnegative(cases=(((9,), 2), ((12, 4), 3), ((40, 30, 2), 4), ((9,), 20),
+                                ((1,) * 5, 9), ((2,) * 6, 7), ((60, 40), 10), ((50, 30, 20), 9))):
+    """The boundary penalty h_term >= -1e-9 on fixed diagrams (rows, N) with corners
+    off the bulk, c from 0.15 to 2.12, and above 1e-3 on at least one of them:
+    sampled diagrams keep their corners near Omega_c, and their penalty is
+    nearly always exactly 0."""
+    h = [functionals.h_term(profile(Partition(rows)), math.sqrt(sum(rows)) / N)
+         for rows, N in cases]
+    yield ("penalty_nonnegative", {"count": len(h)}, min(min(h), 0.0), 0.0, 1e-9,
+           ("penalty-nonnegative",))
+    yield ("penalty_nonvacuous", {"count": len(h)}, max(h), max(h) if max(h) > 1e-3 else -1.0,
+           0.0, ("penalty-nonnegative",))
+
+
 def lemmas(c_grid):
     """Lemmas A, I, F3 and intIOmega: quadrature against closed form at each c."""
     for c in c_grid:
@@ -355,9 +417,10 @@ def lemmas(c_grid):
 
 def sobolev_routes():
     """The nested difference quotient against the closed-form Sobolev norm of L - Omega_1."""
-    f = functionals.profile_minus_shape(profile(Partition((1,))), 1.0)
-    yield ("sobolev_routes", {"lam": "1", "c": 1.0}, _sobolev_quotient(f),
-           functionals.sobolev_half_sq(f), 1e-6, ("sobolev-half-norm",))
+    prof = profile(Partition((1,)))
+    yield ("sobolev_routes", {"lam": "1", "c": 1.0},
+           _sobolev_quotient(profile_minus_shape(prof, 1.0)),
+           functionals.sobolev_half_sq(prof, 1.0), 1e-6, ("sobolev-half-norm",))
 
 
 def derivatives(cs=(0.5, 2.0), zs=(1.7,), ss=(0.3,)):

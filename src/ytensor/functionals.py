@@ -26,12 +26,15 @@ L - Omega_c the energy E on the window, the antiderivative of lemma I at the
 corners and lemma intIOmega's reduction of the shape self-energy.
 That reduction is one tanh-sinh call over the array-valued G and H, and so
 is alpha_c, in angle variables.  The boundary penalty takes no quadrature:
-J~_c and H~_c vanish on the bulk, so it is a sum over the kinks of
-L - Omega_c of J~_c times the jumps of its slope.  theta(Omega_c) is
--2 A(c), lemma A's closed form, since Omega_c minimizes theta - rho with
-gap 0.  No route here takes a nested quadrature: the independent oracles
-for these closed forms, and the lemma_* pairs of quadrature and closed form,
-live in ytensor.checks.
+J~_c and H~_c vanish on the bulk, and off it Omega_c is |s| but for the
+line X + 1/c when c > 1, so the penalty is a sum of J~_c over the corners
+off the bulk plus one term at the pole -1/(2c).  So every functional of a
+diagram takes (Profile, c) and reads the profile only through
+_corner_jumps, which rejects anything else with a TypeError.
+theta(Omega_c) is -2 A(c), lemma A's closed form, since Omega_c minimizes
+theta - rho with gap 0.  No route here takes a nested quadrature: the
+independent oracles for these closed forms, L - Omega_c as a generic Curve,
+and the lemma_* pairs of quadrature and closed form live in ytensor.checks.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -51,7 +53,6 @@ from .shape import (
     H_tilde,
     J_tilde,
     _require_c,
-    omega_c,
     omega_c_prime,
     phi,
     shape_breakpoints,
@@ -60,8 +61,6 @@ from .shape import (
 
 __all__ = [
     "FunctionalReport",
-    "Curve",
-    "profile_minus_shape",
     "default_window",
     "theta_profile",
     "theta_shape",
@@ -96,19 +95,6 @@ class FunctionalReport:
     residual: float
 
 
-@dataclass(frozen=True)
-class Curve:
-    """A piecewise-smooth function bundle for the quadrature routes; fn and
-    prime act elementwise on numpy arrays.  Outside support fn vanishes for
-    a difference such as profile_minus_shape and is |s| for a profile or
-    checks.shape_curve; prime may jump only at kinks."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    prime: Callable[[np.ndarray], np.ndarray]
-    support: tuple[float, float]
-    kinks: tuple[float, ...]
-
-
 def default_window(c: float) -> tuple[float, float]:
     """Default integration window [a, b] strictly containing the shape support."""
     _require_c(c, positive=True)
@@ -124,8 +110,11 @@ def _corner_jumps(prof: Profile) -> tuple[np.ndarray, np.ndarray]:
     """Scaled corners x_k of a profile and the jumps d_k of L' there.
 
     L' is -1 left of the profile and +1 right of it, so L'' = sum d_k delta_{x_k}
-    with every d_k = +-2 and sum d_k = 2.
+    with every d_k = +-2 and sum d_k = 2.  The one type check of the layer:
+    a functional of a diagram takes a Profile, never a checks.Curve.
     """
+    if not isinstance(prof, Profile):
+        raise TypeError("the functionals of a diagram take a Profile")
     x, y = prof.corners
     return x, np.diff(np.concatenate(([-1.0], np.sign(np.diff(y)), [1.0])))
 
@@ -188,12 +177,10 @@ def rho(L: Profile, c_n: float) -> float:
     the integrand is nonzero; a corner at -u (a diagram with N rows)
     contributes phi_2(0) = 0.
     """
-    if not isinstance(L, Profile):
-        raise TypeError("rho takes a Profile")
+    x, d = _corner_jumps(L)
     _require_c(c_n)
     if c_n == 0.0:
         return 0.0
-    x, d = _corner_jumps(L)
     u = 0.5 / c_n
     if x[0] < -u - 1e-9:
         raise ValueError("profile support extends below -1/(2c); rho is undefined")
@@ -267,38 +254,14 @@ def rho_hat(lam: Partition, N: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _ProfileMinusShape(Curve):
-    """L_lambda - Omega_c with the pieces kept for the semi-analytic route."""
-
-    prof: Profile
-    c: float
-
-
-def profile_minus_shape(prof: Profile, c: float) -> _ProfileMinusShape:
-    """The difference f = L - Omega_c as a Curve over a window [a, b].
-
-    The window is default_window(c) widened on the right so that f vanishes
-    outside it (required by both Sobolev routes and the penalty term).
-    """
-    _require_c(c, positive=True)
-    cx, d = _corner_jumps(prof)
-    a, b0 = default_window(c)
-    b = max(b0, float(cx[-1]) + 0.5)
-    if a > float(cx[0]) - 1e-12:
+def _window(prof: Profile, c: float) -> tuple[float, float]:
+    """The window [a, b] outside which L - Omega_c vanishes: default_window(c),
+    widened on the right to half a unit past the profile's last corner."""
+    x, _ = _corner_jumps(prof)
+    a, b = default_window(c)
+    if a > float(x[0]) - 1e-12:
         raise ValueError("profile support reaches the left end of the default window")
-    lp = np.cumsum(np.concatenate(([-1.0], d)))  # L' left of cx[0], on each piece, right of it
-
-    def fn(s):
-        return prof.evaluate(s) - omega_c(c, s)
-
-    def prime(s):
-        return lp[np.searchsorted(cx, s, side="right")] - omega_c_prime(c, s)
-
-    kinks = sorted(set(cx.tolist()) | set(shape_breakpoints(c)) | {0.0})
-    return _ProfileMinusShape(fn=fn, prime=prime, support=(a, b),
-                              kinks=tuple(k for k in kinks if a < k < b),
-                              prof=prof, c=c)
+    return a, max(b, float(x[-1]) + 0.5)
 
 
 def _lemma_I_antiderivative(c: float, e, a: float, b: float):
@@ -310,61 +273,55 @@ def _lemma_I_antiderivative(c: float, e, a: float, b: float):
             - (1.0 - c * c) * e / (2.0 * c) - J_tilde(c, e - 0.5 * c))
 
 
-def sobolev_half_sq(f: Curve) -> float:
-    """(1/2) ||f||^2_{1/2} for a profile-minus-shape difference f = L - Omega_c.
+def sobolev_half_sq(prof: Profile, c: float) -> float:
+    """(1/2) ||f||^2_{1/2} for the profile-minus-shape difference f = L - Omega_c.
 
     The log-kernel form -iint ln|2(s-t)| f'(s) f'(t) is evaluated in closed
     form: f'f' expands into three terms, none by nested quadrature.  Take L'
-    on the window [a, b] and 0 outside it: its jumps are d_bar = [-1, d, -1]
-    at x_bar = [a, x, b].  The L'L' term is -E(x_bar, d_bar); the cross term
-    is sum d_bar_k K(x_bar_k), with K the antiderivative of lemma I's closed
-    form (its constant of integration cancels, since sum d_bar_k = 0); and the
-    shape self-energy is -int I_c Omega_c', lemma intIOmega's closed reduction.
+    on the window [a, b] of _window and 0 outside it: its jumps are
+    d_bar = [-1, d, -1] at x_bar = [a, x, b].  The L'L' term is
+    -E(x_bar, d_bar); the cross term is sum d_bar_k K(x_bar_k), with K the
+    antiderivative of lemma I's closed form (its constant of integration
+    cancels, since sum d_bar_k = 0); and the shape self-energy is
+    -int I_c Omega_c', lemma intIOmega's closed reduction.
 
     The nested oracles checks._sobolev_quotient (the difference quotient over
     the plane) and checks._sobolev_logkernel_generic (the log-kernel form
-    itself, on the triangle t < s) take any Curve; the Fourier symbols
-    coincide since int f' = 0.
+    itself, on the triangle t < s) take f as checks.profile_minus_shape; the
+    Fourier symbols coincide since int f' = 0.
     """
-    if not isinstance(f, _ProfileMinusShape):
-        raise TypeError("sobolev_half_sq takes a profile_minus_shape difference")
-    a, b = f.support
-    x, d = _corner_jumps(f.prof)
+    x, d = _corner_jumps(prof)
+    a, b = _window(prof, c)
     xw = np.concatenate(([a], x, [b]))
     dw = np.concatenate(([-1.0], d, [-1.0]))
-    s_lo = float(dw @ _lemma_I_antiderivative(f.c, xw, a, b))
-    return -_log_energy(xw, dw) + 2.0 * s_lo + _int_I_omega_closed(f.c, a, b)
+    s_lo = float(dw @ _lemma_I_antiderivative(c, xw, a, b))
+    return -_log_energy(xw, dw) + 2.0 * s_lo + _int_I_omega_closed(c, a, b)
 
 
-def h_term(f: Curve, c: float) -> float:
-    """Boundary penalty 2 int_{|s - c/2| > 1} H'_c(s - c/2) f(s) ds, as a sum over kinks.
+def h_term(prof: Profile, c: float) -> float:
+    """Boundary penalty 2 int_{|s - c/2| > 1} H'_c(s - c/2) f(s) ds of f = L - Omega_c,
+    as a sum over the profile's corners off the bulk and the pole:
+
+        h = 2 sum_{x_k off [c/2 - 1, c/2 + 1]} d_k J~_c(x_k - c/2)
+            - 4 J~_c(-1/(2c) - c/2) [c > 1].
 
     H~_c and its antiderivative J~_c vanish on the bulk |z| <= 1, ends
-    included, and f vanishes outside its support, so two integrations by
-    parts give 2 int H~_c' f = -2 int H~_c f' = 2 int J~_c f'' with no
-    boundary terms.  Off the bulk f'' is a sum of point masses at the kinks
-    x_k, each the jump of f' there:
-
-        h = 2 sum_k J~_c(x_k - c/2) (f'(x_k+) - f'(x_k-)).
-
-    The x_k are the support ends, f.kinks, the bulk edges c/2 +- 1 and the
-    pole -1/(2c); f' is read once between each pair of neighbours and taken
-    as 0 outside the support.  Requires f to be linear between those points
-    off the bulk, as every profile difference is; inside the bulk J~_c = 0
-    and f may be anything.  J~_c is taken as 0 at every x_k in the bulk,
-    its edges included, by x_k itself: at an edge x_k - c/2 may round to
-    an ulp outside +-1.  The pole is a kink of L - Omega_c for
-    c > 1, and the left end of a diagram with N rows; J~_c and H~_c are
-    continuous through it, so its point mass is read like any other.
+    included, and f and f' vanish beyond both ends of f, so two integrations
+    by parts on each side of the bulk give 2 int H~_c' f = 2 int J~_c f''
+    with no boundary terms.  Off the bulk f'' = L'' - Omega_c'': L'' is the
+    point masses d_k at the corners x_k, and Omega_c is |s| there but for
+    the line X + 1/c on [-1/(2c), c/2 - 1] when c > 1, whose only kink off
+    the bulk is the slope's jump of +2 at the pole -1/(2c).  J~_c is taken
+    as 0 at every x_k in the bulk, its edges included, by x_k itself: at an
+    edge x_k - c/2 may round to an ulp outside +-1.  The pole is the left
+    end of a diagram with N rows; J~_c is continuous through it, so such a
+    corner's point mass is read like any other.
     """
+    x, d = _corner_jumps(prof)
     _require_c(c, positive=True)
-    a, b = f.support
-    lo, hi = 0.5 * c - 1.0, 0.5 * c + 1.0
-    x = np.unique([a, b, *f.kinks, lo, hi, -0.5 / c])
-    mid = 0.5 * (x[:-1] + x[1:])
-    fprime = np.where((a < mid) & (mid < b), f.prime(mid), 0.0)
-    jumps = np.diff(np.concatenate(([0.0], fprime, [0.0])))
-    return 2.0 * float(jumps @ np.where((lo <= x) & (x <= hi), 0.0, J_tilde(c, x - 0.5 * c)))
+    off = (x < 0.5 * c - 1.0) | (0.5 * c + 1.0 < x)
+    pole = 4.0 * J_tilde(c, -0.5 / c - 0.5 * c) if c > 1.0 else 0.0
+    return 2.0 * float(d[off] @ J_tilde(c, x[off] - 0.5 * c)) - pole
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +364,7 @@ def prop41_identity(lam: Partition | Profile, N: int) -> tuple[float, float]:
     """
     prof = lam if isinstance(lam, Profile) else profile(lam)
     c = math.sqrt(prof.n) / N
-    lhs = theta_profile(prof) - rho(prof, c)
-    f = profile_minus_shape(prof, c)
-    rhs = sobolev_half_sq(f) + h_term(f, c)
-    return lhs, rhs
+    return theta_profile(prof) - rho(prof, c), sobolev_half_sq(prof, c) + h_term(prof, c)
 
 
 # ---------------------------------------------------------------------------

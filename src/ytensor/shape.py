@@ -108,8 +108,6 @@ def phi(k: int, x):
     return _result(np.where(x == 0.0, 0.0, out))
 
 
-
-
 def _arccosh1p(delta):
     """arccosh(1 + delta) for delta >= 0, with no loss of digits near delta = 0."""
     return np.log1p(delta + np.sqrt(delta * (2.0 + delta)))

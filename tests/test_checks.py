@@ -14,12 +14,13 @@ import pytest
 
 import ytensor
 from ytensor import checks, functionals, harness, quadrature, rsk
+from ytensor.diagrams import Partition, profile
 from ytensor.harness import ExperimentConfig
 
 SRC = Path(ytensor.__file__).parent
 PRODUCTION = ("functionals", "exact", "shape", "rsk", "diagrams")
 LEMMAS = ("lemma_A", "lemma_I", "lemma_F3", "lemma_intIOmega")
-MOVED = ("shape_curve",) + LEMMAS
+MOVED = ("Curve", "shape_curve", "profile_minus_shape") + LEMMAS
 MODULES = sorted(info.name for info in pkgutil.iter_modules(ytensor.__path__))
 
 
@@ -83,7 +84,9 @@ class TestOneRoutePerQuantity:
     GONE = {"slopes", "x0", "profile_from_slopes", "area_above_axis", "to_partition",
             "corner_csv", "omega_c_second",
             # the N-row carve-out of the variational identity and biane's grid
-            "_check_admissible", "BIANE_GRID_STEP", "grid_step"}
+            "_check_admissible", "BIANE_GRID_STEP", "grid_step",
+            # the Curve subclass that carried a profile into the penalty
+            "_ProfileMinusShape"}
 
     def test_no_module_names_what_is_gone(self):
         found = {module: sorted(self.GONE & named_anywhere(syntax_tree(module)))
@@ -100,6 +103,18 @@ class TestOneRoutePerQuantity:
     def test_content_route_of_the_measure_is_an_oracle(self):
         assert "schur_weyl_via_contents" not in defined(syntax_tree("exact"))
         assert "_schur_weyl_via_contents" in defined(syntax_tree("checks"))
+
+    def test_functionals_of_a_diagram_take_a_profile(self):
+        # L - Omega_c as a generic Curve is an oracle's input, never a production one's
+        assert {"Curve", "profile_minus_shape"} <= defined(syntax_tree("checks"))
+        assert not {"Curve", "profile_minus_shape"} & defined(syntax_tree("functionals"))
+        curve = checks.profile_minus_shape(profile(Partition((2, 1))), 1.0)
+        for call in (lambda: functionals.theta_profile(curve),
+                     lambda: functionals.rho(curve, 1.0),
+                     lambda: functionals.sobolev_half_sq(curve, 1.0),
+                     lambda: functionals.h_term(curve, 1.0)):
+            with pytest.raises(TypeError, match="take a Profile"):
+                call()
 
     def test_one_schur_weyl_batch_path(self):
         assert not {"_word_lengths", "rsk_shapes_from_words"} & defined(syntax_tree("rsk"))
@@ -161,6 +176,7 @@ class TestMovedNames:
 
     def test_package_exports_shape_curve_from_checks(self):
         assert ytensor.shape_curve is checks.shape_curve
+        assert ytensor.profile_minus_shape is checks.profile_minus_shape
 
     def test_unknown_functionals_attribute_raises(self):
         with pytest.raises(AttributeError):

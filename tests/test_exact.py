@@ -136,6 +136,37 @@ class TestMeasures:
                 exact.neg_log_measure_scaled(lam, 0)
 
 
+def content_moments(measure, n, N):
+    """E sum c, E sum c^2 and Var sum c over Y_N^n, the contents c = j - i of the
+    cells, as exact rationals under measure(lam)."""
+    m1 = m2 = sq = Fraction(0)
+    for lam in exact.enumerate_diagrams(n, N):
+        p = measure(lam).value
+        contents = exact.shifted_contents(lam, 0)
+        m1 += p * sum(contents)
+        m2 += p * sum(x * x for x in contents)
+        sq += p * sum(contents) ** 2
+    return m1, m2, sq - m1 * m1
+
+
+class TestContentMoments:
+    """The exact content moments of the Schur-Weyl and Plancherel measures, which
+    a sampler's law at large n can be checked against."""
+
+    @pytest.mark.parametrize("n, N", [(6, 2), (7, 3), (9, 4), (10, 5), (12, 3)])
+    def test_schur_weyl(self, n, N):
+        mean, sq_mean, var = content_moments(lambda lam: exact.schur_weyl_measure(lam, N), n, N)
+        assert mean == Fraction(n * (n - 1), 2 * N)
+        assert sq_mean == Fraction(n * (n - 1) * (n - 2), 3 * N * N) + Fraction(n * (n - 1), 2)
+        assert var == Fraction(n * (n - 1), 2) * (1 - Fraction(1, N * N))
+
+    @pytest.mark.parametrize("n", [6, 9, 11])
+    def test_plancherel(self, n):
+        # the limit N -> infinity of the Schur-Weyl moments
+        assert content_moments(exact.plancherel, n, n) == (0, Fraction(n * (n - 1), 2),
+                                                           Fraction(n * (n - 1), 2))
+
+
 class TestEnumeration:
     def test_counts_match_partition_function(self):
         for n in [1, 4, 7, 10]:

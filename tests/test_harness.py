@@ -300,7 +300,7 @@ EXPECTED_COVERAGE = {
     "lemma-A", "lemma-I", "lemma-F3", "lemma-intIOmega",
     "sobolev-half-norm", "H-function", "J-function", "G-function",
     "limit-shape", "alpha-constant", "beta-constant", "m-series",
-    "power-series-identity", "hat-inequality", "partition-function",
+    "power-series-identity", "hat-inequality", "partition-function", "penalty-nonnegative",
 }
 
 
@@ -321,8 +321,14 @@ class TestVerifyAll:
     def test_variational_identity_on_N_row_samples(self, verify_all_report):
         rows = {(ch["params"]["n"], ch["params"]["N"]): Partition.parse(ch["params"]["lam"])
                 for ch in verify_all_report["checks"] if ch["test"] == "variational_identity"}
-        assert {(100, 5), (64, 2)} <= set(rows)
-        assert rows[100, 5].height == 5 and rows[64, 2].height == 2
+        assert {(100, 5), (64, 2), (36, 4)} <= set(rows)
+        assert rows[100, 5].height == 5 and rows[64, 2].height == 2 and rows[36, 4].height == 4
+
+    def test_penalty_records_are_not_vacuous(self, verify_all_report):
+        recs = {ch["test"]: ch for ch in verify_all_report["checks"]
+                if ch["test"].startswith("penalty_")}
+        assert set(recs) == {"penalty_nonnegative", "penalty_nonvacuous"}
+        assert recs["penalty_nonvacuous"]["lhs"] > 1e-3 and all(r["pass"] for r in recs.values())
 
 
 class TestChiSquare:
