@@ -173,28 +173,17 @@ def enumerate_diagrams(n: int, N: int) -> Iterator[Partition]:
     while True:
         yield Partition(tuple(cur))
         # Successor in decreasing lex order among partitions with at most N
-        # parts: find the rightmost position whose part can be decremented
-        # while the remaining cells still fit into the allowed part count.
-        nxt: list[int] | None = None
+        # parts: lower the rightmost part that can lose a cell while the cells
+        # from it on still fit in N - idx parts of the lowered size (a part of
+        # 1 never fits, as its cap is 0), and refill greedily.
         for idx in range(len(cur) - 1, -1, -1):
             cap = cur[idx] - 1
-            if cap < 1:
-                continue
             rest = sum(cur[idx:])
-            parts_needed = -(-rest // cap)  # ceil
-            if idx + parts_needed > N:
-                continue
-            tail = []
-            remaining = rest
-            while remaining > 0:
-                take = min(cap, remaining)
-                tail.append(take)
-                remaining -= take
-            nxt = cur[:idx] + tail
-            break
-        if nxt is None:
+            if rest <= cap * (N - idx):
+                break
+        else:
             return
-        cur = nxt
+        cur = cur[:idx] + [cap] * (rest // cap) + ([rest % cap] if rest % cap else [])
 
 
 def _rademacher_terms(n: int) -> int:

@@ -347,7 +347,7 @@ def prop31_decompose(lam: Partition, N: int) -> FunctionalReport:
                             lhs=lhs, residual=residual)
 
 
-def prop41_identity(lam: Partition | Profile, N: int) -> tuple[float, float]:
+def prop41_identity(lam: Partition, N: int) -> tuple[float, float]:
     """Both sides of theta - rho = (1/2)||f||^2 + penalty, with c = sqrt(n)/N.
 
     Returns (lhs, rhs).  The left side uses the exact profile formulas; the
@@ -362,8 +362,8 @@ def prop41_identity(lam: Partition | Profile, N: int) -> tuple[float, float]:
     diagram with more than N rows reaches left of -1/(2c), and rho rejects
     it with a ValueError.
     """
-    prof = lam if isinstance(lam, Profile) else profile(lam)
-    c = math.sqrt(prof.n) / N
+    prof = profile(lam)
+    c = math.sqrt(lam.n) / N
     return theta_profile(prof) - rho(prof, c), sobolev_half_sq(prof, c) + h_term(prof, c)
 
 

@@ -57,12 +57,15 @@ __all__ = [
 ENUMERATION_CAP = 40
 SHAPE_GRID_CAP = 10 ** 6
 SAMPLING_CAP = 10 ** 6
-# n above which dims and sample --measure plancherel are refused.  Both run
-# per-cell Python work that grows faster than n: one Plancherel sample took
-# 0.15 s at n = 1e4, 5.5 s at 1e5 and 47 s at 3e5 (its per-letter bisect loop
-# grows like n**1.5), and dims took 0.22 s at n = 1e4, 1.9 s at 3e4 and 22 s
-# at 1e5.  At this cap they take at most about the 22-27 s of a Schur-Weyl
-# run at SAMPLING_CAP.
+# n above which dims and sample --measure plancherel are refused; both grow
+# faster than n.  One Plancherel sample took 0.15 s at n = 1e4, 5.5 s at 1e5
+# and 47 s at 3e5 (its per-letter bisect loop grows like n**1.5).  dims took
+# 0.22 s at n = 1e4, 1.9 s at 3e4 and 22 s at 1e5, but not in per-cell work:
+# on a seed-0 sample at n = 3e4, N = 173 the hook lists took 0.05 s of 1.4 s.
+# The rest is arithmetic on n!-sized integers (divmods, math.prod, Fraction
+# gcds, factorials, Decimal printing), since exact_dims, plancherel and
+# schur_weyl_measure each recompute the hook product and n!/H.  At this cap
+# they take at most about the 22-27 s of a Schur-Weyl run at SAMPLING_CAP.
 CELL_LOOP_CAP = 10 ** 5
 
 
@@ -113,12 +116,6 @@ class ExperimentResult:
     records: list[dict] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     passed: bool = True
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"records": self.records, "summary": self.summary, "passed": self.passed},
-            indent=2, sort_keys=True,
-        )
 
 
 def summarize(values: list[float]) -> dict:
@@ -426,7 +423,8 @@ def _result_text(res: ExperimentResult, fmt: str | None) -> str:
         tail = {**res.summary, "passed": res.passed}
         return (_csv_table(list(res.records[0]), (r.values() for r in res.records))
                 + "# " + ", ".join(f"{k}={v!r}" for k, v in tail.items()) + "\n")
-    return res.to_json() + "\n"
+    return json.dumps({"records": res.records, "summary": res.summary, "passed": res.passed},
+                      indent=2, sort_keys=True) + "\n"
 
 
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -442,37 +440,30 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(_with_config(argv, config) if config else argv)
         if args.config != config:
             parser.error("--config must be spelled out in full")
+        passed = True
         if args.command == "dims":
-            _emit(cmd_dims(Partition.parse(args.lam), args.N), args.out)
-            return 0
-        if args.command == "enumerate":
+            text = cmd_dims(Partition.parse(args.lam), args.N)
+        elif args.command == "enumerate":
             text, passed = cmd_enumerate(args.n, args.N, args.fmt or "csv")
-            _emit(text, args.out)
-            return 0 if passed else 1
-        if args.command == "sample":
+        elif args.command == "sample":
             if args.measure == "plancherel" and args.N is None and args.c is None:
                 args.N = 1  # the Plancherel sampler has no alphabet; N goes unused
-            _emit(cmd_sample(_experiment_config(args), args.measure), args.out)
-            return 0
-        if args.command == "bounds":
+            text = cmd_sample(_experiment_config(args), args.measure)
+        elif args.command == "bounds":
             res = cmd_bounds(_experiment_config(args), slack=args.slack)
-            _emit(_result_text(res, args.fmt), args.out)
-            return 0 if res.passed else 1
-        if args.command == "biane":
-            res = cmd_biane(_experiment_config(args))
-            _emit(_result_text(res, args.fmt), args.out)
-            return 0
-        if args.command == "constants":
+            text, passed = _result_text(res, args.fmt), res.passed
+        elif args.command == "biane":  # reports distances and verifies nothing
+            text = _result_text(cmd_biane(_experiment_config(args)), args.fmt)
+        elif args.command == "constants":
             grid = [float(x) for x in args.c_grid.split(",") if x.strip()]
-            _emit(cmd_constants(grid, args.fmt or "csv"), args.out)
-            return 0
-        if args.command == "emit-shape":
-            _emit(cmd_emit_shape(args.c, step=args.step), args.out)
-            return 0
-        # verify-all: the subcommand is required, so no other value gets here
-        report = cmd_verify_all(seed=args.seed)
-        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
-        return 0 if report["passed"] else 1
+            text = cmd_constants(grid, args.fmt or "csv")
+        elif args.command == "emit-shape":
+            text = cmd_emit_shape(args.c, step=args.step)
+        else:  # verify-all: the subcommand is required, so no other value gets here
+            report = cmd_verify_all(seed=args.seed)
+            text, passed = json.dumps(report, indent=2, sort_keys=True) + "\n", report["passed"]
+        _emit(text, args.out)
+        return 0 if passed else 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

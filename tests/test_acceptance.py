@@ -4,6 +4,8 @@ import hashlib
 import math
 from itertools import chain
 
+import pytest
+
 from ytensor import checks, exact, functionals as F, harness, rsk, shape
 
 
@@ -118,3 +120,29 @@ def test_acceptance_10_partition_asymptotics():
     gaps = [beta - v for v in vals]
     ok = ok and all(a > b for a, b in zip(gaps, gaps[1:]))
     report(10, "p(100) and p(10^5) exact; ln p(n)/sqrt(n) increases toward 2 pi / sqrt(6)", ok)
+
+
+def content_sum(lam) -> int:
+    """The sum of the contents j - i of the cells of lam, one row at a time."""
+    return sum(r * (r + 1) // 2 - i * r for i, r in enumerate(lam, start=1))
+
+
+# The mean and variance of the content sum are exact at every n: n(n - 1)/(2N)
+# and n(n - 1)/2 (1 - 1/N^2) under Schur-Weyl, 0 and n(n - 1)/2 under Plancherel
+# (tests/test_exact.py::TestContentMoments checks them over all of Y_N^n).
+# At N = 2^31 + 11 about half the letter draws are rejected, so most words
+# take the sampler's redraw path through their own Generator.
+@pytest.mark.parametrize("n, N, count", [
+    (10 ** 3, 32, 200), (10 ** 4, 100, 50), (3 * 10 ** 4, 173, 10), (300, 10 ** 5, 200),
+    (6, 2 ** 31 + 11, 2 * 10 ** 4), (10 ** 3, None, 50),
+])
+def test_acceptance_11_content_mean(n, N, count):
+    if N is None:
+        samples, mean, var = rsk.sample_plancherel(n, 0, count), 0.0, n * (n - 1) / 2
+    else:
+        samples = rsk.sample_schur_weyl(n, N, 0, count)
+        mean, var = n * (n - 1) / (2 * N), n * (n - 1) / 2 * (1 - 1 / N ** 2)
+    z = (sum(map(content_sum, samples)) / count - mean) / math.sqrt(var / count)
+    measure = "Plancherel" if N is None else f"Schur-Weyl N={N}"
+    report(11, f"mean content sum of {count} {measure} samples at n={n}: |z| = {abs(z):.2f} <= 5",
+           abs(z) <= 5)

@@ -86,7 +86,9 @@ class TestOneRoutePerQuantity:
             # the N-row carve-out of the variational identity and biane's grid
             "_check_admissible", "BIANE_GRID_STEP", "grid_step",
             # the Curve subclass that carried a profile into the penalty
-            "_ProfileMinusShape"}
+            "_ProfileMinusShape",
+            # ExperimentResult's JSON method, folded into its one caller
+            "to_json"}
 
     def test_no_module_names_what_is_gone(self):
         found = {module: sorted(self.GONE & named_anywhere(syntax_tree(module)))

@@ -180,6 +180,21 @@ class TestEnumeration:
         seq = [lam.rows for lam in exact.enumerate_diagrams(6, 4)]
         assert seq == sorted(seq, reverse=True)
 
+    def test_order_matches_a_brute_force_oracle(self):
+        def partitions(n, largest):
+            # every partition of n with parts at most largest, in no promised order
+            if n == 0:
+                yield ()
+            for part in range(1, min(n, largest) + 1):
+                for rest in partitions(n - part, part):
+                    yield (part,) + rest
+
+        for n in range(1, 17):
+            every = list(partitions(n, n))
+            for N in range(1, n + 2):
+                oracle = sorted((rows for rows in every if len(rows) <= N), reverse=True)
+                assert [lam.rows for lam in exact.enumerate_diagrams(n, N)] == oracle, (n, N)
+
     def test_large_n_small_N_is_cheap(self):
         out = list(exact.enumerate_diagrams(100, 2))
         assert len(out) == 51  # (100-k, k) for k = 0..50

@@ -225,6 +225,24 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
 
+    def test_failed_bounds_exits_1_with_its_output(self, capsys):
+        # at n = 400, c = 4 every sample lies below alpha_c, so the window check fails
+        assert main(["bounds", "--n", "400", "--N", "5", "--samples", "4", "--slack", "0"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["passed"] is False and len(out["records"]) == 4
+
+    @pytest.mark.parametrize("argv, target, result, text", [
+        (["enumerate", "--n", "3", "--N", "2"], "cmd_enumerate",
+         ("# sum dim_iso = 7, N^n = 8, FAIL\n", False), "# sum dim_iso = 7, N^n = 8, FAIL\n"),
+        (["verify-all"], "cmd_verify_all", {"checks": [], "passed": False},
+         '{\n  "checks": [],\n  "passed": false\n}\n'),
+    ], ids=["enumerate", "verify-all"])
+    def test_failed_verification_exits_1_with_its_output(self, monkeypatch, capsys, argv,
+                                                         target, result, text):
+        monkeypatch.setattr(harness, target, lambda *args, **kwargs: result)
+        assert main(argv) == 1
+        assert capsys.readouterr().out == text
+
     def test_sample_plancherel(self, capsys):
         assert main(["sample", "--measure", "plancherel", "--n", "10", "--samples", "2"]) == 0
         assert capsys.readouterr().out.startswith("# n=10 N=- seed=0 count=2")
