@@ -24,7 +24,7 @@ def main():
     total = 0
     for lam in exact.enumerate_diagrams(n, N):
         d = exact.exact_dims(lam, N)
-        mu = exact.schur_weyl_measure(lam, N).value
+        mu = d.schur_weyl.value
         print(f"  {str(lam):>20}  dim_sym={d.dim_sym:>6}  dim_gl={d.dim_gl:>8}"
               f"  dim_iso={d.dim_iso:>10}  P={mu}")
         total += d.dim_iso

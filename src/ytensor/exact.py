@@ -40,14 +40,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExactDims:
-    """Exact dimensions dim V, dim W and dim E = dim V * dim W."""
+    """The exact record of a diagram of n cells at rank N: dim V and dim W.
 
+    dim E = dim V * dim W, the Plancherel probability (dim V)^2 / n! and the
+    Schur-Weyl probability dim E / N^n are read from it.
+    """
+
+    n: int
+    N: int
     dim_sym: int
     dim_gl: int
 
     @property
     def dim_iso(self) -> int:
         return self.dim_sym * self.dim_gl
+
+    @property
+    def plancherel(self) -> ExactMeasure:
+        return ExactMeasure(Fraction(self.dim_sym * self.dim_sym, math.factorial(self.n)))
+
+    @property
+    def schur_weyl(self) -> ExactMeasure:
+        return ExactMeasure(Fraction(self.dim_iso, self.N ** self.n))
 
 
 @dataclass(frozen=True)
@@ -89,18 +103,25 @@ def _exact_quotient(numer: int, hooks: int) -> int:
     return q
 
 
-def _dim_gl(lam: Partition, N: int, hooks: int) -> int:
-    """dim_gl given the hook product of lam."""
+def exact_dims(lam: Partition, N: int) -> ExactDims:
+    """The exact record of lam at rank N, from one hook product H.
+
+    dim V = n! / H, and dim W is the product of the shifted contents N + c over
+    H, formed only when lam has at most N rows (else a factor N + c is 0).
+    """
     if N < 1:
         raise ValueError("N must be positive")
-    if lam.height > N:
-        return 0
-    return _exact_quotient(_power_product(shifted_contents(lam, N)), hooks)
+    hooks = _power_product(hook_lengths(lam))
+    gl = 0 if lam.height > N else _exact_quotient(_power_product(shifted_contents(lam, N)), hooks)
+    return ExactDims(lam.n, N, _exact_quotient(math.factorial(lam.n), hooks), gl)
 
 
 def dim_sym(lam: Partition) -> int:
-    """Dimension of the irreducible S_n representation: n! over the hook product."""
-    return _exact_quotient(math.factorial(lam.n), _power_product(hook_lengths(lam)))
+    """Dimension of the irreducible S_n representation: n! over the hook product.
+
+    Read at N = 1, where no diagram of two or more rows forms a content product.
+    """
+    return exact_dims(lam, 1).dim_sym
 
 
 def dim_gl(lam: Partition, N: int) -> int:
@@ -108,7 +129,7 @@ def dim_gl(lam: Partition, N: int) -> int:
 
     Zero when the diagram has more than N rows (the factor N + c vanishes).
     """
-    return _dim_gl(lam, N, _power_product(hook_lengths(lam)))
+    return exact_dims(lam, N).dim_gl
 
 
 def dim_iso(lam: Partition, N: int) -> int:
@@ -116,24 +137,14 @@ def dim_iso(lam: Partition, N: int) -> int:
     return exact_dims(lam, N).dim_iso
 
 
-def exact_dims(lam: Partition, N: int) -> ExactDims:
-    """dim_sym and dim_gl, sharing one hook product."""
-    hooks = _power_product(hook_lengths(lam))
-    return ExactDims(dim_sym=_exact_quotient(math.factorial(lam.n), hooks),
-                     dim_gl=_dim_gl(lam, N, hooks))
-
-
 def plancherel(lam: Partition) -> ExactMeasure:
-    """Plancherel probability (dim V)^2 / n! as an exact rational."""
-    d = dim_sym(lam)
-    value = Fraction(d * d, math.factorial(lam.n))
-    return ExactMeasure(value)
+    """Plancherel probability (dim V)^2 / n! as an exact rational, read at N = 1."""
+    return exact_dims(lam, 1).plancherel
 
 
 def schur_weyl_measure(lam: Partition, N: int) -> ExactMeasure:
     """Schur-Weyl probability dim E / N^n as an exact rational."""
-    value = Fraction(exact_dims(lam, N).dim_iso, N ** lam.n)
-    return ExactMeasure(value)
+    return exact_dims(lam, N).schur_weyl
 
 
 def neg_log_measure_scaled(lam: Partition, N: int) -> mpmath.mpf:

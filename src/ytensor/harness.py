@@ -59,13 +59,14 @@ SHAPE_GRID_CAP = 10 ** 6
 SAMPLING_CAP = 10 ** 6
 # n above which dims and sample --measure plancherel are refused; both grow
 # faster than n.  One Plancherel sample took 0.15 s at n = 1e4, 5.5 s at 1e5
-# and 47 s at 3e5 (its per-letter bisect loop grows like n**1.5).  dims took
-# 0.22 s at n = 1e4, 1.9 s at 3e4 and 22 s at 1e5, but not in per-cell work:
-# on a seed-0 sample at n = 3e4, N = 173 the hook lists took 0.05 s of 1.4 s.
-# The rest is arithmetic on n!-sized integers (divmods, math.prod, Fraction
-# gcds, factorials, Decimal printing), since exact_dims, plancherel and
-# schur_weyl_measure each recompute the hook product and n!/H.  At this cap
-# they take at most about the 22-27 s of a Schur-Weyl run at SAMPLING_CAP.
+# and 47 s at 3e5 (its per-letter bisect loop grows like n**1.5).  On seed-0
+# samples at c = 1 (2 cores), dims took 0.10-0.16 s at n = 1e4, 1.1-1.5 s at
+# 3e4 and 16-20 s at 1e5 while each measure rebuilt the hook product, and
+# 0.09-0.12 s, 0.8-1.1 s and 14-16 s with one exact record per call.  What is
+# left is arithmetic on n!-sized integers: at 3e4 the Decimal printing takes
+# ~0.4 s and the two Fraction gcds, with their divisions, ~0.5 s; at 1e5 each
+# takes about 6 s, the Plancherel gcd most of its share.  At this cap dims
+# takes at most about the 22-27 s of a Schur-Weyl run at SAMPLING_CAP.
 CELL_LOOP_CAP = 10 ** 5
 
 
@@ -99,7 +100,10 @@ class ExperimentConfig:
     def resolved_N(self) -> int:
         if self.N is not None:
             return self.N
-        N = round(math.sqrt(self.n) / self.c)
+        ratio = math.sqrt(self.n) / self.c
+        if not math.isfinite(ratio):
+            raise ValueError("c too small for this n (sqrt(n)/c is not finite)")
+        N = round(ratio)
         if N < 1:
             raise ValueError("c too large for this n (N rounds to zero)")
         return N
@@ -146,8 +150,7 @@ def cmd_dims(lam: Partition, N: int) -> str:
     if lam.n > CELL_LOOP_CAP:
         raise ValueError(f"n exceeds the cell loop cap {CELL_LOOP_CAP}")
     d = exact.exact_dims(lam, N)
-    pl = exact.plancherel(lam).value
-    sw = exact.schur_weyl_measure(lam, N).value
+    pl, sw = d.plancherel.value, d.schur_weyl.value
     lines = [
         f"partition: {lam}",
         f"n: {lam.n}",
@@ -180,7 +183,7 @@ def cmd_enumerate(n: int, N: int, fmt: str = "csv") -> tuple[str, bool]:
     total = 0
     for lam in exact.enumerate_diagrams(n, N):
         d = exact.exact_dims(lam, N)
-        m = exact.schur_weyl_measure(lam, N).value
+        m = d.schur_weyl.value
         total += d.dim_iso
         rows.append({
             "partition": str(lam), "dim_sym": d.dim_sym, "dim_gl": d.dim_gl,
@@ -275,8 +278,8 @@ def cmd_emit_shape(c: float, step: float = 0.01) -> str:
     """CSV of Omega_c and its derivative on a uniform grid over the support +- 0.5."""
     if not math.isfinite(c):
         raise ValueError(f"c must be finite, got {c}")
-    if not step > 0.0:
-        raise ValueError("step must be positive")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError("step must be finite and positive")
     lo, hi = shape.shape_support(c)
     points = (hi - lo + 1.0) / step
     if not points <= SHAPE_GRID_CAP:  # also rejects a NaN count

@@ -88,7 +88,9 @@ class TestOneRoutePerQuantity:
             # the Curve subclass that carried a profile into the penalty
             "_ProfileMinusShape",
             # ExperimentResult's JSON method, folded into its one caller
-            "to_json"}
+            "to_json",
+            # dim_gl from a given hook product, folded into exact_dims
+            "_dim_gl"}
 
     def test_no_module_names_what_is_gone(self):
         found = {module: sorted(self.GONE & named_anywhere(syntax_tree(module)))

@@ -72,6 +72,16 @@ class TestDims:
                 assert exact.dim_sym(lam) * hooks == math.factorial(n)
                 assert exact.dim_gl(lam, N) * hooks == math.prod(exact.shifted_contents(lam, N))
 
+    def test_one_hook_product_per_diagram(self, monkeypatch):
+        calls, hook_lengths = [], exact.hook_lengths
+        monkeypatch.setattr(exact, "hook_lengths",
+                            lambda lam: calls.append(lam) or hook_lengths(lam))
+        harness.cmd_dims(Partition((4, 2, 1)), 3)
+        assert calls == [Partition((4, 2, 1))]
+        calls.clear()
+        harness.cmd_enumerate(6, 3)
+        assert calls == list(exact.enumerate_diagrams(6, 3))
+
 
 class TestMeasures:
     def test_plancherel_normalizes(self):
@@ -88,6 +98,12 @@ class TestMeasures:
         for lam in exact.enumerate_diagrams(6, 3):
             assert exact.schur_weyl_measure(lam, 3).value == \
                 checks._schur_weyl_via_contents(lam, 3)
+        # a record's measures are the module's: Plancherel read at N = 1, Schur-Weyl at N
+        for n, N in ((4, 2), (5, 3), (6, 6)):
+            for lam in exact.enumerate_diagrams(n, N):
+                d = exact.exact_dims(lam, N)
+                assert (d.plancherel, d.schur_weyl) == \
+                    (exact.plancherel(lam), exact.schur_weyl_measure(lam, N))
 
     def test_measure_range_enforced(self):
         with pytest.raises(ValueError):
@@ -132,8 +148,9 @@ class TestMeasures:
 
     def test_nonpositive_N_rejected(self):
         for lam in (Partition((2, 1)), Partition(())):
-            with pytest.raises(ValueError):
-                exact.neg_log_measure_scaled(lam, 0)
+            for route in (exact.neg_log_measure_scaled, exact.exact_dims):
+                with pytest.raises(ValueError):
+                    route(lam, 0)
 
 
 def content_moments(measure, n, N):

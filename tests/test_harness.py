@@ -175,6 +175,10 @@ class TestSubcommands:
         assert main(["emit-shape", "--c", c]) == 2
         assert capsys.readouterr().err == f"error: c must be finite, got {c}\n"
 
+    def test_emit_shape_rejects_infinite_step(self, capsys):
+        assert main(["emit-shape", "--c", "1.0", "--step", "inf"]) == 2
+        assert capsys.readouterr().err == "error: step must be finite and positive\n"
+
     def test_out_file(self, tmp_path):
         out = tmp_path / "dims.txt"
         assert main(["dims", "--lam", "2,1", "--N", "2", "--out", str(out)]) == 0
@@ -203,6 +207,9 @@ class TestSubcommands:
         ["bounds", "--n", "100", "--c", "1", "--samples", "3", "--slack", "-0.05"],
         ["sample", "--measure", "plancherel", "--n", "100001"],
         ["dims", "--lam", "100001", "--N", "2"],
+        ["bounds", "--n", "10", "--c", "1e-320"],
+        ["biane", "--n", "10", "--c", "1e-320"],
+        ["sample", "--n", "10", "--c", "1e-320"],
     ])
     def test_usage_errors_exit_2(self, argv):
         try:
