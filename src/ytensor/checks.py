@@ -19,10 +19,9 @@ Schur-Weyl measure.
 
 The oracles read a function through a Curve: fn and prime as numpy
 callables, a support and the kinks where prime may jump.  shape_curve is
-Omega_c as one, and profile_minus_shape the difference L - Omega_c over
-the window of functionals.sobolev_half_sq, built from the profile's corners
-and Omega_c; the production functionals take the profile itself and never
-a Curve.
+Omega_c as one, and profile_minus_shape the difference L - Omega_c on its
+support, built from the profile's corners and Omega_c; the production
+functionals take the profile itself and never a Curve.
 
 The lemma_* functions check the closed forms of the auxiliary integrals (A,
 I_c, the phi_2 moment of Omega_c'' and the I-against-Omega' integral) by
@@ -144,11 +143,16 @@ def shape_curve(c: float) -> Curve:
 
 
 def profile_minus_shape(prof: Profile, c: float) -> Curve:
-    """The difference f = L - Omega_c as a Curve over functionals' window [a, b],
-    outside which f vanishes; kinks at the corners, the shape's breakpoints
-    and 0."""
+    """The difference f = L - Omega_c as a Curve on its support [a, b], the hull
+    of the profile's corners x_0..x_K and Omega_c's support [lo, hi]: L is |s|
+    left of x_0 and right of x_K, and Omega_c is |s| outside [lo, hi], so f
+    and f' vanish beyond both ends.  Kinks at the corners, the shape's
+    breakpoints and 0, strictly inside.  It rejects the profiles that
+    sobolev_half_sq rejects, those reaching past default_window's left end."""
     cx, d = _corner_jumps(prof)
-    a, b = _window(prof, c)
+    _window(prof, c)
+    lo, hi = shape_support(c)
+    a, b = min(float(cx[0]), lo), max(float(cx[-1]), hi)
     lp = np.cumsum(np.concatenate(([-1.0], d)))  # L' left of cx[0], on each piece, right of it
     kinks = sorted(set(cx.tolist()) | set(shape_breakpoints(c)) | {0.0})
     return Curve(fn=lambda s: prof.evaluate(s) - omega_c(c, s),

@@ -23,12 +23,13 @@ two integrations by parts turn every log-kernel functional into a sum over
 corners: theta = 1 - E(x, d) with E = sum_{j,k} d_j d_k phi_2(x_k - x_j), rho
 a sum of phi_2(x_k + 1/(2c)) and x_k^2 terms, and the Sobolev norm of
 L - Omega_c the energy E on the window, the antiderivative of lemma I at the
-corners and lemma intIOmega's reduction of the shape self-energy.
-That reduction is one tanh-sinh call over the array-valued G and H, and so
-is alpha_c, in angle variables.  The boundary penalty takes no quadrature:
-J~_c and H~_c vanish on the bulk, and off it Omega_c is |s| but for the
-line X + 1/c when c > 1, so the penalty is a sum of J~_c over the corners
-off the bulk plus one term at the pole -1/(2c).  So every functional of a
+corners and lemma intIOmega's reduction of the shape self-energy, closed by
+parts through G_c, a log moment and J~_c at the window's ends and the pole.
+alpha_c, an integral in angle variables, is the layer's one tanh-sinh call.
+The boundary penalty takes no quadrature either: J~_c and H~_c vanish on
+the bulk, and off it Omega_c is |s| but for the line X + 1/c when c > 1, so
+the penalty is a sum of J~_c over the corners off the bulk plus one term at
+the pole -1/(2c).  So every functional of a
 diagram takes (Profile, c) and reads the profile only through
 _corner_jumps, which rejects anything else with a TypeError.
 theta(Omega_c) is -2 A(c), lemma A's closed form, since Omega_c minimizes
@@ -53,9 +54,7 @@ from .shape import (
     H_tilde,
     J_tilde,
     _require_c,
-    omega_c_prime,
     phi,
-    shape_breakpoints,
     shape_support,
 )
 
@@ -277,13 +276,13 @@ def sobolev_half_sq(prof: Profile, c: float) -> float:
     """(1/2) ||f||^2_{1/2} for the profile-minus-shape difference f = L - Omega_c.
 
     The log-kernel form -iint ln|2(s-t)| f'(s) f'(t) is evaluated in closed
-    form: f'f' expands into three terms, none by nested quadrature.  Take L'
+    form: f'f' expands into three terms, none by quadrature.  Take L'
     on the window [a, b] of _window and 0 outside it: its jumps are
     d_bar = [-1, d, -1] at x_bar = [a, x, b].  The L'L' term is
     -E(x_bar, d_bar); the cross term is sum d_bar_k K(x_bar_k), with K the
     antiderivative of lemma I's closed form (its constant of integration
     cancels, since sum d_bar_k = 0); and the shape self-energy is
-    -int I_c Omega_c', lemma intIOmega's closed reduction.
+    int I_c Omega_c', lemma intIOmega's closed reduction.
 
     The nested oracles checks._sobolev_quotient (the difference quotient over
     the plane) and checks._sobolev_logkernel_generic (the log-kernel form
@@ -320,8 +319,13 @@ def h_term(prof: Profile, c: float) -> float:
     x, d = _corner_jumps(prof)
     _require_c(c, positive=True)
     off = (x < 0.5 * c - 1.0) | (0.5 * c + 1.0 < x)
-    pole = 4.0 * J_tilde(c, -0.5 / c - 0.5 * c) if c > 1.0 else 0.0
-    return 2.0 * float(d[off] @ J_tilde(c, x[off] - 0.5 * c)) - pole
+    return 2.0 * float(d[off] @ J_tilde(c, x[off] - 0.5 * c)) - _pole_term(c)
+
+
+def _pole_term(c: float) -> float:
+    """4 J~_c(-1/(2c) - c/2) for c > 1, else 0: the jump of +2 in Omega_c' at the
+    pole -1/(2c) weighted by 2 J~_c, the one kink of Omega_c off the bulk."""
+    return 4.0 * J_tilde(c, -0.5 / c - 0.5 * c) if c > 1.0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -401,23 +405,50 @@ def _lemma_F3_closed(c: float, x: float) -> float:
     return val
 
 
-def _int_I_omega_closed(c: float, a: float, b: float) -> float:
-    """Closed reduction of int_a^b I_c(s) Omega_c'(s) ds (lemma intIOmega).
+def _log_moment(c: float, s: float) -> float:
+    """int_0^s t ln|1 + 2ct| dt = ((e^2 - 1) ln|1 + e| / 2 + e/2 - e^2/4) / (4c^2), e = 2cs.
 
-    1 - c^2/4 - 2 phi_2(b-a) + 2 int (G_c - H_c) Omega_c'
-    (+ an extra constant for c > 1); the remaining integral is
-    one-dimensional and nonsingular.
+    Continuous through the pole e = -1, where the log term is taken as its
+    limit 0.  ln|1 + e| is log1p of e, or of -2 - e left of the pole, so the
+    sum keeps its digits when e is small.
+    """
+    e = 2.0 * c * s
+    log_term = 0.0 if e == -1.0 else 0.5 * (e * e - 1.0) * math.log1p(e if e > -1.0 else -2.0 - e)
+    return (log_term + 0.5 * e - 0.25 * e * e) / (4.0 * c * c)
+
+
+def _int_I_omega_closed(c: float, a: float, b: float) -> float:
+    """Closed form of int_a^b I_c(s) Omega_c'(s) ds (lemma intIOmega):
+
+        1 - 2 phi_2(b - a) + 2 [a G_c(a) + b G_c(b) + M(a) + M(b)
+                                - J~_c(a - c/2) - J~_c(b - c/2)] + _pole_term(c),
+
+    with M(s) = int_0^s t ln|1 + 2ct| dt (_log_moment).  The lemma reduces
+    the integral to 1 + 2 A(c) - 2 phi_2(b - a) + 2 int_a^b (G_c - H~_c(s - c/2))
+    Omega_c'(s) ds, with A lemma A's constant (-c^2/8 for c <= 1), and three
+    steps close the rest:
+
+    - By parts, with G_c' = -ln|1 + 2cs| and Omega_c = |s| at a < 0 < b:
+      int G_c Omega_c' = b G_c(b) + a G_c(a) + int ln|1 + 2cs| |s| ds - A(c),
+      since A(c) = int ln(1 + 2cs)(|s| - Omega_c) and 1 + 2cs > 0 wherever
+      Omega_c differs from |s|.  So A cancels.
+    - int_a^b ln|1 + 2cs| |s| ds = M(a) + M(b).  Where a lies left of the
+      pole -1/(2c), always for c > 1, the range runs through it, and M is
+      continuous there.
+    - H~_c vanishes on the bulk |s - c/2| <= 1, and off it Omega_c' is
+      sign(s), but +1 on [-1/(2c), c/2 - 1] when c > 1.  With J~_c' = H~_c
+      and J~_c(+-1) = 0, int H~_c Omega_c' = J~_c(a - c/2) + J~_c(b - c/2)
+      - 2 J~_c(-1/(2c) - c/2) [c > 1], the pole term of h_term.
+
+    The window must strictly contain the shape support.
     """
     lo_s, hi_s = shape_support(c)
     if not (a < lo_s and b > hi_s):
         raise ValueError("window must strictly contain the shape support")
-    pts = tuple(shape_breakpoints(c)) + (0.0, -0.5 / c)
-    int_GH = tanh_sinh(lambda s: (G(c, s) - H_tilde(c, s - 0.5 * c)) * omega_c_prime(c, s),
-                       a, b, pts)
-    val = 1.0 - c * c / 4.0 - 2.0 * phi(2, b - a) + 2.0 * int_GH
-    if c > 1.0:
-        val += 1.0 - 5.0 / (4.0 * c * c) + c * c / 4.0 - (2.0 + 1.0 / (c * c)) * math.log(c)
-    return val
+    ends = np.array([a, b])
+    by_parts = float(ends @ G(c, ends)) + _log_moment(c, a) + _log_moment(c, b)
+    off_bulk = float(np.sum(J_tilde(c, ends - 0.5 * c)))
+    return 1.0 - 2.0 * phi(2, b - a) + 2.0 * (by_parts - off_bulk) + _pole_term(c)
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,30 @@ class TestBoundary:
         assert harness.cmd_bounds(cfg).summary["count"] == 2
         assert harness.cmd_biane(cfg).summary["count"] == 2
 
+    def test_variational_routes_run_without_quadrature(self, monkeypatch):
+        class QuadratureCall(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise QuadratureCall
+
+        monkeypatch.setattr(functionals, "tanh_sinh", refuse)
+        with pytest.raises(QuadratureCall):  # the patch reaches alpha_constant, the one caller
+            functionals.alpha_constant(0.5)
+
+        for n, N in [(100, 12), (64, 2)]:  # c = 0.83 and 4, N-row diagrams among them
+            c = math.sqrt(n) / N
+            for lam in rsk.sample_schur_weyl(n, N, 0, 4):
+                assert math.isfinite(functionals.sobolev_half_sq(profile(lam), c))
+                assert all(map(math.isfinite, functionals.prop41_identity(lam, N)))
+                assert math.isfinite(functionals.prop31_decompose(lam, N).residual)
+
+    def test_only_alpha_constant_names_tanh_sinh(self):
+        callers = {node.name for node in ast.walk(syntax_tree("functionals"))
+                   if isinstance(node, ast.FunctionDef)
+                   and "tanh_sinh" in names(ast.Module(body=node.body, type_ignores=[]))}
+        assert callers == {"alpha_constant"}
+
 
 class TestMovedNames:
     @pytest.mark.parametrize("name", LEMMAS)
