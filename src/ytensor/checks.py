@@ -38,9 +38,10 @@ integral, split at s and, as alpha_c and lemma F3 are, at multiples of
 intIOmega's left side, the log energy of Omega_c' on the window, is an
 oracle built from phi_0's antiderivatives alone: off the bulk Omega_c' is
 +-1, so that part's energy is -E and its cross term with the bulk one
-tanh-sinh call, and only the bulk's own energy is a nested quadrature, by
-the generic log-kernel route.  _rho_curve, rho of a Curve, is lemma A's
-quadrature side and the oracle for rho.
+tanh-sinh call, split at the same multiples of |1 - c|, and only the bulk's
+own energy is a nested quadrature, by the generic log-kernel route.
+_rho_curve, rho of a Curve, is lemma A's quadrature side and the oracle for
+rho.
 """
 
 from __future__ import annotations
@@ -60,12 +61,12 @@ from .diagrams import Partition, Profile, profile
 from .functionals import (
     _TURN_SCALES,
     _corner_jumps,
+    _hull,
     _int_I_omega_closed,
     _lemma_A_closed,
     _lemma_F3_closed,
     _lemma_I_closed,
     _log_energy,
-    _window,
 )
 from .quadrature import nested_tanh_sinh, tanh_sinh
 from .shape import _require_c, omega_c, omega_c_prime, phi, shape_breakpoints, shape_support
@@ -143,16 +144,13 @@ def shape_curve(c: float) -> Curve:
 
 
 def profile_minus_shape(prof: Profile, c: float) -> Curve:
-    """The difference f = L - Omega_c as a Curve on its support [a, b], the hull
-    of the profile's corners x_0..x_K and Omega_c's support [lo, hi]: L is |s|
-    left of x_0 and right of x_K, and Omega_c is |s| outside [lo, hi], so f
-    and f' vanish beyond both ends.  Kinks at the corners, the shape's
-    breakpoints and 0, strictly inside.  It rejects the profiles that
-    sobolev_half_sq rejects, those reaching past default_window's left end."""
+    """The difference f = L - Omega_c as a Curve on its support [a, b],
+    functionals._hull: L is |s| left of the profile's first corner and right
+    of its last, and Omega_c is |s| outside its own support, so f and f'
+    vanish beyond both ends.  Kinks at the corners, the shape's breakpoints
+    and 0, strictly inside."""
     cx, d = _corner_jumps(prof)
-    _window(prof, c)
-    lo, hi = shape_support(c)
-    a, b = min(float(cx[0]), lo), max(float(cx[-1]), hi)
+    a, b = _hull(cx, c)
     lp = np.cumsum(np.concatenate(([-1.0], d)))  # L' left of cx[0], on each piece, right of it
     kinks = sorted(set(cx.tolist()) | set(shape_breakpoints(c)) | {0.0})
     return Curve(fn=lambda s: prof.evaluate(s) - omega_c(c, s),
@@ -277,11 +275,14 @@ def lemma_intIOmega(c: float, a: float, b: float) -> tuple[float, float]:
     - hh = -E(x, d), with d the jumps of h at x = [a, breakpoints, b];
     - 2 hk = 2 int_bulk Omega_c'(t) (-sum_k d_k phi_1(x_k - t)) dt, one
       tanh-sinh call, since int phi_0(s - t) h(s) ds = -sum_k d_k phi_1(x_k - t);
+      split, as lemma_I is, at c/2 - 1 + k|1 - c|, where Omega_c' turns
+      near c = 1 (off by 3.1e-9 at c = 0.99 and 1.01);
     - kk, the generic log-kernel route on the bulk, the only nested quadrature.
+      The same split would double its cost, so it has none.
 
     None of it uses G, H~, J~ or lemma I, on which the closed reduction rests.
-    The value is independent of the window (a, b) as long as it strictly
-    contains the shape support.
+    The value depends on the window (a, b), which must contain the shape
+    support.
     """
     rhs = _int_I_omega_closed(c, a, b)  # first: it checks the window
     lo, hi = 0.5 * c - 1.0, 0.5 * c + 1.0
@@ -293,7 +294,9 @@ def lemma_intIOmega(c: float, a: float, b: float) -> tuple[float, float]:
     # end holds Omega_c''s turn near c = 1: without it the worst error on
     # verify-all's grid is 6.4e-9 instead of 3.3e-10.
     kinks = (0.0,) if lo < 0.0 < hi else ()
-    hk = -tanh_sinh(lambda t: omega_c_prime(c, t) * (phi(1, x - t[..., None]) @ d), lo, hi, kinks)
+    turns = tuple(lo + k * abs(1.0 - c) for k in _TURN_SCALES)
+    hk = -tanh_sinh(lambda t: omega_c_prime(c, t) * (phi(1, x - t[..., None]) @ d), lo, hi,
+                    kinks + turns)
     kk = _sobolev_logkernel_generic(Curve(partial(omega_c, c), partial(omega_c_prime, c),
                                           (lo, hi), kinks))
     return -_log_energy(x, d) + 2.0 * hk + kk, rhs

@@ -22,10 +22,12 @@ On a lattice profile L'' is a sum of point masses d_k at the corners x_k, so
 two integrations by parts turn every log-kernel functional into a sum over
 corners: theta = 1 - E(x, d) with E = sum_{j,k} d_j d_k phi_2(x_k - x_j), rho
 a sum of phi_2(x_k + 1/(2c)) and x_k^2 terms, and the Sobolev norm of
-L - Omega_c the energy E on the window, the antiderivative of lemma I at the
-corners and lemma intIOmega's reduction of the shape self-energy, closed by
-parts through G_c, a log moment and J~_c at the window's ends and the pole.
-alpha_c, an integral in angle variables, is the layer's one tanh-sinh call.
+f = L - Omega_c, on f's support, the energy E, the phi_2 moment of Omega_c''
+at the corners (lemma F3, an antiderivative of lemma I's I_c) and lemma
+intIOmega's reduction of the shape self-energy, closed by parts through G_c,
+a log moment and J~_c at the support's ends and the pole; verify-all checks
+each of the three.  alpha_c, an integral in angle variables, is the layer's
+one tanh-sinh call.
 The boundary penalty takes no quadrature either: J~_c and H~_c vanish on
 the bulk, and off it Omega_c is |s| but for the line X + 1/c when c > 1, so
 the penalty is a sum of J~_c over the corners off the bulk plus one term at
@@ -95,7 +97,7 @@ class FunctionalReport:
 
 
 def default_window(c: float) -> tuple[float, float]:
-    """Default integration window [a, b] strictly containing the shape support."""
+    """Integration window [a, b] of checks.lemmas, strictly containing the shape support."""
     _require_c(c, positive=True)
     return min(0.5 * c - 1.0, -0.5 / c) - 0.5, 0.5 * c + 1.5
 
@@ -253,36 +255,33 @@ def rho_hat(lam: Partition, N: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _window(prof: Profile, c: float) -> tuple[float, float]:
-    """The window [a, b] outside which L - Omega_c vanishes: default_window(c),
-    widened on the right to half a unit past the profile's last corner."""
-    x, _ = _corner_jumps(prof)
-    a, b = default_window(c)
-    if a > float(x[0]) - 1e-12:
-        raise ValueError("profile support reaches the left end of the default window")
-    return a, max(b, float(x[-1]) + 0.5)
-
-
-def _lemma_I_antiderivative(c: float, e, a: float, b: float):
-    """An antiderivative in e of the closed form of I_c(e) (lemma I); takes arrays.
-
-    int_a^b phi_1(e - t) Omega_c'(t) dt equals this up to a constant in e.
-    """
-    return (-phi(2, a - e) - phi(2, b - e) + phi(2, 0.5 + c * e) / (c * c)
-            - (1.0 - c * c) * e / (2.0 * c) - J_tilde(c, e - 0.5 * c))
+def _hull(x: np.ndarray, c: float) -> tuple[float, float]:
+    """The support [a, b] of L - Omega_c for corners x: the hull of [x_0, x_K]
+    and Omega_c's support [lo, hi], outside which L and Omega_c are both |s|."""
+    _require_c(c, positive=True)
+    lo, hi = shape_support(c)
+    return min(float(x[0]), lo), max(float(x[-1]), hi)
 
 
 def sobolev_half_sq(prof: Profile, c: float) -> float:
     """(1/2) ||f||^2_{1/2} for the profile-minus-shape difference f = L - Omega_c.
 
-    The log-kernel form -iint ln|2(s-t)| f'(s) f'(t) is evaluated in closed
-    form: f'f' expands into three terms, none by quadrature.  Take L'
-    on the window [a, b] of _window and 0 outside it: its jumps are
-    d_bar = [-1, d, -1] at x_bar = [a, x, b].  The L'L' term is
-    -E(x_bar, d_bar); the cross term is sum d_bar_k K(x_bar_k), with K the
-    antiderivative of lemma I's closed form (its constant of integration
-    cancels, since sum d_bar_k = 0); and the shape self-energy is
-    int I_c Omega_c', lemma intIOmega's closed reduction.
+    The log-kernel form iint phi_0(s-t) f'(s) f'(t) is evaluated in closed
+    form on f's support [a, b] (_hull): f'f' expands into three terms, none
+    by quadrature.  Take L' and Omega_c' on [a, b] and 0 outside it, written
+    with a bar.  L_bar' jumps by d_bar = [-1, d, -1] at x_bar = [a, x, b], so
+    the L'L' term is -E(x_bar, d_bar), the corner energy.  The cross term is
+    -2 int L_bar' I_c = 2 sum d_bar_k K(x_bar_k) by parts, with K' = I_c, and
+
+        K(e) = int phi_1(e - t) Omega_bar'(t) dt = int phi_2(e - t) dOmega_bar'(t)
+             = -phi_2(a - e) - phi_2(b - e) + F3_c(e - c/2) + m_c phi_2(e + 1/(2c)):
+
+    Omega_bar' drops by 1 at a and at b, its bulk part Omega_c'' is lemma
+    F3's measure, and m_c = 1 - sgn(1 - c) is Omega_c''s mass at the pole
+    -1/(2c), 0 for c < 1, 1 at c = 1 (the bulk's left edge) and 2 for c > 1.
+    Any other antiderivative of I_c would do: its constant cancels, since
+    sum d_bar_k = 0.  The shape self-energy is int I_c Omega_c', lemma
+    intIOmega's closed reduction.
 
     The nested oracles checks._sobolev_quotient (the difference quotient over
     the plane) and checks._sobolev_logkernel_generic (the log-kernel form
@@ -290,11 +289,13 @@ def sobolev_half_sq(prof: Profile, c: float) -> float:
     Fourier symbols coincide since int f' = 0.
     """
     x, d = _corner_jumps(prof)
-    a, b = _window(prof, c)
+    a, b = _hull(x, c)
     xw = np.concatenate(([a], x, [b]))
     dw = np.concatenate(([-1.0], d, [-1.0]))
-    s_lo = float(dw @ _lemma_I_antiderivative(c, xw, a, b))
-    return -_log_energy(xw, dw) + 2.0 * s_lo + _int_I_omega_closed(c, a, b)
+    m_c = 1.0 - float(np.sign(1.0 - c))
+    kernel = (-phi(2, a - xw) - phi(2, b - xw) + _lemma_F3_closed(c, xw - 0.5 * c)
+              + m_c * phi(2, xw + 0.5 / c))
+    return -_log_energy(xw, dw) + 2.0 * float(dw @ kernel) + _int_I_omega_closed(c, a, b)
 
 
 def h_term(prof: Profile, c: float) -> float:
@@ -432,19 +433,20 @@ def _int_I_omega_closed(c: float, a: float, b: float) -> float:
       int G_c Omega_c' = b G_c(b) + a G_c(a) + int ln|1 + 2cs| |s| ds - A(c),
       since A(c) = int ln(1 + 2cs)(|s| - Omega_c) and 1 + 2cs > 0 wherever
       Omega_c differs from |s|.  So A cancels.
-    - int_a^b ln|1 + 2cs| |s| ds = M(a) + M(b).  Where a lies left of the
-      pole -1/(2c), always for c > 1, the range runs through it, and M is
+    - int_a^b ln|1 + 2cs| |s| ds = M(a) + M(b).  Where a lies at or left
+      of the pole -1/(2c), always for c > 1, the range reaches it, and M is
       continuous there.
     - H~_c vanishes on the bulk |s - c/2| <= 1, and off it Omega_c' is
       sign(s), but +1 on [-1/(2c), c/2 - 1] when c > 1.  With J~_c' = H~_c
       and J~_c(+-1) = 0, int H~_c Omega_c' = J~_c(a - c/2) + J~_c(b - c/2)
       - 2 J~_c(-1/(2c) - c/2) [c > 1], the pole term of h_term.
 
-    The window must strictly contain the shape support.
+    The window must contain the shape support; it may end at lo or hi, as
+    sobolev_half_sq's does whenever the profile's corners lie inside.
     """
     lo_s, hi_s = shape_support(c)
-    if not (a < lo_s and b > hi_s):
-        raise ValueError("window must strictly contain the shape support")
+    if not (a <= lo_s and b >= hi_s):
+        raise ValueError("window must contain the shape support")
     ends = np.array([a, b])
     by_parts = float(ends @ G(c, ends)) + _log_moment(c, a) + _log_moment(c, b)
     off_bulk = float(np.sum(J_tilde(c, ends - 0.5 * c)))

@@ -4,8 +4,9 @@ lists: tanh-sinh for array integrands with integrable endpoint singularities
 diagonal (nested_tanh_sinh), taken over the triangle t < s only: its callers'
 integrands are symmetric in (s, t) or live on the triangle alone.  The
 diagonal is then the end of every inner panel, so a log kernel such as
--ln|2(s - t)| goes in as it is, with no regularization.  Every production
-integral runs on these two.
+-ln|2(s - t)| goes in as it is, with no regularization.  The one production
+integral is functionals.alpha_constant's tanh_sinh call; every other caller
+is an oracle in ytensor.checks.
 quad_breakpoints, a QUADPACK wrapper, has no production caller; it stays only
 while perfbench/spans.py traces it.
 

@@ -90,7 +90,10 @@ class TestOneRoutePerQuantity:
             # ExperimentResult's JSON method, folded into its one caller
             "to_json",
             # dim_gl from a given hook product, folded into exact_dims
-            "_dim_gl"}
+            "_dim_gl",
+            # the Sobolev norm's padded window and its lemma I antiderivative,
+            # replaced by f's support and lemma F3
+            "_window", "_lemma_I_antiderivative"}
 
     def test_no_module_names_what_is_gone(self):
         found = {module: sorted(self.GONE & named_anywhere(syntax_tree(module)))

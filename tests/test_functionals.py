@@ -254,13 +254,17 @@ class TestSobolev:
         assert C._sobolev_quotient(f) == pytest.approx(k_fast, abs=1e-9)
         assert C._sobolev_logkernel_generic(f) == pytest.approx(k_fast, abs=1e-9)
 
-    def test_profile_below_default_window_rejected(self):
-        # a column of 4 cells at c = 4 reaches X = -2, left of the window's -0.625.
+    def test_profile_left_of_the_default_window(self):
+        # a column of 4 cells at c = 4 reaches X = -1, left of default_window's
+        # -0.625 and of the pole -1/8: f's support [-1, 3] is the hull, and
+        # the closed form and both nested oracles agree on it (1.2e-12 measured)
         column = profile(Partition((1, 1, 1, 1)))
-        with pytest.raises(ValueError, match="left end of the default window"):
-            F.sobolev_half_sq(column, 4.0)
-        with pytest.raises(ValueError, match="left end of the default window"):
-            C.profile_minus_shape(column, 4.0)
+        f = C.profile_minus_shape(column, 4.0)
+        assert f.support == (-1.0, 3.0) and f.support[0] < F.default_window(4.0)[0]
+        k_fast = F.sobolev_half_sq(column, 4.0)
+        assert k_fast == pytest.approx(2.0866123314, abs=1e-9)
+        assert C._sobolev_quotient(f) == pytest.approx(k_fast, abs=1e-9)
+        assert C._sobolev_logkernel_generic(f) == pytest.approx(k_fast, abs=1e-9)
 
     @pytest.mark.parametrize("rows, N", [
         # the corners inside Omega_c's support, reaching past its right end,
@@ -486,6 +490,35 @@ class TestLemmas:
                 q, cl = C.lemma_F3(c, x)
                 assert q == pytest.approx(cl, abs=1e-7)
 
+    # c at which sobolev_half_sq's cross term is checked: both sides of 1, near
+    # it and at it, and both branches of Omega_c far from it
+    KERNEL_CS = [0.3, 0.99, 1.0, 1.01, 2.0, 5.0]
+
+    @pytest.mark.parametrize("c", KERNEL_CS)
+    def test_lemma_F3_where_the_sobolev_kernel_reads_it(self, c):
+        # sobolev_half_sq reads F3 at every corner, on an array and outside
+        # the bulk [-1, 1] too; worst measured 3.1e-11 (c = 1.01, x = 3)
+        xs = np.array([-2.5, -1.2, -1.0, 1.0, 2.0, 3.0])
+        quadrature = [C.lemma_F3(c, x)[0] for x in xs]
+        assert F._lemma_F3_closed(c, xs) == pytest.approx(quadrature, abs=1e-10)
+
+    @pytest.mark.parametrize("c", KERNEL_CS)
+    def test_sobolev_kernel_is_an_antiderivative_of_lemma_I(self, c):
+        # K of sobolev_half_sq's cross term, on a grid that holds points left
+        # of the pole -1/(2c), the window's ends and, at c = 1, the pole
+        # itself; worst measured 1.2e-8 (c = 2), the difference's own error
+        a, b = F.default_window(c)
+        m_c = 1.0 - float(np.sign(1.0 - c))
+
+        def kernel(e):
+            return (-phi(2, a - e) - phi(2, b - e) + F._lemma_F3_closed(c, e - 0.5 * c)
+                    + m_c * phi(2, e + 0.5 / c))
+
+        es, h = np.linspace(-2.5, 4.5, 15), 1e-5
+        assert np.any(es < -0.5 / c)
+        central = (kernel(es + h) - kernel(es - h)) / (2.0 * h)
+        assert central == pytest.approx([F._lemma_I_closed(c, e, a, b) for e in es], abs=1e-7)
+
     def test_lemma_intIOmega_and_window_invariance(self):
         for c in [0.5, 0.99, 1.01]:
             q1, r1 = C.lemma_intIOmega(c, -1.5, 2.5)
@@ -496,6 +529,22 @@ class TestLemmas:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             C.lemma_intIOmega(0.5, 0.0, 2.5)
+        lo, hi = shape.shape_support(0.5)
+        with pytest.raises(ValueError):
+            F._int_I_omega_closed(0.5, lo + 1e-9, hi)
+        with pytest.raises(ValueError):
+            F._int_I_omega_closed(0.5, lo, hi - 1e-9)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    def test_closed_reduction_on_the_shape_support(self, c):
+        # sobolev_half_sq's window ends at lo and hi whenever the corners lie
+        # inside; the value depends on the window, so it is checked there
+        # against the reduction's quadrature (1.1e-12 measured) and the nested
+        # oracle (3.1e-12 measured)
+        lo, hi = shape.shape_support(c)
+        closed = F._int_I_omega_closed(c, lo, hi)
+        assert closed == pytest.approx(int_I_omega_by_reduction(c, lo, hi), abs=1e-11)
+        assert C.lemma_intIOmega(c, lo, hi)[0] == pytest.approx(closed, abs=1e-10)
 
     @pytest.mark.parametrize("c", [0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0, 1.01, 1.1, 1.5,
                                    2.0, 4.0, 20 / 3])
@@ -520,9 +569,12 @@ class TestLemmas:
     @staticmethod
     def full_window_route(c, a, b):
         # the log-kernel energy of Omega_c' by one nested quadrature over the
-        # whole window, with no split into hh, hk and kk
+        # whole window, with no split into hh, hk and kk; split, as lemma_I's
+        # oracle is, at c/2 - 1 + k|1 - c|, where Omega_c' turns near c = 1.
+        # Within 8.2e-11 of the closed reduction on every c and window below.
+        turns = (0.5 * c - 1.0 + k * abs(1.0 - c) for k in F._TURN_SCALES)
         window = replace(C.shape_curve(c), support=(a, b),
-                         kinks=(*shape.shape_breakpoints(c), 0.0, -0.5 / c))
+                         kinks=(*shape.shape_breakpoints(c), 0.0, -0.5 / c, *turns))
         return C._sobolev_logkernel_generic(window)
 
     @staticmethod
@@ -533,18 +585,22 @@ class TestLemmas:
 
     @pytest.mark.parametrize("c", [0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0])
     def test_split_matches_the_full_window_route(self, c):
-        # worst measured: 8.6e-11 at c = 1.1 on (-2.2, 3.1)
+        # worst measured: 1.5e-10 at c = 0.9 on (-2.2, 3.1)
         for a, b in self.windows(c):
             lhs, _ = C.lemma_intIOmega(c, a, b)
             assert lhs == pytest.approx(self.full_window_route(c, a, b), abs=2e-10)
 
     @pytest.mark.parametrize("c", [0.99, 1.01])
     def test_split_matches_the_full_window_route_near_one(self, c):
-        # both routes under-resolve Omega_c''s turn near c = 1; worst
-        # measured: 1.3e-9 at c = 0.99 on (-2.2, 3.1)
+        # the full route resolves Omega_c''s turn near c = 1 (worst measured
+        # 8.2e-11 from the closed reduction); the split's nested kk term on
+        # the bulk does not, so the two differ by the split's own error,
+        # worst measured 3.2e-9 at c = 0.99 on (-2.2, 3.1)
         for a, b in self.windows(c):
-            lhs, _ = C.lemma_intIOmega(c, a, b)
-            assert lhs == pytest.approx(self.full_window_route(c, a, b), abs=2e-9)
+            lhs, rhs = C.lemma_intIOmega(c, a, b)
+            full = self.full_window_route(c, a, b)
+            assert full == pytest.approx(rhs, abs=2e-10)
+            assert lhs == pytest.approx(full, abs=5e-9)
 
     @pytest.mark.parametrize("x, values", [
         ((-1.5, -0.5, 1.5, 2.5), (-1.0, 0.0, 1.0)),
