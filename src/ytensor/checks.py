@@ -39,7 +39,8 @@ intIOmega's left side, the log energy of Omega_c' on the window, is an
 oracle built from phi_0's antiderivatives alone: off the bulk Omega_c' is
 +-1, so that part's energy is -E and its cross term with the bulk one
 tanh-sinh call, split at the same multiples of |1 - c|, and only the bulk's
-own energy is a nested quadrature, by the generic log-kernel route.
+own energy is a nested quadrature, by the generic log-kernel route, split at
+k = 1 alone.
 _rho_curve, rho of a Curve, is lemma A's quadrature side and the oracle for
 rho.
 """
@@ -227,18 +228,23 @@ def lemma_A(c: float) -> tuple[float, float]:
     return -0.5 * _rho_curve(shape_curve(c), c), _lemma_A_closed(c)
 
 
+def _bulk_turns(c: float) -> tuple[float, ...]:
+    """c/2 - 1 + k|1 - c| for k in _TURN_SCALES.  Near c = 1 Omega_c' turns
+    just right of the bulk's left end, within ~(1 - c)^2 of it; breakpoints
+    there shorten the panels around the turn."""
+    return tuple(0.5 * c - 1.0 + k * abs(1.0 - c) for k in _TURN_SCALES)
+
+
 def lemma_I(c: float, s: float, a: float, b: float) -> tuple[float, float]:
     """I_c(s) = int_a^b phi_0(s-t) Omega_c'(t) dt, quadrature vs closed form.
 
-    Near c = 1 Omega_c' turns just right of the bulk's left end, within
-    ~(1 - c)^2 of it; breakpoints at c/2 - 1 + k|1 - c| shorten the panels
-    around the turn.  At c = 0.99 and 1.01 they take the error at s = c/2 and
-    c/2 + 1.2 from up to 2.7e-9 to at most 1.1e-12.
+    The breakpoints _bulk_turns resolve Omega_c''s turn near c = 1: at
+    c = 0.99 and 1.01 they take the error at s = c/2 and c/2 + 1.2 from up to
+    2.7e-9 to at most 1.1e-12.
     """
     if not a < s < b:
         raise ValueError("s must lie in (a, b)")
-    turns = (0.5 * c - 1.0 + k * abs(1.0 - c) for k in _TURN_SCALES)
-    pts = (*shape_breakpoints(c), 0.0, s, *turns)
+    pts = (*shape_breakpoints(c), 0.0, s, *_bulk_turns(c))
     val = tanh_sinh(lambda t: _phi0_off_diagonal(s - t) * omega_c_prime(c, t), a, b, pts)
     return val, _lemma_I_closed(c, s, a, b)
 
@@ -275,10 +281,12 @@ def lemma_intIOmega(c: float, a: float, b: float) -> tuple[float, float]:
     - hh = -E(x, d), with d the jumps of h at x = [a, breakpoints, b];
     - 2 hk = 2 int_bulk Omega_c'(t) (-sum_k d_k phi_1(x_k - t)) dt, one
       tanh-sinh call, since int phi_0(s - t) h(s) ds = -sum_k d_k phi_1(x_k - t);
-      split, as lemma_I is, at c/2 - 1 + k|1 - c|, where Omega_c' turns
-      near c = 1 (off by 3.1e-9 at c = 0.99 and 1.01);
     - kk, the generic log-kernel route on the bulk, the only nested quadrature.
-      The same split would double its cost, so it has none.
+
+    Both split the bulk at _bulk_turns, where Omega_c' turns near c = 1: hk at
+    all four, kk, whose nested quadrature pays for each split, at k = 1 alone
+    (all four cost it 3.4 times as much).  At c = 0.99 and 1.01 that takes
+    the error from 7.7e-9 to 9.9e-11.
 
     None of it uses G, H~, J~ or lemma I, on which the closed reduction rests.
     The value depends on the window (a, b), which must contain the shape
@@ -290,15 +298,10 @@ def lemma_intIOmega(c: float, a: float, b: float) -> tuple[float, float]:
     mid = 0.5 * (x[:-1] + x[1:])
     h = np.where((lo < mid) & (mid < hi), 0.0, omega_c_prime(c, mid))
     d = np.diff(np.concatenate(([0.0], h, [0.0])))
-    # Omega_c' is smooth at 0, but a split there shortens the panel whose left
-    # end holds Omega_c''s turn near c = 1: without it the worst error on
-    # verify-all's grid is 6.4e-9 instead of 3.3e-10.
-    kinks = (0.0,) if lo < 0.0 < hi else ()
-    turns = tuple(lo + k * abs(1.0 - c) for k in _TURN_SCALES)
-    hk = -tanh_sinh(lambda t: omega_c_prime(c, t) * (phi(1, x - t[..., None]) @ d), lo, hi,
-                    kinks + turns)
+    turns = _bulk_turns(c)  # turns[1:2] is k = 1 alone
+    hk = -tanh_sinh(lambda t: omega_c_prime(c, t) * (phi(1, x - t[..., None]) @ d), lo, hi, turns)
     kk = _sobolev_logkernel_generic(Curve(partial(omega_c, c), partial(omega_c_prime, c),
-                                          (lo, hi), kinks))
+                                          (lo, hi), turns[1:2]))
     return -_log_energy(x, d) + 2.0 * hk + kk, rhs
 
 

@@ -271,7 +271,8 @@ def sobolev_half_sq(prof: Profile, c: float) -> float:
     by quadrature.  Take L' and Omega_c' on [a, b] and 0 outside it, written
     with a bar.  L_bar' jumps by d_bar = [-1, d, -1] at x_bar = [a, x, b], so
     the L'L' term is -E(x_bar, d_bar), the corner energy.  The cross term is
-    -2 int L_bar' I_c = 2 sum d_bar_k K(x_bar_k) by parts, with K' = I_c, and
+    -2 int L_bar' I_c = 2 sum d_bar_k K(x_bar_k) by parts, with K' = I_c and
+    K = _sobolev_kernel:
 
         K(e) = int phi_1(e - t) Omega_bar'(t) dt = int phi_2(e - t) dOmega_bar'(t)
              = -phi_2(a - e) - phi_2(b - e) + F3_c(e - c/2) + m_c phi_2(e + 1/(2c)):
@@ -292,10 +293,16 @@ def sobolev_half_sq(prof: Profile, c: float) -> float:
     a, b = _hull(x, c)
     xw = np.concatenate(([a], x, [b]))
     dw = np.concatenate(([-1.0], d, [-1.0]))
+    cross = 2.0 * float(dw @ _sobolev_kernel(c, a, b, xw))
+    return -_log_energy(xw, dw) + cross + _int_I_omega_closed(c, a, b)
+
+
+def _sobolev_kernel(c: float, a: float, b: float, e: np.ndarray) -> np.ndarray:
+    """K(e), the antiderivative of I_c on the window [a, b] that sobolev_half_sq's
+    cross term reads at the corners; its docstring derives it from lemma F3."""
     m_c = 1.0 - float(np.sign(1.0 - c))
-    kernel = (-phi(2, a - xw) - phi(2, b - xw) + _lemma_F3_closed(c, xw - 0.5 * c)
-              + m_c * phi(2, xw + 0.5 / c))
-    return -_log_energy(xw, dw) + 2.0 * float(dw @ kernel) + _int_I_omega_closed(c, a, b)
+    return (-phi(2, a - e) - phi(2, b - e) + _lemma_F3_closed(c, e - 0.5 * c)
+            + m_c * phi(2, e + 0.5 / c))
 
 
 def h_term(prof: Profile, c: float) -> float:

@@ -504,19 +504,15 @@ class TestLemmas:
 
     @pytest.mark.parametrize("c", KERNEL_CS)
     def test_sobolev_kernel_is_an_antiderivative_of_lemma_I(self, c):
-        # K of sobolev_half_sq's cross term, on a grid that holds points left
-        # of the pole -1/(2c), the window's ends and, at c = 1, the pole
-        # itself; worst measured 1.2e-8 (c = 2), the difference's own error
+        # the kernel sobolev_half_sq's cross term reads, on a grid that holds
+        # points left of the pole -1/(2c), the window's ends and, at c = 1,
+        # the pole itself; worst measured 1.2e-8 (c = 2), the difference's
+        # own error
         a, b = F.default_window(c)
-        m_c = 1.0 - float(np.sign(1.0 - c))
-
-        def kernel(e):
-            return (-phi(2, a - e) - phi(2, b - e) + F._lemma_F3_closed(c, e - 0.5 * c)
-                    + m_c * phi(2, e + 0.5 / c))
-
         es, h = np.linspace(-2.5, 4.5, 15), 1e-5
         assert np.any(es < -0.5 / c)
-        central = (kernel(es + h) - kernel(es - h)) / (2.0 * h)
+        kernel = [F._sobolev_kernel(c, a, b, es + step) for step in (h, -h)]
+        central = (kernel[0] - kernel[1]) / (2.0 * h)
         assert central == pytest.approx([F._lemma_I_closed(c, e, a, b) for e in es], abs=1e-7)
 
     def test_lemma_intIOmega_and_window_invariance(self):
@@ -570,11 +566,10 @@ class TestLemmas:
     def full_window_route(c, a, b):
         # the log-kernel energy of Omega_c' by one nested quadrature over the
         # whole window, with no split into hh, hk and kk; split, as lemma_I's
-        # oracle is, at c/2 - 1 + k|1 - c|, where Omega_c' turns near c = 1.
-        # Within 8.2e-11 of the closed reduction on every c and window below.
-        turns = (0.5 * c - 1.0 + k * abs(1.0 - c) for k in F._TURN_SCALES)
+        # oracle is, at _bulk_turns, where Omega_c' turns near c = 1.  Within
+        # 8.2e-11 of the closed reduction on every c and window below.
         window = replace(C.shape_curve(c), support=(a, b),
-                         kinks=(*shape.shape_breakpoints(c), 0.0, -0.5 / c, *turns))
+                         kinks=(*shape.shape_breakpoints(c), 0.0, -0.5 / c, *C._bulk_turns(c)))
         return C._sobolev_logkernel_generic(window)
 
     @staticmethod
@@ -585,22 +580,21 @@ class TestLemmas:
 
     @pytest.mark.parametrize("c", [0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0])
     def test_split_matches_the_full_window_route(self, c):
-        # worst measured: 1.5e-10 at c = 0.9 on (-2.2, 3.1)
+        # worst measured: 7.8e-11 at c = 1 on (-2.2, 3.1)
         for a, b in self.windows(c):
             lhs, _ = C.lemma_intIOmega(c, a, b)
             assert lhs == pytest.approx(self.full_window_route(c, a, b), abs=2e-10)
 
     @pytest.mark.parametrize("c", [0.99, 1.01])
     def test_split_matches_the_full_window_route_near_one(self, c):
-        # the full route resolves Omega_c''s turn near c = 1 (worst measured
-        # 8.2e-11 from the closed reduction); the split's nested kk term on
-        # the bulk does not, so the two differ by the split's own error,
-        # worst measured 3.2e-9 at c = 0.99 on (-2.2, 3.1)
+        # both routes split at Omega_c''s turn near c = 1; worst measured:
+        # 8.2e-11 from the full route to the closed reduction, 1.8e-10 from
+        # the split to the full route, at c = 1.01 on (-2.2, 3.1)
         for a, b in self.windows(c):
             lhs, rhs = C.lemma_intIOmega(c, a, b)
             full = self.full_window_route(c, a, b)
             assert full == pytest.approx(rhs, abs=2e-10)
-            assert lhs == pytest.approx(full, abs=5e-9)
+            assert lhs == pytest.approx(full, abs=2e-9)
 
     @pytest.mark.parametrize("x, values", [
         ((-1.5, -0.5, 1.5, 2.5), (-1.0, 0.0, 1.0)),
