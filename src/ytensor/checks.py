@@ -383,12 +383,14 @@ def minimizer_gap(cs=(0.5, 2.0)):
                ("minimizer", "hook-integral-quadrature"))
 
 
-def variational_identity(n=100, N=12, count=2, keep=2, seed=2):
-    """The variational identity on the first keep of count samples, N-row ones included."""
-    for lam in rsk.sample_schur_weyl(n, N, seed, count)[:keep]:
-        lhs, rhs = functionals.prop41_identity(lam, N)
-        yield ("variational_identity", {"n": n, "N": N, "lam": str(lam)}, lhs, rhs, 1e-6,
-               ("variational-identity",))
+def variational_identity(cases=((100, 12, 2), (100, 5, 1), (64, 2, 1), (36, 4, 1)), seed=2):
+    """The variational identity on count samples at each (n, N, count); the last
+    three cases sample N-row diagrams at c = 2, 4 and 1.5."""
+    for n, N, count in cases:
+        for lam in rsk.sample_schur_weyl(n, N, seed, count):
+            lhs, rhs = functionals.prop41_identity(lam, N)
+            yield ("variational_identity", {"n": n, "N": N, "lam": str(lam)}, lhs, rhs, 1e-6,
+                   ("variational-identity",))
 
 
 def gap_positivity(n=100, N=10, count=10, seed=3):

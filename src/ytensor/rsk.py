@@ -29,14 +29,19 @@ the kernel's oracle in the tests.
 
 Randomness uses the counter-based Philox4x64-10 generator keyed by
 (seed, trial): trial k always draws from stream k of ``trial_rng``, whatever
-the number of trials requested.  ``sample_schur_weyl`` does not step a numpy
-Generator per trial of a batch of two or more words.  ``_draw_letters`` runs
-Philox's rounds on uint64 arrays for all trials of the batch at once, in one
-pass over the blocks that hold n draws, and applies ``Generator.integers``'
-bounded-draw rule (Lemire's rejection) to each row's first n draws, so each
-word equals ``trial_rng(seed, k).integers(1, N + 1, size=n)`` bit for bit
-unless one of those draws was rejected.  Those rows, and a batch of one
-word (the long words on the pool), draw from their own trial's Generator.
+the number of trials requested.  One rule, ``_long_word``, splits the words:
+a word of n > ``_KERNEL_LETTERS`` / 2 = 8192 letters fills a kernel batch
+alone, runs one per batch on the thread pool and draws from its trial's
+numpy Generator; every batch of shorter words, a lone one included, takes
+the vectorized pass.  ``_draw_letters`` runs Philox's rounds on uint64
+arrays for all trials of the batch at once, in one pass over the blocks
+that hold n draws, and applies ``Generator.integers``' bounded-draw rule
+(Lemire's rejection) to each row's first n draws, so each word equals
+``trial_rng(seed, k).integers(1, N + 1, size=n)`` bit for bit unless one of
+those draws was rejected; only those rows step their own trial's Generator.
+So short words never import ``numpy.random`` (9-14 ms on first use), and a
+lone short word pays the pass's fixed 0.3-0.5 ms of numpy calls where a
+Generator would take ~0.03 ms once imported (2 cores, n = 100).
 The pass runs Philox's first two rounds only on the lanes that depend on
 the trial and reads the 32-bit draws as a view of the 64-bit outputs.
 Equal shapes of one ``sample_schur_weyl`` call share one ``Partition``,
@@ -50,7 +55,7 @@ these take 2e4 trials at each of (n, N) = (4, 2), (5, 3), (6, 3) in
 0.014-0.021 s (2 cores, medians of 40 calls in each of 8 processes), against
 1.18-1.29 s for a Generator per trial: its ``integers`` call costs ~10 us
 per trial, re-keying it ~3 us and building each trial's ``Partition`` ~4 us.
-A lone word at n = 3e4 draws through ``integers`` in 0.25-0.28 ms, where
+A lone long word at n = 3e4 draws through ``integers`` in 0.25-0.28 ms, where
 the vectorized pass took 1.8 ms (medians of 7 timings of 20 calls, in
 each of 3 process pairs), beside 80-100 ms of kernel; most of a pass is
 the 17 calls of ``_mulhilo``, 15 uint64 array operations each.  At N near
@@ -217,6 +222,18 @@ def _lemire(u: np.ndarray, N: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
     return m >> _SHIFT32, m & _MASK32
 
 
+def _long_word(n: int) -> bool:
+    """Whether a word of n letters fills a kernel batch alone (n > _KERNEL_LETTERS / 2).
+
+    The one long-word rule: ``sample_schur_weyl`` runs such words one per
+    batch on its thread pool, and ``_draw_letters`` draws a lone one from its
+    trial's Generator, in 0.25 ms at n = 3e4 against 1.8 ms for the
+    vectorized pass, with no n-sized Philox temporaries.  Every batch of
+    short words, a lone one included, takes the vectorized pass.
+    """
+    return _KERNEL_LETTERS < 2 * n
+
+
 def _draw_letters(seed: int, trials: np.ndarray, n: int, N: int, out: np.ndarray) -> None:
     """Fill row t of ``out`` with ``trial_rng(seed, trials[t]).integers(1, N + 1, size=n)``.
 
@@ -224,23 +241,22 @@ def _draw_letters(seed: int, trials: np.ndarray, n: int, N: int, out: np.ndarray
     32-bit outputs u (each 64-bit output low half first, as numpy's
     ``philox_next32`` does), forms m = u * N and rejects u iff
     m mod 2**32 < (2**32 - N) mod N; the letter is (m >> 32) + 1.  Larger N
-    takes whole 64-bit outputs and a 128-bit product.  N = 1 draws nothing.
+    takes whole 64-bit outputs and a 128-bit product.  N = 1 takes the same
+    rule: it rejects nothing, and every letter is 1.
 
-    Two or more words take one vectorized pass: one ``_philox_blocks`` call
-    for the blocks that hold n draws, and the bounded letters of each row's
-    first n draws, written as one slice.  A row is then exact unless one of
-    those n draws was rejected; such rows, and a lone word, draw from their
-    own trial's Generator instead.  Rejection is rare at the alphabets the
-    paper's regime samples (at most N / 2**32 of draws, 4e-8 at N = 173, and
-    none for N a power of 2), but nearly every row of a few letters redraws
-    at N near 2**31.
+    Every batch but a lone long word (``_long_word``) takes one vectorized
+    pass: one ``_philox_blocks`` call for the blocks that hold n draws, and
+    the bounded letters of each row's first n draws, written as one slice.
+    A row is then exact unless one of those n draws was rejected; such rows,
+    and a lone long word, draw from their own trial's Generator instead.  So
+    a word of n <= 8192 letters steps a Generator only after a rejected
+    draw.  Rejection is rare at the alphabets the paper's regime samples (at
+    most N / 2**32 of draws, 4e-8 at N = 173, and none for N a power of 2),
+    but nearly every row of a few letters redraws at N near 2**31.
     """
-    if N == 1:
-        out[:] = 1
-        return
     bits = 32 if N <= 1 << 32 else 64
     redraw = np.arange(trials.size)
-    if trials.size > 1:
+    if trials.size > 1 or not _long_word(n):
         raw = _philox_blocks(seed, trials, -(-n * bits // 256))
         u = raw.astype("<u8", copy=False).view("<u4") if bits == 32 else raw  # low half first
         hi, lo = _lemire(u[:, :n], N, bits)
@@ -370,7 +386,7 @@ def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:
     Trial k's word is ``trial_rng(seed, k).integers(1, N + 1, size=n)``, bit
     for bit, but ``_draw_letters`` draws the words of a whole batch at once
     from one vectorized Philox pass instead of stepping a Generator per trial
-    (a lone word, or a row with a rejected draw, steps its own Generator).
+    (a long word, or a row with a rejected draw, steps its own Generator).
     ``_draw_batch`` draws one batch of up to ``_KERNEL_LETTERS`` letters and
     runs the kernel ``_row_lengths`` on it; the batches' shapes become
     partitions in trial order, and equal shapes of all batches are one shared
@@ -387,7 +403,7 @@ def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:
     rows run 729 words through the kernel once and build at most 729 row
     tuples.
 
-    At n >= ``_KERNEL_LETTERS`` every batch is one word.  Two or more such
+    A long word (``_long_word``) fills a batch alone.  Two or more such
     words run on a thread pool of min(usable CPUs, count) workers; each batch
     draws into a buffer of its own, so at most that many words are in flight.
     The kernel's searchsorted, ufuncs and fancy indexing release the GIL, so
@@ -402,7 +418,7 @@ def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:
     if N >= 1 << 63:  # trial_rng's int64 letters cannot reach it
         raise ValueError("N must be below 2**63")
     per_call = max(1, _KERNEL_LETTERS // n)
-    workers = min(_usable_cpus(), count) if per_call == 1 else 1
+    workers = min(_usable_cpus(), count) if _long_word(n) else 1
     distinct: dict = {}
     table = radix = None
     if _word_space_fits(n, N, min(count, per_call)):

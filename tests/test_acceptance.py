@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import statistics
 from itertools import chain
 
 import pytest
@@ -44,7 +45,7 @@ def test_acceptance_03_decomposition_residual():
 
 def test_acceptance_04_variational_identity():
     records, _ = checks.run_checks(chain(
-        checks.variational_identity(n=400, N=25, count=20, keep=10, seed=44),
+        checks.variational_identity(cases=((400, 25, 10),), seed=44),
         checks.minimizer_gap()))
     ok = all(r["pass"] for r in records)
     ok = ok and sum(r["test"] == "variational_identity" for r in records) == 10
@@ -127,11 +128,19 @@ def content_sum(lam) -> int:
     return sum(r * (r + 1) // 2 - i * r for i, r in enumerate(lam, start=1))
 
 
+def content_square_sum(lam) -> int:
+    """The sum of the squared contents (j - i)^2 of the cells of lam, one row at a time."""
+    return sum(r * (r + 1) * (2 * r + 1) // 6 - i * r * (r + 1) + i * i * r
+               for i, r in enumerate(lam, start=1))
+
+
 # The mean and variance of the content sum are exact at every n: n(n - 1)/(2N)
-# and n(n - 1)/2 (1 - 1/N^2) under Schur-Weyl, 0 and n(n - 1)/2 under Plancherel
-# (tests/test_exact.py::TestContentMoments checks them over all of Y_N^n).
-# At N = 2^31 + 11 about half the letter draws are rejected, so most words
-# take the sampler's redraw path through their own Generator.
+# and n(n - 1)/2 (1 - 1/N^2) under Schur-Weyl, 0 and n(n - 1)/2 under Plancherel.
+# The mean of the squared-content sum is n(n - 1)(n - 2)/(3N^2) + n(n - 1)/2
+# under Schur-Weyl and n(n - 1)/2 under Plancherel; its z uses the sample
+# variance.  tests/test_exact.py::TestContentMoments checks all of them over
+# Y_N^n.  At N = 2^31 + 11 about half the letter draws are rejected, so most
+# words take the sampler's redraw path through their own Generator.
 @pytest.mark.parametrize("n, N, count", [
     (10 ** 3, 32, 200), (10 ** 4, 100, 50), (3 * 10 ** 4, 173, 10), (300, 10 ** 5, 200),
     (6, 2 ** 31 + 11, 2 * 10 ** 4), (10 ** 3, None, 50),
@@ -139,10 +148,15 @@ def content_sum(lam) -> int:
 def test_acceptance_11_content_mean(n, N, count):
     if N is None:
         samples, mean, var = rsk.sample_plancherel(n, 0, count), 0.0, n * (n - 1) / 2
+        square_mean = n * (n - 1) / 2
     else:
         samples = rsk.sample_schur_weyl(n, N, 0, count)
         mean, var = n * (n - 1) / (2 * N), n * (n - 1) / 2 * (1 - 1 / N ** 2)
+        square_mean = n * (n - 1) * (n - 2) / (3 * N * N) + n * (n - 1) / 2
     z = (sum(map(content_sum, samples)) / count - mean) / math.sqrt(var / count)
+    squares = [content_square_sum(lam) for lam in samples]
+    z_sq = ((statistics.fmean(squares) - square_mean)
+            / math.sqrt(statistics.variance(squares) / count))
     measure = "Plancherel" if N is None else f"Schur-Weyl N={N}"
-    report(11, f"mean content sum of {count} {measure} samples at n={n}: |z| = {abs(z):.2f} <= 5",
-           abs(z) <= 5)
+    report(11, f"mean content sum and squared-content sum of {count} {measure} samples at n={n}: "
+               f"|z| = {abs(z):.2f} and {abs(z_sq):.2f} <= 5", abs(z) <= 5 and abs(z_sq) <= 5)

@@ -490,6 +490,25 @@ class TestLemmas:
                 q, cl = C.lemma_F3(c, x)
                 assert q == pytest.approx(cl, abs=1e-7)
 
+    @pytest.mark.parametrize("c", [1.001, 1.0001, 0.9999])
+    def test_lemma_F3_closed_matches_mpmath_reference_near_one(self, c):
+        # At x = 2, checks.lemma_F3's tanh-sinh is off by 3.3e-9 to 7.8e-9
+        # here while it reports convergence; the closed form is within 1.8e-15
+        # of this reference, which splits at -pi/2 + k|1 - c| up to k = 1024.
+        x = 2.0
+        with mpmath.workdps(30):
+            cc, xx = mpmath.mpf(c), mpmath.mpf(x)
+
+            def g(psi):
+                z = mpmath.sin(psi)
+                phi2 = (0.75 - mpmath.log(2 * abs(xx - z)) / 2) * (xx - z) ** 2
+                return phi2 * 2 * (1 + cc * z) / (mpmath.pi * (1 + cc * cc + 2 * cc * z))
+
+            turns = [-mpmath.pi / 2 + 4 ** k / 4 * abs(1 - cc) for k in range(7)]
+            ref = mpmath.quad(g, [-mpmath.pi / 2, *(t for t in turns if t < mpmath.pi / 2),
+                                  mpmath.pi / 2])
+        assert F._lemma_F3_closed(c, x) == pytest.approx(float(ref), abs=1e-12)
+
     # c at which sobolev_half_sq's cross term is checked: both sides of 1, near
     # it and at it, and both branches of Omega_c far from it
     KERNEL_CS = [0.3, 0.99, 1.0, 1.01, 2.0, 5.0]

@@ -349,11 +349,31 @@ class TestVerifyAll:
         assert {(100, 5), (64, 2), (36, 4)} <= set(rows)
         assert rows[100, 5].height == 5 and rows[64, 2].height == 2 and rows[36, 4].height == 4
 
+    def test_short_words_never_import_numpy_random(self):
+        # The pytest process has numpy.random loaded already.  verify-all's lone
+        # N-row samples and a lone short word draw in the vectorized Philox pass.
+        assert last_line_of_fresh_run(
+            "import sys\n"
+            "from ytensor import harness, rsk\n"
+            "assert harness.cmd_verify_all()['passed']\n"
+            "rsk.sample_schur_weyl(10, 3, 0, 1)\n"
+            "print('numpy.random' in sys.modules)\n") == "False"
+
     def test_penalty_records_are_not_vacuous(self, verify_all_report):
         recs = {ch["test"]: ch for ch in verify_all_report["checks"]
                 if ch["test"].startswith("penalty_")}
         assert set(recs) == {"penalty_nonnegative", "penalty_nonvacuous"}
         assert recs["penalty_nonvacuous"]["lhs"] > 1e-3 and all(r["pass"] for r in recs.values())
+
+
+def last_line_of_fresh_run(code: str) -> str:
+    """The last line that ``code`` prints in a fresh interpreter, which must exit 0."""
+    src = Path(harness.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
 
 
 class TestChiSquare:
@@ -366,15 +386,9 @@ class TestChiSquare:
     def test_no_scipy_at_runtime(self):
         # The pytest process has scipy loaded already, so a fresh one runs the
         # constants table and the chi-square family.
-        code = ("import sys\n"
-                "from ytensor import checks, harness\n"
-                "assert harness.main(['constants', '--c-grid', '0,1.0001']) == 0\n"
-                "list(checks.chi_square(count=2000))\n"
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-        src = Path(harness.__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
+        assert last_line_of_fresh_run(
+            "import sys\n"
+            "from ytensor import checks, harness\n"
+            "assert harness.main(['constants', '--c-grid', '0,1.0001']) == 0\n"
+            "list(checks.chi_square(count=2000))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n") == "[]"

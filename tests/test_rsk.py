@@ -430,6 +430,24 @@ class TestPhilox:
         assert [drawn[k] for k in range(3)] == reference.tolist()
         assert samples == bisect_shapes(reference)
 
+    @pytest.mark.parametrize("n", [100, 8192])
+    def test_lone_short_word_draws_in_the_vectorized_pass(self, monkeypatch, n):
+        # Only a long word (n > 8192) draws from its trial's Generator when it
+        # is alone in its batch; a short one takes the Philox pass.
+        def no_generator(seed, trials):
+            pytest.fail("a Generator was stepped")
+            yield
+
+        blocks, calls = rsk._philox_blocks, []
+        monkeypatch.setattr(rsk, "_philox_blocks", lambda *args: calls.append(args[2]) or blocks(*args))
+        monkeypatch.setattr(rsk, "_trial_streams", no_generator)
+        out = np.empty((1, n), dtype=np.uint64)
+        rsk._draw_letters(5, np.array([3]), n, 12, out)
+        assert calls == [-(-n // 8)]
+        assert np.array_equal(out, reference_words(5, n, 12, [3]))
+        assert rsk.sample_schur_weyl(n, 12, 5, 1) == bisect_shapes(reference_words(5, n, 12, [0]))
+        assert len(calls) == 2
+
     def test_count_spans_several_kernel_batches(self):
         n, N, count = 9, 5, 2 * rsk._KERNEL_LETTERS // 9 + 7
         reference = bisect_shapes(reference_words(11, n, N, range(count)))
