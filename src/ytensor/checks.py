@@ -7,11 +7,11 @@ the two.  No module of the production layers imports it.
 The identity families are sum_rules, measure_routes, chi_square,
 decomposition, variational_identity, minimizer_gap, gap_positivity,
 penalty_nonnegative, lemmas, sobolev_routes, derivatives,
-constants_and_series and hat_inequality.  Each yields one (test, params,
-lhs, rhs, tol, tags) tuple per check and takes its sizes and seed as
-parameters; the defaults are verify-all's sizes, and the acceptance tests
-run the same families at larger sizes.  run_checks turns the tuples into
-report records; harness.cmd_verify_all chains every family, plus p(100).
+constants_and_series, hat_inequality and partition_function.  Each yields
+one (test, params, lhs, rhs, tol, tags) tuple per check and takes its sizes
+and seed as parameters; the defaults are verify-all's sizes, and the
+acceptance tests run the same families at larger sizes.  run_checks turns
+the tuples into report records; harness.cmd_verify_all chains every family.
 
 _schur_weyl_via_contents, the Plancherel measure times the product of
 (N + c)/N over the cells' contents c, is measure_routes' second route to the
@@ -95,6 +95,7 @@ __all__ = [
     "derivatives",
     "constants_and_series",
     "hat_inequality",
+    "partition_function",
 ]
 
 
@@ -252,21 +253,27 @@ def lemma_I(c: float, s: float, a: float, b: float) -> tuple[float, float]:
 def lemma_F3(c: float, x: float) -> tuple[float, float]:
     """int_{-1}^{1} phi_2(x - z) Omega_c''(z + c/2 shift) dz vs its closed form.
 
-    The substitution z = sin(psi) absorbs the inverse-square-root endpoint
-    factor: the transformed weight 2(1 + c sin psi)/(pi (1 + c^2 + 2c sin psi))
-    is smooth on [-pi/2, pi/2].  Near c = 1 it turns within ~|1 - c| of
-    psi = -pi/2, so breakpoints at -pi/2 + k|1 - c| resolve the turn.
+    The substitution z = -cos(t) absorbs the inverse-square-root endpoint
+    factor: the transformed weight 2(1 - c cos t)/(pi (1 + c^2 - 2c cos t))
+    is smooth on [0, pi].  Near c = 1 it turns within ~|1 - c| of t = 0, so
+    breakpoints at k|1 - c| resolve the turn.  There 1 + c^2 - 2c cos t
+    cancels to ~(1 - c)^2, so the weight is taken as
+    (1 + (1 - c^2)/((1 - c)^2 + 4c sin^2(t/2)))/pi, whose denominator sums
+    nonnegative terms.  At c = 1 it is 1/pi, save a few nodes within 1e-150
+    of t = 0, where sin^2(t/2) underflows, the weight is 0/0 and tanh_sinh
+    takes it as non-finite.  At c = 1.0001 and 0.9999, x = 2, that takes the
+    error from 3.6e-9 (1 + c^2 + 2c sin psi, in psi = t - pi/2) to 1.5e-10.
     """
     _require_c(c, positive=True)
 
-    def g(psi):
-        z = np.sin(psi)
-        return phi(2, x - z) * (2.0 * (1.0 + c * z) / (math.pi * (1.0 + c * c + 2.0 * c * z)))
+    def g(t):
+        w = 1.0 + (1.0 - c) * (1.0 + c) / ((1.0 - c) ** 2 + 4.0 * c * np.sin(0.5 * t) ** 2)
+        return phi(2, x + np.cos(t)) * (w / math.pi)
 
-    pts = tuple(-0.5 * math.pi + k * abs(1.0 - c) for k in _TURN_SCALES)
+    pts = tuple(k * abs(1.0 - c) for k in _TURN_SCALES)
     if -1.0 < x < 1.0:
-        pts += (math.asin(x),)
-    val = tanh_sinh(g, -0.5 * math.pi, 0.5 * math.pi, pts)
+        pts += (math.acos(-x),)
+    val = tanh_sinh(g, 0.0, math.pi, pts)
     return val, _lemma_F3_closed(c, x)
 
 
@@ -477,3 +484,9 @@ def hat_inequality():
     bad = sum(1 for lam in exact.enumerate_diagrams(n, N)
               if functionals.theta_hat(lam) < functionals.rho_hat(lam, N) - 1e-12)
     yield "hat_inequality", {"n": n, "N": N}, float(bad), 0.0, 0.0, ("hat-inequality",)
+
+
+def partition_function():
+    """exact.partition_count at 100 against the known value p(100) = 190569292."""
+    yield ("partition_count_100", {}, float(exact.partition_count(100)), 190569292.0, 0.0,
+           ("partition-function",))

@@ -19,7 +19,7 @@ Exit codes: 0 success, 1 verification failure (including an ArithmeticError
 such as an unconverged quadrature), 2 usage error.  All randomized
 commands are bit-reproducible for a fixed seed regardless of scheduling.
 
-verify-all chains the identity families of ytensor.checks, plus p(100).
+verify-all chains the identity families of ytensor.checks.
 """
 
 from __future__ import annotations
@@ -308,9 +308,7 @@ def cmd_verify_all(c_grid: tuple[float, ...] = (0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4
         checks.minimizer_gap(), checks.gap_positivity(seed=seed + 3),
         checks.penalty_nonnegative(), checks.lemmas(c_grid),
         checks.sobolev_routes(), checks.derivatives(), checks.constants_and_series(),
-        checks.hat_inequality(),
-        (("partition_count_100", {}, float(exact.partition_count(n)), 190569292.0, 0.0,
-          ("partition-function",)) for n in (100,))))
+        checks.hat_inequality(), checks.partition_function()))
     passed = all(ch["pass"] for ch in records)
     return {"checks": records, "coverage": sorted(cov), "passed": passed,
             "seed": seed, "c_grid": list(c_grid)}

@@ -258,7 +258,7 @@ def tanh_sinh(f, a: float, b: float, points=()) -> float:
     nodes next to the end round onto it and lose their distance to it, so
     int_0^1 |x - 0.3|^(-1/2) split at 0.3 is off by 2.2e-8 against a 1e-9
     target.  Substitute such a singularity away first, as lemma_F3 does with
-    z = sin(psi).
+    z = -cos(t).
     """
     if a == b:
         return 0.0

@@ -29,16 +29,17 @@ the kernel's oracle in the tests.
 
 Randomness uses the counter-based Philox4x64-10 generator keyed by
 (seed, trial): trial k always draws from stream k of ``trial_rng``, whatever
-the number of trials requested.  One rule, ``_long_word``, splits the words:
-a word of n > ``_KERNEL_LETTERS`` / 2 = 8192 letters fills a kernel batch
-alone, runs one per batch on the thread pool and draws from its trial's
-numpy Generator; every batch of shorter words, a lone one included, takes
-the vectorized pass.  ``_draw_letters`` runs Philox's rounds on uint64
+the number of trials requested, and ``trial_rng`` is the one constructor of
+a Generator.  One rule, ``_long_word``, splits the words: a word of
+n > ``_KERNEL_LETTERS`` / 2 = 8192 letters fills a kernel batch alone, runs
+one per batch on the thread pool and draws from ``trial_rng(seed, k)``;
+every batch of shorter words, a lone one included, takes the vectorized
+pass.  ``_draw_letters`` runs Philox's rounds on uint64
 arrays for all trials of the batch at once, in one pass over the blocks
 that hold n draws, and applies ``Generator.integers``' bounded-draw rule
 (Lemire's rejection) to each row's first n draws, so each word equals
 ``trial_rng(seed, k).integers(1, N + 1, size=n)`` bit for bit unless one of
-those draws was rejected; only those rows step their own trial's Generator.
+those draws was rejected; only those rows draw from ``trial_rng`` itself.
 So short words never import ``numpy.random`` (9-14 ms on first use), and a
 lone short word pays the pass's fixed 0.3-0.5 ms of numpy calls where a
 Generator would take ~0.03 ms once imported (2 cores, n = 100).
@@ -54,17 +55,17 @@ so they hold ``_TABLE_LETTERS`` letters, not ``_KERNEL_LETTERS``.  Together
 these take 2e4 trials at each of (n, N) = (4, 2), (5, 3), (6, 3) in
 0.014-0.021 s (2 cores, medians of 40 calls in each of 8 processes), against
 1.18-1.29 s for a Generator per trial: its ``integers`` call costs ~10 us
-per trial, re-keying it ~3 us and building each trial's ``Partition`` ~4 us.
+per trial and building each trial's ``Partition`` ~4 us.
 A lone long word at n = 3e4 draws through ``integers`` in 0.25-0.28 ms, where
 the vectorized pass took 1.8 ms (medians of 7 timings of 20 calls, in
 each of 3 process pairs), beside 80-100 ms of kernel; most of a pass is
 the 17 calls of ``_mulhilo``, 15 uint64 array operations each.  At N near
 2**31 about half of all draws are rejected, so nearly every short word
-redraws from its Generator: 2000 six-letter words at N = 2**31 + 11 take
-14-25 ms to draw, where placing the accepted draws by count took 4.0-4.4 ms
-(medians of 5 calls in each of 3 process pairs, 2 cores).
-``sample_plancherel`` still re-keys one Philox per trial and calls
-``Generator.permutation``.
+redraws from its own ``trial_rng``: 2000 six-letter words at N = 2**31 + 11
+take 35-38 ms to draw (quartiles of the medians of 7 calls in 10 fresh
+processes, 2 cores), where placing the accepted draws by count took
+4.0-4.4 ms.  ``sample_plancherel`` draws trial k's permutation from
+``trial_rng(seed, k).permutation(n)``.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from functools import partial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -128,33 +129,14 @@ __all__ = [
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Stream ``trial`` of ``seed``: a fresh Philox keyed by (seed mod 2**64, trial).
 
-    This defines the (seed, trial) contract.  ``sample_schur_weyl`` draws the
-    same streams through ``_draw_letters`` and ``sample_plancherel`` through
-    ``_trial_streams``; the tests compare both against it.
+    This defines the (seed, trial) contract, and it is the one place that
+    builds a Generator: ``sample_plancherel`` draws each permutation from it,
+    and ``_draw_letters`` each word that its vectorized pass does not (a lone
+    long word, or a row with a rejected draw).  That pass reproduces these
+    streams; the tests compare both samplers against it.
     """
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(trial)])
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _trial_streams(seed: int, trials: Iterable[int]) -> Iterator[np.random.Generator]:
-    """Yield one Generator per trial id k of ``trials``, each equal to ``trial_rng(seed, k)``.
-
-    ``sample_plancherel`` draws its permutations from these, and
-    ``_draw_letters`` the words it does not take from its vectorized pass.
-
-    The same Generator is re-keyed and yielded every time, so a stream must be
-    used up before the next one is requested.  Assigning the state dict of a
-    fresh Philox back, with only the trial key changed, resets the counter
-    and discards any buffered output.
-    """
-    bitgen = np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64))
-    rng = np.random.Generator(bitgen)
-    state = bitgen.state
-    key = state["state"]["key"]
-    for k in trials:
-        key[1] = k
-        bitgen.state = state
-        yield rng
 
 
 def _mulhilo(a: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -262,8 +244,8 @@ def _draw_letters(seed: int, trials: np.ndarray, n: int, N: int, out: np.ndarray
         hi, lo = _lemire(u[:, :n], N, bits)
         out[:] = hi + np.uint64(1)
         redraw = np.unique(np.flatnonzero(lo < np.uint64(((1 << bits) - N) % N)) // n)
-    for row, rng in zip(redraw, _trial_streams(seed, trials[redraw].tolist())):
-        out[row] = rng.integers(1, N + 1, size=n)
+    for row in redraw:
+        out[row] = trial_rng(seed, trials[row]).integers(1, N + 1, size=n)
 
 
 def rsk_shape_from_letters(letters: Iterable[int]) -> Partition:
@@ -473,8 +455,8 @@ def sample_plancherel(n: int, seed: int, count: int) -> list[Partition]:
     """i.i.d. shapes with the Plancherel law (RS on uniform permutations)."""
     if n < 1 or count < 1:
         raise ValueError("n and count must be positive")
-    return [rsk_shape_from_letters(rng.permutation(n).tolist())
-            for rng in _trial_streams(seed, range(count))]
+    return [rsk_shape_from_letters(trial_rng(seed, k).permutation(n).tolist())
+            for k in range(count)]
 
 
 def sample_dump(samples: Sequence[Partition], n: int, N: int | None, seed: int) -> str:

@@ -79,6 +79,30 @@ def named_anywhere(tree: ast.Module) -> set[str]:
     return found
 
 
+def rng_constructions(tree: ast.Module) -> set[tuple[str, str]]:
+    """(innermost enclosing function, or "" at module level, constructor) for
+    each call that builds a numpy Generator or Philox, by attribute or by a
+    name imported from numpy.random."""
+    aliases = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "numpy.random"
+               for alias in node.names}
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else aliases.get(getattr(func, "id", ""))
+            if name in {"Generator", "Philox", "default_rng"}:
+                found.add((where, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
 class TestOneRoutePerQuantity:
     # the profile's slope grid and the helpers that only tests called
     GONE = {"slopes", "x0", "profile_from_slopes", "area_above_axis", "to_partition",
@@ -93,7 +117,9 @@ class TestOneRoutePerQuantity:
             "_dim_gl",
             # the Sobolev norm's padded window and its lemma I antiderivative,
             # replaced by f's support and lemma F3
-            "_window", "_lemma_I_antiderivative"}
+            "_window", "_lemma_I_antiderivative",
+            # the re-keyed shared Generator, replaced by rsk.trial_rng
+            "_trial_streams"}
 
     def test_no_module_names_what_is_gone(self):
         found = {module: sorted(self.GONE & named_anywhere(syntax_tree(module)))
@@ -126,6 +152,17 @@ class TestOneRoutePerQuantity:
     def test_one_schur_weyl_batch_path(self):
         assert not {"_word_lengths", "rsk_shapes_from_words"} & defined(syntax_tree("rsk"))
         assert {"_draw_batch", "_row_lengths"} <= defined(syntax_tree("rsk"))
+
+    def test_only_trial_rng_builds_a_generator(self):
+        found = {(module, *call) for module in MODULES
+                 for call in rng_constructions(syntax_tree(module))}
+        assert found == {("rsk", "trial_rng", "Generator"), ("rsk", "trial_rng", "Philox")}
+        # the scan sees a nested function, an alias and a call at module level
+        assert rng_constructions(ast.parse(
+            "from numpy.random import Philox as P\n"
+            "def f():\n    def g():\n        return np.random.Generator(P(1))\n"
+            "rng = np.random.default_rng(0)\n")) == {
+                ("g", "Generator"), ("g", "Philox"), ("", "default_rng")}
 
 
 class TestBoundary:

@@ -484,7 +484,7 @@ class TestLemmas:
         assert cl == pytest.approx(phi(1, a - s) + phi(1, b - s) + G(c, s))
 
     def test_lemma_F3(self):
-        # 0.99 and 1.001 put the weight's turn within ~|1 - c| of psi = -pi/2.
+        # 0.99 and 1.001 put the weight's turn within ~|1 - c| of t = 0.
         for c in self.CS + [0.99, 1.001]:
             for x in [0.0, 1.0, -(1 + c * c) / (2 * c), 2.0, -0.7]:
                 q, cl = C.lemma_F3(c, x)
@@ -492,9 +492,9 @@ class TestLemmas:
 
     @pytest.mark.parametrize("c", [1.001, 1.0001, 0.9999])
     def test_lemma_F3_closed_matches_mpmath_reference_near_one(self, c):
-        # At x = 2, checks.lemma_F3's tanh-sinh is off by 3.3e-9 to 7.8e-9
-        # here while it reports convergence; the closed form is within 1.8e-15
-        # of this reference, which splits at -pi/2 + k|1 - c| up to k = 1024.
+        # At x = 2, checks.lemma_F3's tanh-sinh is off by 7.9e-9 at c = 1.001
+        # while it reports convergence; the closed form is within 1.8e-15 of
+        # this reference, which splits at -pi/2 + k|1 - c| up to k = 1024.
         x = 2.0
         with mpmath.workdps(30):
             cc, xx = mpmath.mpf(c), mpmath.mpf(x)
@@ -508,6 +508,14 @@ class TestLemmas:
             ref = mpmath.quad(g, [-mpmath.pi / 2, *(t for t in turns if t < mpmath.pi / 2),
                                   mpmath.pi / 2])
         assert F._lemma_F3_closed(c, x) == pytest.approx(float(ref), abs=1e-12)
+
+    @pytest.mark.parametrize("c", [1.0001, 0.9999])
+    def test_lemma_F3_oracle_near_one(self, c):
+        # 1 + c^2 + 2c sin psi, which cancels to ~(1 - c)^2 at the turn, put
+        # the oracle 3.6e-9 and 3.3e-9 off here; the sum of nonnegative terms
+        # (1 - c)^2 + 4c sin^2(t/2) takes both to 1.5e-10.
+        q, cl = C.lemma_F3(c, 2.0)
+        assert abs(q - cl) <= 5e-10
 
     # c at which sobolev_half_sq's cross term is checked: both sides of 1, near
     # it and at it, and both branches of Omega_c far from it

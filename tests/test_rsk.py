@@ -434,18 +434,15 @@ class TestPhilox:
     def test_lone_short_word_draws_in_the_vectorized_pass(self, monkeypatch, n):
         # Only a long word (n > 8192) draws from its trial's Generator when it
         # is alone in its batch; a short one takes the Philox pass.
-        def no_generator(seed, trials):
-            pytest.fail("a Generator was stepped")
-            yield
-
+        word_3, word_0 = reference_words(5, n, 12, [3]), reference_words(5, n, 12, [0])
         blocks, calls = rsk._philox_blocks, []
         monkeypatch.setattr(rsk, "_philox_blocks", lambda *args: calls.append(args[2]) or blocks(*args))
-        monkeypatch.setattr(rsk, "_trial_streams", no_generator)
+        monkeypatch.setattr(rsk, "trial_rng", lambda *args: pytest.fail("a Generator was built"))
         out = np.empty((1, n), dtype=np.uint64)
         rsk._draw_letters(5, np.array([3]), n, 12, out)
         assert calls == [-(-n // 8)]
-        assert np.array_equal(out, reference_words(5, n, 12, [3]))
-        assert rsk.sample_schur_weyl(n, 12, 5, 1) == bisect_shapes(reference_words(5, n, 12, [0]))
+        assert np.array_equal(out, word_3)
+        assert rsk.sample_schur_weyl(n, 12, 5, 1) == bisect_shapes(word_0)
         assert len(calls) == 2
 
     def test_count_spans_several_kernel_batches(self):
