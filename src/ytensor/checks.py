@@ -25,7 +25,14 @@ functionals take the profile itself and never a Curve.
 
 The lemma_* functions check the closed forms of the auxiliary integrals (A,
 I_c, the phi_2 moment of Omega_c'' and the I-against-Omega' integral) by
-independent quadrature, each returning (quadrature value, closed form).  The
+independent quadrature, each returning (quadrature value, closed form).  Each
+is split once into the integrals it needs and the step that assembles its
+value (an _Oracle), and _evaluate runs any number of oracles with one
+tanh_sinh call for all their single integrals and one nested_tanh_sinh call
+for all their nested ones.  So lemmas integrates its c grid's 28 single
+integrals (A, I, F3 and intIOmega's cross term hk) as one batch and its 7
+nested kk terms as another, and minimizer_gap its nested theta(Omega_c) at
+every c as one; each value is bit for bit the oracle's alone.  The
 nested-quadrature routes (difference quotient, generic log kernel and the
 hook integral of a Curve, minimizer_gap's left side) are independent oracles;
 each gives quadrature.nested_tanh_sinh its kernel and outer weight as
@@ -160,17 +167,21 @@ def profile_minus_shape(prof: Profile, c: float) -> Curve:
                  support=(a, b), kinks=tuple(k for k in kinks if a < k < b))
 
 
+def _theta_integral(L: Curve) -> tuple:
+    """The nested integral iint_{t<s} phi_0(s-t) (1 + L'(t)) (1 - L'(s)) ds dt
+    of theta(L) = 1 - 2 iint, as a nested_tanh_sinh member: 1 + L' vanishes
+    left of the support and 1 - L' right of it."""
+    return (lambda s, t: _phi0_off_diagonal(s - t) * (1.0 + L.prime(t)),
+            lambda s: 1.0 - L.prime(s), *L.support, L.kinks)
+
+
 def _theta_curve(L: Curve) -> float:
-    """Hook integral of a curve by nested tanh-sinh quadrature of its definition
-    theta(L) = 1 - 2 iint_{t<s} phi_0(s-t) (1 + L'(t)) (1 - L'(s)) ds dt, where
-    1 + L' vanishes left of the support and 1 - L' right of it."""
-    return 1.0 - 2.0 * nested_tanh_sinh(
-        lambda s, t: _phi0_off_diagonal(s - t) * (1.0 + L.prime(t)),
-        lambda s: 1.0 - L.prime(s), *L.support, L.kinks)
+    """Hook integral of a curve by nested tanh-sinh quadrature of its definition."""
+    return 1.0 - 2.0 * nested_tanh_sinh([_theta_integral(L)])[0]
 
 
-def _rho_curve(L: Curve, c: float) -> float:
-    """rho of a Curve by tanh-sinh quadrature (log singularity possible at the left edge)."""
+def _rho_integral(L: Curve, c: float) -> tuple:
+    """rho of a Curve as a tanh_sinh member (log singularity possible at the left edge)."""
     lo, hi = L.support
     edge = -0.5 / c
     if lo < edge - 1e-9:
@@ -185,7 +196,12 @@ def _rho_curve(L: Curve, c: float) -> float:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(g != 0.0, 2.0 * np.log1p(2.0 * c * s) * g, 0.0)
 
-    return tanh_sinh(integrand, lo, hi, L.kinks + (0.0,))
+    return integrand, lo, hi, L.kinks + (0.0,)
+
+
+def _rho_curve(L: Curve, c: float) -> float:
+    """rho of a Curve by tanh-sinh quadrature."""
+    return tanh_sinh([_rho_integral(L, c)])[0]
 
 
 def _sobolev_quotient(f: Curve) -> float:
@@ -208,15 +224,44 @@ def _sobolev_quotient(f: Curve) -> float:
         with np.errstate(divide="ignore", invalid="ignore"):
             return fs * fs * (1.0 / (s - a) + 1.0 / (b - s))
 
-    return nested_tanh_sinh(kernel, np.ones_like, a, b, f.kinks) + tanh_sinh(tails, a, b, f.kinks)
+    return (nested_tanh_sinh([(kernel, np.ones_like, a, b, f.kinks)])[0]
+            + tanh_sinh([(tails, a, b, f.kinks)])[0])
+
+
+def _logkernel_integral(f: Curve) -> tuple:
+    """- iint ln|2(s-t)| f'(s) f'(t) ds dt over f's support as a nested_tanh_sinh
+    member: the kernel is symmetric in (s, t), so this is twice its triangle
+    t < s, phi_0(s-t) f'(t) inside and 2 f'(s) outside."""
+    return (lambda s, t: _phi0_off_diagonal(s - t) * f.prime(t),
+            lambda s: 2.0 * f.prime(s), *f.support, f.kinks)
 
 
 def _sobolev_logkernel_generic(f: Curve) -> float:
-    """Log-kernel route: - iint ln|2(s-t)| f'(s) f'(t) ds dt over f's support,
-    by nested tanh-sinh quadrature: the kernel is symmetric in (s, t), so this
-    is twice its triangle t < s, phi_0(s-t) f'(t) inside and 2 f'(s) outside."""
-    return nested_tanh_sinh(lambda s, t: _phi0_off_diagonal(s - t) * f.prime(t),
-                            lambda s: 2.0 * f.prime(s), *f.support, f.kinks)
+    """Log-kernel route to the Sobolev norm by nested tanh-sinh quadrature."""
+    return nested_tanh_sinh([_logkernel_integral(f)])[0]
+
+
+@dataclass(frozen=True)
+class _Oracle:
+    """A quadrature oracle split into the integrals it needs and the step that
+    assembles its value: single holds tanh_sinh members (f, a, b, points),
+    nested holds nested_tanh_sinh members (kernel, weight, a, b, points), and
+    assemble takes their values, singles first, and returns
+    (quadrature value, closed form)."""
+
+    single: tuple
+    nested: tuple
+    assemble: Callable[..., tuple[float, float]]
+
+
+def _evaluate(oracles: list[_Oracle]) -> list[tuple[float, float]]:
+    """Each oracle's (quadrature value, closed form), from one tanh_sinh call
+    over all their single integrals and one nested_tanh_sinh call over all
+    their nested ones.  Each value is bit for bit the oracle's alone."""
+    single = iter(tanh_sinh([m for o in oracles for m in o.single]))
+    nested = iter(nested_tanh_sinh([m for o in oracles for m in o.nested]))
+    return [o.assemble(*[next(single) for _ in o.single], *[next(nested) for _ in o.nested])
+            for o in oracles]
 
 
 def lemma_A(c: float) -> tuple[float, float]:
@@ -225,8 +270,13 @@ def lemma_A(c: float) -> tuple[float, float]:
     The quadrature side is -rho(Omega_c)/2 by _rho_curve; for c >= 1 the left
     support endpoint carries a log singularity, handled by tanh-sinh.
     """
+    return _evaluate([_lemma_A(c)])[0]
+
+
+def _lemma_A(c: float) -> _Oracle:
     _require_c(c, positive=True)
-    return -0.5 * _rho_curve(shape_curve(c), c), _lemma_A_closed(c)
+    closed = _lemma_A_closed(c)
+    return _Oracle((_rho_integral(shape_curve(c), c),), (), lambda rho: (-0.5 * rho, closed))
 
 
 def _bulk_turns(c: float) -> tuple[float, ...]:
@@ -243,11 +293,16 @@ def lemma_I(c: float, s: float, a: float, b: float) -> tuple[float, float]:
     c = 0.99 and 1.01 they take the error at s = c/2 and c/2 + 1.2 from up to
     2.7e-9 to at most 1.1e-12.
     """
+    return _evaluate([_lemma_I(c, s, a, b)])[0]
+
+
+def _lemma_I(c: float, s: float, a: float, b: float) -> _Oracle:
     if not a < s < b:
         raise ValueError("s must lie in (a, b)")
     pts = (*shape_breakpoints(c), 0.0, s, *_bulk_turns(c))
-    val = tanh_sinh(lambda t: _phi0_off_diagonal(s - t) * omega_c_prime(c, t), a, b, pts)
-    return val, _lemma_I_closed(c, s, a, b)
+    closed = _lemma_I_closed(c, s, a, b)
+    return _Oracle(((lambda t: _phi0_off_diagonal(s - t) * omega_c_prime(c, t), a, b, pts),), (),
+                   lambda val: (val, closed))
 
 
 def lemma_F3(c: float, x: float) -> tuple[float, float]:
@@ -264,6 +319,10 @@ def lemma_F3(c: float, x: float) -> tuple[float, float]:
     takes it as non-finite.  At c = 1.0001 and 0.9999, x = 2, that takes the
     error from 3.6e-9 (1 + c^2 + 2c sin psi, in psi = t - pi/2) to 1.5e-10.
     """
+    return _evaluate([_lemma_F3(c, x)])[0]
+
+
+def _lemma_F3(c: float, x: float) -> _Oracle:
     _require_c(c, positive=True)
 
     def g(t):
@@ -273,8 +332,8 @@ def lemma_F3(c: float, x: float) -> tuple[float, float]:
     pts = tuple(k * abs(1.0 - c) for k in _TURN_SCALES)
     if -1.0 < x < 1.0:
         pts += (math.acos(-x),)
-    val = tanh_sinh(g, 0.0, math.pi, pts)
-    return val, _lemma_F3_closed(c, x)
+    closed = _lemma_F3_closed(c, x)
+    return _Oracle(((g, 0.0, math.pi, pts),), (), lambda val: (val, closed))
 
 
 def lemma_intIOmega(c: float, a: float, b: float) -> tuple[float, float]:
@@ -299,6 +358,10 @@ def lemma_intIOmega(c: float, a: float, b: float) -> tuple[float, float]:
     The value depends on the window (a, b), which must contain the shape
     support.
     """
+    return _evaluate([_lemma_intIOmega(c, a, b)])[0]
+
+
+def _lemma_intIOmega(c: float, a: float, b: float) -> _Oracle:
     rhs = _int_I_omega_closed(c, a, b)  # first: it checks the window
     lo, hi = 0.5 * c - 1.0, 0.5 * c + 1.0
     x = np.array([a, *shape_breakpoints(c), b])
@@ -306,10 +369,10 @@ def lemma_intIOmega(c: float, a: float, b: float) -> tuple[float, float]:
     h = np.where((lo < mid) & (mid < hi), 0.0, omega_c_prime(c, mid))
     d = np.diff(np.concatenate(([0.0], h, [0.0])))
     turns = _bulk_turns(c)  # turns[1:2] is k = 1 alone
-    hk = -tanh_sinh(lambda t: omega_c_prime(c, t) * (phi(1, x - t[..., None]) @ d), lo, hi, turns)
-    kk = _sobolev_logkernel_generic(Curve(partial(omega_c, c), partial(omega_c_prime, c),
-                                          (lo, hi), turns[1:2]))
-    return -_log_energy(x, d) + 2.0 * hk + kk, rhs
+    hk = (lambda t: omega_c_prime(c, t) * (phi(1, x - t[..., None]) @ d), lo, hi, turns)
+    kk = _logkernel_integral(Curve(partial(omega_c, c), partial(omega_c_prime, c), (lo, hi),
+                                   turns[1:2]))
+    return _Oracle((hk,), (kk,), lambda hk, kk: (-_log_energy(x, d) + 2.0 * -hk + kk, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +445,16 @@ def decomposition(n=64, N=8, count=5, seed=1):
            ("decomposition", "eps-independence"))
 
 
+def _minimizer(c: float) -> _Oracle:
+    closed = functionals.theta_shape(c)
+    return _Oracle((), (_theta_integral(shape_curve(c)),), lambda v: (1.0 - 2.0 * v, closed))
+
+
 def minimizer_gap(cs=(0.5, 2.0)):
-    """theta - rho vanishes at Omega_c: nested theta(Omega_c) against -2 A(c)."""
-    for c in cs:
-        yield ("minimizer_gap", {"c": c}, _theta_curve(shape_curve(c)),
-               functionals.theta_shape(c), 1e-6,
-               ("minimizer", "hook-integral-quadrature"))
+    """theta - rho vanishes at Omega_c: nested theta(Omega_c) against -2 A(c),
+    with every c's nested integral in one nested_tanh_sinh call."""
+    for c, (lhs, rhs) in zip(cs, _evaluate([_minimizer(c) for c in cs])):
+        yield "minimizer_gap", {"c": c}, lhs, rhs, 1e-6, ("minimizer", "hook-integral-quadrature")
 
 
 def variational_identity(cases=((100, 12, 2), (100, 5, 1), (64, 2, 1), (36, 4, 1)), seed=2):
@@ -423,15 +490,18 @@ def penalty_nonnegative(cases=(((9,), 2), ((12, 4), 3), ((40, 30, 2), 4), ((9,),
 
 
 def lemmas(c_grid):
-    """Lemmas A, I, F3 and intIOmega: quadrature against closed form at each c."""
+    """Lemmas A, I, F3 and intIOmega: quadrature against closed form at each c,
+    with the grid's single integrals in one tanh_sinh call and its nested ones
+    in one nested_tanh_sinh call."""
+    cases = []
     for c in c_grid:
         a, b = functionals.default_window(c)
-        yield "lemma_A", {"c": c}, *lemma_A(c), 1e-7, ("lemma-A",)
-        yield ("lemma_I", {"c": c}, *lemma_I(c, 0.5 * c + 1.2, a, b), 1e-7,
-               ("lemma-I",))
-        yield "lemma_F3", {"c": c}, *lemma_F3(c, 0.3), 1e-7, ("lemma-F3",)
-        yield ("lemma_intIOmega", {"c": c}, *lemma_intIOmega(c, a, b), 1e-6,
-               ("lemma-intIOmega",))
+        cases += [(c, "lemma_A", _lemma_A(c), 1e-7),
+                  (c, "lemma_I", _lemma_I(c, 0.5 * c + 1.2, a, b), 1e-7),
+                  (c, "lemma_F3", _lemma_F3(c, 0.3), 1e-7),
+                  (c, "lemma_intIOmega", _lemma_intIOmega(c, a, b), 1e-6)]
+    for (c, test, _, tol), (lhs, rhs) in zip(cases, _evaluate([o for _, _, o, _ in cases])):
+        yield test, {"c": c}, lhs, rhs, tol, (test.replace("_", "-"),)
 
 
 def sobolev_routes():

@@ -4,8 +4,10 @@ Dimensions of the symmetric-group representation V, the GL(N) highest-weight
 representation W and the isotypic component E = V (x) W, and the Plancherel
 and Schur-Weyl probabilities, are exact integers and rationals.  The scaled
 log-measure -ln P / sqrt(n) is summed in the log domain over the hook and
-shifted-content histograms, and p(n) comes from the Hardy-Ramanujan-Rademacher
-series rounded to the nearest integer; neither builds an n!-sized integer.
+shifted-content histograms, as a sum of prime exponents times ln p (one
+logarithm per prime up to n, through a smallest-prime-factor sieve), and p(n)
+comes from the Hardy-Ramanujan-Rademacher series rounded to the nearest
+integer; neither builds an n!-sized integer.
 Diagrams with bounded height are enumerated iteratively.
 """
 
@@ -148,28 +150,65 @@ def schur_weyl_measure(lam: Partition, N: int) -> ExactMeasure:
     return exact_dims(lam, N).schur_weyl
 
 
+def _smallest_prime_factors(m: int) -> np.ndarray:
+    """spf[k], the smallest prime factor of k, for 2 <= k <= m (spf[0] = 0, spf[1] = 1)."""
+    spf = np.zeros(m + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(m) + 1):
+        if not spf[p]:
+            multiples = spf[p * p::p]
+            multiples[multiples == 0] = p
+    return np.where(spf == 0, np.arange(m + 1), spf)
+
+
 def neg_log_measure_scaled(lam: Partition, N: int) -> mpmath.mpf:
     """-ln(P(lam)) / sqrt(n) for the Schur-Weyl measure, in the log domain.
 
     -ln P = n ln N - ln n! + sum_k (2 m_h(k) - m_x(k)) ln k, where m_h and m_x
-    count the hook lengths and shifted contents equal to k.  n! is folded into
-    the same histogram up to its largest key, so equal factors cancel before
-    any logarithm is taken (P = 1 gives exactly 0), and the rest of ln n! is a
-    difference of log-gammas.  The logarithms are taken at 50 significant
-    decimal digits.
+    count the hook lengths and shifted contents equal to k; both histograms
+    come from np.bincount over the cells, the contents counted as offsets from
+    N - height + 1, so that any N stays exact.  n! is folded into the same
+    histogram up to top = min(n, its largest key), so equal factors cancel
+    before any logarithm is taken (P = 1 gives exactly 0), and the rest of
+    ln n! is a difference of log-gammas.  The weights at keys up to top become
+    prime exponents through a smallest-prime-factor sieve, so the sum takes
+    one logarithm per prime up to top, plus one per content above top (only
+    when N > n) and ln N; each at 50 significant decimal digits.
     """
     if N < 1:
         raise ValueError("N must be positive")
     if lam.height > N:
         raise ZeroDivisionError(f"measure of {lam} is zero for N={N}")
-    n = lam.n
-    weight = Counter({h: 2 * m for h, m in Counter(hook_lengths(lam)).items()})
-    weight.subtract(Counter(shifted_contents(lam, N)))
-    top = min(n, max(weight, default=0))
-    weight.subtract(range(1, top + 1))
+    n, height = lam.n, lam.height
+    rows = np.array(lam.rows, dtype=np.int64)
+    cols = np.array(lam.conjugate_rows, dtype=np.int64)
+    i = np.repeat(np.arange(height), rows)  # each cell's row and column, from 0, row-major
+    j = np.arange(n) - np.repeat(np.cumsum(rows) - rows, rows)
+    hooks = np.bincount(rows[i] - j + cols[j] - i - 1)
+    contents = np.bincount(j - i + height - 1)  # offsets from base = N - height + 1
+    base = N - height + 1
+    top = min(n, max(len(hooks) - 1, base + len(contents) - 1))
+    weight = np.zeros(top + 1, dtype=np.int64)
+    weight[:len(hooks)] = 2 * hooks
+    low = max(0, min(len(contents), top - base + 1))  # the offsets whose content is at most top
+    weight[base:base + low] -= contents[:low]
+    weight[1:] -= 1
+    keys = np.flatnonzero(weight[2:]) + 2
+    w = weight[keys]
+    spf = _smallest_prime_factors(top)
+    exponents = np.zeros(top + 1)  # exact: every partial sum is an integer far below 2**53
+    while keys.size:
+        p = spf[keys]
+        exponents += np.bincount(p, w, top + 1)
+        keys //= p
+        more = keys > 1
+        keys, w = keys[more], w[more]
+    primes = np.flatnonzero(exponents)
+    above = np.flatnonzero(contents[low:]) + low
     with mpmath.workdps(50):
+        logs = [int(e) * mpmath.log(int(p)) for p, e in zip(primes, exponents[primes])]
+        logs += [-int(contents[o]) * mpmath.log(base + int(o)) for o in above]
         val = (n * mpmath.log(N) - (mpmath.loggamma(n + 1) - mpmath.loggamma(top + 1))
-               + mpmath.fsum(w * mpmath.log(k) for k, w in weight.items() if w))
+               + mpmath.fsum(logs))
         return val / mpmath.sqrt(n)
 
 

@@ -481,7 +481,7 @@ def alpha_constant(c: float) -> float:
         return d * d * sin
 
     pts = (0.5 * math.pi,) + tuple(math.pi - k * abs(1.0 - c) for k in _TURN_SCALES)
-    return 0.25 * tanh_sinh(g, 0.0, math.pi, pts)
+    return 0.25 * tanh_sinh([(g, 0.0, math.pi, pts)])[0]
 
 
 def beta_constant() -> float:

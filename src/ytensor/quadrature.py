@@ -7,6 +7,17 @@ diagonal is then the end of every inner panel, so a log kernel such as
 -ln|2(s - t)| goes in as it is, with no regularization.  The one production
 integral is functionals.alpha_constant's tanh_sinh call; every other caller
 is an oracle in ytensor.checks.
+
+Both take a batch: a sequence of independent integrals, (f, a, b, points)
+for tanh_sinh and (kernel, weight, a, b, points) for nested_tanh_sinh, and
+return their values in order; one integral is a one-member batch.  All
+members' panels run in one pass loop, ordered by member, and each pass hands
+each member's function its own contiguous rows (_by_member), so a member's
+value is bit for bit what it is alone.  nested_tanh_sinh runs the inner
+integrals of all its members' outer nodes in shared inner calls.  A call's
+fixed cost is paid once per batch instead of once per integral: verify-all's
+lemma oracles integrate its whole c grid in one tanh_sinh and one
+nested_tanh_sinh call.
 quad_breakpoints, a QUADPACK wrapper, has no production caller; it stays only
 while perfbench/spans.py traces it.
 
@@ -35,6 +46,7 @@ scipy's does.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -249,53 +261,125 @@ def quad_breakpoints(f, a: float, b: float, points=()) -> float:
     return val
 
 
-def tanh_sinh(f, a: float, b: float, points=()) -> float:
-    """Tanh-sinh quadrature of an array integrand f, one panel per breakpoint gap.
+def _runs(member: np.ndarray, count: int) -> list[tuple[int, int, int]]:
+    """(k, first row, end row) of each of count members with rows in a pass,
+    whose member column is sorted."""
+    cuts = np.searchsorted(member[:, 0], np.arange(count + 1))
+    return [(k, cuts[k], cuts[k + 1]) for k in np.flatnonzero(np.diff(cuts))]
 
-    Nodes that round onto a panel end get weight zero, so f may return a
-    non-finite value there.  An inverse-square-root singularity at a panel end
-    away from 0 is under-resolved while the status still reads converged:
-    nodes next to the end round onto it and lose their distance to it, so
-    int_0^1 |x - 0.3|^(-1/2) split at 0.3 is off by 2.2e-8 against a 1e-9
-    target.  Substitute such a singularity away first, as lemma_F3 does with
-    z = -cos(t).
+
+def _by_member(fns, x, member, *args):
+    """One pass's integrand values of a batch: fns[k](*args, x) on member k's rows.
+
+    A batch's panels are ordered by member and leave _tanh_sinh_panels in
+    order, so each member's rows of x, member and args are one contiguous
+    slice; a member whose panels have all converged gets no call.
     """
-    if a == b:
-        return 0.0
-    edges = _edges(a, b, points)
-    integral, status = _tanh_sinh_panels(f, edges[:-1], edges[1:], ABS_TOL)
-    _converged(status, edges[:-1], edges[1:])
-    return float(np.sum(integral))
+    if member[0, 0] == member[-1, 0]:  # one member's rows: no split, no copy
+        return fns[member[0, 0]](*args, x)
+    out = np.empty(x.shape)
+    for k, i, j in _runs(member, len(fns)):
+        out[i:j] = fns[k](*(arg[i:j] for arg in args), x[i:j])
+    return out
 
 
-def nested_tanh_sinh(kernel, weight, a: float, b: float, points=()) -> float:
-    """int_a^b weight(s) int_a^s kernel(s, t) dt ds by two-level tanh-sinh.
+def _integrate(f, edges: list[np.ndarray], atol: float) -> list[float]:
+    """The integrals of a batch whose member k has the panels between edges[k],
+    all in one _tanh_sinh_panels call of f(x, member), each the sum of its
+    own panels; raises ArithmeticError naming the first unconverged panel."""
+    if not edges:
+        return []
+    lo = np.concatenate([e[:-1] for e in edges])
+    hi = np.concatenate([e[1:] for e in edges])
+    counts = [len(e) - 1 for e in edges]
+    member = np.repeat(np.arange(len(edges)), counts)
+    integral, status = _tanh_sinh_panels(f, lo, hi, atol, (member,))
+    _converged(status, lo, hi)
+    return [float(np.sum(integral[j - m:j])) for m, j in zip(counts, np.cumsum(counts))]
+
+
+def tanh_sinh(integrals) -> list[float]:
+    """Tanh-sinh quadrature of independent integrals (f, a, b, points) of array
+    integrands, one panel per breakpoint gap; their values, in order.
+
+    Every member's panels run in one pass loop, and each member's f sees only
+    its own panels' nodes, so its value is bit for bit what a one-member call
+    returns; one integral is a one-member sequence.  Nodes that round onto a
+    panel end get weight zero, so f may return a non-finite value there.  An
+    inverse-square-root singularity at a panel end away from 0 is
+    under-resolved while the status still reads converged: nodes next to the
+    end round onto it and lose their distance to it, so int_0^1 |x - 0.3|^(-1/2)
+    split at 0.3 is off by 2.2e-8 against a 1e-9 target.  Substitute such a
+    singularity away first, as lemma_F3 does with z = -cos(t).
+    """
+    integrals = list(integrals)
+    return _integrate(partial(_by_member, [f for f, *_ in integrals]),
+                      [_edges(a, b, points) for _, a, b, points in integrals], ABS_TOL)
+
+
+def nested_tanh_sinh(integrals) -> list[float]:
+    """int_a^b weight(s) int_a^s kernel(s, t) dt ds by two-level tanh-sinh, for
+    each of independent integrals (kernel, weight, a, b, points); their values,
+    in order.
 
     Only the triangle t < s is integrated: a kernel symmetric in (s, t) gives
     half its integral over the square.  kernel(s, t) and weight(s) take
     broadcastable arrays; the kernel may have an integrable singularity at
-    t = s.  One tanh-sinh call takes the inner integrals of
-    max(1, NESTED_BLOCK // panels) outer nodes s, over each panel [lo, hi]
-    cut at s clipped into it: [lo, cut], so it holds at most NESTED_BLOCK
-    panels unless one node's row alone has more.  A cut within a few ulps of
-    lo or hi is moved onto it, so such panels are empty or whole.
+    t = s.  The outer integrals run as one tanh_sinh batch.  Each outer node
+    s has one inner panel per panel [lo, hi] of its member, cut at s clipped
+    into it: [lo, cut].  A cut within a few ulps of lo or hi is moved onto it,
+    so such panels are empty or whole.  The inner panels of all members'
+    nodes in a pass go to shared inner calls in node order, each of whole
+    nodes' rows and of at most NESTED_BLOCK panels unless one node's row alone
+    has more.  Each member's value is bit for bit what a one-member call
+    returns.
     """
-    edges = _edges(a, b, points)
-    lo, hi = edges[:-1], edges[1:]
+    integrals = list(integrals)
+    kernels = [kernel for kernel, *_ in integrals]
+    weights = [weight for _, weight, *_ in integrals]
+    edges = [_edges(a, b, points) for *_, a, b, points in integrals]
 
-    def rows(s: np.ndarray) -> np.ndarray:
-        flat = s.reshape(-1, 1)
-        out = np.empty(len(flat))
-        step = max(1, NESTED_BLOCK // len(lo))
-        for start in range(0, len(flat), step):
-            s_blk = flat[start:start + step]
-            cut = np.clip(s_blk, lo, hi)
+    def row(k: int, s: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Member k's inner panels [lo, hi] for the outer nodes s, node by node,
+        with each panel's member and node."""
+        lo, hi = np.tile(edges[k][:-1], len(s)), np.tile(edges[k][1:], len(s))
+        s = np.repeat(s, len(edges[k]) - 1)
+        return lo, hi, np.full(len(s), k), s
+
+    def rows(s: np.ndarray, member: np.ndarray) -> np.ndarray:
+        runs = _runs(member, len(edges))
+        nodes = s.ravel()
+        # Shared inner calls: runs (member, first node, end node) in node order.
+        blocks, room = [[]], NESTED_BLOCK
+        for k, first, end in runs:
+            panels = len(edges[k]) - 1
+            i, end = first * s.shape[1], end * s.shape[1]
+            while i < end:
+                take = min(end - i, max(room // panels, 0 if blocks[-1] else 1))
+                if take:
+                    blocks[-1].append((k, i, i + take))
+                    i += take
+                    room -= take * panels
+                else:
+                    blocks.append([])
+                    room = NESTED_BLOCK
+        inner = np.empty(len(nodes))  # each node's inner integral
+        for block in blocks:
+            lo, hi, p_member, p_s = map(np.concatenate,
+                                        zip(*(row(k, nodes[i:j]) for k, i, j in block)))
+            cut = np.clip(p_s, lo, hi)
             cut = np.where(_thin(lo, cut), lo, np.where(_thin(cut, hi), hi, cut))
-            p_lo = np.broadcast_to(lo, cut.shape)
-            integral, status = _tanh_sinh_panels(lambda t, s_: kernel(s_, t), p_lo, cut,
-                                                 INNER_ABS_TOL, (s_blk,))
-            _converged(status, p_lo, cut)
-            out[start:start + step] = integral.sum(axis=1)
-        return weight(s) * out.reshape(s.shape)
+            integral, status = _tanh_sinh_panels(partial(_by_member, kernels), lo, cut,
+                                                 INNER_ABS_TOL, (p_member, p_s))
+            _converged(status, lo, cut)
+            at = 0
+            for k, i, j in block:
+                size = (j - i) * (len(edges[k]) - 1)
+                inner[i:j] = integral[at:at + size].reshape(j - i, -1).sum(axis=1)
+                at += size
+        out = inner.reshape(s.shape)
+        for k, i, j in runs:
+            out[i:j] *= weights[k](s[i:j])
+        return out
 
-    return tanh_sinh(rows, a, b, points)
+    return _integrate(rows, edges, ABS_TOL)

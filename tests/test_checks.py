@@ -259,3 +259,40 @@ class TestMovedNames:
         mod = importlib.import_module(f"ytensor.{module}")
         assert mod.__all__
         assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+class TestOraclesBatch:
+    def test_warm_verify_all_pass_makes_few_tanh_sinh_calls(self, monkeypatch):
+        # Each oracle family integrates its members in one pass loop: the 28
+        # single lemma integrals of the c grid in one call, its 7 nested ones
+        # and minimizer_gap's 2 in one outer call each.
+        harness.cmd_verify_all()
+        calls, nodes = [], []
+        panels_tanh_sinh = quadrature._tanh_sinh_panels
+
+        def spy(f, lo, hi, atol, args=()):
+            calls.append(atol)
+
+            def counted(x, *rest):
+                nodes.append(x.size)
+                return f(x, *rest)
+
+            return panels_tanh_sinh(counted, lo, hi, atol, args)
+
+        monkeypatch.setattr(quadrature, "_tanh_sinh_panels", spy)
+        harness.cmd_verify_all()
+        assert len(calls) <= 12
+        assert sum(nodes) == 121_914
+
+    @pytest.mark.parametrize("name", LEMMAS)
+    def test_grid_batch_matches_each_lemma_alone(self, name, verify_all_report):
+        args = {"lemma_A": lambda c, a, b: (c,),
+                "lemma_I": lambda c, a, b: (c, 0.5 * c + 1.2, a, b),
+                "lemma_F3": lambda c, a, b: (c, 0.3),
+                "lemma_intIOmega": lambda c, a, b: (c, a, b)}
+        recs = [ch for ch in verify_all_report["checks"] if ch["test"] == name]
+        assert len(recs) == 7
+        for ch in recs:
+            c = ch["params"]["c"]
+            assert getattr(checks, name)(*args[name](c, *functionals.default_window(c))) == (
+                ch["lhs"], ch["rhs"])

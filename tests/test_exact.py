@@ -142,6 +142,25 @@ class TestMeasures:
         assert abs(exact.neg_log_measure_scaled(lam, 2**70)
                    - _neg_log_oracle(lam, 2**70)) < mpmath.mpf("1e-30")
 
+    @pytest.mark.parametrize("N", [390, 400, 401])
+    def test_neg_log_measure_where_contents_straddle_top(self, N, monkeypatch):
+        # top = min(n, largest key) = n here, with shifted contents on both
+        # sides of it: those up to top go into prime exponents, the rest keep
+        # one logarithm each
+        (lam,) = rsk.sample_schur_weyl(400, N, 0, 1)
+        contents = exact.shifted_contents(lam, N)
+        top = min(lam.n, max(contents + exact.hook_lengths(lam)))
+        above = {x for x in contents if x > top}
+        assert top == 400 and above and min(contents) <= top
+        want = _neg_log_oracle(lam, N)
+        logs = []
+        log = mpmath.log
+        monkeypatch.setattr(mpmath, "log", lambda x: logs.append(x) or log(x))
+        got = exact.neg_log_measure_scaled(lam, N)
+        assert abs(got - want) < mpmath.mpf("1e-30")
+        primes = [k for k in range(2, top + 1) if all(k % d for d in range(2, math.isqrt(k) + 1))]
+        assert len(logs) <= len(primes) + len(above) + 1
+
     def test_zero_measure_rejected(self):
         with pytest.raises(ZeroDivisionError):
             exact.neg_log_measure_scaled(Partition((1, 1, 1)), 2)

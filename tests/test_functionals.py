@@ -304,7 +304,7 @@ def h_term_quadrature(prof, c):
         out = np.abs(z) > 1.0  # H' extends continuously by 0 to |z| <= 1
         return np.where(out, H_tilde_prime(c, np.where(out, z, 2.0)) * f.fn(s), 0.0)
 
-    return 2.0 * tanh_sinh(integrand, *f.support, f.kinks + bulk + (-0.5 / c,))
+    return 2.0 * tanh_sinh([(integrand, *f.support, f.kinks + bulk + (-0.5 / c,))])[0]
 
 
 def int_I_omega_by_reduction(c, a, b):
@@ -314,7 +314,7 @@ def int_I_omega_by_reduction(c, a, b):
     def integrand(s):
         return (shape.G(c, s) - shape.H_tilde(c, s - 0.5 * c)) * shape.omega_c_prime(c, s)
 
-    rest = tanh_sinh(integrand, a, b, (*shape.shape_breakpoints(c), 0.0, -0.5 / c))
+    rest = tanh_sinh([(integrand, a, b, (*shape.shape_breakpoints(c), 0.0, -0.5 / c))])[0]
     return 1.0 + 2.0 * F._lemma_A_closed(c) - 2.0 * phi(2, b - a) + 2.0 * rest
 
 
@@ -640,9 +640,9 @@ class TestLemmas:
     def test_one_nested_quadrature_on_the_bulk(self, c, monkeypatch):
         supports, nested = [], C.nested_tanh_sinh
 
-        def recording(kernel, weight, a, b, points=()):
-            supports.append((a, b))
-            return nested(kernel, weight, a, b, points)
+        def recording(integrals):
+            supports.extend((a, b) for _, _, a, b, _ in integrals)
+            return nested(integrals)
 
         monkeypatch.setattr(C, "nested_tanh_sinh", recording)
         C.lemma_intIOmega(c, *F.default_window(c))
