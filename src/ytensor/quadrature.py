@@ -10,11 +10,17 @@ is an oracle in ytensor.checks.
 
 Both take a batch: a sequence of independent integrals, (f, a, b, points)
 for tanh_sinh and (kernel, weight, a, b, points) for nested_tanh_sinh, and
-return their values in order; one integral is a one-member batch.  All
-members' panels run in one pass loop, ordered by member, and each pass hands
-each member's function its own contiguous rows (_by_member), so a member's
-value is bit for bit what it is alone.  nested_tanh_sinh runs the inner
-integrals of all its members' outer nodes in shared inner calls.  A call's
+return their values in order; one integral is a one-member batch.  A batch
+is one panel table (_panels): each member's panels [lo, hi] between its
+breakpoints, in member order, with each panel's member.  _integrate is the
+one caller of _tanh_sinh_panels: it runs a table's panels in one pass loop,
+raises on the first unconverged panel and sums each owner's panels in order
+(np.bincount).  Each pass hands each member's function its own contiguous
+rows (_by_member), so a member's value is bit for bit what it is alone.
+nested_tanh_sinh's outer integrand takes each outer node's inner panels from
+the outer table by index, and integrates a pass's nodes in blocks of at most
+NESTED_BLOCK inner panels, each block its own table whose owners are its
+nodes and one _integrate call.  A call's
 fixed cost is paid once per batch instead of once per integral: verify-all's
 lemma oracles integrate its whole c grid in one tanh_sinh and one
 nested_tanh_sinh call.
@@ -233,15 +239,6 @@ def _tanh_sinh_panels(f, lo, hi, atol: float, args=()) -> tuple[np.ndarray, np.n
     return integral.reshape(shape), status.reshape(shape)
 
 
-def _converged(status: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> None:
-    """Raise ArithmeticError naming the first panel [lo, hi] tanh-sinh did not converge on."""
-    bad = np.flatnonzero(status)
-    if bad.size:
-        k = bad[0]
-        raise ArithmeticError(f"tanh-sinh did not converge on [{float(lo.flat[k])!r}, "
-                              f"{float(hi.flat[k])!r}] (status {status.flat[k]})")
-
-
 def quad_breakpoints(f, a: float, b: float, points=()) -> float:
     """Adaptive quadrature of a scalar f over [a, b], splitting at breakpoints;
     raises ArithmeticError naming [a, b] when QUADPACK reports a problem.
@@ -261,11 +258,13 @@ def quad_breakpoints(f, a: float, b: float, points=()) -> float:
     return val
 
 
-def _runs(member: np.ndarray, count: int) -> list[tuple[int, int, int]]:
-    """(k, first row, end row) of each of count members with rows in a pass,
-    whose member column is sorted."""
-    cuts = np.searchsorted(member[:, 0], np.arange(count + 1))
-    return [(k, cuts[k], cuts[k + 1]) for k in np.flatnonzero(np.diff(cuts))]
+def _panels(bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The panel table of a batch of integrals over (a, b, points): the ends
+    lo and hi of each member's panels between its _edges, in member order,
+    and each panel's member."""
+    edges = [_edges(a, b, points) for a, b, points in bounds]
+    return (np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges]),
+            np.repeat(np.arange(len(edges)), [len(e) - 1 for e in edges]))
 
 
 def _by_member(fns, x, member, *args):
@@ -278,24 +277,24 @@ def _by_member(fns, x, member, *args):
     if member[0, 0] == member[-1, 0]:  # one member's rows: no split, no copy
         return fns[member[0, 0]](*args, x)
     out = np.empty(x.shape)
-    for k, i, j in _runs(member, len(fns)):
+    cuts = np.searchsorted(member[:, 0], np.arange(len(fns) + 1))
+    for k in np.flatnonzero(np.diff(cuts)):
+        i, j = cuts[k], cuts[k + 1]
         out[i:j] = fns[k](*(arg[i:j] for arg in args), x[i:j])
     return out
 
 
-def _integrate(f, edges: list[np.ndarray], atol: float) -> list[float]:
-    """The integrals of a batch whose member k has the panels between edges[k],
-    all in one _tanh_sinh_panels call of f(x, member), each the sum of its
-    own panels; raises ArithmeticError naming the first unconverged panel."""
-    if not edges:
-        return []
-    lo = np.concatenate([e[:-1] for e in edges])
-    hi = np.concatenate([e[1:] for e in edges])
-    counts = [len(e) - 1 for e in edges]
-    member = np.repeat(np.arange(len(edges)), counts)
-    integral, status = _tanh_sinh_panels(f, lo, hi, atol, (member,))
-    _converged(status, lo, hi)
-    return [float(np.sum(integral[j - m:j])) for m, j in zip(counts, np.cumsum(counts))]
+def _integrate(f, lo, hi, owner, count: int, atol: float, args) -> np.ndarray:
+    """The integrals of count owners, each the sum of its panels [lo, hi], from
+    one _tanh_sinh_panels call of f(x, *args); raises ArithmeticError naming
+    the first unconverged panel."""
+    integral, status = _tanh_sinh_panels(f, lo, hi, atol, args)
+    bad = np.flatnonzero(status)
+    if bad.size:
+        k = bad[0]
+        raise ArithmeticError(f"tanh-sinh did not converge on [{float(lo[k])!r}, "
+                              f"{float(hi[k])!r}] (status {status[k]})")
+    return np.bincount(owner, integral, count)
 
 
 def tanh_sinh(integrals) -> list[float]:
@@ -313,8 +312,11 @@ def tanh_sinh(integrals) -> list[float]:
     singularity away first, as lemma_F3 does with z = -cos(t).
     """
     integrals = list(integrals)
-    return _integrate(partial(_by_member, [f for f, *_ in integrals]),
-                      [_edges(a, b, points) for _, a, b, points in integrals], ABS_TOL)
+    if not integrals:
+        return []
+    lo, hi, member = _panels(bounds for _, *bounds in integrals)
+    return _integrate(partial(_by_member, [f for f, *_ in integrals]), lo, hi, member,
+                      len(integrals), ABS_TOL, (member,)).tolist()
 
 
 def nested_tanh_sinh(integrals) -> list[float]:
@@ -325,61 +327,42 @@ def nested_tanh_sinh(integrals) -> list[float]:
     Only the triangle t < s is integrated: a kernel symmetric in (s, t) gives
     half its integral over the square.  kernel(s, t) and weight(s) take
     broadcastable arrays; the kernel may have an integrable singularity at
-    t = s.  The outer integrals run as one tanh_sinh batch.  Each outer node
-    s has one inner panel per panel [lo, hi] of its member, cut at s clipped
-    into it: [lo, cut].  A cut within a few ulps of lo or hi is moved onto it,
-    so such panels are empty or whole.  The inner panels of all members'
-    nodes in a pass go to shared inner calls in node order, each of whole
-    nodes' rows and of at most NESTED_BLOCK panels unless one node's row alone
-    has more.  Each member's value is bit for bit what a one-member call
-    returns.
+    t = s.  The outer integrals run as one batch through _integrate, each
+    member owning its panels.  An outer node s of member k has one inner
+    panel per panel of k, found in the outer table by index arithmetic
+    (panels first[k] .. first[k + 1] - 1), and cut at s clipped into it:
+    [lo, cut].  A cut within a few ulps of lo or hi is moved onto it, so such
+    panels are empty or whole.  A pass's outer nodes go to _integrate in node
+    order, in blocks of whole nodes of at most NESTED_BLOCK inner panels, or
+    one node where its panels alone are more; each block builds its own inner
+    table, in which each node owns its panels.  Each member's value is bit
+    for bit what a one-member call returns.
     """
     integrals = list(integrals)
+    if not integrals:
+        return []
     kernels = [kernel for kernel, *_ in integrals]
     weights = [weight for _, weight, *_ in integrals]
-    edges = [_edges(a, b, points) for *_, a, b, points in integrals]
+    lo, hi, member = _panels(bounds for _, _, *bounds in integrals)
+    first = np.searchsorted(member, np.arange(len(integrals) + 1))
 
-    def row(k: int, s: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Member k's inner panels [lo, hi] for the outer nodes s, node by node,
-        with each panel's member and node."""
-        lo, hi = np.tile(edges[k][:-1], len(s)), np.tile(edges[k][1:], len(s))
-        s = np.repeat(s, len(edges[k]) - 1)
-        return lo, hi, np.full(len(s), k), s
+    def outer(s: np.ndarray, k: np.ndarray) -> np.ndarray:
+        nodes, node_k = s.ravel(), np.broadcast_to(k, s.shape).ravel()
+        size = np.diff(first)[node_k]  # inner panels per node
+        end = np.cumsum(size)
+        shift = end - size - first[node_k]  # node m's inner panel g is outer panel g - shift[m]
+        inner = np.empty(nodes.size)
+        i = 0
+        while i < nodes.size:
+            j = max(np.searchsorted(end, end[i] - size[i] + NESTED_BLOCK, "right"), i + 1)
+            owner = np.repeat(np.arange(j - i), size[i:j])
+            panel = np.arange(end[i] - size[i], end[j - 1]) - shift[i:j][owner]
+            p_s, p_lo, p_hi = nodes[i:j][owner], lo[panel], hi[panel]
+            cut = np.clip(p_s, p_lo, p_hi)
+            cut = np.where(_thin(p_lo, cut), p_lo, np.where(_thin(cut, p_hi), p_hi, cut))
+            inner[i:j] = _integrate(partial(_by_member, kernels), p_lo, cut, owner, j - i,
+                                    INNER_ABS_TOL, (node_k[i:j][owner], p_s))
+            i = j
+        return inner.reshape(s.shape) * _by_member(weights, s, k)
 
-    def rows(s: np.ndarray, member: np.ndarray) -> np.ndarray:
-        runs = _runs(member, len(edges))
-        nodes = s.ravel()
-        # Shared inner calls: runs (member, first node, end node) in node order.
-        blocks, room = [[]], NESTED_BLOCK
-        for k, first, end in runs:
-            panels = len(edges[k]) - 1
-            i, end = first * s.shape[1], end * s.shape[1]
-            while i < end:
-                take = min(end - i, max(room // panels, 0 if blocks[-1] else 1))
-                if take:
-                    blocks[-1].append((k, i, i + take))
-                    i += take
-                    room -= take * panels
-                else:
-                    blocks.append([])
-                    room = NESTED_BLOCK
-        inner = np.empty(len(nodes))  # each node's inner integral
-        for block in blocks:
-            lo, hi, p_member, p_s = map(np.concatenate,
-                                        zip(*(row(k, nodes[i:j]) for k, i, j in block)))
-            cut = np.clip(p_s, lo, hi)
-            cut = np.where(_thin(lo, cut), lo, np.where(_thin(cut, hi), hi, cut))
-            integral, status = _tanh_sinh_panels(partial(_by_member, kernels), lo, cut,
-                                                 INNER_ABS_TOL, (p_member, p_s))
-            _converged(status, lo, cut)
-            at = 0
-            for k, i, j in block:
-                size = (j - i) * (len(edges[k]) - 1)
-                inner[i:j] = integral[at:at + size].reshape(j - i, -1).sum(axis=1)
-                at += size
-        out = inner.reshape(s.shape)
-        for k, i, j in runs:
-            out[i:j] *= weights[k](s[i:j])
-        return out
-
-    return _integrate(rows, edges, ABS_TOL)
+    return _integrate(outer, lo, hi, member, len(integrals), ABS_TOL, (member,)).tolist()

@@ -103,6 +103,24 @@ def rng_constructions(tree: ast.Module) -> set[tuple[str, str]]:
     return found
 
 
+def callers(tree: ast.Module, callee: str) -> set[str]:
+    """Innermost enclosing function (or "" at module level) of each call of
+    callee, by name or by attribute."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and callee in (getattr(node.func, "id", None),
+                                                     getattr(node.func, "attr", None)):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
 class TestOneRoutePerQuantity:
     # the profile's slope grid and the helpers that only tests called
     GONE = {"slopes", "x0", "profile_from_slopes", "area_above_axis", "to_partition",
@@ -119,7 +137,10 @@ class TestOneRoutePerQuantity:
             # replaced by f's support and lemma F3
             "_window", "_lemma_I_antiderivative",
             # the re-keyed shared Generator, replaced by rsk.trial_rng
-            "_trial_streams"}
+            "_trial_streams",
+            # tanh-sinh's second convergence check and member split, folded
+            # into quadrature._integrate and _by_member
+            "_converged", "_runs"}
 
     def test_no_module_names_what_is_gone(self):
         found = {module: sorted(self.GONE & named_anywhere(syntax_tree(module)))
@@ -163,6 +184,14 @@ class TestOneRoutePerQuantity:
             "def f():\n    def g():\n        return np.random.Generator(P(1))\n"
             "rng = np.random.default_rng(0)\n")) == {
                 ("g", "Generator"), ("g", "Philox"), ("", "default_rng")}
+
+    def test_integrate_is_the_one_tanh_sinh_caller(self):
+        found = {(module, where) for module in MODULES
+                 for where in callers(syntax_tree(module), "_tanh_sinh_panels")}
+        assert found == {("quadrature", "_integrate")}
+        # the scan sees a nested function, an attribute and a call at module level
+        assert callers(ast.parse("def f():\n    def g():\n        return q._tanh_sinh_panels()\n"
+                                 "_tanh_sinh_panels()\n"), "_tanh_sinh_panels") == {"g", ""}
 
 
 class TestBoundary:

@@ -392,3 +392,14 @@ class TestChiSquare:
             "assert harness.main(['constants', '--c-grid', '0,1.0001']) == 0\n"
             "list(checks.chi_square(count=2000))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n") == "[]"
+
+    def test_no_numpy_ma_at_runtime(self):
+        # numpy's first np.unique imports numpy.ma (16 ms); sampling and
+        # verify-all need neither
+        assert last_line_of_fresh_run(
+            "import sys\n"
+            "import ytensor.harness\n"
+            "from ytensor import rsk\n"
+            "rsk.sample_schur_weyl(5, 3, 0, 10)\n"
+            "ytensor.harness.cmd_verify_all()\n"
+            "print('numpy.ma' in sys.modules)\n") == "False"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,17 @@ class TestBatches:
         members = [(np.exp, 0.0, 1.0, ()), (lambda x: 1.0 / (x - 2.0), 1.0, 2.0, (1.5,))]
         with pytest.raises(ArithmeticError, match=r"did not converge on \[1\.5, 2\.0\]"):
             quadrature.tanh_sinh(members)
+
+    def test_unconverged_inner_panel_names_its_cut(self):
+        # the second member's kernel diverges at t = s, so its first failing
+        # inner panel is [1.0, s] for one of its outer nodes s
+        members = [(_neg_log_kernel, np.ones_like, 0.0, 1.0, ()),
+                   (lambda s, t: 1.0 / (s - t), np.ones_like, 1.0, 2.0, ())]
+        with pytest.raises(ArithmeticError) as error:
+            quadrature.nested_tanh_sinh(members)
+        cut = float(re.fullmatch(r"tanh-sinh did not converge on \[1\.0, (\S+)\] \(status -?\d+\)",
+                                 str(error.value))[1])
+        assert 1.0 < cut < 2.0
 
     def test_no_members(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_tanh_sinh_panels", None)
