@@ -66,7 +66,7 @@ SAMPLING_CAP = 10 ** 6
 # left is arithmetic on n!-sized integers: at 3e4 the Decimal printing takes
 # ~0.4 s and the two Fraction gcds, with their divisions, ~0.5 s; at 1e5 each
 # takes about 6 s, the Plancherel gcd most of its share.  At this cap dims
-# takes at most about the 22-27 s of a Schur-Weyl run at SAMPLING_CAP.
+# takes at most about the 13-16 s of a Schur-Weyl run at SAMPLING_CAP.
 CELL_LOOP_CAP = 10 ** 5
 
 
@@ -101,8 +101,8 @@ class ExperimentConfig:
         if self.N is not None:
             return self.N
         ratio = math.sqrt(self.n) / self.c
-        if not math.isfinite(ratio):
-            raise ValueError("c too small for this n (sqrt(n)/c is not finite)")
+        if not math.isfinite(ratio) or round(ratio) >= 1 << 63:  # the sampler's bound on N
+            raise ValueError("c too small for this n (N = round(sqrt(n)/c) reaches 2**63)")
         N = round(ratio)
         if N < 1:
             raise ValueError("c too large for this n (N rounds to zero)")

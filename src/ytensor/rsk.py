@@ -14,14 +14,17 @@ passes instead of one Python-level step per bump (1.5e6 bumps for one word
 at n = 3e4, N = 173).  ``sample_schur_weyl`` maps one function,
 ``_draw_batch``, over its batches: each batch draws its words into a buffer
 of its own and returns their row lengths from the kernel, or, on the
-word-table path below, their word codes.  Long words run one per batch and
-one thread per word: two words at n = 3e4, N = 173 take 0.13-0.21 s on
-2 cores, against 0.19-0.22 s in one thread and 0.92-1.03 s on the loop; on
-a host that gives about one CPU of throughput to two processes, the pool
-reads 0.11-0.17 s against 0.12-0.17 s in one thread (7 calls each).
-One word at n = 1e6, N = 1000 takes 22-24 s with a 140 MB peak, and
-``ytensor bounds --n 1000000 --c 1 --samples 2`` takes 25-27 s with a
-197-199 MB peak RSS, against 46-47 s and 170-171 MB in one thread.
+word-table path below, their word codes.  A word of n > ``_KERNEL_LETTERS``
+/ 2 = 8192 letters fills a kernel batch alone, and such words run one per
+batch and one thread per word: two words at n = 3e4, N = 173 take
+0.09-0.14 s on 2 cores, against 0.14-0.17 s in one thread (medians of
+7 calls in each of 4 processes) and 0.92-1.03 s on the loop; on a host
+that gives about one CPU of throughput to two processes, the pool reads
+0.11-0.17 s against 0.12-0.17 s in one thread (7 calls each).
+``ytensor sample --n 1000000 --c 1 --samples 1``, one word at N = 1000,
+takes 13-16 s with a 90-93 MB peak RSS, and
+``ytensor bounds --n 1000000 --c 1 --samples 2`` takes 13.6-14.3 s with a
+153-155 MB peak RSS, against 25 s and 94-100 MB in one thread (2 cores).
 ``sample_plancherel`` stays on the bisect loop: a permutation has n letter
 blocks of one position each, so the kernel makes n passes of tiny arrays,
 0.20-0.25 s against 0.12-0.14 s for the loop at n = 1e4.  The loop is also
@@ -30,19 +33,17 @@ the kernel's oracle in the tests.
 Randomness uses the counter-based Philox4x64-10 generator keyed by
 (seed, trial): trial k always draws from stream k of ``trial_rng``, whatever
 the number of trials requested, and ``trial_rng`` is the one constructor of
-a Generator.  One rule, ``_long_word``, splits the words: a word of
-n > ``_KERNEL_LETTERS`` / 2 = 8192 letters fills a kernel batch alone, runs
-one per batch on the thread pool and draws from ``trial_rng(seed, k)``;
-every batch of shorter words, a lone one included, takes the vectorized
-pass.  ``_draw_letters`` runs Philox's rounds on uint64
+a Generator.  Every batch, of one word or many, short or long, takes one
+vectorized pass: ``_draw_letters`` runs Philox's rounds on uint64
 arrays for all trials of the batch at once, in one pass over the blocks
 that hold n draws, and applies ``Generator.integers``' bounded-draw rule
 (Lemire's rejection) to each row's first n draws, so each word equals
 ``trial_rng(seed, k).integers(1, N + 1, size=n)`` bit for bit unless one of
 those draws was rejected; only those rows draw from ``trial_rng`` itself.
-So short words never import ``numpy.random`` (9-14 ms on first use), and a
-lone short word pays the pass's fixed 0.3-0.5 ms of numpy calls where a
-Generator would take ~0.03 ms once imported (2 cores, n = 100).
+So Schur-Weyl sampling imports ``numpy.random`` (9-17 ms on first use) only
+for a word with a rejected draw.  A lone short word pays the pass's fixed
+0.3-0.5 ms of numpy calls where a Generator would take ~0.03 ms once
+imported (2 cores, n = 100).
 The pass runs Philox's first two rounds only on the lanes that depend on
 the trial and reads the 32-bit draws as a view of the 64-bit outputs.
 Equal shapes of one ``sample_schur_weyl`` call share one ``Partition``,
@@ -56,10 +57,11 @@ these take 2e4 trials at each of (n, N) = (4, 2), (5, 3), (6, 3) in
 0.014-0.021 s (2 cores, medians of 40 calls in each of 8 processes), against
 1.18-1.29 s for a Generator per trial: its ``integers`` call costs ~10 us
 per trial and building each trial's ``Partition`` ~4 us.
-A lone long word at n = 3e4 draws through ``integers`` in 0.25-0.28 ms, where
-the vectorized pass took 1.8 ms (medians of 7 timings of 20 calls, in
-each of 3 process pairs), beside 80-100 ms of kernel; most of a pass is
-the 17 calls of ``_mulhilo``, 15 uint64 array operations each.  At N near
+One word at n = 3e4, N = 173 draws in 0.8-1.2 ms (medians of 7 timings
+of 20 calls, in each of 5 processes), beside 60-76 ms of kernel; most of
+a pass is the 17 calls of ``_mulhilo``, 15 uint64 array operations each.
+At n = 1e6, N = 1000 the draw takes 30-39 ms and 20 MB of temporaries
+(tracemalloc), freed before the kernel runs.  At N near
 2**31 about half of all draws are rejected, so nearly every short word
 redraws from its own ``trial_rng``: 2000 six-letter words at N = 2**31 + 11
 take 35-38 ms to draw (quartiles of the medians of 7 calls in 10 fresh
@@ -131,9 +133,9 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
     This defines the (seed, trial) contract, and it is the one place that
     builds a Generator: ``sample_plancherel`` draws each permutation from it,
-    and ``_draw_letters`` each word that its vectorized pass does not (a lone
-    long word, or a row with a rejected draw).  That pass reproduces these
-    streams; the tests compare both samplers against it.
+    and ``_draw_letters`` each row whose first n draws include a rejected
+    one.  Its vectorized pass reproduces these streams; the tests compare
+    both samplers against it.
     """
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(trial)])
     return np.random.Generator(np.random.Philox(key=key))
@@ -201,19 +203,7 @@ def _lemire(u: np.ndarray, N: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
     if bits == 64:
         return _mulhilo(u, N)
     m = np.multiply(u, np.uint64(N), dtype=np.uint64)  # u may be a uint32 view
-    return m >> _SHIFT32, m & _MASK32
-
-
-def _long_word(n: int) -> bool:
-    """Whether a word of n letters fills a kernel batch alone (n > _KERNEL_LETTERS / 2).
-
-    The one long-word rule: ``sample_schur_weyl`` runs such words one per
-    batch on its thread pool, and ``_draw_letters`` draws a lone one from its
-    trial's Generator, in 0.25 ms at n = 3e4 against 1.8 ms for the
-    vectorized pass, with no n-sized Philox temporaries.  Every batch of
-    short words, a lone one included, takes the vectorized pass.
-    """
-    return _KERNEL_LETTERS < 2 * n
+    return m >> _SHIFT32, np.bitwise_and(m, _MASK32, out=m)  # low word in place, after the high
 
 
 def _draw_letters(seed: int, trials: np.ndarray, n: int, N: int, out: np.ndarray) -> None:
@@ -226,28 +216,24 @@ def _draw_letters(seed: int, trials: np.ndarray, n: int, N: int, out: np.ndarray
     takes whole 64-bit outputs and a 128-bit product.  N = 1 takes the same
     rule: it rejects nothing, and every letter is 1.
 
-    Every batch but a lone long word (``_long_word``) takes one vectorized
+    Every batch, a lone word of any length included, takes one vectorized
     pass: one ``_philox_blocks`` call for the blocks that hold n draws, and
     the bounded letters of each row's first n draws, written as one slice.
-    A row is then exact unless one of those n draws was rejected; such rows,
-    and a lone long word, draw from their own trial's Generator instead.  So
-    a word of n <= 8192 letters steps a Generator only after a rejected
-    draw.  Rejection is rare at the alphabets the paper's regime samples (at
-    most N / 2**32 of draws, 4e-8 at N = 173, and none for N a power of 2),
-    but nearly every row of a few letters redraws at N near 2**31.
+    A row is then exact unless one of those n draws was rejected; only such
+    rows draw from their own trial's Generator instead.  Rejection is rare
+    at the alphabets the paper's regime samples (at most N / 2**32 of
+    draws, 4e-8 at N = 173, and none for N a power of 2), but nearly every
+    row of a few letters redraws at N near 2**31.
     """
     bits = 32 if N <= 1 << 32 else 64
-    redraw = np.arange(trials.size)
-    if trials.size > 1 or not _long_word(n):
-        raw = _philox_blocks(seed, trials, -(-n * bits // 256))
-        u = raw.astype("<u8", copy=False).view("<u4") if bits == 32 else raw  # low half first
-        hi, lo = _lemire(u[:, :n], N, bits)
-        out[:] = hi + np.uint64(1)
-        # rows with a rejected draw, once each: np.unique would import numpy.ma,
-        # and any(axis=1) over rows of a few letters is ~7x slower
-        redraw = np.flatnonzero(lo < np.uint64(((1 << bits) - N) % N)) // n
-        redraw = redraw[np.diff(redraw, prepend=-1) != 0]
-    for row in redraw:
+    raw = _philox_blocks(seed, trials, -(-n * bits // 256))
+    u = raw.astype("<u8", copy=False).view("<u4") if bits == 32 else raw  # low half first
+    hi, lo = _lemire(u[:, :n], N, bits)
+    np.add(hi, np.uint64(1), out=out, casting="unsafe")  # no n-sized temporary
+    # rows with a rejected draw, once each and in order: np.unique would import
+    # numpy.ma, and any(axis=1) over rows of a few letters is ~7x slower
+    rejected = np.flatnonzero(lo < np.uint64(((1 << bits) - N) % N)) // n
+    for row in dict.fromkeys(rejected.tolist()):
         out[row] = trial_rng(seed, trials[row]).integers(1, N + 1, size=n)
 
 
@@ -371,7 +357,7 @@ def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:
     Trial k's word is ``trial_rng(seed, k).integers(1, N + 1, size=n)``, bit
     for bit, but ``_draw_letters`` draws the words of a whole batch at once
     from one vectorized Philox pass instead of stepping a Generator per trial
-    (a long word, or a row with a rejected draw, steps its own Generator).
+    (only a row with a rejected draw steps its own Generator).
     ``_draw_batch`` draws one batch of up to ``_KERNEL_LETTERS`` letters and
     runs the kernel ``_row_lengths`` on it; the batches' shapes become
     partitions in trial order, and equal shapes of all batches are one shared
@@ -388,9 +374,10 @@ def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:
     rows run 729 words through the kernel once and build at most 729 row
     tuples.
 
-    A long word (``_long_word``) fills a batch alone.  Two or more such
-    words run on a thread pool of min(usable CPUs, count) workers; each batch
-    draws into a buffer of its own, so at most that many words are in flight.
+    A word of more than ``_KERNEL_LETTERS`` / 2 = 8192 letters fills a batch
+    alone (per_call == 1).  Two or more such words run on a thread pool of
+    min(usable CPUs, count) workers; each batch draws into a buffer of its
+    own, so at most that many words are in flight.
     The kernel's searchsorted, ufuncs and fancy indexing release the GIL, so
     the words use every core; the partitions are still built in the calling
     thread, in trial order.  Batches of short words stay in one thread: their
@@ -403,7 +390,7 @@ def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:
     if N >= 1 << 63:  # trial_rng's int64 letters cannot reach it
         raise ValueError("N must be below 2**63")
     per_call = max(1, _KERNEL_LETTERS // n)
-    workers = min(_usable_cpus(), count) if _long_word(n) else 1
+    workers = min(_usable_cpus(), count) if per_call == 1 else 1
     distinct: dict = {}
     table = radix = None
     if _word_space_fits(n, N, min(count, per_call)):

@@ -140,7 +140,10 @@ class TestOneRoutePerQuantity:
             "_trial_streams",
             # tanh-sinh's second convergence check and member split, folded
             # into quadrature._integrate and _by_member
-            "_converged", "_runs"}
+            "_converged", "_runs",
+            # the long-word rule, whose lone word drew from its own Generator;
+            # every batch takes the Philox pass, and the pool reads per_call == 1
+            "_long_word"}
 
     def test_no_module_names_what_is_gone(self):
         found = {module: sorted(self.GONE & named_anywhere(syntax_tree(module)))

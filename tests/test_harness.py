@@ -218,6 +218,14 @@ class TestSubcommands:
             code = exc.code
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["bounds", "biane", "sample"])
+    @pytest.mark.parametrize("n, c", [("9", "1e-300"), ("4", "1e-19")])
+    def test_c_too_small_for_n_is_named(self, capsys, command, n, c):
+        # round(sqrt(n)/c) reaches 2**63: the error names c, not the sampler's bound on N
+        assert main([command, "--n", n, "--c", c]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: c too small for this n (N = round(sqrt(n)/c) reaches 2**63)\n"
+
     @pytest.mark.parametrize("argv, target, message", [
         (["verify-all"], "cmd_verify_all",
          "tanh-sinh did not converge on [-1.0, -0.5] (status -2)"),
@@ -349,14 +357,16 @@ class TestVerifyAll:
         assert {(100, 5), (64, 2), (36, 4)} <= set(rows)
         assert rows[100, 5].height == 5 and rows[64, 2].height == 2 and rows[36, 4].height == 4
 
-    def test_short_words_never_import_numpy_random(self):
+    def test_schur_weyl_sampling_never_imports_numpy_random(self):
         # The pytest process has numpy.random loaded already.  verify-all's lone
-        # N-row samples and a lone short word draw in the vectorized Philox pass.
+        # N-row samples, a lone short word and two long words on the pool draw
+        # in the vectorized Philox pass; none of these words has a rejected draw.
         assert last_line_of_fresh_run(
             "import sys\n"
             "from ytensor import harness, rsk\n"
             "assert harness.cmd_verify_all()['passed']\n"
             "rsk.sample_schur_weyl(10, 3, 0, 1)\n"
+            "rsk.sample_schur_weyl(30000, 173, 0, 2)\n"
             "print('numpy.random' in sys.modules)\n") == "False"
 
     def test_penalty_records_are_not_vacuous(self, verify_all_report):

@@ -414,26 +414,35 @@ class TestPhilox:
         assert samples[-50:] == bisect_shapes(reference_words(0, n, 2, range(19950, 20000)))
 
     def test_lone_word_draws_from_its_trial_stream(self, monkeypatch):
-        # n = 8193 runs one word per batch on the pool (see test_pool_threshold).
+        # n = 8193 runs one word per batch on the pool (see test_pool_threshold),
+        # and each word still takes one vectorized pass: no Generator is built.
+        reference = reference_words(7, 8193, 5, range(3))
         monkeypatch.setattr(rsk, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(rsk, "_philox_blocks", lambda *args: pytest.fail("vectorized pass"))
-        draw, drawn, lock = rsk._draw_letters, {}, threading.Lock()
+        monkeypatch.setattr(rsk, "trial_rng", lambda *args: pytest.fail("a Generator was built"))
+        blocks, draw, passes, drawn = rsk._philox_blocks, rsk._draw_letters, [], {}
+        lock = threading.Lock()
 
-        def spy(seed, trials, n, N, out):
+        def spy_blocks(seed, trials, count):
+            with lock:
+                passes.append((trials.tolist(), threading.current_thread()))
+            return blocks(seed, trials, count)
+
+        def spy_draw(seed, trials, n, N, out):
             draw(seed, trials, n, N, out)
             with lock:
                 drawn.update(zip(trials.tolist(), out.tolist()))
 
-        monkeypatch.setattr(rsk, "_draw_letters", spy)
+        monkeypatch.setattr(rsk, "_philox_blocks", spy_blocks)
+        monkeypatch.setattr(rsk, "_draw_letters", spy_draw)
         samples = rsk.sample_schur_weyl(8193, 5, 7, 3)
-        reference = reference_words(7, 8193, 5, range(3))
+        assert sorted(trials for trials, _ in passes) == [[0], [1], [2]]
+        assert threading.main_thread() not in {thread for _, thread in passes}
         assert [drawn[k] for k in range(3)] == reference.tolist()
         assert samples == bisect_shapes(reference)
 
-    @pytest.mark.parametrize("n", [100, 8192])
-    def test_lone_short_word_draws_in_the_vectorized_pass(self, monkeypatch, n):
-        # Only a long word (n > 8192) draws from its trial's Generator when it
-        # is alone in its batch; a short one takes the Philox pass.
+    @pytest.mark.parametrize("n", [100, 8192, 8193])
+    def test_lone_word_draws_in_the_vectorized_pass(self, monkeypatch, n):
+        # A word alone in its batch takes the Philox pass, however long it is.
         word_3, word_0 = reference_words(5, n, 12, [3]), reference_words(5, n, 12, [0])
         blocks, calls = rsk._philox_blocks, []
         monkeypatch.setattr(rsk, "_philox_blocks", lambda *args: calls.append(args[2]) or blocks(*args))
