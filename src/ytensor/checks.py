@@ -69,7 +69,6 @@ from .diagrams import Partition, Profile, profile
 from .functionals import (
     _TURN_SCALES,
     _corner_jumps,
-    _hull,
     _int_I_omega_closed,
     _lemma_A_closed,
     _lemma_F3_closed,
@@ -153,13 +152,15 @@ def shape_curve(c: float) -> Curve:
 
 
 def profile_minus_shape(prof: Profile, c: float) -> Curve:
-    """The difference f = L - Omega_c as a Curve on its support [a, b],
-    functionals._hull: L is |s| left of the profile's first corner and right
-    of its last, and Omega_c is |s| outside its own support, so f and f'
-    vanish beyond both ends.  Kinks at the corners, the shape's breakpoints
-    and 0, strictly inside."""
+    """The difference f = L - Omega_c as a Curve on its support [a, b], the hull
+    of the profile's corners and Omega_c's support [lo, hi]: L is |s| left of
+    the profile's first corner and right of its last, and Omega_c is |s|
+    outside its own support, so f and f' vanish beyond both ends.  Kinks at
+    the corners, the shape's breakpoints and 0, strictly inside."""
     cx, d = _corner_jumps(prof)
-    a, b = _hull(cx, c)
+    _require_c(c, positive=True)
+    lo, hi = shape_support(c)
+    a, b = min(float(cx[0]), lo), max(float(cx[-1]), hi)
     lp = np.cumsum(np.concatenate(([-1.0], d)))  # L' left of cx[0], on each piece, right of it
     kinks = sorted(set(cx.tolist()) | set(shape_breakpoints(c)) | {0.0})
     return Curve(fn=lambda s: prof.evaluate(s) - omega_c(c, s),

@@ -60,7 +60,7 @@ class ExactDims:
 
     @property
     def plancherel(self) -> ExactMeasure:
-        return ExactMeasure(Fraction(self.dim_sym * self.dim_sym, math.factorial(self.n)))
+        return ExactMeasure(Fraction(self.dim_sym, math.factorial(self.n) // self.dim_sym))
 
     @property
     def schur_weyl(self) -> ExactMeasure:

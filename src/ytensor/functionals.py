@@ -22,12 +22,12 @@ On a lattice profile L'' is a sum of point masses d_k at the corners x_k, so
 two integrations by parts turn every log-kernel functional into a sum over
 corners: theta = 1 - E(x, d) with E = sum_{j,k} d_j d_k phi_2(x_k - x_j), rho
 a sum of phi_2(x_k + 1/(2c)) and x_k^2 terms, and the Sobolev norm of
-f = L - Omega_c, on f's support, the energy E, the phi_2 moment of Omega_c''
-at the corners (lemma F3, an antiderivative of lemma I's I_c) and lemma
-intIOmega's reduction of the shape self-energy, closed by parts through G_c,
-a log moment and J~_c at the support's ends and the pole; verify-all checks
-each of the three.  alpha_c, an integral in angle variables, is the layer's
-one tanh-sinh call.
+f = L - Omega_c a polarization with no window: theta(L) + theta(Omega_c) - 2
+plus a cross term that reads at the corners the phi_2 moment of Omega_c''
+(lemma F3's bulk part and the pole's mass), an antiderivative of lemma I's
+I_c.  Lemma intIOmega's closed reduction (_int_I_omega_closed) stays as a
+closed form that verify-all checks; no production route reads it.
+alpha_c, an integral in angle variables, is the layer's one tanh-sinh call.
 The boundary penalty takes no quadrature either: J~_c and H~_c vanish on
 the bulk, and off it Omega_c is |s| but for the line X + 1/c when c > 1, so
 the penalty is a sum of J~_c over the corners off the bulk plus one term at
@@ -200,8 +200,10 @@ def m_series(x: float) -> float:
     """m(x) = sum_{k>=1} 1 / (k (k+1) (2k+1) x^{2k}), for |x| >= 1.
 
     For large |x| the series is summed directly, truncating when the next term
-    drops below 1e-16 times the partial sum.  Near |x| = 1 the series converges
-    too slowly (terms are of order 1/(2k^3)), so the closed form
+    is at most 1e-16 times the partial sum; where 1/x^2 underflows (|x| = inf
+    included) every term is 0 and so is m.  NaN is rejected with |x| < 1.
+    Near |x| = 1 the series converges too slowly (terms are of order
+    1/(2k^3)), so the closed form
 
         m(x) = 3 - (x+1)^2 ln(1 + 1/x) - (x-1)^2 ln(1 - 1/x)
 
@@ -209,7 +211,7 @@ def m_series(x: float) -> float:
     used instead; at x = 1 its limit is 3 - 4 ln 2.
     """
     ax = abs(float(x))
-    if ax < 1.0:
+    if not ax >= 1.0:
         raise ValueError(f"m(x) requires |x| >= 1, got {x}")
     if ax < _M_CLOSED_CUTOFF:
         if ax == 1.0:
@@ -229,7 +231,7 @@ def m_series(x: float) -> float:
         power *= inv2
         k += 1
         nxt = power / (k * (k + 1) * (2 * k + 1))
-        if nxt < 1e-16 * total:
+        if nxt <= 1e-16 * total:
             return total + nxt
 
 
@@ -255,34 +257,32 @@ def rho_hat(lam: Partition, N: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _hull(x: np.ndarray, c: float) -> tuple[float, float]:
-    """The support [a, b] of L - Omega_c for corners x: the hull of [x_0, x_K]
-    and Omega_c's support [lo, hi], outside which L and Omega_c are both |s|."""
-    _require_c(c, positive=True)
-    lo, hi = shape_support(c)
-    return min(float(x[0]), lo), max(float(x[-1]), hi)
-
-
 def sobolev_half_sq(prof: Profile, c: float) -> float:
     """(1/2) ||f||^2_{1/2} for the profile-minus-shape difference f = L - Omega_c.
 
-    The log-kernel form iint phi_0(s-t) f'(s) f'(t) is evaluated in closed
-    form on f's support [a, b] (_hull): f'f' expands into three terms, none
-    by quadrature.  Take L' and Omega_c' on [a, b] and 0 outside it, written
-    with a bar.  L_bar' jumps by d_bar = [-1, d, -1] at x_bar = [a, x, b], so
-    the L'L' term is -E(x_bar, d_bar), the corner energy.  The cross term is
-    -2 int L_bar' I_c = 2 sum d_bar_k K(x_bar_k) by parts, with K' = I_c and
-    K = _sobolev_kernel:
+    The log-kernel form iint phi_0(s-t) f'(s) f'(t) polarizes into L's own
+    energy, Omega_c's own energy and a cross term, each in closed form:
 
-        K(e) = int phi_1(e - t) Omega_bar'(t) dt = int phi_2(e - t) dOmega_bar'(t)
-             = -phi_2(a - e) - phi_2(b - e) + F3_c(e - c/2) + m_c phi_2(e + 1/(2c)):
+        (1/2) ||f||^2 = theta(L) + theta(Omega_c) - 2 + 2 sum d_k K(x_k),
 
-    Omega_bar' drops by 1 at a and at b, its bulk part Omega_c'' is lemma
-    F3's measure, and m_c = 1 - sgn(1 - c) is Omega_c''s mass at the pole
-    -1/(2c), 0 for c < 1, 1 at c = 1 (the bulk's left edge) and 2 for c > 1.
-    Any other antiderivative of I_c would do: its constant cancels, since
-    sum d_bar_k = 0.  The shape self-energy is int I_c Omega_c', lemma
-    intIOmega's closed reduction.
+    with theta(L) = 1 - E(x, d), theta(Omega_c) = -2 A(c) (theta_shape) and
+    the cross term -2 int L' I_c = 2 sum d_k K(x_k) by parts.  K is
+    _sobolev_kernel, an antiderivative of I_c = G_c - H~_c(. - c/2), lemma I
+    without its window:
+
+        K(e) = int phi_2(e - t) dOmega_c'(t) = F3_c(e - c/2) + m_c phi_2(e + 1/(2c)).
+
+    Omega_c''s bulk part Omega_c'' is lemma F3's measure, and m_c =
+    1 - sgn(1 - c) is Omega_c''s mass at the pole -1/(2c), 0 for c < 1, 1 at
+    c = 1 (the bulk's left edge) and 2 for c > 1.
+
+    Why no window is needed: cut L' and Omega_c' to any window [a, b] that
+    holds both supports, so that each jumps by -1 at a and at b.  Then
+    -E(x_bar, d_bar) = -E(x, d) + 2 sum d_k [phi_2(x_k - a) + phi_2(b - x_k)]
+    - 2 phi_2(b - a), and since phi_2 is even the corner terms cancel the
+    window part -phi_2(a - e) - phi_2(b - e) of the cut kernel.  What is left
+    at a and b, with lemma intIOmega's reduction of int_a^b I_c Omega_c', is
+    theta(Omega_c) - 1 whatever the window.
 
     The nested oracles checks._sobolev_quotient (the difference quotient over
     the plane) and checks._sobolev_logkernel_generic (the log-kernel form
@@ -290,19 +290,15 @@ def sobolev_half_sq(prof: Profile, c: float) -> float:
     Fourier symbols coincide since int f' = 0.
     """
     x, d = _corner_jumps(prof)
-    a, b = _hull(x, c)
-    xw = np.concatenate(([a], x, [b]))
-    dw = np.concatenate(([-1.0], d, [-1.0]))
-    cross = 2.0 * float(dw @ _sobolev_kernel(c, a, b, xw))
-    return -_log_energy(xw, dw) + cross + _int_I_omega_closed(c, a, b)
+    _require_c(c, positive=True)
+    return theta_shape(c) - 1.0 - _log_energy(x, d) + 2.0 * float(d @ _sobolev_kernel(c, x))
 
 
-def _sobolev_kernel(c: float, a: float, b: float, e: np.ndarray) -> np.ndarray:
-    """K(e), the antiderivative of I_c on the window [a, b] that sobolev_half_sq's
-    cross term reads at the corners; its docstring derives it from lemma F3."""
+def _sobolev_kernel(c: float, e: np.ndarray) -> np.ndarray:
+    """K(e), the antiderivative of I_c that sobolev_half_sq's cross term reads at
+    the corners; its docstring derives it from lemma F3."""
     m_c = 1.0 - float(np.sign(1.0 - c))
-    return (-phi(2, a - e) - phi(2, b - e) + _lemma_F3_closed(c, e - 0.5 * c)
-            + m_c * phi(2, e + 0.5 / c))
+    return _lemma_F3_closed(c, e - 0.5 * c) + m_c * phi(2, e + 0.5 / c)
 
 
 def h_term(prof: Profile, c: float) -> float:
@@ -364,7 +360,10 @@ def prop41_identity(lam: Partition, N: int) -> tuple[float, float]:
 
     Returns (lhs, rhs).  The left side uses the exact profile formulas; the
     right side is built from the Sobolev norm and the boundary penalty of
-    f = L - Omega_c, so agreement is a genuine two-route check.
+    f = L - Omega_c.  Both sides share L's energy E(x, d), as they did when
+    the norm took a window, whose added pieces cancel; so the identity checks
+    rho, lemma F3, the pole term and J~_c against each other, and E keeps its
+    own oracles, checks._theta_curve and sobolev_routes' difference quotient.
 
     The domain is all of Y_N^n, diagrams with N rows included.  The profile
     of one leaves |X| at -1/(2c), where ln(1 + 2cs) and H~_c' have their log
@@ -448,8 +447,11 @@ def _int_I_omega_closed(c: float, a: float, b: float) -> float:
       and J~_c(+-1) = 0, int H~_c Omega_c' = J~_c(a - c/2) + J~_c(b - c/2)
       - 2 J~_c(-1/(2c) - c/2) [c > 1], the pole term of h_term.
 
-    The window must contain the shape support; it may end at lo or hi, as
-    sobolev_half_sq's does whenever the profile's corners lie inside.
+    The window must contain the shape support and may end at lo or hi.  No
+    production route reads this form: its windows come only from checks,
+    whose lemma intIOmega oracle integrates the same energy by quadrature.
+    sobolev_half_sq's polarization is what it leaves of this form, with the
+    window's terms cancelled.
     """
     lo_s, hi_s = shape_support(c)
     if not (a <= lo_s and b >= hi_s):

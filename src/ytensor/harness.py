@@ -64,9 +64,11 @@ SAMPLING_CAP = 10 ** 6
 # 3e4 and 16-20 s at 1e5 while each measure rebuilt the hook product, and
 # 0.09-0.12 s, 0.8-1.1 s and 14-16 s with one exact record per call.  What is
 # left is arithmetic on n!-sized integers: at 3e4 the Decimal printing takes
-# ~0.4 s and the two Fraction gcds, with their divisions, ~0.5 s; at 1e5 each
-# takes about 6 s, the Plancherel gcd most of its share.  At this cap dims
-# takes at most about the 13-16 s of a Schur-Weyl run at SAMPLING_CAP.
+# ~0.4 s and the Plancherel Fraction dim V / (n! / dim V) ~0.15 s (0.27-0.32 s
+# as (dim V)^2 / n!); at 1e5 the printing takes ~5.3 s, the Plancherel
+# Fraction 1.9-2.0 s (3.5-3.8 s squared), exact_dims ~1.8 s and the
+# Schur-Weyl Fraction ~0.8 s, and dims ~9.9 s in all.  At this cap dims
+# takes less than the 13-16 s of a Schur-Weyl run at SAMPLING_CAP.
 CELL_LOOP_CAP = 10 ** 5
 
 

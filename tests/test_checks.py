@@ -143,7 +143,11 @@ class TestOneRoutePerQuantity:
             "_converged", "_runs",
             # the long-word rule, whose lone word drew from its own Generator;
             # every batch takes the Philox pass, and the pool reads per_call == 1
-            "_long_word"}
+            "_long_word",
+            # the hull of f's support in the Sobolev norm, which is a
+            # polarization without a window; checks.profile_minus_shape
+            # forms it itself
+            "_hull"}
 
     def test_no_module_names_what_is_gone(self):
         found = {module: sorted(self.GONE & named_anywhere(syntax_tree(module)))
@@ -187,6 +191,17 @@ class TestOneRoutePerQuantity:
             "def f():\n    def g():\n        return np.random.Generator(P(1))\n"
             "rng = np.random.default_rng(0)\n")) == {
                 ("g", "Generator"), ("g", "Philox"), ("", "default_rng")}
+
+    def test_sobolev_norm_takes_no_window(self):
+        # theta(L) + theta(Omega_c) - 2 + the cross term: no window helper, and
+        # lemma intIOmega's closed reduction is read by its verify-all oracle only
+        tree = syntax_tree("functionals")
+        norm = {name for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name in {"sobolev_half_sq", "_sobolev_kernel"} for name in names(node)}
+        assert not {"_hull", "_int_I_omega_closed", "shape_support", "default_window"} & norm
+        found = {(module, where) for module in MODULES
+                 for where in callers(syntax_tree(module), "_int_I_omega_closed")}
+        assert found == {("checks", "_lemma_intIOmega")}
 
     def test_integrate_is_the_one_tanh_sinh_caller(self):
         found = {(module, where) for module in MODULES

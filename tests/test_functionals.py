@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -153,8 +157,25 @@ class TestRho:
 
 class TestMSeries:
     def test_domain(self):
-        with pytest.raises(ValueError):
-            F.m_series(0.5)
+        for x in (0.5, math.nan):
+            with pytest.raises(ValueError):
+                F.m_series(x)
+
+    def test_returns_where_one_over_x_squared_underflows(self):
+        # x^2 overflows, every term is 0, and the sum used to wait for a term
+        # below 1e-16 * 0; the true m(1e200) = 1.7e-401 underflows too.  In a
+        # fresh interpreter with a timeout, so that a hang fails the test.
+        code = ("import math\n"
+                "from ytensor import functionals as F\n"
+                "from ytensor.diagrams import Partition\n"
+                "print(F.m_series(math.inf), F.m_series(1e200),"
+                " F.rho_hat(Partition((2, 1)), 10 ** 160))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(Path(F.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0.0", "0.0", "0.0"]
 
     def test_at_one(self):
         assert F.m_series(1.0) == pytest.approx(3 - 4 * math.log(2), abs=1e-14)
@@ -531,16 +552,17 @@ class TestLemmas:
 
     @pytest.mark.parametrize("c", KERNEL_CS)
     def test_sobolev_kernel_is_an_antiderivative_of_lemma_I(self, c):
-        # the kernel sobolev_half_sq's cross term reads, on a grid that holds
-        # points left of the pole -1/(2c), the window's ends and, at c = 1,
-        # the pole itself; worst measured 1.2e-8 (c = 2), the difference's
-        # own error
+        # the kernel sobolev_half_sq's cross term reads, against lemma I
+        # without its window, on a grid that holds points left of the pole
+        # -1/(2c), the default window's ends and, at c = 1, the pole itself;
+        # worst measured 1.2e-8 (c = 2), the difference's own error
         a, b = F.default_window(c)
         es, h = np.linspace(-2.5, 4.5, 15), 1e-5
         assert np.any(es < -0.5 / c)
-        kernel = [F._sobolev_kernel(c, a, b, es + step) for step in (h, -h)]
+        kernel = [F._sobolev_kernel(c, es + step) for step in (h, -h)]
         central = (kernel[0] - kernel[1]) / (2.0 * h)
-        assert central == pytest.approx([F._lemma_I_closed(c, e, a, b) for e in es], abs=1e-7)
+        assert central == pytest.approx(
+            [F._lemma_I_closed(c, e, a, b) - phi(1, a - e) - phi(1, b - e) for e in es], abs=1e-7)
 
     def test_lemma_intIOmega_and_window_invariance(self):
         for c in [0.5, 0.99, 1.01]:
