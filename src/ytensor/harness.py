@@ -194,7 +194,7 @@ def cmd_enumerate(n: int, N: int, fmt: str = "csv") -> tuple[str, bool]:
     passed = total == N ** n
     if fmt == "json":
         text = json.dumps({"rows": rows, "sum_dim_iso": total,
-                           "expected": N ** n, "passed": passed}, indent=2)
+                           "expected": N ** n, "passed": passed}, indent=2) + "\n"
     else:
         text = _csv_table(["partition", "dim_sym", "dim_gl", "dim_iso", "measure_num",
                            "measure_den"], (r.values() for r in rows))
@@ -272,7 +272,7 @@ def cmd_constants(c_grid: list[float], fmt: str = "csv") -> str:
     rows = [{"c": c, "alpha_c": functionals.alpha_constant(c), "beta": beta}
             for c in c_grid]
     if fmt == "json":
-        return json.dumps(rows, indent=2)
+        return json.dumps(rows, indent=2) + "\n"
     return _csv_table(["c", "alpha_c", "beta"], (r.values() for r in rows))
 
 

@@ -9,9 +9,11 @@ Two routes compute it.  ``rsk_shape_from_letters`` inserts one letter at a
 time with one binary search per bump.  ``_row_lengths`` is a numpy kernel
 for a batch of words: it inserts each word's positions letter block by
 letter block, every (row, block) step of one anti-diagonal for all words in
-one pass, so a word of n letters over N takes at most min(N, n) + height
+one pass, so a word of n letters over N takes at most 2 min(N, n) + height
 passes instead of one Python-level step per bump (1.5e6 bumps for one word
-at n = 3e4, N = 173).  ``sample_schur_weyl`` maps one function,
+at n = 3e4, N = 173).  Row 0 runs first, alone, and its length caps the
+rows below it, so the kernel's table is about a third of one sized by the
+row-length bound n // (i + 1) alone.  ``sample_schur_weyl`` maps one function,
 ``_draw_batch``, over its batches: each batch draws its words into a buffer
 of its own and returns their row lengths from the kernel, or, on the
 word-table path below, their word codes.  A word of n > ``_KERNEL_LETTERS``
@@ -22,12 +24,12 @@ batch and one thread per word: two words at n = 3e4, N = 173 take
 that gives about one CPU of throughput to two processes, the pool reads
 0.11-0.17 s against 0.12-0.17 s in one thread (7 calls each).
 ``ytensor sample --n 1000000 --c 1 --samples 1``, one word at N = 1000,
-takes 13-16 s with a 90-93 MB peak RSS, and
-``ytensor bounds --n 1000000 --c 1 --samples 2`` takes 13.6-14.3 s with a
-153-155 MB peak RSS, against 25 s and 94-100 MB in one thread (2 cores).
+takes 15-17 s with a 67 MB peak RSS, and
+``ytensor bounds --n 1000000 --c 1 --samples 2`` takes 13.4-19.7 s with a
+102-116 MB peak RSS, against 24-26 s and 78 MB in one thread (2 cores).
 ``sample_plancherel`` stays on the bisect loop: a permutation has n letter
-blocks of one position each, so the kernel makes n passes of tiny arrays,
-0.20-0.25 s against 0.12-0.14 s for the loop at n = 1e4.  The loop is also
+blocks of one position each, so the kernel makes 2n passes of tiny arrays,
+0.17-0.18 s against 0.07 s for the loop at n = 1e4.  The loop is also
 the kernel's oracle in the tests.
 
 Randomness uses the counter-based Philox4x64-10 generator keyed by
@@ -278,21 +280,36 @@ def _row_lengths(words: np.ndarray) -> np.ndarray:
     By RSK symmetry a word has the shape of the permutation that lists its
     positions letter by letter, so the kernel inserts positions, one letter
     block at a time.  A block's positions increase, so a row takes a whole
-    block in one step:
-    entry j lands at p_j = max(searchsorted(row, s_j), p_{j-1} + 1) and
-    bumps the old row[p_j], if any, into the next row.  Row i of block v
-    needs only row i - 1 of block v and row i of block v - 1, so each pass
-    runs every (row, block) step of one anti-diagonal, for all words at once:
-    at most (distinct letters) + (rows) passes.  A word's shape depends only
-    on the relative order of its letters, so when the letters span more
-    values than a word has positions, each word's letters are first replaced
-    by their ranks within the word: then there are at most n blocks, and at
-    most n + (rows) passes however large the alphabet.
+    block in one step (``_insert``): entry j lands at
+    p_j = max(searchsorted(row, s_j), p_{j-1} + 1) and bumps the old row[p_j],
+    if any, into the next row.  A word's shape depends only on the relative
+    order of its letters, so when the letters span more values than a word
+    has positions, each word's letters are first replaced by their ranks
+    within the word: then there are at most n blocks however large the
+    alphabet.
 
-    All rows of all ``count`` words live in one sorted array of keys
-    group << shift | position, where group = row * count + word and
-    shift = n.bit_length().  A group holds at most n // (row + 1) entries (the
-    row-length bound of a partition of n) and is padded with its sentinel key,
+    Row 0 goes first and alone, in a table of n + 1 slots per word: one pass
+    per block, for all words at once, and the entries each block bumps are
+    kept, in block order, as row 1's blocks.  Then row 0's length lambda_0 of
+    each word is read and its table freed.  No row is longer than row 0, so
+    row i >= 1 of a word gets min(n // (i + 1), lambda_0) slots (the first
+    term is the row-length bound of a partition of n).  Row i of block v
+    needs only row i - 1 of block v and row i of block v - 1, so each pass
+    over rows 1.. runs every (row, block) step of one anti-diagonal, for all
+    words at once.  A word of n letters thus takes at most n passes for row
+    0 and n + height - 1 for the rest.  On seed-0 words the larger table has
+    about a third of the slots of one table of all rows sized by the
+    n // (i + 1) bound alone: 61 513 against 172 100 at (n, N) = (3e4, 173)
+    and 2.09 M against 7.49 M at (1e6, 1000), where the kernel's tracemalloc
+    peak is 0.88 against 1.34 MB and 28.9 against 51.3 MB, at the same
+    kernel time.  Row 0's passes are short numpy calls, so two words on
+    the thread pool gain less from it: 0.72 of their one-thread time at
+    (3e4, 173), against 0.67 with a single stage (medians of 8 processes).
+
+    Both tables are sorted arrays of keys group << shift | position, where
+    shift = n.bit_length() and group = word in row 0's table and
+    (row - 1) * count + word in the other, so a key bumped out of row 0 is
+    already its row-1 key.  Each group is padded with its sentinel key,
     group << shift | mask with mask = 2**shift - 1 >= n, so one searchsorted
     serves every group, an insertion past a row's end overwrites a sentinel,
     and a bitmask, not a modulo, tells a bumped sentinel from an entry.
@@ -324,31 +341,52 @@ def _row_lengths(words: np.ndarray) -> np.ndarray:
     fresh += fresh // n * (mask + 1 - n)
     del order, letters
 
-    caps = np.repeat(n // np.arange(1, height + 1) + 1, count)  # + 1 for the sentinel
-    last = np.cumsum(caps) - 1
-    sentinels = np.arange(groups, dtype=dtype) << shift | mask
-    table = np.repeat(sentinels, caps)
     ramp = np.arange(fresh.size)
+    sentinels = np.arange(count, dtype=dtype) << shift | mask
+    table = np.repeat(sentinels, n + 1)  # row 0: room for all n positions of a word
+    # Row 1 takes the entries each block bumps out of row 0, in block order.  A
+    # bumped key is word << shift | position, which is already its row-1 key.
+    below = [_insert(table, fresh[edges[d]:edges[d + 1]], ramp, mask) for d in range(blocks)]
+    first = np.searchsorted(table, sentinels) - np.arange(count) * (n + 1)  # lambda_0
+    del table, fresh
+    below = [b for b in below if b.size]  # a block that bumps nothing leaves rows 1.. as they are
+
+    # Rows 1..height - 1, group (row - 1) * count + word, capped by lambda_0 as well.
+    caps = np.minimum(np.repeat(n // np.arange(2, height + 1), count),
+                      np.tile(first, height - 1)) + 1  # + 1 for the sentinel
+    last = np.cumsum(caps) - 1
+    sentinels = np.arange(caps.size, dtype=dtype) << shift | mask
+    table = np.repeat(sentinels, caps)
     row_step = count << shift  # from a key to the same position one row down
-    carry = fresh[:0]
-    for d in range(blocks + height):
-        s = np.concatenate((fresh[edges[d]:edges[d + 1]], carry)) if d < blocks else carry
+    carry = np.empty(0, dtype)
+    for d in range(len(below) + height):
+        s = np.concatenate((below[d], carry)) if d < len(below) else carry
         if not s.size:
             break
-        p = np.searchsorted(table, s)
-        p -= ramp[:s.size]
-        np.maximum.accumulate(p, out=p)
-        p += ramp[:s.size]
-        if p[-1] >= table.size - 1:
-            raise ArithmeticError("RSK kernel: an entry left the last row or a row overflowed")
-        bumped = table[p]
-        table[p] = s
-        carry = bumped[(bumped & mask) != mask]
+        carry = _insert(table, s, ramp, mask)
         carry += row_step
     if np.any(table[last] != sentinels):
         raise ArithmeticError("RSK kernel: a row overflowed")
     lengths = np.searchsorted(table, sentinels) - (last + 1 - caps)
-    return lengths.reshape(height, count).T
+    return np.vstack((first, lengths.reshape(height - 1, count))).T
+
+
+def _insert(table: np.ndarray, s: np.ndarray, ramp: np.ndarray, mask: int) -> np.ndarray:
+    """One kernel pass: insert the sorted keys ``s`` into ``table`` and return
+    the real entries they bump, in key order.
+
+    Entry j lands at p_j = max(searchsorted(table, s_j), p_{j-1} + 1) and
+    takes the place of table[p_j], a sentinel when the entry extends its row.
+    """
+    p = np.searchsorted(table, s)
+    p -= ramp[:s.size]
+    np.maximum.accumulate(p, out=p)
+    p += ramp[:s.size]
+    if p[-1] >= table.size - 1:
+        raise ArithmeticError("RSK kernel: an entry left the last row or a row overflowed")
+    bumped = table[p]
+    table[p] = s
+    return bumped[(bumped & mask) != mask]
 
 
 def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:

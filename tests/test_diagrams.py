@@ -165,6 +165,10 @@ def exact_area(prof):
 
 
 class TestProfile:
+    def test_empty_diagram_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            profile(Partition(()))
+
     def test_single_box(self):
         prof = profile(Partition((1,)))
         assert prof.xs == (-1, 0, 1)

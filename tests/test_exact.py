@@ -98,6 +98,10 @@ class TestMeasures:
         for lam in exact.enumerate_diagrams(6, 3):
             assert exact.schur_weyl_measure(lam, 3).value == \
                 checks._schur_weyl_via_contents(lam, 3)
+        # more rows than letters: both routes give measure zero
+        for lam in (Partition((1, 1, 1)), Partition((2, 1, 1, 1))):
+            assert exact.schur_weyl_measure(lam, 2).value == \
+                checks._schur_weyl_via_contents(lam, 2) == 0
         # a record's measures are the module's: Plancherel read at N = 1, Schur-Weyl at N
         for n, N in ((4, 2), (5, 3), (6, 6)):
             for lam in exact.enumerate_diagrams(n, N):
@@ -211,6 +215,11 @@ class TestEnumeration:
     def test_height_bound_respected(self):
         for lam in exact.enumerate_diagrams(8, 3):
             assert lam.height <= 3
+
+    @pytest.mark.parametrize("n, N", [(0, 3), (-2, 3), (4, 0)])
+    def test_nonpositive_n_or_N_rejected(self, n, N):
+        with pytest.raises(ValueError, match="must be positive"):
+            next(exact.enumerate_diagrams(n, N))
 
     def test_decreasing_lex_order(self):
         seq = [lam.rows for lam in exact.enumerate_diagrams(6, 4)]

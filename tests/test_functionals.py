@@ -138,6 +138,12 @@ class TestRho:
         with pytest.raises(TypeError):
             F.rho(C.shape_curve(1.0), 1.0)
 
+    def test_undefined_where_the_curve_leaves_abs_below_the_edge(self):
+        # at c = 1 the log singularity sits at -1/2; this curve is 0 on [-1, 1]
+        zero = C.Curve(fn=np.zeros_like, prime=np.zeros_like, support=(-1.0, 1.0), kinks=())
+        with pytest.raises(ValueError, match=r"differs from \|s\| below -1/\(2c\)"):
+            C._rho_integral(zero, 1.0)
+
     @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, -0.5])
     def test_rejects_nonfinite_and_negative_c(self, c):
         with pytest.raises(ValueError, match="c must be finite and nonnegative"):
@@ -495,6 +501,11 @@ class TestLemmas:
                 q, cl = C.lemma_I(c, s, a, b)
                 near_one = c in (0.99, 1.01) and s in (0.5 * c, 0.5 * c + 1.2)
                 assert q == pytest.approx(cl, abs=1e-10 if near_one else 1e-8)
+
+    @pytest.mark.parametrize("s", [-3.0, -2.0, 2.5, 4.0])
+    def test_lemma_I_needs_s_inside_the_window(self, s):
+        with pytest.raises(ValueError, match=r"s must lie in \(a, b\)"):
+            C.lemma_I(1.0, s, -2.0, 2.5)
 
     def test_lemma_I_bulk_reduction(self):
         # inside the bulk H vanishes, leaving only the phi_1 and G terms.

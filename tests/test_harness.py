@@ -13,7 +13,7 @@ import pytest
 from scipy import stats
 
 from ytensor.diagrams import Partition, profile
-from ytensor import checks, harness, rsk, shape
+from ytensor import checks, functionals, harness, rsk, shape
 from ytensor.harness import ExperimentConfig, main
 
 
@@ -41,6 +41,11 @@ class TestConfig:
     def test_sampling_cap(self):
         with pytest.raises(ValueError):
             ExperimentConfig(n=10 ** 6 + 1, N=5)
+
+    def test_c_too_large_for_n_is_named(self):
+        cfg = ExperimentConfig(n=1, c=3.0)  # N = round(1 / 3) = 0
+        with pytest.raises(ValueError, match="c too large for this n"):
+            cfg.resolved_N
 
 
 class TestSubcommands:
@@ -120,6 +125,24 @@ class TestSubcommands:
         shape_cfg.write_text("c=1.0\n")
         assert main(["emit-shape", "--config", str(shape_cfg), "--step", "0.5"]) == 0
         assert capsys.readouterr().out.startswith("s,omega_c,omega_c_prime")
+
+    def test_config_skips_blank_and_comment_lines(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a short run\n\nn=30\n   \n  # N is the alphabet\nN=3\n")
+        assert main(["sample", "--config", str(cfg)]) == 0
+        from_config = capsys.readouterr().out
+        assert main(["sample", "--n", "30", "--N", "3"]) == 0
+        assert capsys.readouterr().out == from_config
+
+    def test_config_line_without_equals_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=30\nN 3\n")
+        assert main(["sample", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: bad config line: N 3\n"
+
+    def test_sample_rejects_an_unknown_measure(self):
+        with pytest.raises(ValueError, match="unknown measure 'uniform'"):
+            harness.cmd_sample(ExperimentConfig(n=5, N=2), "uniform")
 
     def test_config_unknown_key_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -324,6 +347,32 @@ class TestSubcommands:
         assert main(["enumerate", "--n", "3", "--N", "2", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["passed"] and data["sum_dim_iso"] == 8
+        assert main(["constants", "--c-grid", "0,1", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert rows == [{"c": c, "alpha_c": functionals.alpha_constant(c),
+                         "beta": functionals.beta_constant()} for c in (0.0, 1.0)]
+
+    @pytest.mark.parametrize("argv", [
+        ["dims", "--lam", "3,1", "--N", "2"],
+        ["enumerate", "--n", "4", "--N", "2"],
+        ["enumerate", "--n", "4", "--N", "2", "--format", "json"],
+        ["sample", "--n", "10", "--N", "3", "--samples", "2"],
+        ["sample", "--measure", "plancherel", "--n", "10"],
+        ["bounds", "--n", "20", "--N", "3", "--samples", "2", "--format", "csv"],
+        ["bounds", "--n", "20", "--N", "3", "--samples", "2", "--format", "json"],
+        ["biane", "--n", "20", "--N", "3", "--format", "csv"],
+        ["biane", "--n", "20", "--N", "3", "--format", "json"],
+        ["constants", "--c-grid", "0,1"],
+        ["constants", "--c-grid", "0,1", "--format", "json"],
+        ["emit-shape", "--c", "1", "--step", "0.5"],
+        ["verify-all"],
+    ])
+    def test_every_output_ends_in_a_newline(self, monkeypatch, capsys, verify_all_report, argv):
+        # verify-all reuses the verify_all_report fixture; main still formats it
+        monkeypatch.setattr(harness, "cmd_verify_all", lambda seed: verify_all_report)
+        assert main(argv) in (0, 1)
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and not out.endswith("\n\n")
 
 
 EXPECTED_COVERAGE = {

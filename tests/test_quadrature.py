@@ -221,6 +221,12 @@ class TestQuadBreakpoints:
         got = quadrature.quad_breakpoints(lambda x: abs(x) ** -0.5, -0.3, 0.7, (0.0,))
         assert got == pytest.approx(2 * (math.sqrt(0.3) + math.sqrt(0.7)), abs=1e-9)
 
+    def test_empty_interval_is_zero_without_a_call(self):
+        def never(x):
+            raise AssertionError("the integrand was called")
+
+        assert quadrature.quad_breakpoints(never, 0.25, 0.25) == 0.0
+
     def test_unconverged_raises(self):
         with pytest.raises(ArithmeticError, match=r"QUADPACK did not converge on \[0\.0, 1\.0\]: "
                                                   r"The maximum number of subdivisions \(400\)"):

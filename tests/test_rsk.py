@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from bisect import bisect_left
 from collections import Counter
 
@@ -104,15 +105,45 @@ class TestWordKernel:
 
     @pytest.mark.parametrize("N", [10**5, 2**31 + 11, 2**63 - 1])
     def test_large_alphabet_takes_at_most_n_plus_height_passes(self, monkeypatch, N):
-        # One searchsorted per pass and one for the lengths; the batch has
-        # far more distinct letters than a word has positions.
+        # One searchsorted per pass and one for each stage's lengths: row 0
+        # takes at most n passes alone, rows 1.. at most n + height - 1.  The
+        # batch has far more distinct letters than a word has positions.
         words = np.random.default_rng(N % 1000).integers(1, N, size=(500, 6), dtype=np.int64)
         expected = bisect_shapes(words)
         searchsorted, calls = np.searchsorted, []
         monkeypatch.setattr(np, "searchsorted",
                             lambda *args, **kw: calls.append(1) or searchsorted(*args, **kw))
         assert kernel_shapes(words) == expected
-        assert len(calls) <= 6 + max(lam.height for lam in expected) + 1
+        assert len(calls) <= 2 * 6 + max(lam.height for lam in expected) + 1
+
+    @pytest.mark.parametrize("word, rows", [
+        (np.tile(np.arange(7, 0, -1), 30), (30,) * 7),
+        (np.arange(1, 41), (40,)),
+        (np.arange(40, 0, -1), (1,) * 40),
+        (np.repeat(np.arange(1, 6), 8), (40,)),
+    ], ids=["rectangle", "sorted", "reversed", "sorted-blocks"])
+    def test_rows_filled_to_their_caps(self, word, rows):
+        # Rows 1.. get min(n // (i + 1), lambda_0) slots.  (7, ..., 1) repeated
+        # 30 times fills each of its 7 rows to lambda_0 = 30; a sorted word is
+        # one row of n, a reversed one a column of n rows of one cell each.
+        words = np.vstack((word, word[::-1]))
+        assert kernel_shapes(word[None]) == [Partition(rows)] == bisect_shapes(word[None])
+        assert kernel_shapes(words) == bisect_shapes(words)
+
+    def test_first_row_caps_the_kernel_memory(self):
+        # Row 0 runs alone and caps rows 1..: the seed-0 word at (3e4, 173),
+        # whose first row holds 505 cells, peaks at 0.88 MB, where a table
+        # giving every row i its n // (i + 1) slots peaks at 1.34 MB.
+        word = np.empty((1, 30_000), dtype=np.uint8)
+        rsk._draw_letters(0, np.arange(1), 30_000, 173, word)
+        tracemalloc.start()
+        try:
+            lengths = rsk._row_lengths(word)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lengths[0, 0] == 505 and lengths.sum() == 30_000
+        assert peak < 1.0e6
 
     def test_chunked_calls_match_one_call(self, monkeypatch):
         one_call = rsk.sample_schur_weyl(30, 4, seed=3, count=25)

@@ -77,6 +77,11 @@ class TestPhi:
         with pytest.raises(ValueError):
             shape.phi(0, 0.0)
 
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_order_outside_0_to_2(self, k):
+        with pytest.raises(ValueError, match="only defined for k in 0..2"):
+            shape.phi(k, 0.5)
+
     def test_vectorized_matches_scalar(self):
         xs = np.array([-1.0, 0.0, 0.25, 2.0])
         np.testing.assert_allclose(shape.phi(2, xs), [shape.phi(2, float(x)) for x in xs])
@@ -231,6 +236,9 @@ class TestHGJ:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             shape.H_tilde_prime(1.0, 0.5)
+        for z in (-1.0, 0.5, 1.0):
+            with pytest.raises(ValueError, match=r"defined for \|z\| > 1"):
+                shape.H_tilde_second(1.0, z)
         with pytest.raises(ValueError):
             shape.G(0.0, 0.1)
 
