@@ -173,18 +173,33 @@ def neg_log_measure_scaled(lam: Partition, N: int) -> mpmath.mpf:
     prime exponents through a smallest-prime-factor sieve, so the sum takes
     one logarithm per prime up to top, plus one per content above top (only
     when N > n) and ln N; each at 50 significant decimal digits.
+
+    The per-cell row, column, hook and content arrays are int32 and built in
+    place, so the cells make no n-sized int64 array beyond the one intp copy
+    that each np.bincount takes.  No such value exceeds n (the largest hook,
+    height + width - 1, is at most n), so they hold any diagram of fewer than
+    2**31 cells, far above the sampling cap of 10**6.
     """
     if N < 1:
         raise ValueError("N must be positive")
     if lam.height > N:
         raise ZeroDivisionError(f"measure of {lam} is zero for N={N}")
     n, height = lam.n, lam.height
-    rows = np.array(lam.rows, dtype=np.int64)
-    cols = np.array(lam.conjugate_rows, dtype=np.int64)
-    i = np.repeat(np.arange(height), rows)  # each cell's row and column, from 0, row-major
-    j = np.arange(n) - np.repeat(np.cumsum(rows) - rows, rows)
-    hooks = np.bincount(rows[i] - j + cols[j] - i - 1)
-    contents = np.bincount(j - i + height - 1)  # offsets from base = N - height + 1
+    rows = np.array(lam.rows, dtype=np.int32)
+    cols = np.array(lam.conjugate_rows, dtype=np.int32)
+    i = np.repeat(np.arange(height, dtype=np.int32), rows)  # each cell's row and column, from 0
+    j = np.arange(n, dtype=np.int32)
+    j -= np.repeat(np.cumsum(rows, dtype=np.int32) - rows, rows)
+    hooks = rows[i]
+    hooks -= j
+    hooks += cols[j]
+    hooks -= i
+    hooks -= 1
+    j -= i
+    j += height - 1  # each cell's content, as an offset from base = N - height + 1
+    del i  # before each bincount takes its intp copy
+    hooks = np.bincount(hooks)
+    contents = np.bincount(j)
     base = N - height + 1
     top = min(n, max(len(hooks) - 1, base + len(contents) - 1))
     weight = np.zeros(top + 1, dtype=np.int64)

@@ -18,15 +18,15 @@ row-length bound n // (i + 1) alone.  ``sample_schur_weyl`` maps one function,
 of its own and returns their row lengths from the kernel, or, on the
 word-table path below, their word codes.  A word of n > ``_KERNEL_LETTERS``
 / 2 = 8192 letters fills a kernel batch alone, and such words run one per
-batch and one thread per word: two words at n = 3e4, N = 173 take
-0.09-0.14 s on 2 cores, against 0.14-0.17 s in one thread (medians of
-7 calls in each of 4 processes) and 0.92-1.03 s on the loop; on a host
-that gives about one CPU of throughput to two processes, the pool reads
-0.11-0.17 s against 0.12-0.17 s in one thread (7 calls each).
+batch, one word per thread, on the calling thread and helper threads: two
+words at n = 3e4, N = 173 take 0.106-0.113 s on 2 cores, against
+0.14-0.18 s in one thread (quartiles of the medians of 7 calls in 16
+processes) and 0.92-1.03 s on the loop.
 ``ytensor sample --n 1000000 --c 1 --samples 1``, one word at N = 1000,
 takes 15-17 s with a 67 MB peak RSS, and
-``ytensor bounds --n 1000000 --c 1 --samples 2`` takes 13.4-19.7 s with a
-102-116 MB peak RSS, against 24-26 s and 78 MB in one thread (2 cores).
+``ytensor bounds --n 1000000 --c 1 --samples 2`` takes 16.0-18.8 s with a
+101-102 MB peak RSS (6 runs), against 24-26 s and 78 MB in one thread
+(2 cores).
 ``sample_plancherel`` stays on the bisect loop: a permutation has n letter
 blocks of one position each, so the kernel makes 2n passes of tiny arrays,
 0.17-0.18 s against 0.07 s for the loop at n = 1e4.  The loop is also
@@ -76,10 +76,10 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_right
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -302,9 +302,10 @@ def _row_lengths(words: np.ndarray) -> np.ndarray:
     n // (i + 1) bound alone: 61 513 against 172 100 at (n, N) = (3e4, 173)
     and 2.09 M against 7.49 M at (1e6, 1000), where the kernel's tracemalloc
     peak is 0.88 against 1.34 MB and 28.9 against 51.3 MB, at the same
-    kernel time.  Row 0's passes are short numpy calls, so two words on
-    the thread pool gain less from it: 0.72 of their one-thread time at
-    (3e4, 173), against 0.67 with a single stage (medians of 8 processes).
+    kernel time.  Row 0's passes are short numpy calls, yet two words on
+    two threads take 0.64-0.73 of their one-thread time at (3e4, 173)
+    (medians over 16 processes, with and without the calling thread
+    drawing one of them), against 0.67 with a single stage.
 
     Both tables are sorted arrays of keys group << shift | position, where
     shift = n.bit_length() and group = word in row 0's table and
@@ -413,15 +414,21 @@ def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:
     tuples.
 
     A word of more than ``_KERNEL_LETTERS`` / 2 = 8192 letters fills a batch
-    alone (per_call == 1).  Two or more such words run on a thread pool of
-    min(usable CPUs, count) workers; each batch draws into a buffer of its
-    own, so at most that many words are in flight.
-    The kernel's searchsorted, ufuncs and fancy indexing release the GIL, so
-    the words use every core; the partitions are still built in the calling
-    thread, in trial order.  Batches of short words stay in one thread: their
-    time goes mostly to Python under the GIL, and a prototype that pooled
-    them too slowed the chisq-small benchmark (3 x 2e4 trials at n = 4..6)
-    from run_ref 0.44 to 0.49 and added 4 MB of RSS.
+    alone (per_call == 1).  Two or more such words run on workers =
+    min(usable CPUs, count) threads, the calling thread and workers - 1
+    helpers (``_in_threads``), each taking the next word when it is done with
+    its last; each batch draws into a buffer of its own, so at most that many
+    words are in flight.  Drawing on the calling thread as well starts one
+    thread fewer: two words at (3e4, 173) take the same time (0.109 against
+    0.110 s) and a perfbench experiments-large pass peaks 1.4 MB lower,
+    likely because one malloc arena fewer holds freed kernel pages.  The
+    kernel's searchsorted, ufuncs and fancy indexing release the
+    GIL, so the words use every core; the partitions are built in the calling
+    thread once every word is done, in trial order.  Batches of short words
+    stay in one thread: their time goes mostly to Python under the GIL, and a
+    prototype that pooled them too slowed the chisq-small benchmark
+    (3 x 2e4 trials at n = 4..6) from run_ref 0.44 to 0.49 and added 4 MB of
+    RSS.
     """
     if n < 1 or N < 1 or count < 1:
         raise ValueError("n, N and count must be positive")
@@ -439,12 +446,41 @@ def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:
         table = np.fromiter(_shared_partitions(_row_lengths(every_word), distinct),
                             dtype=object, count=N ** n)
     batch = partial(_draw_batch, seed, n, N, count, per_call, radix)
+    starts = range(0, count, per_call)
     shapes: list[Partition] = []
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for result in (pool.map if pool else map)(batch, range(0, count, per_call)):
-            shapes += (_shared_partitions(result, distinct) if table is None
-                       else table[result].tolist())
+    for result in map(batch, starts) if workers == 1 else _in_threads(batch, starts, workers):
+        shapes += (_shared_partitions(result, distinct) if table is None
+                   else table[result].tolist())
     return shapes
+
+
+def _in_threads(batch: Callable[[int], np.ndarray], starts: range, workers: int) -> list:
+    """``[batch(s) for s in starts]`` on the calling thread and ``workers - 1`` helpers.
+
+    Every thread takes the next start from one shared iterator (``next`` on a
+    builtin iterator is one step under the GIL), so the results are stored
+    by index, in the order of ``starts``.  Once a batch raises, no new batch
+    starts: its thread empties the iterator before it re-raises, and the
+    others end with the batch they hold.  The call returns or raises only
+    after every helper has ended, with the calling thread's error first.
+    """
+    results = [None] * len(starts)
+    todo = iter(enumerate(starts))
+
+    def drain() -> None:
+        try:
+            for index, start in todo:
+                results[index] = batch(start)
+        except BaseException:
+            deque(todo, maxlen=0)
+            raise
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        helpers = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+        for helper in helpers:
+            helper.result()
+    return results
 
 
 def _draw_batch(seed: int, n: int, N: int, count: int, per_call: int,

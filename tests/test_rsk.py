@@ -316,26 +316,32 @@ class TestWordPool:
     def test_worker_error_propagates_and_threads_end(self, monkeypatch):
         monkeypatch.setattr(rsk, "_usable_cpus", lambda: 2)
         baseline = threading.active_count()
-        kernel, calls, lock = rsk._row_lengths, [], threading.Lock()
+        kernel, calls, lock, second = rsk._row_lengths, [], threading.Lock(), threading.Event()
 
         def second_call_fails(words):
             with lock:
                 calls.append(threading.current_thread())
                 failing = len(calls) == 2
             if failing:
+                second.set()
                 raise ArithmeticError("injected")
+            second.wait(timeout=10)  # the first call waits for one on the other thread
             return kernel(words)
 
         monkeypatch.setattr(rsk, "_row_lengths", second_call_fails)
         with pytest.raises(ArithmeticError, match="injected"):
-            rsk.sample_schur_weyl(1 << 14, 3, 0, 4)
-        assert threading.main_thread() not in calls
+            rsk.sample_schur_weyl(1 << 14, 3, 0, 12)
+        # The calling thread draws batches too, and once a batch fails no new
+        # one starts: each of the 2 threads ends with the batch it holds.
+        assert threading.main_thread() in calls
+        assert len(calls) <= 2 * 2
         assert threading.active_count() == baseline
 
     @pytest.mark.parametrize("n, pooled", [(8192, False), (8193, True)])
     def test_pool_threshold(self, monkeypatch, n, pooled):
         # per_call = max(1, 2**14 // n): n = 8192 is the last size batched two
         # words at a time, n = 8193 the first that runs one word per thread.
+        # At 2 CPUs the calling thread takes one share and a pool of 1 the other.
         pools = []
 
         class Recorder(rsk.ThreadPoolExecutor):
@@ -348,7 +354,24 @@ class TestWordPool:
         for cpus in (2, 1):
             monkeypatch.setattr(rsk, "_usable_cpus", lambda: cpus)
             assert rsk.sample_schur_weyl(n, 5, 7, 3) == reference
-        assert pools == ([2] if pooled else [])
+        assert pools == ([1] if pooled else [])
+
+    def test_calling_thread_and_two_helpers_keep_trial_order(self, monkeypatch):
+        monkeypatch.setattr(rsk, "_usable_cpus", lambda: 1)
+        one_thread = rsk.sample_schur_weyl(8193, 6, 9, 5)
+        monkeypatch.setattr(rsk, "_usable_cpus", lambda: 3)
+        assert rsk.sample_schur_weyl(8193, 6, 9, 5) == one_thread
+        assert one_thread == bisect_shapes(reference_words(9, 8193, 6, range(5)))
+
+    def test_two_words_at_two_cpus_start_one_thread(self, monkeypatch):
+        # The calling thread draws one of the words, so only one thread is
+        # started, and each started thread holds a malloc arena of its own.
+        monkeypatch.setattr(rsk, "_usable_cpus", lambda: 2)
+        start, started = threading.Thread.start, []
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        rsk.sample_schur_weyl(30000, 173, 0, 2)
+        assert len(started) == 1
 
     def test_usable_cpus_reads_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(rsk.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
@@ -445,17 +468,21 @@ class TestPhilox:
         assert samples[-50:] == bisect_shapes(reference_words(0, n, 2, range(19950, 20000)))
 
     def test_lone_word_draws_from_its_trial_stream(self, monkeypatch):
-        # n = 8193 runs one word per batch on the pool (see test_pool_threshold),
-        # and each word still takes one vectorized pass: no Generator is built.
+        # n = 8193 runs one word per batch on the calling thread and a pool
+        # (see test_pool_threshold), and each word still takes one vectorized
+        # pass: no Generator is built.
         reference = reference_words(7, 8193, 5, range(3))
         monkeypatch.setattr(rsk, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(rsk, "trial_rng", lambda *args: pytest.fail("a Generator was built"))
         blocks, draw, passes, drawn = rsk._philox_blocks, rsk._draw_letters, [], {}
-        lock = threading.Lock()
+        lock, second = threading.Lock(), threading.Event()
 
         def spy_blocks(seed, trials, count):
             with lock:
                 passes.append((trials.tolist(), threading.current_thread()))
+                if len(passes) == 2:
+                    second.set()
+            second.wait(timeout=10)  # the first pass waits for one on the other thread
             return blocks(seed, trials, count)
 
         def spy_draw(seed, trials, n, N, out):
@@ -467,7 +494,7 @@ class TestPhilox:
         monkeypatch.setattr(rsk, "_draw_letters", spy_draw)
         samples = rsk.sample_schur_weyl(8193, 5, 7, 3)
         assert sorted(trials for trials, _ in passes) == [[0], [1], [2]]
-        assert threading.main_thread() not in {thread for _, thread in passes}
+        assert threading.main_thread() in {thread for _, thread in passes}
         assert [drawn[k] for k in range(3)] == reference.tolist()
         assert samples == bisect_shapes(reference)
 
