@@ -25,29 +25,29 @@ functionals take the profile itself and never a Curve.
 
 The lemma_* functions check the closed forms of the auxiliary integrals (A,
 I_c, the phi_2 moment of Omega_c'' and the I-against-Omega' integral) by
-independent quadrature, each returning (quadrature value, closed form).  Each
-is split once into the integrals it needs and the step that assembles its
-value (an _Oracle), and _evaluate runs any number of oracles with one
-tanh_sinh call for all their single integrals and one nested_tanh_sinh call
-for all their nested ones.  So lemmas integrates its c grid's 28 single
-integrals (A, I, F3 and intIOmega's cross term hk) as one batch and its 7
-nested kk terms as another, and minimizer_gap its nested theta(Omega_c) at
-every c as one; each value is bit for bit the oracle's alone.  The
-nested-quadrature routes (difference quotient, generic log kernel and the
-hook integral of a Curve, minimizer_gap's left side) are independent oracles;
-each gives quadrature.nested_tanh_sinh its kernel and outer weight as
-defined.  That integrates the triangle t < s alone: the hook integral lives
-there, and the two Sobolev kernels are symmetric in (s, t).  The log kernel
-phi_0(s - t) goes in as it is, with its singularity at the end t = s of the
-inner panels, where tanh-sinh resolves it; so does lemma_I's single
-integral, split at s and, as alpha_c and lemma F3 are, at multiples of
-|1 - c| past the bulk's left end, where Omega_c' turns near c = 1.  Lemma
-intIOmega's left side, the log energy of Omega_c' on the window, is an
-oracle built from phi_0's antiderivatives alone: off the bulk Omega_c' is
-+-1, so that part's energy is -E and its cross term with the bulk one
-tanh-sinh call, split at the same multiples of |1 - c|, and only the bulk's
-own energy is a nested quadrature, by the generic log-kernel route, split at
-k = 1 alone.
+independent routes, each returning (oracle value, closed form).  Each is
+split once into the integrals it needs and the step that assembles its value
+(an _Oracle), and _evaluate runs any number of oracles with one tanh_sinh
+call for all their single integrals and one nested_tanh_sinh call for all
+their nested ones, and skips a call that would have no members.  So lemmas
+integrates its c grid's 28 single integrals (A, I, F3 and intIOmega's cross
+term hk) as one batch and makes no nested call, and minimizer_gap integrates
+its nested theta(Omega_c) at every c as one; each value is bit for bit the
+oracle's alone.  The nested-quadrature routes (difference quotient, generic
+log kernel and the hook integral of a Curve, minimizer_gap's left side) are
+independent oracles; each gives quadrature.nested_tanh_sinh its kernel and
+outer weight as defined.  That integrates the triangle t < s alone: the
+hook integral lives there, and the two Sobolev kernels are symmetric in
+(s, t).  The log kernel phi_0(s - t) goes in as it is, with its singularity
+at the end t = s of the inner panels, where tanh-sinh resolves it; so does
+lemma_I's single integral, split at s and, as alpha_c and lemma F3 are, at
+multiples of |1 - c| past the bulk's left end, where Omega_c' turns near
+c = 1.  Lemma intIOmega's left side, the log energy of Omega_c' on the
+window, is an oracle built from phi_0's antiderivatives and one series:
+off the bulk Omega_c' is +-1, so that part's energy is -E and its cross
+term with the bulk one tanh-sinh call, split at the same multiples of
+|1 - c|, and the bulk's own energy is the Chebyshev series of
+_bulk_log_energy, whose coefficients are elementary.
 _rho_curve, rho of a Curve, is lemma A's quadrature side and the oracle for
 rho.
 """
@@ -256,11 +256,14 @@ class _Oracle:
 
 
 def _evaluate(oracles: list[_Oracle]) -> list[tuple[float, float]]:
-    """Each oracle's (quadrature value, closed form), from one tanh_sinh call
-    over all their single integrals and one nested_tanh_sinh call over all
-    their nested ones.  Each value is bit for bit the oracle's alone."""
-    single = iter(tanh_sinh([m for o in oracles for m in o.single]))
-    nested = iter(nested_tanh_sinh([m for o in oracles for m in o.nested]))
+    """Each oracle's (oracle value, closed form), from one tanh_sinh call over
+    all their single integrals and one nested_tanh_sinh call over all their
+    nested ones; a route with no members is not called.  Each value is bit
+    for bit the oracle's alone."""
+    singles = [m for o in oracles for m in o.single]
+    nesteds = [m for o in oracles for m in o.nested]
+    single = iter(tanh_sinh(singles) if singles else ())
+    nested = iter(nested_tanh_sinh(nesteds) if nesteds else ())
     return [o.assemble(*[next(single) for _ in o.single], *[next(nested) for _ in o.nested])
             for o in oracles]
 
@@ -337,6 +340,56 @@ def _lemma_F3(c: float, x: float) -> _Oracle:
     return _Oracle(((g, 0.0, math.pi, pts),), (), lambda val: (val, closed))
 
 
+# Terms of _bulk_log_energy's series.  Past n, c_n is at most ~2/n^2, so the
+# tail is ~1/n^4: measured 2.1e-15 at c = 1 and 3.7e-15 to 4.0e-15 at c from
+# 0.1 to 20/3, against 100 times as many terms.
+_BULK_TERMS = 4000
+
+
+def _bulk_log_energy(c: float) -> float:
+    """kk = iint phi_0(s - t) Omega_c'(s) Omega_c'(t) ds dt over the bulk
+    [c/2 - 1, c/2 + 1], by the Chebyshev series of the log kernel.
+
+    In x = s - c/2 and y = t - c/2, both in [-1, 1], the kernel has the
+    classical expansion phi_0 = -ln|2(x - y)| = sum_{n>=1} (2/n) T_n(x) T_n(y),
+    so kk = sum_{n>=1} (2/n) c_n^2 with c_n = int_{-1}^{1} K(x) T_n(x) dx and
+    K(x) = Omega_c'(c/2 + x).  In x = cos theta, K is
+    1 - (2/pi) arg(c + e^{i theta}), the form alpha_constant integrates, and
+    T_n(x) dx = -cos(n theta) sin theta dtheta, so with
+    beta_m = int_0^pi K sin(m theta) dtheta and beta_0 = 0,
+
+        c_n = int_0^pi K cos(n theta) sin theta dtheta = (beta_{n+1} - beta_{n-1}) / 2.
+
+    The Fourier series of log(1 + z) gives arg(c + e^{i theta}) as
+    sum_k (-1)^{k+1} c^-k sin(k theta)/k for c > 1, and as theta minus
+    sum_k (-1)^{k+1} c^k sin(k theta)/k for c < 1; with
+    int_0^pi sin(k theta) sin(m theta) = (pi/2) [k = m],
+    int_0^pi theta sin(m theta) = pi (-1)^{m+1}/m and
+    int_0^pi sin(m theta) = (1 + (-1)^{m+1})/m,
+
+        beta_m = (1 + (-1)^{m+1} (1 - q_m)) / m,
+
+    q_m = c^-m for c > 1, 2 - c^m for c < 1 and 1 at c = 1, where
+    arg(1 + e^{i theta}) = theta/2.  At c = 1, beta_m = 1/m, c_1 = 1/4,
+    c_n = -1/(n^2 - 1) past it and kk = 1/4.  The sum runs over the first
+    _BULK_TERMS terms.
+    """
+    m = np.arange(1.0, _BULK_TERMS + 2.0)
+    q = np.ones_like(m)
+    if c != 1.0:
+        # c^-m for c > 1, c^m for c < 1, left at 0 once below e^-40, far under kk's ulp
+        rate = abs(math.log(c))
+        r = np.zeros_like(m)
+        k = min(m.size, math.ceil(40.0 / rate))
+        r[:k] = np.exp(-rate * m[:k])
+        q = r if c > 1.0 else 2.0 - r
+    beta = np.zeros(_BULK_TERMS + 2)
+    beta[1:] = q / m
+    beta[1::2] = (2.0 - q[::2]) / m[::2]  # odd m
+    cn = 0.5 * (beta[2:] - beta[:-2])
+    return float(np.sum(cn * cn * (2.0 / m[:-1])))
+
+
 def lemma_intIOmega(c: float, a: float, b: float) -> tuple[float, float]:
     """int_a^b I_c(s) Omega_c'(s) ds from its definition vs its closed reduction.
 
@@ -347,17 +400,16 @@ def lemma_intIOmega(c: float, a: float, b: float) -> tuple[float, float]:
 
     - hh = -E(x, d), with d the jumps of h at x = [a, breakpoints, b];
     - 2 hk = 2 int_bulk Omega_c'(t) (-sum_k d_k phi_1(x_k - t)) dt, one
-      tanh-sinh call, since int phi_0(s - t) h(s) ds = -sum_k d_k phi_1(x_k - t);
-    - kk, the generic log-kernel route on the bulk, the only nested quadrature.
+      tanh-sinh call, since int phi_0(s - t) h(s) ds = -sum_k d_k phi_1(x_k - t),
+      split at _bulk_turns, where Omega_c' turns near c = 1;
+    - kk, the bulk's own energy, by the Chebyshev series of _bulk_log_energy,
+      with no quadrature.
 
-    Both split the bulk at _bulk_turns, where Omega_c' turns near c = 1: hk at
-    all four, kk, whose nested quadrature pays for each split, at k = 1 alone
-    (all four cost it 3.4 times as much).  At c = 0.99 and 1.01 that takes
-    the error from 7.7e-9 to 9.9e-11.
-
-    None of it uses G, H~, J~ or lemma I, on which the closed reduction rests.
-    The value depends on the window (a, b), which must contain the shape
-    support.
+    The error is hk's: at most 2.1e-14 on verify-all's c grid, and 2.6e-13
+    and 4.4e-13 at c = 0.99 and 1.01, where the nested kk route was 8.9e-11
+    and 9.9e-11 off.  None of it uses G, H~, J~, the log moment or lemma I,
+    on which the closed reduction rests.  The value depends on the window
+    (a, b), which must contain the shape support.
     """
     return _evaluate([_lemma_intIOmega(c, a, b)])[0]
 
@@ -369,11 +421,9 @@ def _lemma_intIOmega(c: float, a: float, b: float) -> _Oracle:
     mid = 0.5 * (x[:-1] + x[1:])
     h = np.where((lo < mid) & (mid < hi), 0.0, omega_c_prime(c, mid))
     d = np.diff(np.concatenate(([0.0], h, [0.0])))
-    turns = _bulk_turns(c)  # turns[1:2] is k = 1 alone
-    hk = (lambda t: omega_c_prime(c, t) * (phi(1, x - t[..., None]) @ d), lo, hi, turns)
-    kk = _logkernel_integral(Curve(partial(omega_c, c), partial(omega_c_prime, c), (lo, hi),
-                                   turns[1:2]))
-    return _Oracle((hk,), (kk,), lambda hk, kk: (-_log_energy(x, d) + 2.0 * -hk + kk, rhs))
+    hk = (lambda t: omega_c_prime(c, t) * (phi(1, x - t[..., None]) @ d), lo, hi, _bulk_turns(c))
+    kk = _bulk_log_energy(c)
+    return _Oracle((hk,), (), lambda hk: (-_log_energy(x, d) + 2.0 * -hk + kk, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -491,16 +541,15 @@ def penalty_nonnegative(cases=(((9,), 2), ((12, 4), 3), ((40, 30, 2), 4), ((9,),
 
 
 def lemmas(c_grid):
-    """Lemmas A, I, F3 and intIOmega: quadrature against closed form at each c,
-    with the grid's single integrals in one tanh_sinh call and its nested ones
-    in one nested_tanh_sinh call."""
+    """Lemmas A, I, F3 and intIOmega: oracle against closed form at each c,
+    with the grid's single integrals in one tanh_sinh call; none is nested."""
     cases = []
     for c in c_grid:
         a, b = functionals.default_window(c)
         cases += [(c, "lemma_A", _lemma_A(c), 1e-7),
                   (c, "lemma_I", _lemma_I(c, 0.5 * c + 1.2, a, b), 1e-7),
                   (c, "lemma_F3", _lemma_F3(c, 0.3), 1e-7),
-                  (c, "lemma_intIOmega", _lemma_intIOmega(c, a, b), 1e-6)]
+                  (c, "lemma_intIOmega", _lemma_intIOmega(c, a, b), 1e-11)]
     for (c, test, _, tol), (lhs, rhs) in zip(cases, _evaluate([o for _, _, o, _ in cases])):
         yield test, {"c": c}, lhs, rhs, tol, (test.replace("_", "-"),)
 

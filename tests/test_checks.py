@@ -203,6 +203,17 @@ class TestOneRoutePerQuantity:
                  for where in callers(syntax_tree(module), "_int_I_omega_closed")}
         assert found == {("checks", "_lemma_intIOmega")}
 
+    def test_lemma_intIOmega_oracle_reads_no_closed_form(self):
+        # its left side, hk's integrand and the bulk series, stays independent
+        # of the closed reduction's G, H~, J~, log moment and lemma I
+        tree = syntax_tree("checks")
+        oracle = set().union(*(names(node) for node in tree.body
+                               if isinstance(node, ast.FunctionDef)
+                               and node.name in {"_lemma_intIOmega", "_bulk_log_energy"}))
+        assert "_bulk_log_energy" in oracle and "_int_I_omega_closed" in oracle
+        assert not {"G", "H_tilde", "J_tilde", "_log_moment", "_lemma_I_closed", "lemma_I",
+                    "_lemma_I", "nested_tanh_sinh", "_logkernel_integral"} & oracle
+
     def test_integrate_is_the_one_tanh_sinh_caller(self):
         found = {(module, where) for module in MODULES
                  for where in callers(syntax_tree(module), "_tanh_sinh_panels")}
@@ -311,8 +322,8 @@ class TestMovedNames:
 class TestOraclesBatch:
     def test_warm_verify_all_pass_makes_few_tanh_sinh_calls(self, monkeypatch):
         # Each oracle family integrates its members in one pass loop: the 28
-        # single lemma integrals of the c grid in one call, its 7 nested ones
-        # and minimizer_gap's 2 in one outer call each.
+        # single lemma integrals of the c grid in one call and minimizer_gap's
+        # 2 nested ones in one outer call; the lemmas make no nested call.
         harness.cmd_verify_all()
         calls, nodes = [], []
         panels_tanh_sinh = quadrature._tanh_sinh_panels
@@ -329,7 +340,7 @@ class TestOraclesBatch:
         monkeypatch.setattr(quadrature, "_tanh_sinh_panels", spy)
         harness.cmd_verify_all()
         assert len(calls) <= 12
-        assert sum(nodes) == 121_914
+        assert sum(nodes) == 58_432
 
     @pytest.mark.parametrize("name", LEMMAS)
     def test_grid_batch_matches_each_lemma_alone(self, name, verify_all_report):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import mpmath
@@ -613,14 +614,48 @@ class TestLemmas:
                 int_I_omega_by_reduction(c, *window), abs=1e-10)
 
     def test_lemma_intIOmega_on_the_verify_all_grid(self, verify_all_report):
-        # the report's lhs is the nested route, its rhs the closed reduction
+        # the report's lhs is the oracle, its rhs the closed reduction; worst
+        # measured 2.1e-14 (c = 0.5)
         recs = [ch for ch in verify_all_report["checks"] if ch["test"] == "lemma_intIOmega"]
         assert [ch["params"]["c"] for ch in recs] == verify_all_report["c_grid"]
         assert len(recs) == 7
         for ch in recs:
             a, b = F.default_window(ch["params"]["c"])
             assert ch["rhs"] == F._int_I_omega_closed(ch["params"]["c"], a, b)
-            assert ch["lhs"] == pytest.approx(ch["rhs"], abs=1e-9)
+            assert ch["lhs"] == pytest.approx(ch["rhs"], abs=1e-13)
+            assert ch["tol"] == 1e-11
+
+    @pytest.mark.parametrize("c", [0.99, 1.01])
+    def test_lemma_intIOmega_near_one(self, c):
+        # the nested bulk energy put the oracle 8.9e-11 and 9.9e-11 off here;
+        # the series takes it to 2.6e-13 and 4.4e-13, hk's own error
+        q, closed = C.lemma_intIOmega(c, *F.default_window(c))
+        assert q == pytest.approx(closed, abs=1e-12)
+
+    @staticmethod
+    def bulk_curve(c):
+        lo, hi = 0.5 * c - 1.0, 0.5 * c + 1.0
+        return C.Curve(partial(shape.omega_c, c), partial(shape.omega_c_prime, c), (lo, hi),
+                       tuple(t for t in C._bulk_turns(c) if lo < t < hi))
+
+    @pytest.mark.parametrize("c", [0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0])
+    def test_bulk_series_matches_the_nested_route(self, c):
+        # the generic log-kernel route on the bulk, split at Omega_c''s turn;
+        # worst measured 1.3e-11 (c = 4), the nested route's own error
+        assert C._bulk_log_energy(c) == pytest.approx(
+            C._sobolev_logkernel_generic(self.bulk_curve(c)), abs=2e-10)
+
+    def test_bulk_series_at_one(self):
+        # c_1 = 1/4 and c_n = -1/(n^2 - 1) past it sum to 1/4; the tail left
+        # out is 2.1e-15
+        assert C._bulk_log_energy(1.0) == pytest.approx(0.25, abs=1e-14)
+
+    @pytest.mark.parametrize("c", [0.1, 0.99, 1.0, 1.01, 2.0, 20 / 3])
+    def test_bulk_series_tail(self, c, monkeypatch):
+        # the tail past _BULK_TERMS is ~1/terms^4: measured at most 4.0e-15
+        short = C._bulk_log_energy(c)
+        monkeypatch.setattr(C, "_BULK_TERMS", 100 * C._BULK_TERMS)
+        assert short == pytest.approx(C._bulk_log_energy(c), abs=1e-14)
 
     @staticmethod
     def full_window_route(c, a, b):
@@ -640,7 +675,8 @@ class TestLemmas:
 
     @pytest.mark.parametrize("c", [0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0])
     def test_split_matches_the_full_window_route(self, c):
-        # worst measured: 7.8e-11 at c = 1 on (-2.2, 3.1)
+        # worst measured: 8.1e-11 at c = 1 on (-2.2, 3.1), the full route's
+        # own error: the split is within 1.9e-13 of the closed reduction
         for a, b in self.windows(c):
             lhs, _ = C.lemma_intIOmega(c, a, b)
             assert lhs == pytest.approx(self.full_window_route(c, a, b), abs=2e-10)
@@ -648,8 +684,8 @@ class TestLemmas:
     @pytest.mark.parametrize("c", [0.99, 1.01])
     def test_split_matches_the_full_window_route_near_one(self, c):
         # both routes split at Omega_c''s turn near c = 1; worst measured:
-        # 8.2e-11 from the full route to the closed reduction, 1.8e-10 from
-        # the split to the full route, at c = 1.01 on (-2.2, 3.1)
+        # 8.2e-11 from the full route to the closed reduction and from the
+        # split to the full route, at c = 1.01 on (-2.2, 3.1)
         for a, b in self.windows(c):
             lhs, rhs = C.lemma_intIOmega(c, a, b)
             full = self.full_window_route(c, a, b)
@@ -670,16 +706,18 @@ class TestLemmas:
         assert C._sobolev_logkernel_generic(step) == pytest.approx(-F._log_energy(x, d), abs=1e-9)
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 1.1, 4.0])
-    def test_one_nested_quadrature_on_the_bulk(self, c, monkeypatch):
-        supports, nested = [], C.nested_tanh_sinh
+    def test_no_nested_quadrature(self, c, monkeypatch):
+        class NestedCall(Exception):
+            pass
 
-        def recording(integrals):
-            supports.extend((a, b) for _, _, a, b, _ in integrals)
-            return nested(integrals)
+        def refuse(*args, **kwargs):
+            raise NestedCall
 
-        monkeypatch.setattr(C, "nested_tanh_sinh", recording)
-        C.lemma_intIOmega(c, *F.default_window(c))
-        assert supports == [(0.5 * c - 1.0, 0.5 * c + 1.0)]
+        monkeypatch.setattr(C, "nested_tanh_sinh", refuse)
+        with pytest.raises(NestedCall):  # the patch reaches the oracles
+            next(C.minimizer_gap(cs=(c,)))
+        q, closed = C.lemma_intIOmega(c, *F.default_window(c))
+        assert q == pytest.approx(closed, abs=1e-13)
 
 
 class TestNonfiniteC:
