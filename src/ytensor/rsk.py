@@ -41,13 +41,18 @@ arrays for all trials of the batch at once, in one pass over the blocks
 that hold n draws, and applies ``Generator.integers``' bounded-draw rule
 (Lemire's rejection) to each row's first n draws, so each word equals
 ``trial_rng(seed, k).integers(1, N + 1, size=n)`` bit for bit unless one of
-those draws was rejected; only those rows draw from ``trial_rng`` itself.
-So Schur-Weyl sampling imports ``numpy.random`` (9-17 ms on first use) only
-for a word with a rejected draw.  A lone short word pays the pass's fixed
-0.3-0.5 ms of numpy calls where a Generator would take ~0.03 ms once
-imported (2 cores, n = 100).
+those draws was rejected.  The rows with a rejected draw share one more
+pass, with spare blocks, and take their first n accepted draws; only a row
+whose spare draws run out draws from ``trial_rng`` itself.  So Schur-Weyl
+sampling imports ``numpy.random`` (9-17 ms on first use) only for such a
+row.  A lone short word pays the pass's fixed ~0.2 ms of numpy calls where
+a Generator would take ~0.03 ms once imported (2 cores, n = 100).
 The pass runs Philox's first two rounds only on the lanes that depend on
-the trial and reads the 32-bit draws as a view of the 64-bit outputs.
+the trial, updates its four lanes in place, and reads the 32-bit draws as a
+view of the 64-bit outputs; the letters go straight into the batch's
+buffer.  A draw so allocates its raw outputs, its lanes and one product,
+not ~200 arrays: a word-table batch of 16384 rows at (n, N) = (4, 2) peaks
+at 1.12 MB (tracemalloc) against 1.71 MB with a new array per step.
 Equal shapes of one ``sample_schur_weyl`` call share one ``Partition``,
 across its kernel batches too.  A ``Partition`` is a tuple of its rows and
 hashes and compares as one, so a ``Counter`` of the samples makes one C hash
@@ -59,16 +64,17 @@ these take 2e4 trials at each of (n, N) = (4, 2), (5, 3), (6, 3) in
 0.014-0.021 s (2 cores, medians of 40 calls in each of 8 processes), against
 1.18-1.29 s for a Generator per trial: its ``integers`` call costs ~10 us
 per trial and building each trial's ``Partition`` ~4 us.
-One word at n = 3e4, N = 173 draws in 0.8-1.2 ms (medians of 7 timings
-of 20 calls, in each of 5 processes), beside 60-76 ms of kernel; most of
-a pass is the 17 calls of ``_mulhilo``, 15 uint64 array operations each.
-At n = 1e6, N = 1000 the draw takes 30-39 ms and 20 MB of temporaries
-(tracemalloc), freed before the kernel runs.  At N near
-2**31 about half of all draws are rejected, so nearly every short word
-redraws from its own ``trial_rng``: 2000 six-letter words at N = 2**31 + 11
-take 35-38 ms to draw (quartiles of the medians of 7 calls in 10 fresh
-processes, 2 cores), where placing the accepted draws by count took
-4.0-4.4 ms.  ``sample_plancherel`` draws trial k's permutation from
+One word at n = 3e4, N = 173 draws in 0.56-0.76 ms (medians of 7 timings
+of 20 calls, in each of 6 processes), against 0.76-1.2 ms with a new array
+per step, beside 60-76 ms of kernel; most of a pass (about 70% under
+cProfile) is still the 17 calls of ``_mulhilo``, 15 in-place uint64 array
+operations each.  At n = 1e6, N = 1000 the draw takes 18-19 ms and 13 MB
+of temporaries (tracemalloc), against 30-40 ms and 21 MB, freed before the
+kernel runs.  At N near 2**31 about half of all draws are rejected, so
+nearly every short word takes spare blocks: 2000 six-letter words at
+N = 2**31 + 11 take 2.2-2.3 ms to draw (medians of 7 calls in 6 fresh
+processes, 2 cores), against 33-47 ms when each such row built its own
+Generator.  ``sample_plancherel`` draws trial k's permutation from
 ``trial_rng(seed, k).permutation(n)``.
 """
 
@@ -96,21 +102,23 @@ _KERNEL_LETTERS = 1 << 14
 # Letters per batch in sample_schur_weyl's word-table path.  There the kernel
 # runs once per call, on the N**n listed words, and a batch only draws its
 # letters and looks their shapes up.  Each batch's draw costs a fixed
-# ~0.45 ms of numpy calls at (n, N) = (4, 2), so fewer, larger batches are
-# faster until their temporaries outgrow the cache.  Per call of 2e4 trials,
-# as a ratio to 2**14 letters (medians of 40 calls per process, then over 8
-# fresh processes per size, 2 cores), and the peak RSS that the first calls
-# at the three (n, N) add to a fresh process:
+# ~0.2 ms of numpy calls, so fewer, larger batches are faster.  Per call of
+# 2e4 trials, as a ratio to 2**14 letters (medians of 40 calls per process,
+# then over 16 fresh processes per size, 2 cores), and the peak RSS that
+# the first calls at the three (n, N) add to a fresh process:
 #
 #   letters   (4, 2)   (5, 3)   (6, 3)   peak RSS rise
-#   2**14     1        1        1        1.7 MB
-#   2**15     0.91     0.88     0.80     2.3 MB
-#   2**16     0.83     0.80     0.77     3.7 MB
-#   2**17     0.81     0.76     0.71     5.8 MB
+#   2**14     1        1        1        1.3 MB
+#   2**15     0.87     0.86     0.83     1.5 MB
+#   2**16     0.93     0.76     0.72     2.0 MB
+#   2**17     0.70     0.66     0.69     3.3 MB
 #
-# Past 2**16 the gain is small and the RSS rise doubles.  _draw_letters
-# draws a batch in one Philox pass of ceil(n / 8) blocks per row at
-# N <= 2**32, so a batch's draw temporaries grow with its letters alone.
+# 2**17 puts each call's 2e4 trials in one batch and is faster, but its RSS
+# rise is 1.6 times that of 2**16; no size is both faster at every (n, N)
+# and smaller in RSS than 2**16.
+# _draw_letters draws a batch in one Philox pass of ceil(n / 8) blocks per
+# row at N <= 2**32, so a batch's draw temporaries grow with its letters
+# alone.
 _TABLE_LETTERS = 1 << 16
 
 # Philox4x64-10 (Salmon et al., SC 2011, as in numpy's philox.h): the round
@@ -135,31 +143,41 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
     This defines the (seed, trial) contract, and it is the one place that
     builds a Generator: ``sample_plancherel`` draws each permutation from it,
-    and ``_draw_letters`` each row whose first n draws include a rejected
-    one.  Its vectorized pass reproduces these streams; the tests compare
-    both samplers against it.
+    and ``_draw_letters`` each row whose spare draws run out
+    (``_spare_letters``).  Its vectorized passes reproduce these streams;
+    the tests compare both samplers against it.
     """
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(trial)])
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _mulhilo(a: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of a * b, for a uint64 array a and 0 <= b < 2**64.
+def _mulhilo(a: np.ndarray, b: int, hi: np.ndarray, s1: np.ndarray, s2: np.ndarray,
+             s3: np.ndarray) -> None:
+    """a * b for a uint64 array a and 0 <= b < 2**64: the high 64-bit word
+    into ``hi``, the low word over ``a``.
 
     The high word is built from 32-bit halves (Hacker's Delight's mulhu: no
-    partial sum overflows 64 bits); the low word is the wrapping uint64
-    product.  Array arithmetic wraps silently where a numpy scalar would warn.
+    partial sum overflows 64 bits) in the scratch arrays s1, s2 and s3, which
+    have a's shape; the low word is the wrapping uint64 product.  Every step
+    writes into an array it is given, so a product allocates nothing.  Array
+    arithmetic wraps silently where a numpy scalar would warn.
     """
     b_lo, b_hi = np.uint64(b & 0xFFFFFFFF), np.uint64(b >> 32)
-    a_lo, a_hi = a & _MASK32, a >> _SHIFT32
-    t = a_hi * b_lo
-    t += (a_lo * b_lo) >> _SHIFT32
-    w = t & _MASK32
-    w += a_lo * b_hi
-    hi = a_hi * b_hi
-    hi += t >> _SHIFT32
-    hi += w >> _SHIFT32
-    return hi, a * np.uint64(b)
+    a_lo = np.bitwise_and(a, _MASK32, out=s1)
+    a_hi = np.right_shift(a, _SHIFT32, out=s2)
+    t = np.multiply(a_hi, b_lo, out=s3)
+    np.multiply(a_lo, b_lo, out=hi)
+    hi >>= _SHIFT32
+    t += hi
+    np.bitwise_and(t, _MASK32, out=hi)  # w
+    a_lo *= b_hi
+    hi += a_lo
+    hi >>= _SHIFT32
+    t >>= _SHIFT32
+    hi += t
+    a_hi *= b_hi
+    hi += a_hi  # a_hi * b_hi + (t >> 32) + (w >> 32)
+    a *= np.uint64(b)
 
 
 def _philox_blocks(seed: int, trials: np.ndarray, blocks: int) -> np.ndarray:
@@ -175,37 +193,70 @@ def _philox_blocks(seed: int, trials: np.ndarray, blocks: int) -> np.ndarray:
     the first depends on the block alone: it is taken on the 1-D counters.
     In round 1, lane 0 is the seed key, so its product is one Python-int
     multiplication.  A pass makes 17 full-array products, not two per round.
+
+    The rounds update four lane arrays in place: each product writes its low
+    word over its input and its high word into one reused array, beside
+    three scratch arrays, and a round renames the lanes instead of building
+    new ones.  The high word and the scratch arrays are one block of memory,
+    which takes the interleaved output at the end, so a pass allocates two
+    arrays of 4 * blocks words per row.  That block is allocated before the
+    lanes: the lanes, freed on return, then leave their memory at the top of
+    the heap, where the caller's product takes it, and the draw spans less
+    heap.  Where that span stays below glibc's trim threshold, the next draw
+    reuses its pages instead of faulting them in again: after one
+    chisq-small benchmark pass, a draw of a (5, 3) word-table batch takes 0
+    minor faults against 301 with the lanes allocated first (``getrusage``).
     """
+    count = trials.size
     k0 = seed & 0xFFFFFFFFFFFFFFFF
-    k1 = trials.astype(np.uint64)[:, None]
-    hi0, lo0 = _mulhilo(np.arange(1, blocks + 1, dtype=np.uint64), _PHILOX_M[0])
-    c2, c3 = hi0 ^ k1, lo0  # round 0; lane 0 is now k0 and lane 1 zero
+    k1 = trials.astype(np.int64, copy=False).view(np.uint64)[:, None]  # no copy of int64 ids
+    scratch = np.empty((count, blocks, 4), dtype=np.uint64)
+    lanes = np.empty((4, count, blocks), dtype=np.uint64)
+    hi, s1, s2, s3 = scratch.reshape(4, count, blocks)
+    key = s1[:, :1]  # lane 2's round key, made once a round's products are done with s1
+    c0, c1, c2, c3 = lanes
+    counters = np.arange(1, blocks + 1, dtype=np.uint64)
+    hi0 = np.empty((4, blocks), dtype=np.uint64)
+    _mulhilo(counters, _PHILOX_M[0], *hi0)
+    np.bitwise_xor(hi0[0], k1, out=c2)  # round 0; lane 0 is now k0, lane 1 zero, lane 3 counters
     p0 = k0 * _PHILOX_M[0]
     k0 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFFFFFFFFFF
-    k1 = k1 + np.uint64(_PHILOX_W[1])
-    hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
-    c0, c1 = hi1 ^ np.uint64(k0), lo1  # round 1
-    c2, c3 = np.uint64(p0 >> 64) ^ c3 ^ k1, np.uint64(p0 & 0xFFFFFFFFFFFFFFFF)
-    for _ in range(2, _PHILOX_ROUNDS):
+    _mulhilo(c2, _PHILOX_M[1], hi, s1, s2, s3)
+    np.bitwise_xor(hi, np.uint64(k0), out=c0)  # round 1
+    counters ^= np.uint64(p0 >> 64)
+    np.add(k1, np.uint64(_PHILOX_W[1]), out=key)
+    np.bitwise_xor(counters, key, out=c1)
+    c3.fill(p0 & 0xFFFFFFFFFFFFFFFF)
+    c1, c2 = c2, c1
+    for r in range(2, _PHILOX_ROUNDS):
         k0 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFFFFFFFFFF
-        k1 = k1 + np.uint64(_PHILOX_W[1])
-        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
-        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
-        hi1 ^= c1  # in place: the products are fresh arrays
-        hi1 ^= np.uint64(k0)
-        hi0 ^= c3
-        hi0 ^= k1
-        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
-    return np.stack((c0, c1, c2, c3), axis=-1).reshape(trials.size, 4 * blocks)
+        _mulhilo(c2, _PHILOX_M[1], hi, s1, s2, s3)
+        c1 ^= hi
+        c1 ^= np.uint64(k0)
+        _mulhilo(c0, _PHILOX_M[0], hi, s1, s2, s3)
+        c3 ^= hi
+        np.add(k1, np.uint64(r * _PHILOX_W[1] & 0xFFFFFFFFFFFFFFFF), out=key)
+        c3 ^= key
+        c0, c1, c2, c3 = c1, c2, c3, c0
+    return np.stack((c0, c1, c2, c3), axis=-1, out=scratch).reshape(count, 4 * blocks)
 
 
-def _lemire(u: np.ndarray, N: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """High and low ``bits``-bit words of u * N: the letter minus 1, and the
-    word that Lemire's rejection test compares with its threshold."""
+def _draws(raw: np.ndarray, bits: int) -> np.ndarray:
+    """The ``bits``-bit draws of raw Philox outputs, in stream order: each
+    64-bit output low half first, as numpy's ``philox_next32`` takes them."""
+    return raw.astype("<u8", copy=False).view("<u4") if bits == 32 else raw
+
+
+def _lemire(u: np.ndarray, N: int, bits: int, hi: np.ndarray) -> np.ndarray:
+    """Write the high ``bits``-bit word of u * N, the letter minus 1, into ``hi``;
+    return the low word, which Lemire's rejection test compares with its threshold."""
     if bits == 64:
-        return _mulhilo(u, N)
+        lo = u.copy()
+        _mulhilo(lo, N, hi, *np.empty((3,) + lo.shape, dtype=np.uint64))
+        return lo
     m = np.multiply(u, np.uint64(N), dtype=np.uint64)  # u may be a uint32 view
-    return m >> _SHIFT32, np.bitwise_and(m, _MASK32, out=m)  # low word in place, after the high
+    np.right_shift(m, _SHIFT32, out=hi, casting="unsafe")
+    return np.bitwise_and(m, _MASK32, out=m)  # the low word in place, after the high
 
 
 def _draw_letters(seed: int, trials: np.ndarray, n: int, N: int, out: np.ndarray) -> None:
@@ -220,23 +271,53 @@ def _draw_letters(seed: int, trials: np.ndarray, n: int, N: int, out: np.ndarray
 
     Every batch, a lone word of any length included, takes one vectorized
     pass: one ``_philox_blocks`` call for the blocks that hold n draws, and
-    the bounded letters of each row's first n draws, written as one slice.
-    A row is then exact unless one of those n draws was rejected; only such
-    rows draw from their own trial's Generator instead.  Rejection is rare
-    at the alphabets the paper's regime samples (at most N / 2**32 of
-    draws, 4e-8 at N = 173, and none for N a power of 2), but nearly every
-    row of a few letters redraws at N near 2**31.
+    the bounded letters of each row's first n draws, written straight into
+    ``out``.  A row is then exact unless one of those n draws was rejected.
+    Such rows take their first n accepted draws from one more pass, for all
+    of them at once (``_spare_letters``).  Rejection is rare at the alphabets
+    the paper's regime samples (at most N / 2**32 of draws, 4e-8 at N = 173,
+    and none for N a power of 2), but nearly every row of a few letters
+    rejects a draw at N near 2**31.
     """
     bits = 32 if N <= 1 << 32 else 64
-    raw = _philox_blocks(seed, trials, -(-n * bits // 256))
-    u = raw.astype("<u8", copy=False).view("<u4") if bits == 32 else raw  # low half first
-    hi, lo = _lemire(u[:, :n], N, bits)
-    np.add(hi, np.uint64(1), out=out, casting="unsafe")  # no n-sized temporary
-    # rows with a rejected draw, once each and in order: np.unique would import
-    # numpy.ma, and any(axis=1) over rows of a few letters is ~7x slower
-    rejected = np.flatnonzero(lo < np.uint64(((1 << bits) - N) % N)) // n
-    for row in dict.fromkeys(rejected.tolist()):
-        out[row] = trial_rng(seed, trials[row]).integers(1, N + 1, size=n)
+    blocks = -(-n * bits // 256)
+    u = _draws(_philox_blocks(seed, trials, blocks), bits)
+    lo = _lemire(u[:, :n], N, bits, out)
+    out += 1
+    threshold = ((1 << bits) - N) % N  # 0 when N is a power of 2: nothing is rejected
+    if not threshold:
+        return
+    # rejected draws per row: np.unique would import numpy.ma, and
+    # any(axis=1) over rows of a few letters is ~7x slower
+    counts = np.bincount(np.flatnonzero(lo < np.uint64(threshold)) // n)
+    rows = np.flatnonzero(counts)
+    if rows.size:
+        out[rows] = _spare_letters(seed, trials[rows], n, N, bits, int(counts.max()))
+
+
+def _spare_letters(seed: int, trials: np.ndarray, n: int, N: int, bits: int,
+                   most: int) -> np.ndarray:
+    """Each row's first n accepted letters, for rows whose first n draws hold a rejected one.
+
+    ``most`` is the largest number of rejected draws among the first n of
+    any row.  One ``_philox_blocks`` call draws, for all rows at once, the
+    blocks that hold n draws and about twice as many more as ``most``
+    acceptances take, and each row takes its first n accepted draws in
+    stream order.  Only a row with fewer than n accepted draws in all of
+    them draws from its own ``trial_rng``.
+    """
+    threshold = ((1 << bits) - N) % N
+    draws = n + -(-2 * most * (1 << bits) // ((1 << bits) - threshold))
+    u = _draws(_philox_blocks(seed, trials, -(-draws * bits // 256)), bits)
+    letters = np.empty(u.shape, dtype=np.uint64)
+    accepted = _lemire(u, N, bits, letters) >= np.uint64(threshold)
+    accepted &= np.cumsum(accepted, axis=1) <= n  # each row's first n
+    full = np.count_nonzero(accepted, axis=1) == n
+    words = np.empty((trials.size, n), dtype=np.uint64)
+    words[full] = letters[accepted & full[:, None]].reshape(-1, n) + np.uint64(1)
+    for row in np.flatnonzero(~full).tolist():  # rare: the spare draws ran out
+        words[row] = trial_rng(seed, trials[row]).integers(1, N + 1, size=n)
+    return words
 
 
 def rsk_shape_from_letters(letters: Iterable[int]) -> Partition:
@@ -396,7 +477,7 @@ def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:
     Trial k's word is ``trial_rng(seed, k).integers(1, N + 1, size=n)``, bit
     for bit, but ``_draw_letters`` draws the words of a whole batch at once
     from one vectorized Philox pass instead of stepping a Generator per trial
-    (only a row with a rejected draw steps its own Generator).
+    (only a row whose spare draws run out steps its own Generator).
     ``_draw_batch`` draws one batch of up to ``_KERNEL_LETTERS`` letters and
     runs the kernel ``_row_lengths`` on it; the batches' shapes become
     partitions in trial order, and equal shapes of all batches are one shared

@@ -404,7 +404,7 @@ class TestPhilox:
 
     @pytest.mark.parametrize("seed, n, N", [
         (4, 6, 1),
-        (5, 37, 2**31 + 11),  # about half of all draws rejected: most trials draw again
+        (5, 37, 2**31 + 11),  # about half of all draws rejected: most rows take spare blocks
         (41, 2, 2**31 + 11),  # rows left short hold different fills, then accept every draw
         (6, 9, 2**32),
         (7, 13, 2**40 + 3),  # whole 64-bit draws
@@ -426,7 +426,7 @@ class TestPhilox:
 
     @pytest.mark.parametrize("seed, n, N, rejecting", [
         (3, 6, 4, 0),  # N a power of 2 never rejects: the first pass writes one slice
-        (14, 2, 2**31 + 11, 3),  # 3 of 8 rows reject a draw: they redraw from their own streams
+        (14, 2, 2**31 + 11, 3),  # 3 of 8 rows reject a draw: they take spare blocks
     ])
     def test_pass_with_and_without_rejections(self, seed, n, N, rejecting):
         count = 8
@@ -438,11 +438,71 @@ class TestPhilox:
         rsk._draw_letters(seed, np.arange(count), n, N, out)
         assert np.array_equal(out, reference_words(seed, n, N, range(count)))
 
+    def test_rows_rejecting_several_draws_take_spare_blocks(self, monkeypatch):
+        # At N = 2**31 + 11 about half of all draws are rejected.  The rows that
+        # reject any of their first n draws share one more Philox pass, with
+        # spare blocks past those; no Generator is built.
+        seed, n, N, count = 16, 6, 2**31 + 11, 40
+        reference = reference_words(seed, n, N, range(count))
+        raw = rsk._philox_blocks(seed, np.arange(count), 1)
+        low = (rsk._draws(raw, 32)[:, :n] * np.uint64(N)) & np.uint64(0xFFFFFFFF)
+        assert (low < (2**32 - N) % N).sum(axis=1).max() >= 2
+        blocks, passes = rsk._philox_blocks, []
+        monkeypatch.setattr(rsk, "_philox_blocks",
+                            lambda *args: passes.append(args[2:]) or blocks(*args))
+        monkeypatch.setattr(rsk, "trial_rng", lambda *args: pytest.fail("a Generator was built"))
+        out = np.empty((count, n), dtype=np.uint32)
+        rsk._draw_letters(seed, np.arange(count), n, N, out)
+        assert np.array_equal(out, reference)
+        assert len(passes) == 2 and passes[0] == (1,) and passes[1][0] > 1
+
+    def test_row_whose_spare_draws_run_out_draws_from_its_stream(self, monkeypatch):
+        # Trial 6118 of seed 0 rejects its first 11 draws at N = 2**31 + 11,
+        # and its spare blocks hold 16 draws.
+        seed, n, N, trials = 0, 2, 2**31 + 11, [0, 1, 6118, 2]
+        reference = reference_words(seed, n, N, trials)
+        raw = rsk._philox_blocks(seed, np.array([6118]), 2)
+        low = (rsk._draws(raw, 32) * np.uint64(N)) & np.uint64(0xFFFFFFFF)
+        assert (low < (2**32 - N) % N).tolist()[0][:12] == [True] * 11 + [False]
+        trial_rng, built = rsk.trial_rng, []
+        monkeypatch.setattr(rsk, "trial_rng", lambda s, k: built.append(int(k)) or trial_rng(s, k))
+        out = np.empty((len(trials), n), dtype=np.uint32)
+        rsk._draw_letters(seed, np.array(trials), n, N, out)
+        assert np.array_equal(out, reference)
+        assert built == [6118]
+
+    @pytest.mark.parametrize("n, N", [(4, 2), (6, 3)])
+    def test_full_table_batch_matches_trial_streams(self, n, N):
+        # One word-table batch of _TABLE_LETTERS letters, the size at which a
+        # draw reuses its lane and scratch arrays over many rows.
+        rows, seed = rsk._TABLE_LETTERS // n, 21
+        out = np.empty((rows, n), dtype=np.min_scalar_type(N))
+        rsk._draw_letters(seed, np.arange(rows), n, N, out)
+        for k in [0, 1, *range(1024, rows, 1024), rows - 1]:
+            assert out[k].tolist() == rsk.trial_rng(seed, k).integers(1, N + 1, size=n).tolist()
+
+    def test_table_batch_draw_footprint(self):
+        # A (4, 2) word-table batch holds 16384 rows, and each of its arrays
+        # of one uint64 a row is 128 KiB.  A draw holds the Philox lanes and
+        # one scratch block of four such arrays each, then the raw outputs and
+        # one product: 1.12 MB at its peak, against 1.7-1.8 MB when every
+        # step of a product made a new array.
+        rows = rsk._TABLE_LETTERS // 4
+        trials, out = np.arange(rows), np.empty((rows, 4), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            rsk._draw_letters(0, trials, 4, 2, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.35e6
+
     @pytest.mark.parametrize("N", [2, 3, 173, 2**31 + 11, 2**32])
     def test_lemire_product_of_uint32_draws_is_64_bit(self, N):
         # The 32-bit draws reach _lemire as a uint32 view; u * N must not wrap at 2**32.
         u = np.array([0, 1, 2**31, 2**32 - 1], dtype=np.uint32)
-        hi, lo = rsk._lemire(u, N, 32)
+        hi = np.empty(u.shape, dtype=np.uint64)
+        lo = rsk._lemire(u, N, 32, hi)
         assert hi.tolist() == [int(x) * N >> 32 for x in u]
         assert lo.tolist() == [int(x) * N & 0xFFFFFFFF for x in u]
 
