@@ -42,10 +42,10 @@ that hold n draws, and applies ``Generator.integers``' bounded-draw rule
 (Lemire's rejection) to each row's first n draws, so each word equals
 ``trial_rng(seed, k).integers(1, N + 1, size=n)`` bit for bit unless one of
 those draws was rejected.  The rows with a rejected draw share one more
-pass, with spare blocks, and take their first n accepted draws; only a row
-whose spare draws run out draws from ``trial_rng`` itself.  So Schur-Weyl
-sampling imports ``numpy.random`` (9-17 ms on first use) only for such a
-row.  A lone short word pays the pass's fixed ~0.2 ms of numpy calls where
+pass, with spare blocks, and take their first n accepted draws; a row whose
+spare draws run out takes a pass of twice as many.  So Schur-Weyl sampling
+never builds a Generator, nor imports ``numpy.random`` (9-17 ms on first
+use).  A lone short word pays the pass's fixed ~0.2 ms of numpy calls where
 a Generator would take ~0.03 ms once imported (2 cores, n = 100).
 The pass runs Philox's first two rounds only on the lanes that depend on
 the trial, updates its four lanes in place, and reads the 32-bit draws as a
@@ -70,11 +70,13 @@ per step, beside 60-76 ms of kernel; most of a pass (about 70% under
 cProfile) is still the 17 calls of ``_mulhilo``, 15 in-place uint64 array
 operations each.  At n = 1e6, N = 1000 the draw takes 18-19 ms and 13 MB
 of temporaries (tracemalloc), against 30-40 ms and 21 MB, freed before the
-kernel runs.  At N near 2**31 about half of all draws are rejected, so
-nearly every short word takes spare blocks: 2000 six-letter words at
-N = 2**31 + 11 take 2.2-2.3 ms to draw (medians of 7 calls in 6 fresh
-processes, 2 cores), against 33-47 ms when each such row built its own
-Generator.  ``sample_plancherel`` draws trial k's permutation from
+kernel runs.  About 7% of such words hold a rejected draw and draw twice:
+63-74 ms and 17 MB, against 52-57 ms and 28 MB through a Generator.  At
+N near 2**31 about half of all draws are rejected, so nearly every short
+word takes spare blocks: 2000 six-letter words at N = 2**31 + 11 take
+2.2-2.5 ms to draw (medians of 7 calls in 6 fresh processes, 2 cores),
+against 33-61 ms when each such row built its own Generator.
+``sample_plancherel`` draws trial k's permutation from
 ``trial_rng(seed, k).permutation(n)``.
 """
 
@@ -142,10 +144,9 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Stream ``trial`` of ``seed``: a fresh Philox keyed by (seed mod 2**64, trial).
 
     This defines the (seed, trial) contract, and it is the one place that
-    builds a Generator: ``sample_plancherel`` draws each permutation from it,
-    and ``_draw_letters`` each row whose spare draws run out
-    (``_spare_letters``).  Its vectorized passes reproduce these streams;
-    the tests compare both samplers against it.
+    builds a Generator: ``sample_plancherel`` draws each permutation from it.
+    ``sample_schur_weyl``'s vectorized passes reproduce these streams; the
+    tests compare both samplers against it.
     """
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(trial)])
     return np.random.Generator(np.random.Philox(key=key))
@@ -290,34 +291,36 @@ def _draw_letters(seed: int, trials: np.ndarray, n: int, N: int, out: np.ndarray
     # rejected draws per row: np.unique would import numpy.ma, and
     # any(axis=1) over rows of a few letters is ~7x slower
     counts = np.bincount(np.flatnonzero(lo < np.uint64(threshold)) // n)
+    del u, lo  # freed before the spare pass draws
     rows = np.flatnonzero(counts)
     if rows.size:
-        out[rows] = _spare_letters(seed, trials[rows], n, N, bits, int(counts.max()))
+        _spare_letters(seed, trials, rows, n, N, bits, threshold, n + 4 * int(counts.max()), out)
 
 
-def _spare_letters(seed: int, trials: np.ndarray, n: int, N: int, bits: int,
-                   most: int) -> np.ndarray:
-    """Each row's first n accepted letters, for rows whose first n draws hold a rejected one.
+def _spare_letters(seed: int, trials: np.ndarray, rows: np.ndarray, n: int, N: int,
+                   bits: int, threshold: int, draws: int, out: np.ndarray) -> None:
+    """Fill ``out[rows]`` with each row's first n accepted letters, for rows
+    whose first n draws hold a rejected one.
 
-    ``most`` is the largest number of rejected draws among the first n of
-    any row.  One ``_philox_blocks`` call draws, for all rows at once, the
-    blocks that hold n draws and about twice as many more as ``most``
-    acceptances take, and each row takes its first n accepted draws in
-    stream order.  Only a row with fewer than n accepted draws in all of
-    them draws from its own ``trial_rng``.
+    One ``_philox_blocks`` call draws the blocks that hold ``draws`` draws
+    for all rows at once, and each row takes its first n accepted draws in
+    stream order.  Lemire's method accepts a draw with probability over
+    1/2, so ``_draw_letters`` asks for four draws past n for each of the
+    most rejections among any row's first n, twice as many as they take on
+    average.  The rows with fewer than n accepted draws in them, which are
+    rare, take a pass of twice as many draws.
     """
-    threshold = ((1 << bits) - N) % N
-    draws = n + -(-2 * most * (1 << bits) // ((1 << bits) - threshold))
-    u = _draws(_philox_blocks(seed, trials, -(-draws * bits // 256)), bits)
-    letters = np.empty(u.shape, dtype=np.uint64)
+    u = _draws(_philox_blocks(seed, trials[rows], -(-draws * bits // 256)), bits)
+    letters = np.empty_like(u)  # uint32 for 32-bit draws: N = 2**32 rejects nothing
     accepted = _lemire(u, N, bits, letters) >= np.uint64(threshold)
-    accepted &= np.cumsum(accepted, axis=1) <= n  # each row's first n
+    accepted &= np.cumsum(accepted, axis=1, dtype=np.int32) <= n  # each row's first n
     full = np.count_nonzero(accepted, axis=1) == n
-    words = np.empty((trials.size, n), dtype=np.uint64)
-    words[full] = letters[accepted & full[:, None]].reshape(-1, n) + np.uint64(1)
-    for row in np.flatnonzero(~full).tolist():  # rare: the spare draws ran out
-        words[row] = trial_rng(seed, trials[row]).integers(1, N + 1, size=n)
-    return words
+    accepted &= full[:, None]
+    words = letters[accepted].reshape(-1, n)
+    words += 1
+    out[rows[full]] = words
+    if not full.all():  # rare: the draws ran out
+        _spare_letters(seed, trials, rows[~full], n, N, bits, threshold, 2 * draws, out)
 
 
 def rsk_shape_from_letters(letters: Iterable[int]) -> Partition:
@@ -476,8 +479,7 @@ def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:
 
     Trial k's word is ``trial_rng(seed, k).integers(1, N + 1, size=n)``, bit
     for bit, but ``_draw_letters`` draws the words of a whole batch at once
-    from one vectorized Philox pass instead of stepping a Generator per trial
-    (only a row whose spare draws run out steps its own Generator).
+    from one vectorized Philox pass instead of stepping a Generator per trial.
     ``_draw_batch`` draws one batch of up to ``_KERNEL_LETTERS`` letters and
     runs the kernel ``_row_lengths`` on it; the batches' shapes become
     partitions in trial order, and equal shapes of all batches are one shared

@@ -456,20 +456,23 @@ class TestPhilox:
         assert np.array_equal(out, reference)
         assert len(passes) == 2 and passes[0] == (1,) and passes[1][0] > 1
 
-    def test_row_whose_spare_draws_run_out_draws_from_its_stream(self, monkeypatch):
+    def test_row_whose_spare_draws_run_out_takes_a_larger_pass(self, monkeypatch):
         # Trial 6118 of seed 0 rejects its first 11 draws at N = 2**31 + 11,
-        # and its spare blocks hold 16 draws.
+        # and the spare pass's blocks hold 16 draws: that row alone takes a
+        # third pass, of twice as many draws, and no Generator is built.
         seed, n, N, trials = 0, 2, 2**31 + 11, [0, 1, 6118, 2]
         reference = reference_words(seed, n, N, trials)
         raw = rsk._philox_blocks(seed, np.array([6118]), 2)
         low = (rsk._draws(raw, 32) * np.uint64(N)) & np.uint64(0xFFFFFFFF)
         assert (low < (2**32 - N) % N).tolist()[0][:12] == [True] * 11 + [False]
-        trial_rng, built = rsk.trial_rng, []
-        monkeypatch.setattr(rsk, "trial_rng", lambda s, k: built.append(int(k)) or trial_rng(s, k))
+        blocks, passes = rsk._philox_blocks, []
+        monkeypatch.setattr(rsk, "_philox_blocks",
+                            lambda s, k, b: passes.append((k.tolist(), b)) or blocks(s, k, b))
+        monkeypatch.setattr(rsk, "trial_rng", lambda *args: pytest.fail("a Generator was built"))
         out = np.empty((len(trials), n), dtype=np.uint32)
         rsk._draw_letters(seed, np.array(trials), n, N, out)
         assert np.array_equal(out, reference)
-        assert built == [6118]
+        assert [b for _, b in passes] == [1, 2, 3] and passes[2][0] == [6118]
 
     @pytest.mark.parametrize("n, N", [(4, 2), (6, 3)])
     def test_full_table_batch_matches_trial_streams(self, n, N):
