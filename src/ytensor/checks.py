@@ -25,7 +25,14 @@ functionals take the profile itself and never a Curve.
 
 The lemma_* functions check the closed forms of the auxiliary integrals (A,
 I_c, the phi_2 moment of Omega_c'' and the I-against-Omega' integral) by
-independent routes, each returning (oracle value, closed form).  Each is
+independent routes, each returning (oracle value, closed form).  Lemma A's
+and lemma F3's closed forms live in functionals, because production reads
+them: theta_shape reads A, and the Sobolev kernel F3.  Only oracles read
+lemma I's (_lemma_I_closed), lemma intIOmega's (_int_I_omega_closed, with
+its _log_moment), the lemmas' default_window and H_tilde_second, H~_c'' for
+the derivatives check; so they live here, each beside the oracle it is
+compared with, and no production module holds a closed form that only an
+oracle reads.  Each lemma oracle is
 split once into the integrals it needs and the step that assembles its value
 (an _Oracle), and _evaluate runs any number of oracles with one tanh_sinh
 call for all their single integrals and one nested_tanh_sinh call for all
@@ -69,23 +76,25 @@ from .diagrams import Partition, Profile, profile
 from .functionals import (
     _TURN_SCALES,
     _corner_jumps,
-    _int_I_omega_closed,
     _lemma_A_closed,
     _lemma_F3_closed,
-    _lemma_I_closed,
     _log_energy,
+    _pole_term,
 )
 from .quadrature import nested_tanh_sinh, tanh_sinh
-from .shape import _require_c, omega_c, omega_c_prime, phi, shape_breakpoints, shape_support
+from .shape import (G, H_tilde, J_tilde, _require_c, omega_c, omega_c_prime, phi,
+                    shape_breakpoints, shape_support)
 
 __all__ = [
     "Curve",
     "shape_curve",
     "profile_minus_shape",
+    "default_window",
     "lemma_A",
     "lemma_I",
     "lemma_F3",
     "lemma_intIOmega",
+    "H_tilde_second",
     "run_checks",
     "sum_rules",
     "measure_routes",
@@ -268,6 +277,12 @@ def _evaluate(oracles: list[_Oracle]) -> list[tuple[float, float]]:
             for o in oracles]
 
 
+def default_window(c: float) -> tuple[float, float]:
+    """Integration window [a, b] of lemmas, strictly containing the shape support."""
+    _require_c(c, positive=True)
+    return min(0.5 * c - 1.0, -0.5 / c) - 0.5, 0.5 * c + 1.5
+
+
 def lemma_A(c: float) -> tuple[float, float]:
     """A(c) = int ln(1 + 2cs) (|s| - Omega_c(s)) ds, quadrature vs closed form.
 
@@ -298,6 +313,10 @@ def lemma_I(c: float, s: float, a: float, b: float) -> tuple[float, float]:
     2.7e-9 to at most 1.1e-12.
     """
     return _evaluate([_lemma_I(c, s, a, b)])[0]
+
+
+def _lemma_I_closed(c: float, s: float, a: float, b: float) -> float:
+    return phi(1, a - s) + phi(1, b - s) + G(c, s) - H_tilde(c, s - 0.5 * c)
 
 
 def _lemma_I(c: float, s: float, a: float, b: float) -> _Oracle:
@@ -388,6 +407,56 @@ def _bulk_log_energy(c: float) -> float:
     beta[1::2] = (2.0 - q[::2]) / m[::2]  # odd m
     cn = 0.5 * (beta[2:] - beta[:-2])
     return float(np.sum(cn * cn * (2.0 / m[:-1])))
+
+
+def _log_moment(c: float, s: float) -> float:
+    """int_0^s t ln|1 + 2ct| dt = ((e^2 - 1) ln|1 + e| / 2 + e/2 - e^2/4) / (4c^2), e = 2cs.
+
+    Continuous through the pole e = -1, where the log term is taken as its
+    limit 0.  ln|1 + e| is log1p of e, or of -2 - e left of the pole, so the
+    sum keeps its digits when e is small.
+    """
+    e = 2.0 * c * s
+    log_term = 0.0 if e == -1.0 else 0.5 * (e * e - 1.0) * math.log1p(e if e > -1.0 else -2.0 - e)
+    return (log_term + 0.5 * e - 0.25 * e * e) / (4.0 * c * c)
+
+
+def _int_I_omega_closed(c: float, a: float, b: float) -> float:
+    """Closed form of int_a^b I_c(s) Omega_c'(s) ds (lemma intIOmega):
+
+        1 - 2 phi_2(b - a) + 2 [a G_c(a) + b G_c(b) + M(a) + M(b)
+                                - J~_c(a - c/2) - J~_c(b - c/2)] + _pole_term(c),
+
+    with M(s) = int_0^s t ln|1 + 2ct| dt (_log_moment).  The lemma reduces
+    the integral to 1 + 2 A(c) - 2 phi_2(b - a) + 2 int_a^b (G_c - H~_c(s - c/2))
+    Omega_c'(s) ds, with A lemma A's constant (-c^2/8 for c <= 1), and three
+    steps close the rest:
+
+    - By parts, with G_c' = -ln|1 + 2cs| and Omega_c = |s| at a < 0 < b:
+      int G_c Omega_c' = b G_c(b) + a G_c(a) + int ln|1 + 2cs| |s| ds - A(c),
+      since A(c) = int ln(1 + 2cs)(|s| - Omega_c) and 1 + 2cs > 0 wherever
+      Omega_c differs from |s|.  So A cancels.
+    - int_a^b ln|1 + 2cs| |s| ds = M(a) + M(b).  Where a lies at or left
+      of the pole -1/(2c), always for c > 1, the range reaches it, and M is
+      continuous there.
+    - H~_c vanishes on the bulk |s - c/2| <= 1, and off it Omega_c' is
+      sign(s), but +1 on [-1/(2c), c/2 - 1] when c > 1.  With J~_c' = H~_c
+      and J~_c(+-1) = 0, int H~_c Omega_c' = J~_c(a - c/2) + J~_c(b - c/2)
+      - 2 J~_c(-1/(2c) - c/2) [c > 1], the pole term of functionals.h_term.
+
+    The window must contain the shape support and may end at lo or hi.  No
+    production route reads this form, so it lives here beside the oracle
+    that integrates the same energy by quadrature.
+    functionals.sobolev_half_sq's polarization is what it leaves of this
+    form, with the window's terms cancelled.
+    """
+    lo_s, hi_s = shape_support(c)
+    if not (a <= lo_s and b >= hi_s):
+        raise ValueError("window must contain the shape support")
+    ends = np.array([a, b])
+    by_parts = float(ends @ G(c, ends)) + _log_moment(c, a) + _log_moment(c, b)
+    off_bulk = float(np.sum(J_tilde(c, ends - 0.5 * c)))
+    return 1.0 - 2.0 * phi(2, b - a) + 2.0 * (by_parts - off_bulk) + _pole_term(c)
 
 
 def lemma_intIOmega(c: float, a: float, b: float) -> tuple[float, float]:
@@ -545,7 +614,7 @@ def lemmas(c_grid):
     with the grid's single integrals in one tanh_sinh call; none is nested."""
     cases = []
     for c in c_grid:
-        a, b = functionals.default_window(c)
+        a, b = default_window(c)
         cases += [(c, "lemma_A", _lemma_A(c), 1e-7),
                   (c, "lemma_I", _lemma_I(c, 0.5 * c + 1.2, a, b), 1e-7),
                   (c, "lemma_F3", _lemma_F3(c, 0.3), 1e-7),
@@ -562,6 +631,15 @@ def sobolev_routes():
            functionals.sobolev_half_sq(prof, 1.0), 1e-6, ("sobolev-half-norm",))
 
 
+def H_tilde_second(c: float, z: float) -> float:
+    """Second derivative of H_tilde for |z| > 1."""
+    _require_c(c, positive=True)
+    if abs(z) <= 1.0:
+        raise ValueError("H_tilde_second is defined for |z| > 1")
+    a = (1.0 + c * c) / (2.0 * c)
+    return math.copysign(1.0, z) * (z + 1.0 / c) / ((a + z) * math.sqrt((z - 1.0) * (z + 1.0)))
+
+
 def derivatives(cs=(0.5, 2.0), zs=(1.7,), ss=(0.3,)):
     """H', H'', J' = H at each z and Omega', G' at each s against central differences."""
     h = 1e-6
@@ -573,7 +651,7 @@ def derivatives(cs=(0.5, 2.0), zs=(1.7,), ss=(0.3,)):
         for z in zs:
             yield ("H_prime_fd", {"c": c, "z": z}, shape.H_tilde_prime(c, z),
                    fd(shape.H_tilde, c, z), 1e-6, ("H-function",))
-            yield ("H_second_fd", {"c": c, "z": z}, shape.H_tilde_second(c, z),
+            yield ("H_second_fd", {"c": c, "z": z}, H_tilde_second(c, z),
                    fd(shape.H_tilde_prime, c, z), 1e-5, ("H-function",))
             yield ("J_prime_is_H", {"c": c, "z": z}, fd(shape.J_tilde, c, z),
                    shape.H_tilde(c, z), 1e-6, ("J-function",))

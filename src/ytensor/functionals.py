@@ -14,9 +14,13 @@ eps_n depending on n only.  The identity
 expresses the gap as a half-Sobolev norm plus a boundary penalty, which is the
 mechanism behind positivity and the unique minimizer Omega_c.  Both hold on
 all of Y_N^n, the diagrams with at most N rows, c = sqrt(n)/N; for c > 1
-typical diagrams have exactly N rows, since Omega_c runs along X + 1/c.  The
-_lemma_*_closed helpers are the closed forms of the auxiliary integrals (A,
-I_c, the phi_2 moment of Omega_c'' and the I-against-Omega' integral).
+typical diagrams have exactly N rows, since Omega_c runs along X + 1/c.
+Of the paper's auxiliary integrals (A, I_c, the phi_2 moment of Omega_c''
+and the I-against-Omega' integral) this module holds the closed forms that
+production reads: lemma A's, which theta_shape reads, and lemma F3's, which
+the Sobolev kernel reads.  Lemma I's and lemma intIOmega's, the lemmas'
+default window and H~_c'' are read only by oracles, so they live in
+ytensor.checks beside the quadrature each is compared with.
 
 On a lattice profile L'' is a sum of point masses d_k at the corners x_k, so
 two integrations by parts turn every log-kernel functional into a sum over
@@ -25,10 +29,8 @@ a sum of phi_2(x_k + 1/(2c)) and x_k^2 terms, and the Sobolev norm of
 f = L - Omega_c a polarization with no window: theta(L) + theta(Omega_c) - 2
 plus a cross term that reads at the corners the phi_2 moment of Omega_c''
 (lemma F3's bulk part and the pole's mass), an antiderivative of lemma I's
-I_c.  Lemma intIOmega's closed reduction (_int_I_omega_closed) stays as a
-closed form that verify-all checks; no production route reads it.
-alpha_c, an integral in angle variables, is the layer's one tanh-sinh call.
-The boundary penalty takes no quadrature either: J~_c and H~_c vanish on
+I_c.  alpha_c, an integral in angle variables, is the layer's one tanh-sinh
+call.  The boundary penalty takes no quadrature either: J~_c and H~_c vanish on
 the bulk, and off it Omega_c is |s| but for the line X + 1/c when c > 1, so
 the penalty is a sum of J~_c over the corners off the bulk plus one term at
 the pole -1/(2c).  So every functional of a
@@ -51,18 +53,10 @@ import numpy as np
 from .diagrams import Partition, Profile, profile
 from .exact import hook_lengths, neg_log_measure_scaled, shifted_contents
 from .quadrature import tanh_sinh
-from .shape import (
-    G,
-    H_tilde,
-    J_tilde,
-    _require_c,
-    phi,
-    shape_support,
-)
+from .shape import J_tilde, _require_c, phi
 
 __all__ = [
     "FunctionalReport",
-    "default_window",
     "theta_profile",
     "theta_shape",
     "rho",
@@ -94,12 +88,6 @@ class FunctionalReport:
     rho_hat: float
     lhs: float
     residual: float
-
-
-def default_window(c: float) -> tuple[float, float]:
-    """Integration window [a, b] of checks.lemmas, strictly containing the shape support."""
-    _require_c(c, positive=True)
-    return min(0.5 * c - 1.0, -0.5 / c) - 0.5, 0.5 * c + 1.5
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +367,7 @@ def prop41_identity(lam: Partition, N: int) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# closed forms of the lemmas; checks.lemma_* pairs each with its quadrature
+# closed forms of lemmas A and F3; checks.lemma_* pairs each with its quadrature
 # ---------------------------------------------------------------------------
 
 # Multiples k of |1 - c| at which alpha_constant and checks.lemma_F3 split their
@@ -394,10 +382,6 @@ def _lemma_A_closed(c: float) -> float:
     return val
 
 
-def _lemma_I_closed(c: float, s: float, a: float, b: float) -> float:
-    return phi(1, a - s) + phi(1, b - s) + G(c, s) - H_tilde(c, s - 0.5 * c)
-
-
 def _lemma_F3_closed(c: float, x: float) -> float:
     a_c = (1.0 + c * c) / (2.0 * c)
     sgn = float(np.sign(1.0 - c))
@@ -410,56 +394,6 @@ def _lemma_F3_closed(c: float, x: float) -> float:
     if c > 1.0:
         val -= (x + a_c) ** 2 * math.log(c)
     return val
-
-
-def _log_moment(c: float, s: float) -> float:
-    """int_0^s t ln|1 + 2ct| dt = ((e^2 - 1) ln|1 + e| / 2 + e/2 - e^2/4) / (4c^2), e = 2cs.
-
-    Continuous through the pole e = -1, where the log term is taken as its
-    limit 0.  ln|1 + e| is log1p of e, or of -2 - e left of the pole, so the
-    sum keeps its digits when e is small.
-    """
-    e = 2.0 * c * s
-    log_term = 0.0 if e == -1.0 else 0.5 * (e * e - 1.0) * math.log1p(e if e > -1.0 else -2.0 - e)
-    return (log_term + 0.5 * e - 0.25 * e * e) / (4.0 * c * c)
-
-
-def _int_I_omega_closed(c: float, a: float, b: float) -> float:
-    """Closed form of int_a^b I_c(s) Omega_c'(s) ds (lemma intIOmega):
-
-        1 - 2 phi_2(b - a) + 2 [a G_c(a) + b G_c(b) + M(a) + M(b)
-                                - J~_c(a - c/2) - J~_c(b - c/2)] + _pole_term(c),
-
-    with M(s) = int_0^s t ln|1 + 2ct| dt (_log_moment).  The lemma reduces
-    the integral to 1 + 2 A(c) - 2 phi_2(b - a) + 2 int_a^b (G_c - H~_c(s - c/2))
-    Omega_c'(s) ds, with A lemma A's constant (-c^2/8 for c <= 1), and three
-    steps close the rest:
-
-    - By parts, with G_c' = -ln|1 + 2cs| and Omega_c = |s| at a < 0 < b:
-      int G_c Omega_c' = b G_c(b) + a G_c(a) + int ln|1 + 2cs| |s| ds - A(c),
-      since A(c) = int ln(1 + 2cs)(|s| - Omega_c) and 1 + 2cs > 0 wherever
-      Omega_c differs from |s|.  So A cancels.
-    - int_a^b ln|1 + 2cs| |s| ds = M(a) + M(b).  Where a lies at or left
-      of the pole -1/(2c), always for c > 1, the range reaches it, and M is
-      continuous there.
-    - H~_c vanishes on the bulk |s - c/2| <= 1, and off it Omega_c' is
-      sign(s), but +1 on [-1/(2c), c/2 - 1] when c > 1.  With J~_c' = H~_c
-      and J~_c(+-1) = 0, int H~_c Omega_c' = J~_c(a - c/2) + J~_c(b - c/2)
-      - 2 J~_c(-1/(2c) - c/2) [c > 1], the pole term of h_term.
-
-    The window must contain the shape support and may end at lo or hi.  No
-    production route reads this form: its windows come only from checks,
-    whose lemma intIOmega oracle integrates the same energy by quadrature.
-    sobolev_half_sq's polarization is what it leaves of this form, with the
-    window's terms cancelled.
-    """
-    lo_s, hi_s = shape_support(c)
-    if not (a <= lo_s and b >= hi_s):
-        raise ValueError("window must contain the shape support")
-    ends = np.array([a, b])
-    by_parts = float(ends @ G(c, ends)) + _log_moment(c, a) + _log_moment(c, b)
-    off_bulk = float(np.sum(J_tilde(c, ends - 0.5 * c)))
-    return 1.0 - 2.0 * phi(2, b - a) + 2.0 * (by_parts - off_bulk) + _pole_term(c)
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ rows (_by_member), so a member's value is bit for bit what it is alone.
 nested_tanh_sinh's outer integrand takes each outer node's inner panels from
 the outer table by index, and integrates a pass's nodes in blocks of at most
 NESTED_BLOCK inner panels, each block its own table whose owners are its
-nodes and one _integrate call.  A call's
-fixed cost is paid once per batch instead of once per integral: verify-all's
-lemma oracles integrate its whole c grid in one tanh_sinh and one
-nested_tanh_sinh call.
+nodes and one _integrate call.  A call's fixed cost is paid once per batch
+instead of once per integral: verify-all's lemma oracles integrate its whole
+c grid in one tanh_sinh call and make no nested one, and minimizer_gap takes
+its theta(Omega_c) at every c in one nested_tanh_sinh call.
 quad_breakpoints, a QUADPACK wrapper, has no production caller; it stays only
 while perfbench/spans.py traces it.
 
@@ -65,10 +65,10 @@ MAX_SUBDIVISIONS = 400
 # The most inner panels (outer nodes times breakpoint panels) one inner
 # tanh-sinh call of nested_tanh_sinh takes; it bounds the call's memory.  A
 # call has a fixed cost on top of its per-node work: a one-panel call of a
-# cheap integrand takes ~80 us on 2 cores (~120 us before the pass loop was
-# trimmed), so wider calls make fewer of them.  At 1024, each outer pass of
-# verify-all's nested quadratures makes one or two calls; ROADMAP records
-# other budgets against verify-all's time and memory.
+# cheap integrand takes ~80 us on 2 cores, so wider calls make fewer of
+# them.  At 1024, each outer pass of verify-all's nested quadratures makes
+# one or two calls; ROADMAP records other budgets against verify-all's time
+# and memory.
 NESTED_BLOCK = 1024
 
 # Tanh-sinh levels: level k has step _H0 / 2**k and 8 * 2**k steps to each

@@ -8,7 +8,8 @@ Shifted arguments are written z = s - c/2 throughout; functions named
 phi take floats or numpy arrays through one numpy body: a float in gives a
 float out, an array in gives an array out.  So do G and, through one shared
 body masked for |z| <= 1 and the pole of the inner arccosh, H_tilde,
-H_tilde_prime and J_tilde; H_tilde_second takes floats only.
+H_tilde_prime and J_tilde.  H~_c'' is read only by verify-all's derivatives
+check, so it lives beside that check in ytensor.checks.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ __all__ = [
     "phi",
     "H_tilde",
     "H_tilde_prime",
-    "H_tilde_second",
     "G",
     "J_tilde",
     "shape_support",
@@ -158,15 +158,6 @@ def H_tilde_prime(c: float, z):
     if not np.all(out):
         raise ValueError("H_tilde_prime is defined for |z| > 1")
     return _result(acz + inner)
-
-
-def H_tilde_second(c: float, z: float) -> float:
-    """Second derivative of H_tilde for |z| > 1."""
-    _require_c(c, positive=True)
-    if abs(z) <= 1.0:
-        raise ValueError("H_tilde_second is defined for |z| > 1")
-    a = (1.0 + c * c) / (2.0 * c)
-    return math.copysign(1.0, z) * (z + 1.0 / c) / ((a + z) * math.sqrt((z - 1.0) * (z + 1.0)))
 
 
 def G(c: float, s):

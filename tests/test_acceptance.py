@@ -51,7 +51,7 @@ def test_acceptance_04_variational_identity():
     ok = ok and sum(r["test"] == "variational_identity" for r in records) == 10
     for c in [0.5, 2.0]:
         zero = checks.Curve(fn=lambda s: 0.0, prime=lambda s: 0.0,
-                            support=F.default_window(c), kinks=())
+                            support=checks.default_window(c), kinks=())
         ok = ok and abs(checks._sobolev_logkernel_generic(zero)) < 1e-6
     report(4, "theta-rho = 0.5||f||^2 + penalty within 1e-6; both sides < 1e-6 at Omega_c", ok)
 

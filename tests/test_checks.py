@@ -1,7 +1,8 @@
 """The boundary between the production routes and verify-all's checks and oracles.
 
 Production modules compute each quantity by its closed form; the quadrature
-oracles, nested ones included, live in ytensor.checks.  These tests keep it so.
+oracles, nested ones included, and the closed forms that only an oracle reads
+live in ytensor.checks.  These tests keep it so.
 """
 
 import ast
@@ -20,7 +21,9 @@ from ytensor.harness import ExperimentConfig
 SRC = Path(ytensor.__file__).parent
 PRODUCTION = ("functionals", "exact", "shape", "rsk", "diagrams")
 LEMMAS = ("lemma_A", "lemma_I", "lemma_F3", "lemma_intIOmega")
-MOVED = ("Curve", "shape_curve", "profile_minus_shape") + LEMMAS
+# the public names each production module gave up to checks
+MOVED = {"functionals": ("Curve", "shape_curve", "profile_minus_shape", "default_window") + LEMMAS,
+         "shape": ("H_tilde_second",)}
 MODULES = sorted(info.name for info in pkgutil.iter_modules(ytensor.__path__))
 
 
@@ -101,6 +104,37 @@ def rng_constructions(tree: ast.Module) -> set[tuple[str, str]]:
 
     visit(tree, "")
     return found
+
+
+def unserved_private(trees: list[ast.Module]) -> set[str]:
+    """Private top-level names (one leading underscore) of the modules that no
+    public name or dunder of theirs reads, directly or through the bodies of
+    other top-level definitions.  Statements that bind no name, an ``if
+    __name__`` block say, run at load and count as read; imports read nothing."""
+    defs: dict[str, list[ast.AST]] = {"": []}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                bound = [""]
+            for name in bound:
+                defs.setdefault(name, []).append(node)
+    private = {name for name in defs
+               if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))}
+    todo = [name for name in defs if name not in private]
+    reached = set(todo)
+    while todo:
+        for node in defs[todo.pop()]:
+            new = (names(node) & defs.keys()) - reached
+            reached |= new
+            todo.extend(new)
+    return private - reached
 
 
 def callers(tree: ast.Module, callee: str) -> set[str]:
@@ -214,6 +248,30 @@ class TestOneRoutePerQuantity:
         assert not {"G", "H_tilde", "J_tilde", "_log_moment", "_lemma_I_closed", "lemma_I",
                     "_lemma_I", "nested_tanh_sinh", "_logkernel_integral"} & oracle
 
+    def test_production_modules_hold_no_oracle_only_private(self):
+        # a private name that only checks or the tests read belongs in checks,
+        # beside the oracle that reads it; lemma A's and F3's closed forms
+        # stay in functionals because theta_shape and the Sobolev kernel read them
+        served = PRODUCTION + ("quadrature", "harness")
+        assert unserved_private([syntax_tree(module) for module in served]) == set()
+        assert {"_lemma_I_closed", "_log_moment", "_int_I_omega_closed"} <= defined(
+            syntax_tree("checks"))
+        # the scan sees a chain of private reads, an attribute, a method, a
+        # dunder, a module-level constant and a load-time block; an orphan
+        # chain is unserved in both links, even where another module imports it
+        assert unserved_private([ast.parse(
+            "def f():\n    return _g()\n"
+            "def _g():\n    return mod._H\n"
+            "_H = _I + 1\n_I = 2\n"
+            "class K:\n    def m(self):\n        return _J\n"
+            "_J = 3\n"
+            "def __getattr__(name):\n    return _K\n"
+            "_K = 4\n"
+            "if __name__ == '__main__':\n    _L()\n"
+            "def _L(): pass\n"
+            "def _orphan():\n    return _M\n"
+            "_M = 5\n"), ast.parse("from .a import _orphan\n")]) == {"_orphan", "_M"}
+
     def test_integrate_is_the_one_tanh_sinh_caller(self):
         found = {(module, where) for module in MODULES
                  for where in callers(syntax_tree(module), "_tanh_sinh_panels")}
@@ -309,8 +367,10 @@ class TestMovedNames:
             functionals.no_such_name  # noqa: B018
 
     def test_exports_moved(self):
-        assert not set(MOVED) & set(functionals.__all__)
-        assert set(MOVED) <= set(checks.__all__)
+        for module, moved in MOVED.items():
+            assert not set(moved) & set(importlib.import_module(f"ytensor.{module}").__all__)
+            assert not set(moved) & defined(syntax_tree(module))
+            assert set(moved) <= set(checks.__all__)
 
     @pytest.mark.parametrize("module", MODULES)
     def test_every_exported_name_resolves(self, module):
@@ -352,5 +412,5 @@ class TestOraclesBatch:
         assert len(recs) == 7
         for ch in recs:
             c = ch["params"]["c"]
-            assert getattr(checks, name)(*args[name](c, *functionals.default_window(c))) == (
+            assert getattr(checks, name)(*args[name](c, *checks.default_window(c))) == (
                 ch["lhs"], ch["rhs"])

@@ -288,7 +288,7 @@ class TestSobolev:
         # the closed form and both nested oracles agree on it (1.2e-12 measured)
         column = profile(Partition((1, 1, 1, 1)))
         f = C.profile_minus_shape(column, 4.0)
-        assert f.support == (-1.0, 3.0) and f.support[0] < F.default_window(4.0)[0]
+        assert f.support == (-1.0, 3.0) and f.support[0] < C.default_window(4.0)[0]
         k_fast = F.sobolev_half_sq(column, 4.0)
         assert k_fast == pytest.approx(2.0866123314, abs=1e-9)
         assert C._sobolev_quotient(f) == pytest.approx(k_fast, abs=1e-9)
@@ -305,7 +305,7 @@ class TestSobolev:
         lo, hi = shape.shape_support(c)
         a, b = f.support
         assert (a, b) == (min(x[0], lo), max(x[-1], hi))
-        assert F.default_window(c)[0] < a and b <= max(F.default_window(c)[1], x[-1] + 0.5)
+        assert C.default_window(c)[0] < a and b <= max(C.default_window(c)[1], x[-1] + 0.5)
         assert all(a < k < b for k in f.kinks)
         outside = np.array([a - 0.5, a - 1e-9, b + 1e-9, b + 0.5])
         assert not np.any(f.fn(outside)) and not np.any(f.prime(outside))
@@ -338,7 +338,7 @@ def h_term_quadrature(prof, c):
 def int_I_omega_by_reduction(c, a, b):
     """Lemma intIOmega's reduction with its remaining integral by tanh-sinh:
     1 + 2 A(c) - 2 phi_2(b - a) + 2 int_a^b (G_c - H~_c(s - c/2)) Omega_c'(s) ds,
-    the reference for functionals._int_I_omega_closed."""
+    the reference for checks._int_I_omega_closed."""
     def integrand(s):
         return (shape.G(c, s) - shape.H_tilde(c, s - 0.5 * c)) * shape.omega_c_prime(c, s)
 
@@ -497,11 +497,36 @@ class TestLemmas:
         # 1e-8: 2e-9 at s = c/2 + 0.999 for every c, and 3.5e-9 at s = c/2 - 1
         # for c = 1.01, where the pole lies 5e-5 left of s.
         for c in self.CS + [0.99, 1.01]:
-            a, b = F.default_window(c)
+            a, b = C.default_window(c)
             for s in [0.5 * c - 1.0, 0.5 * c, 0.5 * c + 0.999, 0.5 * c + 1.2]:
                 q, cl = C.lemma_I(c, s, a, b)
                 near_one = c in (0.99, 1.01) and s in (0.5 * c, 0.5 * c + 1.2)
                 assert q == pytest.approx(cl, abs=1e-10 if near_one else 1e-8)
+
+    @pytest.mark.parametrize("c, ds", [(0.5, 0.999), (0.99, 0.999), (1.01, 0.999),
+                                       (2.0, 0.999), (1.01, -1.0), (0.5, -1.0 + 1e-3)])
+    def test_lemma_I_closed_matches_mpmath_reference_near_a_bulk_edge(self, c, ds):
+        # With s within 1e-3 of a bulk edge checks.lemma_I's tanh-sinh is ~2e-9
+        # off, so test_lemma_I keeps 1e-8 there.  The closed form is within
+        # 9e-16 of this reference, which splits at a, the bulk edges, s, 0, b
+        # and, for c > 1, the pole -1/(2c).
+        s = 0.5 * c + ds
+        a, b = C.default_window(c)
+        with mpmath.workdps(30):
+            cc, ss = mpmath.mpf(c), mpmath.mpf(s)
+            lo, hi, pole = cc / 2 - 1, cc / 2 + 1, -1 / (2 * cc)
+
+            def omega_prime(t):
+                if lo <= t <= hi:
+                    x = (cc + 2 * t) / (2 * mpmath.sqrt(1 + 2 * cc * t))
+                    return 2 / mpmath.pi * mpmath.asin(min(1, max(-1, x)))
+                return 1 if cc > 1 and pole <= t else mpmath.sign(t)
+
+            pts = {mpmath.mpf(a), lo, hi, ss, mpmath.mpf(0), mpmath.mpf(b)} | (
+                {pole} if c > 1 else set())
+            ref = mpmath.quad(lambda t: -mpmath.log(2 * abs(ss - t)) * omega_prime(t),
+                              sorted(pts))
+        assert C._lemma_I_closed(c, s, a, b) == pytest.approx(float(ref), abs=1e-13)
 
     @pytest.mark.parametrize("s", [-3.0, -2.0, 2.5, 4.0])
     def test_lemma_I_needs_s_inside_the_window(self, s):
@@ -511,7 +536,7 @@ class TestLemmas:
     def test_lemma_I_bulk_reduction(self):
         # inside the bulk H vanishes, leaving only the phi_1 and G terms.
         c, s = 0.5, 0.25
-        a, b = F.default_window(c)
+        a, b = C.default_window(c)
         _, cl = C.lemma_I(c, s, a, b)
         from ytensor.shape import G, phi
         assert cl == pytest.approx(phi(1, a - s) + phi(1, b - s) + G(c, s))
@@ -568,13 +593,13 @@ class TestLemmas:
         # without its window, on a grid that holds points left of the pole
         # -1/(2c), the default window's ends and, at c = 1, the pole itself;
         # worst measured 1.2e-8 (c = 2), the difference's own error
-        a, b = F.default_window(c)
+        a, b = C.default_window(c)
         es, h = np.linspace(-2.5, 4.5, 15), 1e-5
         assert np.any(es < -0.5 / c)
         kernel = [F._sobolev_kernel(c, es + step) for step in (h, -h)]
         central = (kernel[0] - kernel[1]) / (2.0 * h)
         assert central == pytest.approx(
-            [F._lemma_I_closed(c, e, a, b) - phi(1, a - e) - phi(1, b - e) for e in es], abs=1e-7)
+            [C._lemma_I_closed(c, e, a, b) - phi(1, a - e) - phi(1, b - e) for e in es], abs=1e-7)
 
     def test_lemma_intIOmega_and_window_invariance(self):
         for c in [0.5, 0.99, 1.01]:
@@ -588,9 +613,9 @@ class TestLemmas:
             C.lemma_intIOmega(0.5, 0.0, 2.5)
         lo, hi = shape.shape_support(0.5)
         with pytest.raises(ValueError):
-            F._int_I_omega_closed(0.5, lo + 1e-9, hi)
+            C._int_I_omega_closed(0.5, lo + 1e-9, hi)
         with pytest.raises(ValueError):
-            F._int_I_omega_closed(0.5, lo, hi - 1e-9)
+            C._int_I_omega_closed(0.5, lo, hi - 1e-9)
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
     def test_closed_reduction_on_the_shape_support(self, c):
@@ -599,7 +624,7 @@ class TestLemmas:
         # against the reduction's quadrature (1.1e-12 measured) and the nested
         # oracle (3.1e-12 measured)
         lo, hi = shape.shape_support(c)
-        closed = F._int_I_omega_closed(c, lo, hi)
+        closed = C._int_I_omega_closed(c, lo, hi)
         assert closed == pytest.approx(int_I_omega_by_reduction(c, lo, hi), abs=1e-11)
         assert C.lemma_intIOmega(c, lo, hi)[0] == pytest.approx(closed, abs=1e-10)
 
@@ -608,9 +633,9 @@ class TestLemmas:
     def test_closed_reduction_matches_its_quadrature(self, c):
         # worst measured 3.6e-11 at c = 0.99 and 1.01, the quadrature's own
         # error at Omega_c''s turn; elsewhere at most 2e-11
-        a, b = F.default_window(c)
+        a, b = C.default_window(c)
         for window in [(a, b), (a, b + 0.7)]:
-            assert F._int_I_omega_closed(c, *window) == pytest.approx(
+            assert C._int_I_omega_closed(c, *window) == pytest.approx(
                 int_I_omega_by_reduction(c, *window), abs=1e-10)
 
     def test_lemma_intIOmega_on_the_verify_all_grid(self, verify_all_report):
@@ -620,8 +645,8 @@ class TestLemmas:
         assert [ch["params"]["c"] for ch in recs] == verify_all_report["c_grid"]
         assert len(recs) == 7
         for ch in recs:
-            a, b = F.default_window(ch["params"]["c"])
-            assert ch["rhs"] == F._int_I_omega_closed(ch["params"]["c"], a, b)
+            a, b = C.default_window(ch["params"]["c"])
+            assert ch["rhs"] == C._int_I_omega_closed(ch["params"]["c"], a, b)
             assert ch["lhs"] == pytest.approx(ch["rhs"], abs=1e-13)
             assert ch["tol"] == 1e-11
 
@@ -629,7 +654,7 @@ class TestLemmas:
     def test_lemma_intIOmega_near_one(self, c):
         # the nested bulk energy put the oracle 8.9e-11 and 9.9e-11 off here;
         # the series takes it to 2.6e-13 and 4.4e-13, hk's own error
-        q, closed = C.lemma_intIOmega(c, *F.default_window(c))
+        q, closed = C.lemma_intIOmega(c, *C.default_window(c))
         assert q == pytest.approx(closed, abs=1e-12)
 
     @staticmethod
@@ -670,7 +695,7 @@ class TestLemmas:
     @staticmethod
     def windows(c):
         lo, hi = shape.shape_support(c)
-        return [w for w in (F.default_window(c), (-1.5, 2.5), (-2.2, 3.1))
+        return [w for w in (C.default_window(c), (-1.5, 2.5), (-2.2, 3.1))
                 if w[0] < lo and hi < w[1]]
 
     @pytest.mark.parametrize("c", [0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0])
@@ -716,7 +741,7 @@ class TestLemmas:
         monkeypatch.setattr(C, "nested_tanh_sinh", refuse)
         with pytest.raises(NestedCall):  # the patch reaches the oracles
             next(C.minimizer_gap(cs=(c,)))
-        q, closed = C.lemma_intIOmega(c, *F.default_window(c))
+        q, closed = C.lemma_intIOmega(c, *C.default_window(c))
         assert q == pytest.approx(closed, abs=1e-13)
 
 
@@ -729,7 +754,7 @@ class TestNonfiniteC:
         lambda c: shape.J_tilde(c, 1.5),
         shape.shape_support,
         C.shape_curve,
-        F.default_window,
+        C.default_window,
         lambda c: C.profile_minus_shape(profile(Partition((1,))), c),
         lambda c: F.sobolev_half_sq(profile(Partition((1,))), c),
         lambda c: F.h_term(profile(Partition((1,))), c),

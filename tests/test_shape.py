@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from ytensor import harness, shape
+from ytensor import checks, harness, shape
 
 
 def fd(f, x, h=1e-6):
@@ -177,7 +177,7 @@ class TestHGJ:
     def test_H_second_by_finite_differences(self):
         for c in [0.5, 2.0]:
             for z in [1.5, -1.8, 2.4]:
-                assert shape.H_tilde_second(c, z) == pytest.approx(
+                assert checks.H_tilde_second(c, z) == pytest.approx(
                     fd(lambda y: shape.H_tilde_prime(c, y), z, h=1e-5),
                     rel=1e-4, abs=1e-5)
 
@@ -231,14 +231,14 @@ class TestHGJ:
                 assert abs(shape.J_tilde(c, z) - J) <= 1e-18
                 assert abs(shape.H_tilde(c, z) - H) <= 1e-18
                 assert abs(shape.H_tilde_prime(c, z) - H_prime) <= 1e-13 * abs(H_prime)
-                assert abs(shape.H_tilde_second(c, z) - H_second) <= 1e-13 * abs(H_second)
+                assert abs(checks.H_tilde_second(c, z) - H_second) <= 1e-13 * abs(H_second)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             shape.H_tilde_prime(1.0, 0.5)
         for z in (-1.0, 0.5, 1.0):
             with pytest.raises(ValueError, match=r"defined for \|z\| > 1"):
-                shape.H_tilde_second(1.0, z)
+                checks.H_tilde_second(1.0, z)
         with pytest.raises(ValueError):
             shape.G(0.0, 0.1)
 
