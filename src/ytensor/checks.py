@@ -32,15 +32,12 @@ lemma I's (_lemma_I_closed), lemma intIOmega's (_int_I_omega_closed, with
 its _log_moment), the lemmas' default_window and H_tilde_second, H~_c'' for
 the derivatives check; so they live here, each beside the oracle it is
 compared with, and no production module holds a closed form that only an
-oracle reads.  Each lemma oracle is
-split once into the integrals it needs and the step that assembles its value
-(an _Oracle), and _evaluate runs any number of oracles with one tanh_sinh
-call for all their single integrals and one nested_tanh_sinh call for all
-their nested ones, and skips a call that would have no members.  So lemmas
-integrates its c grid's 28 single integrals (A, I, F3 and intIOmega's cross
-term hk) as one batch and makes no nested call, and minimizer_gap integrates
-its nested theta(Omega_c) at every c as one; each value is bit for bit the
-oracle's alone.  The nested-quadrature routes (difference quotient, generic
+oracle reads.  Each lemma oracle is split once into the one integral it
+needs and the step that assembles its value (an _Oracle), and _evaluate runs
+any number of oracles with one tanh_sinh call for all their integrals.  So
+lemmas integrates its c grid's 28 integrals (A, I, F3 and intIOmega's cross
+term hk) as one batch, each value bit for bit the oracle's alone, and makes
+no nested call.  The nested-quadrature routes (difference quotient, generic
 log kernel and the hook integral of a Curve, minimizer_gap's left side) are
 independent oracles; each gives quadrature.nested_tanh_sinh its kernel and
 outer weight as defined.  That integrates the triangle t < s alone: the
@@ -177,17 +174,12 @@ def profile_minus_shape(prof: Profile, c: float) -> Curve:
                  support=(a, b), kinks=tuple(k for k in kinks if a < k < b))
 
 
-def _theta_integral(L: Curve) -> tuple:
-    """The nested integral iint_{t<s} phi_0(s-t) (1 + L'(t)) (1 - L'(s)) ds dt
-    of theta(L) = 1 - 2 iint, as a nested_tanh_sinh member: 1 + L' vanishes
-    left of the support and 1 - L' right of it."""
-    return (lambda s, t: _phi0_off_diagonal(s - t) * (1.0 + L.prime(t)),
-            lambda s: 1.0 - L.prime(s), *L.support, L.kinks)
-
-
 def _theta_curve(L: Curve) -> float:
-    """Hook integral of a curve by nested tanh-sinh quadrature of its definition."""
-    return 1.0 - 2.0 * nested_tanh_sinh([_theta_integral(L)])[0]
+    """Hook integral of a curve by nested tanh-sinh quadrature of its definition:
+    theta(L) = 1 - 2 iint_{t<s} phi_0(s-t) (1 + L'(t)) (1 - L'(s)) ds dt, where
+    1 + L' vanishes left of the support and 1 - L' right of it."""
+    return 1.0 - 2.0 * nested_tanh_sinh(lambda s, t: _phi0_off_diagonal(s - t) * (1.0 + L.prime(t)),
+                                        lambda s: 1.0 - L.prime(s), *L.support, L.kinks)
 
 
 def _rho_integral(L: Curve, c: float) -> tuple:
@@ -234,47 +226,34 @@ def _sobolev_quotient(f: Curve) -> float:
         with np.errstate(divide="ignore", invalid="ignore"):
             return fs * fs * (1.0 / (s - a) + 1.0 / (b - s))
 
-    return (nested_tanh_sinh([(kernel, np.ones_like, a, b, f.kinks)])[0]
+    return (nested_tanh_sinh(kernel, np.ones_like, a, b, f.kinks)
             + tanh_sinh([(tails, a, b, f.kinks)])[0])
 
 
-def _logkernel_integral(f: Curve) -> tuple:
-    """- iint ln|2(s-t)| f'(s) f'(t) ds dt over f's support as a nested_tanh_sinh
-    member: the kernel is symmetric in (s, t), so this is twice its triangle
-    t < s, phi_0(s-t) f'(t) inside and 2 f'(s) outside."""
-    return (lambda s, t: _phi0_off_diagonal(s - t) * f.prime(t),
-            lambda s: 2.0 * f.prime(s), *f.support, f.kinks)
-
-
 def _sobolev_logkernel_generic(f: Curve) -> float:
-    """Log-kernel route to the Sobolev norm by nested tanh-sinh quadrature."""
-    return nested_tanh_sinh([_logkernel_integral(f)])[0]
+    """Log-kernel route to the Sobolev norm by nested tanh-sinh quadrature:
+    - iint ln|2(s-t)| f'(s) f'(t) ds dt over f's support.  The kernel is
+    symmetric in (s, t), so this is twice its triangle t < s, phi_0(s-t) f'(t)
+    inside and 2 f'(s) outside."""
+    return nested_tanh_sinh(lambda s, t: _phi0_off_diagonal(s - t) * f.prime(t),
+                            lambda s: 2.0 * f.prime(s), *f.support, f.kinks)
 
 
 @dataclass(frozen=True)
 class _Oracle:
-    """A quadrature oracle split into the integrals it needs and the step that
-    assembles its value: single holds tanh_sinh members (f, a, b, points),
-    nested holds nested_tanh_sinh members (kernel, weight, a, b, points), and
-    assemble takes their values, singles first, and returns
-    (quadrature value, closed form)."""
+    """A quadrature oracle split into the one integral it needs, a tanh_sinh
+    member (f, a, b, points), and the step that assembles its value: assemble
+    takes the integral and returns (quadrature value, closed form)."""
 
-    single: tuple
-    nested: tuple
-    assemble: Callable[..., tuple[float, float]]
+    member: tuple
+    assemble: Callable[[float], tuple[float, float]]
 
 
 def _evaluate(oracles: list[_Oracle]) -> list[tuple[float, float]]:
     """Each oracle's (oracle value, closed form), from one tanh_sinh call over
-    all their single integrals and one nested_tanh_sinh call over all their
-    nested ones; a route with no members is not called.  Each value is bit
-    for bit the oracle's alone."""
-    singles = [m for o in oracles for m in o.single]
-    nesteds = [m for o in oracles for m in o.nested]
-    single = iter(tanh_sinh(singles) if singles else ())
-    nested = iter(nested_tanh_sinh(nesteds) if nesteds else ())
-    return [o.assemble(*[next(single) for _ in o.single], *[next(nested) for _ in o.nested])
-            for o in oracles]
+    all their integrals.  Each value is bit for bit the oracle's alone."""
+    values = tanh_sinh([o.member for o in oracles])
+    return [o.assemble(value) for o, value in zip(oracles, values)]
 
 
 def default_window(c: float) -> tuple[float, float]:
@@ -295,7 +274,7 @@ def lemma_A(c: float) -> tuple[float, float]:
 def _lemma_A(c: float) -> _Oracle:
     _require_c(c, positive=True)
     closed = _lemma_A_closed(c)
-    return _Oracle((_rho_integral(shape_curve(c), c),), (), lambda rho: (-0.5 * rho, closed))
+    return _Oracle(_rho_integral(shape_curve(c), c), lambda rho: (-0.5 * rho, closed))
 
 
 def _bulk_turns(c: float) -> tuple[float, ...]:
@@ -324,7 +303,7 @@ def _lemma_I(c: float, s: float, a: float, b: float) -> _Oracle:
         raise ValueError("s must lie in (a, b)")
     pts = (*shape_breakpoints(c), 0.0, s, *_bulk_turns(c))
     closed = _lemma_I_closed(c, s, a, b)
-    return _Oracle(((lambda t: _phi0_off_diagonal(s - t) * omega_c_prime(c, t), a, b, pts),), (),
+    return _Oracle((lambda t: _phi0_off_diagonal(s - t) * omega_c_prime(c, t), a, b, pts),
                    lambda val: (val, closed))
 
 
@@ -356,7 +335,7 @@ def _lemma_F3(c: float, x: float) -> _Oracle:
     if -1.0 < x < 1.0:
         pts += (math.acos(-x),)
     closed = _lemma_F3_closed(c, x)
-    return _Oracle(((g, 0.0, math.pi, pts),), (), lambda val: (val, closed))
+    return _Oracle((g, 0.0, math.pi, pts), lambda val: (val, closed))
 
 
 # Terms of _bulk_log_energy's series.  Past n, c_n is at most ~2/n^2, so the
@@ -492,7 +471,7 @@ def _lemma_intIOmega(c: float, a: float, b: float) -> _Oracle:
     d = np.diff(np.concatenate(([0.0], h, [0.0])))
     hk = (lambda t: omega_c_prime(c, t) * (phi(1, x - t[..., None]) @ d), lo, hi, _bulk_turns(c))
     kk = _bulk_log_energy(c)
-    return _Oracle((hk,), (), lambda hk: (-_log_energy(x, d) + 2.0 * -hk + kk, rhs))
+    return _Oracle(hk, lambda hk: (-_log_energy(x, d) + 2.0 * -hk + kk, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +519,8 @@ def chi_square_sf(chisq: float, dof: int) -> float:
 
 
 def chi_square(sizes=((4, 2),), count=20000, seed=0):
-    """Chi-square fit of count RSK samples per (n, N); passes when p > 1e-3."""
+    """Chi-square fit of count RSK samples per (n, N); passes when p > 1e-3.
+    Where Y_N^n has one diagram, p is 1 when every sample is it and 0 otherwise."""
     for n, N in sizes:
         observed = Counter(rsk.sample_schur_weyl(n, N, seed, count))
         chisq = 0.0
@@ -549,7 +529,8 @@ def chi_square(sizes=((4, 2),), count=20000, seed=0):
             e = float(exact.schur_weyl_measure(lam, N).value) * count
             chisq += (observed[lam] - e) ** 2 / e
             dof += 1
-        pval = chi_square_sf(chisq, dof)
+        # one diagram (N = 1 or n = 1): the fit is exact, and chi_square_sf(0, 0) is NaN
+        pval = chi_square_sf(chisq, dof) if dof else float(chisq == 0.0)
         yield ("sampler_chi_square", {"n": n, "N": N, "count": count, "chisq": chisq,
                                       "dof": dof},
                pval, pval if pval > 1e-3 else -1.0, 0.0, ("rsk-sampler",))
@@ -565,16 +546,11 @@ def decomposition(n=64, N=8, count=5, seed=1):
            ("decomposition", "eps-independence"))
 
 
-def _minimizer(c: float) -> _Oracle:
-    closed = functionals.theta_shape(c)
-    return _Oracle((), (_theta_integral(shape_curve(c)),), lambda v: (1.0 - 2.0 * v, closed))
-
-
 def minimizer_gap(cs=(0.5, 2.0)):
-    """theta - rho vanishes at Omega_c: nested theta(Omega_c) against -2 A(c),
-    with every c's nested integral in one nested_tanh_sinh call."""
-    for c, (lhs, rhs) in zip(cs, _evaluate([_minimizer(c) for c in cs])):
-        yield "minimizer_gap", {"c": c}, lhs, rhs, 1e-6, ("minimizer", "hook-integral-quadrature")
+    """theta - rho vanishes at Omega_c: nested theta(Omega_c) against -2 A(c)."""
+    for c in cs:
+        yield ("minimizer_gap", {"c": c}, _theta_curve(shape_curve(c)), functionals.theta_shape(c),
+               1e-6, ("minimizer", "hook-integral-quadrature"))
 
 
 def variational_identity(cases=((100, 12, 2), (100, 5, 1), (64, 2, 1), (36, 4, 1)), seed=2):

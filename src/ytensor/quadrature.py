@@ -8,22 +8,21 @@ diagonal is then the end of every inner panel, so a log kernel such as
 integral is functionals.alpha_constant's tanh_sinh call; every other caller
 is an oracle in ytensor.checks.
 
-Both take a batch: a sequence of independent integrals, (f, a, b, points)
-for tanh_sinh and (kernel, weight, a, b, points) for nested_tanh_sinh, and
-return their values in order; one integral is a one-member batch.  A batch
-is one panel table (_panels): each member's panels [lo, hi] between its
-breakpoints, in member order, with each panel's member.  _integrate is the
-one caller of _tanh_sinh_panels: it runs a table's panels in one pass loop,
-raises on the first unconverged panel and sums each owner's panels in order
-(np.bincount).  Each pass hands each member's function its own contiguous
-rows (_by_member), so a member's value is bit for bit what it is alone.
-nested_tanh_sinh's outer integrand takes each outer node's inner panels from
-the outer table by index, and integrates a pass's nodes in blocks of at most
-NESTED_BLOCK inner panels, each block its own table whose owners are its
-nodes and one _integrate call.  A call's fixed cost is paid once per batch
-instead of once per integral: verify-all's lemma oracles integrate its whole
-c grid in one tanh_sinh call and make no nested one, and minimizer_gap takes
-its theta(Omega_c) at every c in one nested_tanh_sinh call.
+tanh_sinh takes a batch: a sequence of independent integrals (f, a, b,
+points), and returns their values in order; one integral is a one-member
+batch.  A batch is one panel table (_panels): each member's panels [lo, hi]
+between its breakpoints, in member order, with each panel's member.
+_integrate is the one caller of _tanh_sinh_panels: it runs a table's panels
+in one pass loop, raises on the first unconverged panel and sums each
+owner's panels in order (np.bincount).  Each pass hands each member's
+function its own contiguous rows (_by_member), so a member's value is bit
+for bit what it is alone.  A call's fixed cost is paid once per batch
+instead of once per integral: verify-all's lemma oracles integrate its
+whole c grid in one tanh_sinh call.  nested_tanh_sinh takes one double
+integral (kernel, weight, a, b, points) and returns its value.  Its outer
+panels are one table, and each outer node has the same row of inner panels,
+cut at the node; a pass's nodes go to _integrate in blocks of whole nodes,
+each block one table whose owners are its nodes.
 quad_breakpoints, a QUADPACK wrapper, has no production caller; it stays only
 while perfbench/spans.py traces it.
 
@@ -62,13 +61,13 @@ ABS_TOL = 1e-9
 INNER_ABS_TOL = 1e-10
 REL_TOL = 1e-9
 MAX_SUBDIVISIONS = 400
-# The most inner panels (outer nodes times breakpoint panels) one inner
-# tanh-sinh call of nested_tanh_sinh takes; it bounds the call's memory.  A
-# call has a fixed cost on top of its per-node work: a one-panel call of a
-# cheap integrand takes ~80 us on 2 cores, so wider calls make fewer of
-# them.  At 1024, each outer pass of verify-all's nested quadratures makes
-# one or two calls; ROADMAP records other budgets against verify-all's time
-# and memory.
+# The most inner panels (outer nodes times outer panels) one inner tanh-sinh
+# call of nested_tanh_sinh takes, unless one node's row alone is more; it
+# bounds the call's memory.  A call has a fixed cost on top of its per-node
+# work: a one-panel call of a cheap integrand takes ~80 us on 2 cores, so
+# wider calls make fewer of them.  At 1024, each outer pass of verify-all's
+# nested quadratures makes one call; ROADMAP records other budgets against
+# verify-all's time and memory.
 NESTED_BLOCK = 1024
 
 # Tanh-sinh levels: level k has step _H0 / 2**k and 8 * 2**k steps to each
@@ -267,20 +266,20 @@ def _panels(bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.repeat(np.arange(len(edges)), [len(e) - 1 for e in edges]))
 
 
-def _by_member(fns, x, member, *args):
-    """One pass's integrand values of a batch: fns[k](*args, x) on member k's rows.
+def _by_member(fns, x, member):
+    """One pass's integrand values of a batch: fns[k](x) on member k's rows.
 
     A batch's panels are ordered by member and leave _tanh_sinh_panels in
-    order, so each member's rows of x, member and args are one contiguous
-    slice; a member whose panels have all converged gets no call.
+    order, so each member's rows of x and member are one contiguous slice; a
+    member whose panels have all converged gets no call.
     """
     if member[0, 0] == member[-1, 0]:  # one member's rows: no split, no copy
-        return fns[member[0, 0]](*args, x)
+        return fns[member[0, 0]](x)
     out = np.empty(x.shape)
     cuts = np.searchsorted(member[:, 0], np.arange(len(fns) + 1))
     for k in np.flatnonzero(np.diff(cuts)):
         i, j = cuts[k], cuts[k + 1]
-        out[i:j] = fns[k](*(arg[i:j] for arg in args), x[i:j])
+        out[i:j] = fns[k](x[i:j])
     return out
 
 
@@ -319,50 +318,36 @@ def tanh_sinh(integrals) -> list[float]:
                       len(integrals), ABS_TOL, (member,)).tolist()
 
 
-def nested_tanh_sinh(integrals) -> list[float]:
-    """int_a^b weight(s) int_a^s kernel(s, t) dt ds by two-level tanh-sinh, for
-    each of independent integrals (kernel, weight, a, b, points); their values,
-    in order.
+def nested_tanh_sinh(kernel, weight, a: float, b: float, points=()) -> float:
+    """int_a^b weight(s) int_a^s kernel(s, t) dt ds by two-level tanh-sinh.
 
     Only the triangle t < s is integrated: a kernel symmetric in (s, t) gives
     half its integral over the square.  kernel(s, t) and weight(s) take
     broadcastable arrays; the kernel may have an integrable singularity at
-    t = s.  The outer integrals run as one batch through _integrate, each
-    member owning its panels.  An outer node s of member k has one inner
-    panel per panel of k, found in the outer table by index arithmetic
-    (panels first[k] .. first[k + 1] - 1), and cut at s clipped into it:
-    [lo, cut].  A cut within a few ulps of lo or hi is moved onto it, so such
-    panels are empty or whole.  A pass's outer nodes go to _integrate in node
-    order, in blocks of whole nodes of at most NESTED_BLOCK inner panels, or
-    one node where its panels alone are more; each block builds its own inner
-    table, in which each node owns its panels.  Each member's value is bit
-    for bit what a one-member call returns.
+    t = s.  The outer panels lie between the _edges of [a, b].  Each outer
+    node s gets the same row of inner panels, one per outer panel, cut at s
+    clipped into it: [lo, cut].  A cut within a few ulps of lo or hi is moved
+    onto it, so such panels are empty or whole.  A pass's outer nodes go to
+    _integrate in node order, in blocks of NESTED_BLOCK // panels whole
+    nodes, at least one; each block is one inner table, in which each node
+    owns its row.
     """
-    integrals = list(integrals)
-    if not integrals:
-        return []
-    kernels = [kernel for kernel, *_ in integrals]
-    weights = [weight for _, weight, *_ in integrals]
-    lo, hi, member = _panels(bounds for _, _, *bounds in integrals)
-    first = np.searchsorted(member, np.arange(len(integrals) + 1))
+    edges = _edges(a, b, points)
+    lo, hi = edges[:-1], edges[1:]
+    step = max(NESTED_BLOCK // lo.size, 1)
 
-    def outer(s: np.ndarray, k: np.ndarray) -> np.ndarray:
-        nodes, node_k = s.ravel(), np.broadcast_to(k, s.shape).ravel()
-        size = np.diff(first)[node_k]  # inner panels per node
-        end = np.cumsum(size)
-        shift = end - size - first[node_k]  # node m's inner panel g is outer panel g - shift[m]
+    def outer(s: np.ndarray) -> np.ndarray:
+        nodes = s.ravel()
         inner = np.empty(nodes.size)
-        i = 0
-        while i < nodes.size:
-            j = max(np.searchsorted(end, end[i] - size[i] + NESTED_BLOCK, "right"), i + 1)
-            owner = np.repeat(np.arange(j - i), size[i:j])
-            panel = np.arange(end[i] - size[i], end[j - 1]) - shift[i:j][owner]
-            p_s, p_lo, p_hi = nodes[i:j][owner], lo[panel], hi[panel]
+        for i in range(0, nodes.size, step):
+            block = nodes[i:i + step]
+            p_s = np.repeat(block, lo.size)
+            p_lo, p_hi = np.tile(lo, block.size), np.tile(hi, block.size)
             cut = np.clip(p_s, p_lo, p_hi)
             cut = np.where(_thin(p_lo, cut), p_lo, np.where(_thin(cut, p_hi), p_hi, cut))
-            inner[i:j] = _integrate(partial(_by_member, kernels), p_lo, cut, owner, j - i,
-                                    INNER_ABS_TOL, (node_k[i:j][owner], p_s))
-            i = j
-        return inner.reshape(s.shape) * _by_member(weights, s, k)
+            inner[i:i + step] = _integrate(lambda t, s_: kernel(s_, t), p_lo, cut,
+                                           np.repeat(np.arange(block.size), lo.size), block.size,
+                                           INNER_ABS_TOL, (p_s,))
+        return inner.reshape(s.shape) * weight(s)
 
-    return _integrate(outer, lo, hi, member, len(integrals), ABS_TOL, (member,)).tolist()
+    return float(_integrate(outer, lo, hi, np.zeros(lo.size, dtype=int), 1, ABS_TOL, ())[0])

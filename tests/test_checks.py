@@ -246,7 +246,8 @@ class TestOneRoutePerQuantity:
                                and node.name in {"_lemma_intIOmega", "_bulk_log_energy"}))
         assert "_bulk_log_energy" in oracle and "_int_I_omega_closed" in oracle
         assert not {"G", "H_tilde", "J_tilde", "_log_moment", "_lemma_I_closed", "lemma_I",
-                    "_lemma_I", "nested_tanh_sinh", "_logkernel_integral"} & oracle
+                    "_lemma_I", "nested_tanh_sinh", "_sobolev_logkernel_generic",
+                    "_theta_curve"} & oracle
 
     def test_production_modules_hold_no_oracle_only_private(self):
         # a private name that only checks or the tests read belongs in checks,
@@ -381,9 +382,9 @@ class TestMovedNames:
 
 class TestOraclesBatch:
     def test_warm_verify_all_pass_makes_few_tanh_sinh_calls(self, monkeypatch):
-        # Each oracle family integrates its members in one pass loop: the 28
-        # single lemma integrals of the c grid in one call and minimizer_gap's
-        # 2 nested ones in one outer call; the lemmas make no nested call.
+        # The lemmas integrate the 28 single integrals of the c grid in one
+        # call and make no nested call; minimizer_gap makes one nested call
+        # per c, each an outer call and its inner ones (9 calls in all).
         harness.cmd_verify_all()
         calls, nodes = [], []
         panels_tanh_sinh = quadrature._tanh_sinh_panels

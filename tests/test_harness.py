@@ -442,6 +442,20 @@ class TestChiSquare:
             assert checks.chi_square_sf(chisq, dof) == pytest.approx(
                 stats.chi2.sf(chisq, dof), rel=1e-12, abs=0)
 
+    def test_single_diagram_fit_is_exact(self, monkeypatch):
+        # Y_1^5 and Y_4^1 hold one diagram each, so the fit has no degree of freedom
+        records, _ = checks.run_checks(checks.chi_square(sizes=((5, 1), (1, 4)), count=100))
+        assert [(r["params"]["dof"], r["lhs"], r["pass"]) for r in records] == [(0, 1.0, True)] * 2
+        json.dumps(records, allow_nan=False)
+
+        def one_wrong(n, N, seed, count):
+            return [Partition((4, 1))] + [Partition((5,))] * (count - 1)
+
+        monkeypatch.setattr(rsk, "sample_schur_weyl", one_wrong)
+        records, _ = checks.run_checks(checks.chi_square(sizes=((5, 1),), count=100))
+        assert [(r["lhs"], r["pass"]) for r in records] == [(0.0, False)]
+        json.dumps(records, allow_nan=False)
+
     def test_no_scipy_at_runtime(self):
         # The pytest process has scipy loaded already, so a fresh one runs the
         # constants table and the chi-square family.

@@ -88,55 +88,23 @@ class TestBatches:
         assert all(np.all((0.0 <= x) & (x <= 3.0)) for x in seen[0])
         assert all(np.all((5.0 <= x) & (x <= 6.0)) for x in seen[1])
 
-    def test_nested_members_keep_their_one_member_values(self, monkeypatch):
-        members = [
-            (_neg_log_kernel, np.ones_like, 0.0, 1.0, ()),
-            (_neg_log_kernel, lambda s: 1.0 + s * s, -1.0, 0.0, (-0.55, -0.525, -0.5)),
-            (lambda s, t: np.cos(3.0 * s * t), np.sin, 0.0, 2.0, (0.7,)),
-            (_neg_log_kernel, np.ones_like, 0.5, 0.5, ()),
-        ]
-        want = [quadrature.nested_tanh_sinh([member])[0] for member in members]
-        assert _same_bits(quadrature.nested_tanh_sinh(members), want)
-        # shared inner calls split across members, and within one node's row
-        for budget in (7, 1):
-            monkeypatch.setattr(quadrature, "NESTED_BLOCK", budget)
-            assert _same_bits(quadrature.nested_tanh_sinh(members), want)
-
-    def test_shared_inner_calls_take_at_most_the_panel_budget(self, monkeypatch):
-        sizes = []
-        panels_tanh_sinh = quadrature._tanh_sinh_panels
-
-        def spy(f, lo, hi, atol, args=()):
-            if atol == quadrature.INNER_ABS_TOL:
-                sizes.append(np.broadcast(lo, hi).size)
-            return panels_tanh_sinh(f, lo, hi, atol, args)
-
-        monkeypatch.setattr(quadrature, "_tanh_sinh_panels", spy)
-        members = [(_neg_log_kernel, np.ones_like, 0.0, 1.0, (0.4,)),
-                   (_neg_log_kernel, np.ones_like, 0.0, 1.0, (0.2, 0.6))]
-        quadrature.nested_tanh_sinh(members)
-        # the first pass's 132 + 198 rows hold 264 + 594 inner panels
-        assert sizes[0] == 858 and max(sizes) <= quadrature.NESTED_BLOCK
-
     def test_unconverged_member_names_its_panel(self):
         members = [(np.exp, 0.0, 1.0, ()), (lambda x: 1.0 / (x - 2.0), 1.0, 2.0, (1.5,))]
         with pytest.raises(ArithmeticError, match=r"did not converge on \[1\.5, 2\.0\]"):
             quadrature.tanh_sinh(members)
 
     def test_unconverged_inner_panel_names_its_cut(self):
-        # the second member's kernel diverges at t = s, so its first failing
-        # inner panel is [1.0, s] for one of its outer nodes s
-        members = [(_neg_log_kernel, np.ones_like, 0.0, 1.0, ()),
-                   (lambda s, t: 1.0 / (s - t), np.ones_like, 1.0, 2.0, ())]
+        # the kernel diverges at t = s, so the first failing inner panel is
+        # [1.0, s] for one of the outer nodes s
         with pytest.raises(ArithmeticError) as error:
-            quadrature.nested_tanh_sinh(members)
+            quadrature.nested_tanh_sinh(lambda s, t: 1.0 / (s - t), np.ones_like, 1.0, 2.0)
         cut = float(re.fullmatch(r"tanh-sinh did not converge on \[1\.0, (\S+)\] \(status -?\d+\)",
                                  str(error.value))[1])
         assert 1.0 < cut < 2.0
 
     def test_no_members(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_tanh_sinh_panels", None)
-        assert quadrature.tanh_sinh([]) == [] and quadrature.nested_tanh_sinh([]) == []
+        assert quadrature.tanh_sinh([]) == []
 
 
 def _neg_log_kernel(s, t):
@@ -149,7 +117,7 @@ class TestNestedTanhSinh:
     def test_log_kernel_closed_form(self):
         # iint_{[0,1]^2} -ln|2(s - t)| ds dt = 3/2 - ln 2, and the kernel is
         # symmetric, so its triangle t < s holds half of that
-        got = quadrature.nested_tanh_sinh([(_neg_log_kernel, np.ones_like, 0.0, 1.0, ())])[0]
+        got = quadrature.nested_tanh_sinh(_neg_log_kernel, np.ones_like, 0.0, 1.0)
         assert got == pytest.approx((1.5 - math.log(2.0)) / 2, abs=1e-9)
 
     @pytest.mark.parametrize("kernel, weight, points, want", [
@@ -158,20 +126,20 @@ class TestNestedTanhSinh:
     ], ids=["kernel_t", "weight_s"])
     def test_only_below_the_diagonal(self, kernel, weight, points, want):
         # over the square both would give 1/2
-        got = quadrature.nested_tanh_sinh([(kernel, weight, 0.0, 1.0, points)])[0]
+        got = quadrature.nested_tanh_sinh(kernel, weight, 0.0, 1.0, points)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_blocks_do_not_change_the_value(self, monkeypatch):
         def weight(s):
             return 1.0 + s * s
 
-        want = quadrature.nested_tanh_sinh([(_neg_log_kernel, weight, 0.0, 1.0, (0.4,))])[0]
+        want = quadrature.nested_tanh_sinh(_neg_log_kernel, weight, 0.0, 1.0, (0.4,))
         monkeypatch.setattr(quadrature, "NESTED_BLOCK", 5)
-        got = quadrature.nested_tanh_sinh([(_neg_log_kernel, weight, 0.0, 1.0, (0.4,))])[0]
+        got = quadrature.nested_tanh_sinh(_neg_log_kernel, weight, 0.0, 1.0, (0.4,))
         assert got == want
         # a budget below one row's panels: one outer node per inner call
         monkeypatch.setattr(quadrature, "NESTED_BLOCK", 1)
-        got = quadrature.nested_tanh_sinh([(_neg_log_kernel, weight, 0.0, 1.0, (0.4,))])[0]
+        got = quadrature.nested_tanh_sinh(_neg_log_kernel, weight, 0.0, 1.0, (0.4,))
         assert got == want
 
     @pytest.mark.parametrize("budget", [quadrature.NESTED_BLOCK, 200, 9])
@@ -185,15 +153,15 @@ class TestNestedTanhSinh:
                 passes[-1][1].append(np.broadcast(lo, hi).size)
                 return panels_tanh_sinh(f, lo, hi, atol, args)
 
-            def outer_pass(s, *member):
+            def outer_pass(s):
                 passes.append((s.size, []))
-                return f(s, *member)
+                return f(s)
 
             return panels_tanh_sinh(outer_pass, lo, hi, atol, args)
 
         monkeypatch.setattr(quadrature, "_tanh_sinh_panels", spy)
         monkeypatch.setattr(quadrature, "NESTED_BLOCK", budget)
-        quadrature.nested_tanh_sinh([(_neg_log_kernel, np.ones_like, 0.0, 1.0, (0.4,))])
+        quadrature.nested_tanh_sinh(_neg_log_kernel, np.ones_like, 0.0, 1.0, (0.4,))
         assert passes
         for rows, calls in passes:  # two panels per row
             assert sum(calls) == 2 * rows and max(calls) <= budget
@@ -204,8 +172,8 @@ class TestNestedTanhSinh:
     def test_outer_node_an_ulp_from_an_inner_edge(self):
         # some outer nodes on these panels round to within an ulp of -0.525,
         # which the inner panels must not be split at
-        got = quadrature.nested_tanh_sinh([(_neg_log_kernel, np.ones_like, -1.0, 0.0,
-                                            (-0.55, -0.525, -0.5))])[0]
+        got = quadrature.nested_tanh_sinh(_neg_log_kernel, np.ones_like, -1.0, 0.0,
+                                          (-0.55, -0.525, -0.5))
         assert got == pytest.approx((1.5 - math.log(2.0)) / 2, abs=1e-9)
 
     def test_unconverged_inner_panel_raises(self):
@@ -213,7 +181,7 @@ class TestNestedTanhSinh:
             return np.abs(t - 0.3) ** -0.5 + 0.0 * s
 
         with pytest.raises(ArithmeticError, match="did not converge"):
-            quadrature.nested_tanh_sinh([(kernel, np.ones_like, 0.0, 1.0, ())])
+            quadrature.nested_tanh_sinh(kernel, np.ones_like, 0.0, 1.0)
 
 
 class TestQuadBreakpoints:
