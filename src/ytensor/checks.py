@@ -639,7 +639,7 @@ def derivatives(cs=(0.5, 2.0), zs=(1.7,), ss=(0.3,)):
 
 
 def constants_and_series(zs=(0.3,)):
-    """alpha_0, beta and m(1) in closed form, and the power-series identity at each z."""
+    """alpha_0, beta and m(1) in closed form, and -m(1/z) against its power series at each z."""
     yield ("alpha_0_closed", {}, functionals.alpha_constant(0.0),
            2 / math.pi - 4 / math.pi ** 2, 1e-10, ("alpha-constant",))
     yield ("beta_value", {}, functionals.beta_constant(), 2 * math.pi / math.sqrt(6),
@@ -647,9 +647,9 @@ def constants_and_series(zs=(0.3,)):
     yield ("m_at_1", {}, functionals.m_series(1.0), 3 - 4 * math.log(2), 1e-12,
            ("m-series",))
     for z in zs:
-        lhs = -3 + (1 + 1 / z) ** 2 * math.log(1 + z) + (1 / z - 1) ** 2 * math.log(1 - z)
         rhs = -sum(z ** (2 * k) / (k * (k + 1) * (2 * k + 1)) for k in range(1, 100))
-        yield "power_series_identity", {"z": z}, lhs, rhs, 1e-10, ("power-series-identity",)
+        yield ("power_series_identity", {"z": z}, -functionals.m_series(1 / z), rhs, 1e-13,
+               ("power-series-identity",))
 
 
 def hat_inequality():

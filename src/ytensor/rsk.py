@@ -41,12 +41,14 @@ arrays for all trials of the batch at once, in one pass over the blocks
 that hold n draws, and applies ``Generator.integers``' bounded-draw rule
 (Lemire's rejection) to each row's first n draws, so each word equals
 ``trial_rng(seed, k).integers(1, N + 1, size=n)`` bit for bit unless one of
-those draws was rejected.  The rows with a rejected draw share one more
-pass, with spare blocks, and take their first n accepted draws; a row whose
-spare draws run out takes a pass of twice as many.  So Schur-Weyl sampling
-never builds a Generator, nor imports ``numpy.random`` (9-17 ms on first
-use).  A lone short word pays the pass's fixed ~0.2 ms of numpy calls where
-a Generator would take ~0.03 ms once imported (2 cores, n = 100).
+those draws was rejected.  A row with a rejected draw is drawn again from
+that very call.  Lemire's rule rejects at most N / 2**32 of all draws, so
+in the paper's regime few words are drawn again: 6.7e-4 of them at
+n = 3e4, N = 173 and about 7% at n = 1e6, N = 1000, and no word of the
+seed-0 benchmark workloads.  Only those build a Generator and import
+``numpy.random`` (9-17 ms on first use).  A lone short word pays the pass's
+fixed ~0.2 ms of numpy calls where a Generator would take ~0.03 ms once
+imported (2 cores, n = 100).
 The pass runs Philox's first two rounds only on the lanes that depend on
 the trial, updates its four lanes in place, and reads the 32-bit draws as a
 view of the 64-bit outputs; the letters go straight into the batch's
@@ -69,13 +71,14 @@ of 20 calls, in each of 6 processes), against 0.76-1.2 ms with a new array
 per step, beside 60-76 ms of kernel; most of a pass (about 70% under
 cProfile) is still the 17 calls of ``_mulhilo``, 15 in-place uint64 array
 operations each.  At n = 1e6, N = 1000 the draw takes 18-19 ms and 13 MB
-of temporaries (tracemalloc), against 30-40 ms and 21 MB, freed before the
-kernel runs.  About 7% of such words hold a rejected draw and draw twice:
-63-74 ms and 17 MB, against 52-57 ms and 28 MB through a Generator.  At
-N near 2**31 about half of all draws are rejected, so nearly every short
-word takes spare blocks: 2000 six-letter words at N = 2**31 + 11 take
-2.2-2.5 ms to draw (medians of 7 calls in 6 fresh processes, 2 cores),
-against 33-61 ms when each such row built its own Generator.
+of temporaries (tracemalloc), against 30-40 ms and 21 MB, freed before
+the kernel runs.  Trial 4 of seed 0 there holds a rejected draw and is
+drawn again: 28-33 ms with a 20 MB peak, against 52-62 ms and 17 MB for a
+second pass with spare blocks (``tools/draw_costs.py``, 3 fresh processes,
+2 cores).  Near N = 2**31 about half of all draws are rejected, so nearly
+every short word is drawn again: 2000 six-letter words at N = 2**31 + 11
+take 32-39 ms to draw, against 2.3-2.4 ms for a spare-block pass, which
+pays only at alphabets 10**6 times the paper's.
 ``sample_plancherel`` draws trial k's permutation from
 ``trial_rng(seed, k).permutation(n)``.
 """
@@ -144,7 +147,8 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Stream ``trial`` of ``seed``: a fresh Philox keyed by (seed mod 2**64, trial).
 
     This defines the (seed, trial) contract, and it is the one place that
-    builds a Generator: ``sample_plancherel`` draws each permutation from it.
+    builds a Generator: ``sample_plancherel`` draws each permutation from it,
+    and ``_draw_letters`` each word whose vectorized pass rejected a draw.
     ``sample_schur_weyl``'s vectorized passes reproduce these streams; the
     tests compare both samplers against it.
     """
@@ -273,12 +277,11 @@ def _draw_letters(seed: int, trials: np.ndarray, n: int, N: int, out: np.ndarray
     Every batch, a lone word of any length included, takes one vectorized
     pass: one ``_philox_blocks`` call for the blocks that hold n draws, and
     the bounded letters of each row's first n draws, written straight into
-    ``out``.  A row is then exact unless one of those n draws was rejected.
-    Such rows take their first n accepted draws from one more pass, for all
-    of them at once (``_spare_letters``).  Rejection is rare at the alphabets
-    the paper's regime samples (at most N / 2**32 of draws, 4e-8 at N = 173,
-    and none for N a power of 2), but nearly every row of a few letters
-    rejects a draw at N near 2**31.
+    ``out``.  A row is then exact unless one of those n draws was rejected;
+    such a row is drawn again from its own stream, ``trial_rng(seed, trial)``.
+    Rejection is rare at the alphabets the paper's regime samples (at most
+    N / 2**32 of draws, 4e-8 at N = 173, and none for N a power of 2), but
+    nearly every row of a few letters rejects a draw at N near 2**31.
     """
     bits = 32 if N <= 1 << 32 else 64
     blocks = -(-n * bits // 256)
@@ -288,39 +291,10 @@ def _draw_letters(seed: int, trials: np.ndarray, n: int, N: int, out: np.ndarray
     threshold = ((1 << bits) - N) % N  # 0 when N is a power of 2: nothing is rejected
     if not threshold:
         return
-    # rejected draws per row: np.unique would import numpy.ma, and
+    # rows with a rejected draw: np.unique would import numpy.ma, and
     # any(axis=1) over rows of a few letters is ~7x slower
-    counts = np.bincount(np.flatnonzero(lo < np.uint64(threshold)) // n)
-    del u, lo  # freed before the spare pass draws
-    rows = np.flatnonzero(counts)
-    if rows.size:
-        _spare_letters(seed, trials, rows, n, N, bits, threshold, n + 4 * int(counts.max()), out)
-
-
-def _spare_letters(seed: int, trials: np.ndarray, rows: np.ndarray, n: int, N: int,
-                   bits: int, threshold: int, draws: int, out: np.ndarray) -> None:
-    """Fill ``out[rows]`` with each row's first n accepted letters, for rows
-    whose first n draws hold a rejected one.
-
-    One ``_philox_blocks`` call draws the blocks that hold ``draws`` draws
-    for all rows at once, and each row takes its first n accepted draws in
-    stream order.  Lemire's method accepts a draw with probability over
-    1/2, so ``_draw_letters`` asks for four draws past n for each of the
-    most rejections among any row's first n, twice as many as they take on
-    average.  The rows with fewer than n accepted draws in them, which are
-    rare, take a pass of twice as many draws.
-    """
-    u = _draws(_philox_blocks(seed, trials[rows], -(-draws * bits // 256)), bits)
-    letters = np.empty_like(u)  # uint32 for 32-bit draws: N = 2**32 rejects nothing
-    accepted = _lemire(u, N, bits, letters) >= np.uint64(threshold)
-    accepted &= np.cumsum(accepted, axis=1, dtype=np.int32) <= n  # each row's first n
-    full = np.count_nonzero(accepted, axis=1) == n
-    accepted &= full[:, None]
-    words = letters[accepted].reshape(-1, n)
-    words += 1
-    out[rows[full]] = words
-    if not full.all():  # rare: the draws ran out
-        _spare_letters(seed, trials, rows[~full], n, N, bits, threshold, 2 * draws, out)
+    for row in np.flatnonzero(np.bincount(np.flatnonzero(lo < np.uint64(threshold)) // n)):
+        out[row] = trial_rng(seed, int(trials[row])).integers(1, N + 1, size=n)
 
 
 def rsk_shape_from_letters(letters: Iterable[int]) -> Partition:

@@ -181,7 +181,10 @@ class TestOneRoutePerQuantity:
             # the hull of f's support in the Sobolev norm, which is a
             # polarization without a window; checks.profile_minus_shape
             # forms it itself
-            "_hull"}
+            "_hull",
+            # the spare-block pass for rows with a rejected draw, which now
+            # draw again from their own trial stream
+            "_spare_letters"}
 
     def test_no_module_names_what_is_gone(self):
         found = {module: sorted(self.GONE & named_anywhere(syntax_tree(module)))
@@ -272,6 +275,13 @@ class TestOneRoutePerQuantity:
             "def _L(): pass\n"
             "def _orphan():\n    return _M\n"
             "_M = 5\n"), ast.parse("from .a import _orphan\n")]) == {"_orphan", "_M"}
+
+    def test_trial_rng_callers(self):
+        # Schur-Weyl rows with a rejected draw and Plancherel permutations draw
+        # from their (seed, trial) stream; every other route reproduces it
+        found = {(module, where) for module in MODULES
+                 for where in callers(syntax_tree(module), "trial_rng")}
+        assert found == {("rsk", "_draw_letters"), ("rsk", "sample_plancherel")}
 
     def test_integrate_is_the_one_tanh_sinh_caller(self):
         found = {(module, where) for module in MODULES

@@ -1,0 +1,24 @@
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from ytensor import rsk
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "draw_costs.py"
+_spec = importlib.util.spec_from_file_location("draw_costs", TOOL)
+draw_costs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(draw_costs)
+
+
+def test_measure_times_warm_draws_and_takes_one_peak(monkeypatch):
+    draw, buffers = rsk._draw_letters, []
+
+    def spy(seed, trials, n, N, out):
+        buffers.append((trials.tolist(), out.shape, out.dtype))
+        draw(seed, trials, n, N, out)
+
+    monkeypatch.setattr(rsk, "_draw_letters", spy)
+    seconds, peak = draw_costs.measure(0, range(5), 6, 2**31 + 11)
+    assert seconds > 0 and peak > 0
+    assert buffers == [([0, 1, 2, 3, 4], (5, 6), np.uint32)] * (draw_costs.CALLS + 2)

@@ -404,14 +404,14 @@ class TestPhilox:
 
     @pytest.mark.parametrize("seed, n, N", [
         (4, 6, 1),
-        (5, 37, 2**31 + 11),  # about half of all draws rejected: most rows take spare blocks
-        (41, 2, 2**31 + 11),  # rows left short hold different fills, then accept every draw
+        (5, 37, 2**31 + 11),  # about half of all draws rejected: most rows are drawn again
+        (41, 2, 2**31 + 11),  # two-letter rows, most of which reject a draw
         (6, 9, 2**32),
         (7, 13, 2**40 + 3),  # whole 64-bit draws
         (-1, 7, 3),
         (8, 5, 2**32 - 1),
         (9, 11, 2**32 + 1),
-        # n = 8 and 16 fill whole blocks of 32-bit draws: the first pass has no spare draw.
+        # n = 8 and 16 fill whole blocks of 32-bit draws: the pass holds no draw past n.
         (10, 8, 3),
         (11, 16, 3),
         (12, 8, 2**31 + 11),
@@ -426,7 +426,7 @@ class TestPhilox:
 
     @pytest.mark.parametrize("seed, n, N, rejecting", [
         (3, 6, 4, 0),  # N a power of 2 never rejects: the first pass writes one slice
-        (14, 2, 2**31 + 11, 3),  # 3 of 8 rows reject a draw: they take spare blocks
+        (14, 2, 2**31 + 11, 3),  # 3 of 8 rows reject a draw: they are drawn again
     ])
     def test_pass_with_and_without_rejections(self, seed, n, N, rejecting):
         count = 8
@@ -438,41 +438,27 @@ class TestPhilox:
         rsk._draw_letters(seed, np.arange(count), n, N, out)
         assert np.array_equal(out, reference_words(seed, n, N, range(count)))
 
-    def test_rows_rejecting_several_draws_take_spare_blocks(self, monkeypatch):
-        # At N = 2**31 + 11 about half of all draws are rejected.  The rows that
-        # reject any of their first n draws share one more Philox pass, with
-        # spare blocks past those; no Generator is built.
-        seed, n, N, count = 16, 6, 2**31 + 11, 40
-        reference = reference_words(seed, n, N, range(count))
-        raw = rsk._philox_blocks(seed, np.arange(count), 1)
-        low = (rsk._draws(raw, 32)[:, :n] * np.uint64(N)) & np.uint64(0xFFFFFFFF)
-        assert (low < (2**32 - N) % N).sum(axis=1).max() >= 2
-        blocks, passes = rsk._philox_blocks, []
-        monkeypatch.setattr(rsk, "_philox_blocks",
-                            lambda *args: passes.append(args[2:]) or blocks(*args))
-        monkeypatch.setattr(rsk, "trial_rng", lambda *args: pytest.fail("a Generator was built"))
-        out = np.empty((count, n), dtype=np.uint32)
-        rsk._draw_letters(seed, np.arange(count), n, N, out)
-        assert np.array_equal(out, reference)
-        assert len(passes) == 2 and passes[0] == (1,) and passes[1][0] > 1
-
-    def test_row_whose_spare_draws_run_out_takes_a_larger_pass(self, monkeypatch):
-        # Trial 6118 of seed 0 rejects its first 11 draws at N = 2**31 + 11,
-        # and the spare pass's blocks hold 16 draws: that row alone takes a
-        # third pass, of twice as many draws, and no Generator is built.
-        seed, n, N, trials = 0, 2, 2**31 + 11, [0, 1, 6118, 2]
+    @pytest.mark.parametrize("seed, n, trials", [
+        (16, 6, range(40)),  # about half of all draws are rejected: every row rejects one
+        (0, 2, [0, 1, 6118, 2]),  # trial 6118 rejects its first 11 draws
+    ])
+    def test_rows_with_a_rejected_draw_redraw_from_their_trial_stream(self, monkeypatch, seed,
+                                                                      n, trials):
+        # At N = 2**31 + 11 a row whose first n draws hold a rejected one is
+        # drawn again from trial_rng(seed, trial), once; the other rows are not.
+        N, trials = 2**31 + 11, np.array(trials)
         reference = reference_words(seed, n, N, trials)
-        raw = rsk._philox_blocks(seed, np.array([6118]), 2)
-        low = (rsk._draws(raw, 32) * np.uint64(N)) & np.uint64(0xFFFFFFFF)
-        assert (low < (2**32 - N) % N).tolist()[0][:12] == [True] * 11 + [False]
-        blocks, passes = rsk._philox_blocks, []
-        monkeypatch.setattr(rsk, "_philox_blocks",
-                            lambda s, k, b: passes.append((k.tolist(), b)) or blocks(s, k, b))
-        monkeypatch.setattr(rsk, "trial_rng", lambda *args: pytest.fail("a Generator was built"))
+        raw = rsk._philox_blocks(seed, trials, 1)
+        low = (rsk._draws(raw, 32)[:, :n] * np.uint64(N)) & np.uint64(0xFFFFFFFF)
+        rejecting = (low < (2**32 - N) % N).any(axis=1)
+        assert rejecting.any()
+        trial_rng, built = rsk.trial_rng, []
+        monkeypatch.setattr(rsk, "trial_rng",
+                            lambda *args: built.append(args) or trial_rng(*args))
         out = np.empty((len(trials), n), dtype=np.uint32)
-        rsk._draw_letters(seed, np.array(trials), n, N, out)
+        rsk._draw_letters(seed, trials, n, N, out)
         assert np.array_equal(out, reference)
-        assert [b for _, b in passes] == [1, 2, 3] and passes[2][0] == [6118]
+        assert built == [(seed, k) for k in trials[rejecting].tolist()]
 
     @pytest.mark.parametrize("n, N", [(4, 2), (6, 3)])
     def test_full_table_batch_matches_trial_streams(self, n, N):
