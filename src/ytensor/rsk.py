@@ -35,20 +35,25 @@ the kernel's oracle in the tests.
 Randomness uses the counter-based Philox4x64-10 generator keyed by
 (seed, trial): trial k always draws from stream k of ``trial_rng``, whatever
 the number of trials requested, and ``trial_rng`` is the one constructor of
-a Generator.  Every batch, of one word or many, short or long, takes one
-vectorized pass: ``_draw_letters`` runs Philox's rounds on uint64
-arrays for all trials of the batch at once, in one pass over the blocks
-that hold n draws, and applies ``Generator.integers``' bounded-draw rule
+a Generator.  The paper's alphabets are N ~ sqrt(n) / c (173 at n = 3e4,
+1000 at n = 1e6, c = 1), far below 2**32.  For N <= 2**32 every batch, of
+one word or many, short or long, takes one vectorized pass:
+``_draw_letters`` runs Philox's rounds on uint64 arrays for all trials of
+the batch at once, in one pass over the ceil(n / 8) blocks that hold n
+32-bit draws, and applies ``Generator.integers``' bounded-draw rule
 (Lemire's rejection) to each row's first n draws, so each word equals
 ``trial_rng(seed, k).integers(1, N + 1, size=n)`` bit for bit unless one of
 those draws was rejected.  A row with a rejected draw is drawn again from
-that very call.  Lemire's rule rejects at most N / 2**32 of all draws, so
-in the paper's regime few words are drawn again: 6.7e-4 of them at
-n = 3e4, N = 173 and about 7% at n = 1e6, N = 1000, and no word of the
-seed-0 benchmark workloads.  Only those build a Generator and import
-``numpy.random`` (9-17 ms on first use).  A lone short word pays the pass's
-fixed ~0.2 ms of numpy calls where a Generator would take ~0.03 ms once
-imported (2 cores, n = 100).
+that very call, once the pass's raw outputs and product are freed.
+Lemire's rule rejects at most N / 2**32 of all draws, so in the paper's
+regime few words are drawn again: 6.7e-4 of them at n = 3e4, N = 173 and
+about 7% at n = 1e6, N = 1000, and no word of the seed-0 benchmark
+workloads.  For N > 2**32 numpy draws whole 64-bit outputs with a 128-bit
+product, and every word is drawn from that call: numpy's Generator alone
+defines those draws.  Only the words drawn from a Generator build one and
+import ``numpy.random`` (9-17 ms on first use).  A lone short word pays the
+pass's fixed ~0.2 ms of numpy calls where a Generator would take ~0.03 ms
+once imported (2 cores, n = 100).
 The pass runs Philox's first two rounds only on the lanes that depend on
 the trial, updates its four lanes in place, and reads the 32-bit draws as a
 view of the 64-bit outputs; the letters go straight into the batch's
@@ -73,12 +78,15 @@ cProfile) is still the 17 calls of ``_mulhilo``, 15 in-place uint64 array
 operations each.  At n = 1e6, N = 1000 the draw takes 18-19 ms and 13 MB
 of temporaries (tracemalloc), against 30-40 ms and 21 MB, freed before
 the kernel runs.  Trial 4 of seed 0 there holds a rejected draw and is
-drawn again: 28-33 ms with a 20 MB peak, against 52-62 ms and 17 MB for a
-second pass with spare blocks (``tools/draw_costs.py``, 3 fresh processes,
-2 cores).  Near N = 2**31 about half of all draws are rejected, so nearly
-every short word is drawn again: 2000 six-letter words at N = 2**31 + 11
-take 32-39 ms to draw, against 2.3-2.4 ms for a spare-block pass, which
-pays only at alphabets 10**6 times the paper's.
+drawn again: 29-33 ms with a 13 MB peak, against 34-58 ms and 20 MB when
+the raw outputs and the product stayed alive during the redraw
+(``tools/draw_costs.py``, 3 fresh processes, 2 cores).  Near N = 2**31
+about half of all draws are rejected, so nearly every short word is drawn
+again: 2000 six-letter words at N = 2**31 + 11 take 36-39 ms to draw.
+Past 2**32 every word is: 2000 six-letter words at N = 2**40 + 3 take
+41-66 ms, against 0.9-1.3 ms for a vectorized 64-bit pass, and two words
+of 1e5 letters 1.3-2.3 ms and 0.8 MB, against 7.1-8.7 ms and 8 MB.  Such
+alphabets are 10**9 times the paper's.
 ``sample_plancherel`` draws trial k's permutation from
 ``trial_rng(seed, k).permutation(n)``.
 """
@@ -148,7 +156,8 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
     This defines the (seed, trial) contract, and it is the one place that
     builds a Generator: ``sample_plancherel`` draws each permutation from it,
-    and ``_draw_letters`` each word whose vectorized pass rejected a draw.
+    and ``_draw_letters`` each word whose vectorized pass rejected a draw, and
+    every word over N > 2**32.
     ``sample_schur_weyl``'s vectorized passes reproduce these streams; the
     tests compare both samplers against it.
     """
@@ -209,8 +218,9 @@ def _philox_blocks(seed: int, trials: np.ndarray, blocks: int) -> np.ndarray:
     the heap, where the caller's product takes it, and the draw spans less
     heap.  Where that span stays below glibc's trim threshold, the next draw
     reuses its pages instead of faulting them in again: after one
-    chisq-small benchmark pass, a draw of a (5, 3) word-table batch takes 0
-    minor faults against 301 with the lanes allocated first (``getrusage``).
+    chisq-small benchmark pass, a draw of a (5, 3) word-table batch took 0
+    minor faults in 9 of 9 fresh processes, against 300-301 in 6 of 9 with
+    the lanes allocated first (``getrusage``).
     """
     count = trials.size
     k0 = seed & 0xFFFFFFFFFFFFFFFF
@@ -246,54 +256,44 @@ def _philox_blocks(seed: int, trials: np.ndarray, blocks: int) -> np.ndarray:
     return np.stack((c0, c1, c2, c3), axis=-1, out=scratch).reshape(count, 4 * blocks)
 
 
-def _draws(raw: np.ndarray, bits: int) -> np.ndarray:
-    """The ``bits``-bit draws of raw Philox outputs, in stream order: each
-    64-bit output low half first, as numpy's ``philox_next32`` takes them."""
-    return raw.astype("<u8", copy=False).view("<u4") if bits == 32 else raw
-
-
-def _lemire(u: np.ndarray, N: int, bits: int, hi: np.ndarray) -> np.ndarray:
-    """Write the high ``bits``-bit word of u * N, the letter minus 1, into ``hi``;
-    return the low word, which Lemire's rejection test compares with its threshold."""
-    if bits == 64:
-        lo = u.copy()
-        _mulhilo(lo, N, hi, *np.empty((3,) + lo.shape, dtype=np.uint64))
-        return lo
-    m = np.multiply(u, np.uint64(N), dtype=np.uint64)  # u may be a uint32 view
-    np.right_shift(m, _SHIFT32, out=hi, casting="unsafe")
-    return np.bitwise_and(m, _MASK32, out=m)  # the low word in place, after the high
-
-
 def _draw_letters(seed: int, trials: np.ndarray, n: int, N: int, out: np.ndarray) -> None:
     """Fill row t of ``out`` with ``trial_rng(seed, trials[t]).integers(1, N + 1, size=n)``.
 
     ``Generator.integers`` draws with Lemire's method: for N <= 2**32 it takes
     32-bit outputs u (each 64-bit output low half first, as numpy's
     ``philox_next32`` does), forms m = u * N and rejects u iff
-    m mod 2**32 < (2**32 - N) mod N; the letter is (m >> 32) + 1.  Larger N
-    takes whole 64-bit outputs and a 128-bit product.  N = 1 takes the same
-    rule: it rejects nothing, and every letter is 1.
+    m mod 2**32 < (2**32 - N) mod N; the letter is (m >> 32) + 1.  N = 1
+    takes the same rule: it rejects nothing, and every letter is 1.
 
-    Every batch, a lone word of any length included, takes one vectorized
-    pass: one ``_philox_blocks`` call for the blocks that hold n draws, and
-    the bounded letters of each row's first n draws, written straight into
-    ``out``.  A row is then exact unless one of those n draws was rejected;
-    such a row is drawn again from its own stream, ``trial_rng(seed, trial)``.
-    Rejection is rare at the alphabets the paper's regime samples (at most
-    N / 2**32 of draws, 4e-8 at N = 173, and none for N a power of 2), but
-    nearly every row of a few letters rejects a draw at N near 2**31.
+    For N <= 2**32 a batch, a lone word of any length included, takes one
+    vectorized pass: one ``_philox_blocks`` call for the ceil(n / 8) blocks
+    that hold n draws, and the bounded letters of each row's first n draws,
+    written straight into ``out``.  A row is then exact unless one of those
+    n draws was rejected.  The raw outputs and the product are freed, and
+    each such row is drawn again from its own stream,
+    ``trial_rng(seed, trial)``.  Rejection is rare at the alphabets the
+    paper's regime samples (at most N / 2**32 of draws, 4e-8 at N = 173, and
+    none for N a power of 2), but nearly every row of a few letters rejects
+    a draw at N near 2**31.  For N > 2**32 numpy takes whole 64-bit outputs
+    and a 128-bit product, and every row is drawn from its own stream.  So
+    a draw builds a Generator, and imports ``numpy.random``, only for a row
+    that rejected a draw or when N > 2**32.
     """
-    bits = 32 if N <= 1 << 32 else 64
-    blocks = -(-n * bits // 256)
-    u = _draws(_philox_blocks(seed, trials, blocks), bits)
-    lo = _lemire(u[:, :n], N, bits, out)
-    out += 1
-    threshold = ((1 << bits) - N) % N  # 0 when N is a power of 2: nothing is rejected
-    if not threshold:
-        return
-    # rows with a rejected draw: np.unique would import numpy.ma, and
-    # any(axis=1) over rows of a few letters is ~7x slower
-    for row in np.flatnonzero(np.bincount(np.flatnonzero(lo < np.uint64(threshold)) // n)):
+    rows = range(len(trials))  # N > 2**32: every row, from its Generator
+    if N <= 1 << 32:
+        # the 32-bit draws, a view of the raw outputs, which are freed once m is formed
+        m = np.multiply(_philox_blocks(seed, trials, -(-n // 8)).astype("<u8", copy=False)
+                        .view("<u4")[:, :n], np.uint64(N), dtype=np.uint64)
+        np.right_shift(m, _SHIFT32, out=out, casting="unsafe")
+        out += 1
+        threshold = ((1 << 32) - N) % N  # 0 when N is a power of 2: nothing is rejected
+        m &= _MASK32
+        # rows with a rejected draw: np.unique would import numpy.ma, and
+        # any(axis=1) over rows of a few letters is ~7x slower
+        rows = (np.flatnonzero(np.bincount(np.flatnonzero(m < np.uint64(threshold)) // n))
+                if threshold else ())
+        del m
+    for row in rows:
         out[row] = trial_rng(seed, int(trials[row])).integers(1, N + 1, size=n)
 
 
@@ -452,8 +452,11 @@ def sample_schur_weyl(n: int, N: int, seed: int, count: int) -> list[Partition]:
     """i.i.d. shapes with the Schur-Weyl law, deterministic for a fixed seed.
 
     Trial k's word is ``trial_rng(seed, k).integers(1, N + 1, size=n)``, bit
-    for bit, but ``_draw_letters`` draws the words of a whole batch at once
-    from one vectorized Philox pass instead of stepping a Generator per trial.
+    for bit, but for N <= 2**32 ``_draw_letters`` draws the words of a whole
+    batch at once from one vectorized Philox pass instead of stepping a
+    Generator per trial.  A call builds a Generator, and imports
+    ``numpy.random``, only for a word whose pass rejected a draw, or for
+    every word when N > 2**32.
     ``_draw_batch`` draws one batch of up to ``_KERNEL_LETTERS`` letters and
     runs the kernel ``_row_lengths`` on it; the batches' shapes become
     partitions in trial order, and equal shapes of all batches are one shared

@@ -184,7 +184,10 @@ class TestOneRoutePerQuantity:
             "_hull",
             # the spare-block pass for rows with a rejected draw, which now
             # draw again from their own trial stream
-            "_spare_letters"}
+            "_spare_letters",
+            # the 64-bit draws and 128-bit Lemire product for N > 2**32, whose
+            # rows now draw from their own trial stream
+            "_draws", "_lemire"}
 
     def test_no_module_names_what_is_gone(self):
         found = {module: sorted(self.GONE & named_anywhere(syntax_tree(module)))

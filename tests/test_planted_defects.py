@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ytensor
-from ytensor import checks, functionals, harness, rsk, shape
+from ytensor import checks, exact, functionals, harness, rsk, shape
 
 BUMP = 1e-3
 
@@ -66,6 +66,23 @@ def _scaled_m_closed_branch(monkeypatch):
         monkeypatch.setattr(module, "m_series", planted)
 
 
+def _flipped_h_term(monkeypatch):
+    h_term = functionals.h_term
+    for module in (functionals, ytensor):
+        monkeypatch.setattr(module, "h_term", lambda prof, c: -h_term(prof, c))
+
+
+def _first_hook_plus_one(monkeypatch):
+    hook_lengths = exact.hook_lengths
+
+    def planted(lam):
+        hooks = hook_lengths(lam)
+        return [hooks[0] + 1, *hooks[1:]] if hooks else hooks
+
+    for module in (exact, functionals):
+        monkeypatch.setattr(module, "hook_lengths", planted)
+
+
 def _cell_moved_up(monkeypatch):
     # one cell from row 1 to row 0 in every 20th word, where the rows stay a partition
     row_lengths = rsk._row_lengths
@@ -92,6 +109,8 @@ CAUGHT = [
     pytest.param(_shifted_lemma_F3(1e-6), {"lemma_F3", "sobolev_routes", "variational_identity"},
                  id="lemma_F3_closed_shifted_1e-6"),
     pytest.param(_scaled_m_closed_branch, {"power_series_identity"}, id="m_closed_branch_scaled"),
+    pytest.param(_flipped_h_term, {"penalty_nonnegative", "penalty_nonvacuous"},
+                 id="h_term_sign_flipped"),
 ]
 # Defects verify-all does not see; their empty sets are pinned so that a
 # check which comes to see one must update this list.
@@ -108,6 +127,15 @@ def test_verify_all_fails_exactly_the_checks_that_see_the_defect(monkeypatch, pl
     if plant:
         plant(monkeypatch)
     assert _failing(harness.cmd_verify_all()) == failing
+
+
+def test_a_hook_length_off_by_one_stops_verify_all(monkeypatch):
+    # n! over the planted hook product is no integer, and sum_rules, the first
+    # family, divides exactly
+    _first_hook_plus_one(monkeypatch)
+    with pytest.raises(ArithmeticError, match="quotient is not integral") as raised:
+        harness.cmd_verify_all()
+    assert "sum_rules" in {entry.name for entry in raised.traceback}
 
 
 def test_the_bump_is_odd_with_the_planted_derivative():

@@ -407,7 +407,7 @@ class TestPhilox:
         (5, 37, 2**31 + 11),  # about half of all draws rejected: most rows are drawn again
         (41, 2, 2**31 + 11),  # two-letter rows, most of which reject a draw
         (6, 9, 2**32),
-        (7, 13, 2**40 + 3),  # whole 64-bit draws
+        (7, 13, 2**40 + 3),  # whole 64-bit draws, each row from its Generator
         (-1, 7, 3),
         (8, 5, 2**32 - 1),
         (9, 11, 2**32 + 1),
@@ -449,7 +449,7 @@ class TestPhilox:
         N, trials = 2**31 + 11, np.array(trials)
         reference = reference_words(seed, n, N, trials)
         raw = rsk._philox_blocks(seed, trials, 1)
-        low = (rsk._draws(raw, 32)[:, :n] * np.uint64(N)) & np.uint64(0xFFFFFFFF)
+        low = (raw.astype("<u8").view("<u4")[:, :n] * np.uint64(N)) & np.uint64(0xFFFFFFFF)
         rejecting = (low < (2**32 - N) % N).any(axis=1)
         assert rejecting.any()
         trial_rng, built = rsk.trial_rng, []
@@ -459,6 +459,20 @@ class TestPhilox:
         rsk._draw_letters(seed, trials, n, N, out)
         assert np.array_equal(out, reference)
         assert built == [(seed, k) for k in trials[rejecting].tolist()]
+
+    def test_wide_alphabet_draws_every_row_from_its_trial_stream(self, monkeypatch):
+        # Past N = 2**32 numpy takes whole 64-bit draws: no Philox pass runs,
+        # and each row is drawn from trial_rng(seed, trial), once, in row order.
+        seed, n, N, trials = 17, 5, 2**40 + 3, np.array([3, 0, 2**32 + 1, 7])
+        reference = reference_words(seed, n, N, trials)
+        monkeypatch.setattr(rsk, "_philox_blocks", lambda *args: pytest.fail("a Philox pass ran"))
+        trial_rng, built = rsk.trial_rng, []
+        monkeypatch.setattr(rsk, "trial_rng",
+                            lambda *args: built.append(args) or trial_rng(*args))
+        out = np.empty((len(trials), n), dtype=np.min_scalar_type(N))
+        rsk._draw_letters(seed, trials, n, N, out)
+        assert np.array_equal(out, reference)
+        assert built == [(seed, k) for k in trials.tolist()]
 
     @pytest.mark.parametrize("n, N", [(4, 2), (6, 3)])
     def test_full_table_batch_matches_trial_streams(self, n, N):
@@ -485,15 +499,6 @@ class TestPhilox:
         finally:
             tracemalloc.stop()
         assert peak <= 1.35e6
-
-    @pytest.mark.parametrize("N", [2, 3, 173, 2**31 + 11, 2**32])
-    def test_lemire_product_of_uint32_draws_is_64_bit(self, N):
-        # The 32-bit draws reach _lemire as a uint32 view; u * N must not wrap at 2**32.
-        u = np.array([0, 1, 2**31, 2**32 - 1], dtype=np.uint32)
-        hi = np.empty(u.shape, dtype=np.uint64)
-        lo = rsk._lemire(u, N, 32, hi)
-        assert hi.tolist() == [int(x) * N >> 32 for x in u]
-        assert lo.tolist() == [int(x) * N & 0xFFFFFFFF for x in u]
 
     def test_long_words_draw_in_one_pass(self, monkeypatch):
         n = 5 * rsk._KERNEL_LETTERS // 2 + 1

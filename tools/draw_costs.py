@@ -1,4 +1,4 @@
-"""Time the sampler's word draws where rows reject a draw.
+"""Time the sampler's word draws where rows come from their trial streams.
 
     PYTHONPATH=src python tools/draw_costs.py
 
@@ -8,7 +8,10 @@ For each case, in one fresh process, prints the median time of 7 warm
 - 2000 six-letter words of seed 0 at N = 2**31 + 11, where about half of
   all draws are rejected, so nearly every row is drawn again from its
   trial stream;
-- trial 4 of seed 0 at n = 10**6, N = 1000, one word that rejects a draw.
+- trial 4 of seed 0 at n = 10**6, N = 1000, one word that rejects a draw;
+- 2000 six-letter words and 2 words of 10**5 letters, of seed 0 at
+  N = 2**40 + 3, past 2**32, where every row is drawn from its trial
+  stream.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from ytensor import rsk
 CASES = (
     ("2000 six-letter words, N = 2**31 + 11", 0, range(2000), 6, 2**31 + 11),
     ("trial 4 at n = 10**6, N = 1000", 0, [4], 10**6, 1000),
+    ("2000 six-letter words, N = 2**40 + 3", 0, range(2000), 6, 2**40 + 3),
+    ("2 words of 10**5 letters, N = 2**40 + 3", 0, range(2), 10**5, 2**40 + 3),
 )
 CALLS = 7
 
