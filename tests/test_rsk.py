@@ -460,6 +460,30 @@ class TestPhilox:
         assert np.array_equal(out, reference)
         assert built == [(seed, k) for k in trials[rejecting].tolist()]
 
+    @pytest.mark.parametrize("N", [2, 3, 173, 2**31 + 11, 2**32])
+    def test_philox_pass_product_of_uint32_draws_is_64_bit(self, monkeypatch, N):
+        # Row t's one draw is u[t], a uint32 view of the raw outputs: u * N
+        # must not wrap at 2**32.  A rejected row is drawn again, here as 0.
+        u = [0, 1, 2**31, 2**32 - 1]
+        raw = np.zeros((len(u), 4), dtype=np.uint64)
+        raw[:, 0] = u
+        monkeypatch.setattr(rsk, "_philox_blocks", lambda seed, trials, blocks: raw)
+        redrawn = []
+
+        class Redraw:
+            def integers(self, low, high, size):
+                assert (low, high) == (1, N + 1)
+                return np.zeros(size, dtype=np.uint64)
+
+        monkeypatch.setattr(rsk, "trial_rng",
+                            lambda seed, trial: redrawn.append(trial) or Redraw())
+        out = np.empty((len(u), 1), dtype=np.uint64)
+        rsk._draw_letters(0, np.arange(len(u)), 1, N, out)
+        rejected = [t for t, x in enumerate(u) if x * N % 2**32 < (2**32 - N) % N]
+        assert redrawn == rejected
+        assert out[:, 0].tolist() == [0 if t in rejected else (x * N >> 32) + 1
+                                      for t, x in enumerate(u)]
+
     def test_wide_alphabet_draws_every_row_from_its_trial_stream(self, monkeypatch):
         # Past N = 2**32 numpy takes whole 64-bit draws: no Philox pass runs,
         # and each row is drawn from trial_rng(seed, trial), once, in row order.
